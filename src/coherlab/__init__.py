@@ -22,6 +22,7 @@ from .exceptions import CoherlabError
 from .linalg import (
     DensityMatrix,
     PureState,
+    apply_local,
     eig_hermitian,
     partial_trace,
     permute_subsystems,

@@ -26,7 +26,7 @@ from .exceptions import (
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import DensityMatrix, permute_subsystems, _to_matrix
+from .linalg import DensityMatrix, apply_local, permute_subsystems, _to_matrix
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -59,16 +59,6 @@ def is_incoherent_operator(k, tol: float = 1e-9) -> bool:
     vector.  Phases are irrelevant."""
     mat = _to_matrix(k)
     return bool(((np.abs(mat) > tol).sum(axis=0) <= 1).all())
-
-
-def _embed_block(op: np.ndarray, dim_before: int, dim_after: int) -> np.ndarray:
-    """Pad an operator with identities: I(dim_before) x op x I(dim_after)."""
-    out = op
-    if dim_before > 1:
-        out = np.kron(np.eye(dim_before), out)
-    if dim_after > 1:
-        out = np.kron(out, np.eye(dim_after))
-    return out
 
 
 @dataclass(frozen=True)
@@ -128,24 +118,39 @@ class KrausChannel:
     def is_incoherent(self, tol: float = 1e-9) -> bool:
         return all(is_incoherent_operator(op, tol) for op in self.ops)
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """Summed channel output sum_l K_l rho K_l'."""
-        if rho.dims != self.in_dims:
-            raise DimensionMismatchError(f"state dims {rho.dims} != channel dims {self.in_dims}")
-        out = sum(op @ rho.mat @ op.conj().T for op in self.ops)
-        return DensityMatrix(out, self.out_dims)
+    def _place(self, rho: DensityMatrix, at: int | None) -> tuple[int, int, tuple[int, ...]]:
+        """Dimension before and after the block of rho the channel acts on,
+        and the output dims.  ``at`` is the block's first subsystem; None
+        means the channel acts on the whole state."""
+        n = len(self.in_dims)
+        start = 0 if at is None else at
+        if (start < 0 or rho.dims[start:start + n] != self.in_dims
+                or (at is None and len(rho.dims) != n)):
+            raise DimensionMismatchError(
+                f"state dims {rho.dims} at subsystem {start} != channel dims {self.in_dims}"
+            )
+        head, tail = rho.dims[:start], rho.dims[start + n:]
+        return math.prod(head), math.prod(tail), head + self.out_dims + tail
 
-    def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
-        """Per-outcome result: probability, normalized post-state, index.
-        Outcomes with probability <= 1e-12 are pruned."""
-        if rho.dims != self.in_dims:
-            raise DimensionMismatchError(f"state dims {rho.dims} != channel dims {self.in_dims}")
+    def apply(self, rho: DensityMatrix, at: int | None = None) -> DensityMatrix:
+        """Summed channel output sum_l K_l rho K_l', acting on the whole
+        state or on the block of subsystems starting at ``at``."""
+        before, after, dims = self._place(rho, at)
+        out = sum(apply_local(rho.mat, op, before, after) for op in self.ops)
+        return DensityMatrix(out, dims)
+
+    def apply_instrument(self, rho: DensityMatrix,
+                         at: int | None = None) -> list[InstrumentOutcome]:
+        """Per-outcome result: probability, normalized post-state, index,
+        with the channel placed as in ``apply``.  Outcomes with probability
+        <= 1e-12 are pruned."""
+        before, after, dims = self._place(rho, at)
         outcomes = []
         for l, op in enumerate(self.ops):
-            post = op @ rho.mat @ op.conj().T
+            post = apply_local(rho.mat, op, before, after)
             p = float(np.trace(post).real)
             if p > OUTCOME_PRUNE_TOL:
-                outcomes.append(InstrumentOutcome(p, DensityMatrix(post / p, self.out_dims), l))
+                outcomes.append(InstrumentOutcome(p, DensityMatrix(post / p, dims), l))
         return outcomes
 
 
@@ -357,16 +362,6 @@ class LocalProtocol:
     def dims(self) -> tuple[int, ...]:
         return self.a_dims + self.b_dims
 
-    def _embed(self, round_: ProtocolRound) -> list[np.ndarray]:
-        da, db = math.prod(self.a_dims), math.prod(self.b_dims)
-        if round_.party == "A":
-            if round_.instrument.in_dims != self.a_dims or round_.instrument.out_dims != self.a_dims:
-                raise DimensionMismatchError("round instrument does not match party A dims")
-            return [_embed_block(op, 1, db) for op in round_.instrument.ops]
-        if round_.instrument.in_dims != self.b_dims or round_.instrument.out_dims != self.b_dims:
-            raise DimensionMismatchError("round instrument does not match party B dims")
-        return [_embed_block(op, da, 1) for op in round_.instrument.ops]
-
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
         """Depth-first expansion of the script.
 
@@ -377,6 +372,9 @@ class LocalProtocol:
         """
         if rho.dims != self.dims:
             raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
+        da, db = math.prod(self.a_dims), math.prod(self.b_dims)
+        # party -> (its dims, dimension before and after its block)
+        placement = {"A": (self.a_dims, 1, db), "B": (self.b_dims, da, 1)}
         leaves: list[tuple[float, DensityMatrix, tuple]] = []
 
         def expand(node: ProtocolRound | None, mat: np.ndarray, prob: float, transcript: tuple):
@@ -390,9 +388,13 @@ class LocalProtocol:
                 raise IncoherenceViolationError(
                     f"party {node.party} instrument is not incoherent in a restricted round"
                 )
-            ops = self._embed(node)
-            for outcome, op in enumerate(ops):
-                post = op @ mat @ op.conj().T
+            party_dims, before, after = placement[node.party]
+            if not node.instrument.in_dims == node.instrument.out_dims == party_dims:
+                raise DimensionMismatchError(
+                    f"round instrument does not match party {node.party} dims"
+                )
+            for outcome, op in enumerate(node.instrument.ops):
+                post = apply_local(mat, op, before, after)
                 p = float(np.trace(post).real)
                 if p <= OUTCOME_PRUNE_TOL * prob:
                     continue
@@ -440,10 +442,6 @@ class LocalProtocol:
         return ProductKrausChannel(tuple(pairs), self.a_dims, self.b_dims)
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
     """Random incoherent channel: each Kraus operator picks an injective
     column-target map (a permutation) with complex-Gaussian amplitudes, then
@@ -451,7 +449,7 @@ def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
     so completion preserves incoherence."""
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     for _ in range(16):
         raws = []
         for _ in range(max(1, n_kraus)):
@@ -472,7 +470,7 @@ def random_instrument(dims, n_kraus: int, seed) -> KrausChannel:
     inverse square root of their Gram sum."""
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     raws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             for _ in range(max(1, n_kraus))]
     m = sum(r.conj().T @ r for r in raws)
@@ -503,7 +501,7 @@ def _random_rounds(a_dims, b_dims, rounds: int, rng: np.random.Generator,
 def random_sqi_channel(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:
     """Random LQICC script (general instruments on A, incoherent on B, with
     one-way classical control); any such composition is SQI."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     root = _random_rounds(tuple(a_dims), tuple(b_dims), max(1, rounds), rng,
                           incoherent_a=False, n_outcomes=n_outcomes)
     return LocalProtocol(tuple(a_dims), tuple(b_dims), root, incoherent_parties=frozenset({"B"}))
@@ -511,7 +509,7 @@ def random_sqi_channel(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -
 
 def random_licc_protocol(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:
     """Random LICC script: both parties restricted to incoherent instruments."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     root = _random_rounds(tuple(a_dims), tuple(b_dims), max(1, rounds), rng,
                           incoherent_a=True, n_outcomes=n_outcomes)
     return LocalProtocol(tuple(a_dims), tuple(b_dims), root,

@@ -22,7 +22,7 @@ from . import channels as ch
 from . import measures as ms
 from . import protocols as pr
 from . import states as st
-from .exceptions import CoherlabError, InvalidStateError
+from .exceptions import CoherlabError
 from .linalg import DensityMatrix, PureState, partial_trace, trace_norm, von_neumann_entropy
 
 EXIT_PARSE = 2
@@ -75,12 +75,31 @@ def canonical_json(obj, indent: int = 0) -> str:
 
 
 def _complex_list(values, what: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ParseError(f"{what}: expected a list of [re, im] pairs")
     out = []
     for entry in values:
         if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
             raise ParseError(f"{what}: every entry must be an [re, im] pair")
-        out.append(complex(float(entry[0]), float(entry[1])))
+        try:
+            out.append(complex(float(entry[0]), float(entry[1])))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{what}: entry {entry!r} is not a pair of numbers") from exc
     return np.array(out, dtype=complex)
+
+
+def _operator(values, dims_out, dims_in, what: str) -> np.ndarray:
+    rows, cols = math.prod(dims_out), math.prod(dims_in)
+    entries = _complex_list(values, what)
+    if entries.size != rows * cols:
+        raise ParseError(f"{what}: expected {rows * cols} entries, got {entries.size}")
+    return entries.reshape(rows, cols)
+
+
+def _dims(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(isinstance(d, int) for d in value):
+        raise ParseError(f'{what} must be a list of integers')
+    return tuple(value)
 
 
 def state_to_json(state: DensityMatrix | PureState) -> str:
@@ -109,9 +128,7 @@ def state_from_json(text: str) -> DensityMatrix | PureState:
     kind = payload.get("kind")
     if kind not in ("density", "pure"):
         raise ParseError(f'state "kind" must be "density" or "pure", got {kind!r}')
-    dims = payload.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
-        raise ParseError('state "dims" must be a list of integers')
+    dims = _dims(payload.get("dims"), 'state "dims"')
     entries = _complex_list(payload.get("matrix", []), "matrix")
     total = math.prod(dims)
     if kind == "pure":
@@ -150,21 +167,20 @@ def channel_from_json(text: str) -> ch.KrausChannel | ch.ProductKrausChannel:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ParseError("channel file must hold a JSON object")
     kind = payload.get("kind")
     if kind == "kraus":
-        in_dims = tuple(payload["in_dims"])
-        out_dims = tuple(payload.get("out_dims", payload["in_dims"]))
-        rows, cols = math.prod(out_dims), math.prod(in_dims)
-        ops = [
-            _complex_list(op, "ops").reshape(rows, cols) for op in payload.get("ops", [])
-        ]
+        in_dims = _dims(payload.get("in_dims"), 'kraus channel "in_dims"')
+        out_dims = _dims(payload.get("out_dims", list(in_dims)), 'kraus channel "out_dims"')
+        ops = [_operator(op, out_dims, in_dims, "ops") for op in payload.get("ops", [])]
         return ch.KrausChannel(tuple(ops), in_dims, out_dims)
     if kind == "product":
         try:
-            a_in, b_in = (tuple(d) for d in payload["in_dims"])
+            a_in, b_in = (_dims(d, "product dims") for d in payload["in_dims"])
             out = payload.get("out_dims", payload["in_dims"])
-            a_out, b_out = (tuple(d) for d in out)
-        except (TypeError, ValueError, KeyError) as exc:
+            a_out, b_out = (_dims(d, "product dims") for d in out)
+        except (TypeError, ValueError, KeyError, ParseError) as exc:
             raise ParseError(
                 'product channel "in_dims"/"out_dims" must be [[a...], [b...]] pairs'
             ) from exc
@@ -172,9 +188,8 @@ def channel_from_json(text: str) -> ch.KrausChannel | ch.ProductKrausChannel:
         for entry in payload.get("ops", []):
             if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
                 raise ParseError('product channel ops must be {"a": ..., "b": ...} objects')
-            a_op = _complex_list(entry["a"], "ops.a").reshape(math.prod(a_out), math.prod(a_in))
-            b_op = _complex_list(entry["b"], "ops.b").reshape(math.prod(b_out), math.prod(b_in))
-            pairs.append((a_op, b_op))
+            pairs.append((_operator(entry["a"], a_out, a_in, "ops.a"),
+                          _operator(entry["b"], b_out, b_in, "ops.b")))
         return ch.ProductKrausChannel(tuple(pairs), a_in, b_in, a_out, b_out)
     raise ParseError(f'channel "kind" must be "kraus" or "product", got {kind!r}')
 
@@ -233,9 +248,6 @@ def _run(fn):
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(EXIT_PARSE)
-    except InvalidStateError as exc:
-        click.echo(f"invariant violation: {exc}", err=True)
-        sys.exit(EXIT_INVARIANT)
     except CoherlabError as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         sys.exit(EXIT_INVARIANT)

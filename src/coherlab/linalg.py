@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "eig_hermitian",
     "tensor_product",
     "partial_trace",
+    "apply_local",
     "permute_subsystems",
     "trace_norm",
     "von_neumann_entropy",
@@ -157,10 +158,6 @@ class DensityMatrix:
     def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
         return DensityMatrix(np.kron(self.mat, other.mat), self.dims + other.dims)
 
-    def reshaped(self, dims: Iterable[int]) -> "DensityMatrix":
-        """Same matrix, different subsystem grouping."""
-        return DensityMatrix(self.mat, tuple(dims))
-
 
 @dataclass(frozen=True, eq=False)
 class PureState:
@@ -221,6 +218,27 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         dims.pop(idx)
     d = math.prod(dims)
     return DensityMatrix(tensor.reshape(d, d), tuple(dims))
+
+
+def apply_local(m, k, before: int = 1, after: int = 1) -> np.ndarray:
+    """(I_before x K x I_after) M (I_before x K x I_after)' without forming
+    the embedded operator.
+
+    K, square or rectangular, acts on the middle factor of a square matrix
+    whose row and column index is (before, K's input, after).  Each side is
+    one batched matmul over the ``before`` index; the right-hand product
+    reuses the left one through (K M K')' = K (K M)'.
+    """
+    k = _to_matrix(k)
+    mat = _to_square(m)
+    p, q = k.shape
+    if mat.shape[0] != before * q * after:
+        raise DimensionMismatchError(
+            f"matrix order {mat.shape[0]} != {before} x {q} x {after}"
+        )
+    half = (k @ mat.reshape(before, q, -1)).reshape(before * p * after, -1)
+    full = (k @ half.conj().T.reshape(before, q, -1)).reshape(before * p * after, -1)
+    return full.conj().T
 
 
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:

@@ -84,7 +84,10 @@ class Bipartition:
             name = name.strip().upper()
             if name not in ("A", "B"):
                 raise BadSubsystemError(f"unknown side {name!r} in split spec {spec!r}")
-            indices = tuple(int(v) for v in values.split(",") if v.strip() != "")
+            try:
+                indices = tuple(int(v) for v in values.split(",") if v.strip() != "")
+            except ValueError as exc:
+                raise BadSubsystemError(f"non-integer index in split spec {spec!r}") from exc
             sides[name] = indices
         if "B" not in sides:
             raise BadSubsystemError(f"split spec {spec!r} does not define the B side")

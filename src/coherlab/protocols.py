@@ -34,6 +34,7 @@ from .exceptions import (
 from .linalg import (
     DensityMatrix,
     PureState,
+    apply_local,
     partial_trace,
     permute_subsystems,
     trace_norm,
@@ -210,11 +211,7 @@ def assisted_distill_pure(
     alice_vectors = [u @ w[i, :].conj() for i in range(n)]
     # Complete with the orthogonal complement of the Schmidt span (those
     # outcomes never fire on psi).
-    if r < da:
-        full = np.linalg.qr(
-            np.concatenate([u, np.random.default_rng(0).standard_normal((da, da - r))], axis=1)
-        )[0]
-        alice_vectors += [full[:, r + j] for j in range(da - r)]
+    alice_vectors += list(np.linalg.qr(u, mode="complete")[0][:, r:].T)
     n_out = len(alice_vectors)
     ops = tuple(
         np.outer(ket(i, n_out), vec.conj()) for i, vec in enumerate(alice_vectors)
@@ -223,16 +220,8 @@ def assisted_distill_pure(
     if not instrument.is_incoherent():
         raise InvalidStateError("distillation instrument must be incoherent")
 
-    # Alice's outcome space is larger than her input space, so embed her
-    # operators with identity on Bob and expand by hand.
-    joint = psi.to_density()
-    leaves = []
-    for i, op in enumerate(ops):
-        embedded = np.kron(op, np.eye(db))
-        post = embedded @ joint.mat @ embedded.conj().T
-        p = float(np.trace(post).real)
-        if p > 1e-12:
-            leaves.append((p, DensityMatrix(post / p, (n_out, db)), (("A", i),)))
+    outcomes = instrument.apply_instrument(psi.to_density(), at=0)
+    leaves = [(o.probability, o.state, (("A", o.outcome),)) for o in outcomes]
     total = sum(p for p, _, _ in leaves)
     leaves = [(p / total, st, t) for p, st, t in leaves]
 
@@ -262,8 +251,7 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
     mat = rho.mat
     if u is not None:
         u = np.asarray(u, dtype=complex)
-        full = np.kron(u.conj().T, np.eye(d))
-        mat = full @ mat @ full.conj().T
+        mat = apply_local(mat, u.conj().T, after=d)
     # Coefficients on the |ii> subspace must reproduce the state.
     coeffs = np.zeros((d, d), dtype=complex)
     for i in range(d):
@@ -294,16 +282,11 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
     leaves = []
     unitaries = []
     coherences = []
-    for j, op in enumerate(instrument.ops):
-        full = np.kron(op, np.eye(d))
-        post = full @ rho.mat @ full.conj().T
-        p = float(np.trace(post).real)
-        state = DensityMatrix(post / p, (d, d))
-        bob = partial_trace(state, {1})
-        coherences.append(c_r(bob))
-        phases = np.angle(basis[j].vec * math.sqrt(d))
+    for o in instrument.apply_instrument(rho, at=0):
+        coherences.append(c_r(partial_trace(o.state, {1})))
+        phases = np.angle(basis[o.outcome].vec * math.sqrt(d))
         unitaries.append(np.diag(np.exp(1j * phases)))
-        leaves.append((p, state, (("A", j),)))
+        leaves.append((o.probability, o.state, (("A", o.outcome),)))
     metrics = {
         "target_coherence": target,
         "min_outcome_coherence": min(coherences),
@@ -584,9 +567,9 @@ def merging_witness() -> MergingWitnessResult:
         bob_op = np.outer(ket(0, 3), beta.conj())
         for j in range(3):
             store = np.outer(beta, ket(j, 3).conj())
-            ops.append(np.kron(np.eye(9), np.kron(proj_alpha, np.kron(store, bob_op))))
-    merge = KrausChannel(tuple(ops), (9, 3, 3, 3), (9, 3, 3, 3))
-    final = merge.apply(extended)
+            ops.append(np.kron(proj_alpha, np.kron(store, bob_op)))
+    merge = KrausChannel(tuple(ops), (3, 3, 3), (3, 3, 3))
+    final = merge.apply(extended, at=1)
     final_raa = partial_trace(final, {0, 1, 2})
     residual = trace_norm(final_raa.mat - rho.mat)
 

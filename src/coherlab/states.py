@@ -159,10 +159,6 @@ def fourier_mc_basis(d: int) -> list[PureState]:
     ]
 
 
-def _rng(seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
@@ -170,7 +166,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def random_pure(dims, seed) -> PureState:
     """Haar-random pure state (normalized complex-Gaussian vector)."""
     dims = tuple(int(d) for d in dims)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     v = _ginibre(rng, math.prod(dims), 1).reshape(-1)
     return PureState(v / np.linalg.norm(v), dims)
 
@@ -181,7 +177,7 @@ def random_density(dims, rank, seed) -> DensityMatrix:
     d = math.prod(dims)
     if not 1 <= rank <= d:
         raise BadRankError(f"rank {rank} invalid for total dimension {d}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     g = _ginibre(rng, d, rank)
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real, dims)
@@ -191,7 +187,7 @@ def random_qi_state(dims, seed) -> DensityMatrix:
     """Random quantum-incoherent state sum_j p_j sigma_j^A x |j><j|^B on a
     bipartite (d_A, d_B) system: arbitrary on A, diagonal on B."""
     da, db = (int(d) for d in dims)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(db))
     mat = np.zeros((da * db, da * db), dtype=complex)
     for j in range(db):
@@ -205,7 +201,7 @@ def random_qi_state(dims, seed) -> DensityMatrix:
 
 def random_unitary(d: int, seed) -> np.ndarray:
     """Haar-random unitary via QR of a Ginibre matrix with phase fix."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(_ginibre(rng, d, d))
     phases = np.diag(r).copy()
     phases /= np.abs(phases)

@@ -125,6 +125,69 @@ def test_apply_dimension_mismatch():
 
 
 # ---------------------------------------------------------------------------
+# placement on a block of subsystems
+
+# (state dims, channel in dims, channel out dims, first subsystem)
+PLACEMENTS = [
+    ((2, 3, 2), (2,), (3,), 0),
+    ((2, 3, 2), (2, 3), (6,), 0),
+    ((2, 3, 2), (3,), (3,), 1),
+    ((2, 3, 2, 2), (3, 2), (2, 3), 1),
+    ((2, 3, 2), (2,), (4,), 2),
+]
+
+
+def _rectangular_instrument(in_dims, out_dims, seed):
+    """Random instrument with zero rows appended to every operator: the
+    Gram sum, hence completeness, is unchanged."""
+    square = random_instrument(in_dims, 3, seed)
+    rows = math.prod(out_dims) - math.prod(in_dims)
+    ops = tuple(np.vstack([op, np.zeros((rows, op.shape[1]))]) for op in square.ops)
+    return KrausChannel(ops, in_dims, out_dims)
+
+
+def _embedded(channel, dims, at):
+    """The same channel on the whole state, built with Kronecker products."""
+    end = at + len(channel.in_dims)
+    eye_before, eye_after = np.eye(math.prod(dims[:at])), np.eye(math.prod(dims[end:]))
+    ops = tuple(np.kron(np.kron(eye_before, op), eye_after) for op in channel.ops)
+    return KrausChannel(ops, dims, dims[:at] + channel.out_dims + dims[end:])
+
+
+@pytest.mark.parametrize("dims, in_dims, out_dims, at", PLACEMENTS)
+def test_apply_at_matches_embedded_channel(dims, in_dims, out_dims, at):
+    channel = _rectangular_instrument(in_dims, out_dims, 21)
+    rho = random_density(dims, 4, 22)
+    local = channel.apply(rho, at=at)
+    whole = _embedded(channel, dims, at).apply(rho)
+    assert local.dims == whole.dims == dims[:at] + out_dims + dims[at + len(in_dims):]
+    assert np.abs(local.mat - whole.mat).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims, in_dims, out_dims, at", PLACEMENTS)
+def test_apply_instrument_at_matches_embedded_channel(dims, in_dims, out_dims, at):
+    channel = _rectangular_instrument(in_dims, out_dims, 23)
+    rho = random_density(dims, 4, 24)
+    local = channel.apply_instrument(rho, at=at)
+    whole = _embedded(channel, dims, at).apply_instrument(rho)
+    assert [o.outcome for o in local] == [o.outcome for o in whole]
+    for ours, ref in zip(local, whole):
+        assert abs(ours.probability - ref.probability) < 1e-12
+        assert ours.state.dims == ref.state.dims
+        assert np.abs(ours.state.mat - ref.state.mat).max() < 1e-10
+
+
+@pytest.mark.parametrize("at", [None, -1, 1, 3], ids=["whole", "negative", "wrong-block", "past-end"])
+def test_apply_at_rejects_bad_placement(at):
+    channel = identity_channel((2,))
+    rho = random_density((2, 3, 2), 4, 1)
+    with pytest.raises(DimensionMismatchError):
+        channel.apply(rho, at=at)
+    with pytest.raises(DimensionMismatchError):
+        channel.apply_instrument(rho, at=at)
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 

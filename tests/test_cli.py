@@ -205,6 +205,37 @@ def test_classify_parse_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+# name -> (command line with {path} for the input file, file content or None)
+MALFORMED_INPUTS = {
+    "classify-json-list": (["classify", "--channel", "{path}"], "[1, 2]"),
+    "classify-kraus-without-in-dims": (
+        ["classify", "--channel", "{path}"], '{"kind": "kraus", "ops": [[[1, 0]]]}'
+    ),
+    "classify-op-wrong-entry-count": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "kraus", "in_dims": [2], "ops": [[[1, 0], [0, 0], [0, 0]]]}',
+    ),
+    "measure-non-numeric-entry": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "density", "dims": [1], "matrix": [["x", 0]]}',
+    ),
+    "measure-non-integer-split": (
+        ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=x"], None
+    ),
+}
+
+
+@pytest.mark.parametrize("args, content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exits_2_without_traceback(runner, tmp_path, args, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    assert result.exit_code == 2, result.exception
+    assert "parse error:" in result.output
+    assert "Traceback" not in result.output
+
+
 # ---------------------------------------------------------------------------
 # reproduce and suite commands
 

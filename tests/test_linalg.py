@@ -16,6 +16,7 @@ from coherlab.exceptions import (
 from coherlab.linalg import (
     DensityMatrix,
     PureState,
+    apply_local,
     eig_hermitian,
     partial_trace,
     permute_subsystems,
@@ -176,6 +177,29 @@ def test_ptrace_preserves_trace_and_psd(seed, da, db):
     out = partial_trace(rho, {0})
     assert abs(np.trace(out.mat) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(out.mat)[0] > -1e-12
+
+
+# ---------------------------------------------------------------------------
+# local operator action
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 2), (2, 3)])
+@pytest.mark.parametrize("after", [1, 2, 3])
+@pytest.mark.parametrize("before", [1, 2, 3])
+def test_apply_local_matches_kronecker_embedding(rng, before, after, shape):
+    p, q = shape
+    d = before * q * after
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    k = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    embedded = np.kron(np.kron(np.eye(before), k), np.eye(after))
+    out = apply_local(m, k, before, after)
+    assert out.shape == (before * p * after,) * 2
+    assert np.abs(out - embedded @ m @ embedded.conj().T).max() < 1e-12
+
+
+def test_apply_local_rejects_wrong_order():
+    with pytest.raises(DimensionMismatchError):
+        apply_local(np.eye(6), np.eye(2), before=2, after=2)
 
 
 # ---------------------------------------------------------------------------

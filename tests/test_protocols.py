@@ -132,6 +132,10 @@ def test_distill_pure_product_state():
     psi = PureState(np.kron([1, 0], np.array([1, 1]) / math.sqrt(2)), (2, 2))
     result = assisted_distill_pure(psi, budget=2)
     assert abs(result.metrics["average_coherence"] - 1.0) < 1e-9
+    # Schmidt rank 1 < 2: the last outcome completes Alice's basis and never fires.
+    instrument = result.details["instrument"]
+    assert instrument.is_incoherent()
+    assert all(t[0][1] < instrument.n_outcomes - 1 for _, _, t in result.outcomes)
 
 
 def test_distill_pure_average_below_dephased_entropy():
