@@ -638,7 +638,7 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
             local = np.random.default_rng(s)
             rho = st.random_density((2,), 2, local.integers(2**63))
             value, _ = ms.coherence_of_assistance(rho, budget=2, seed=int(local.integers(2**63)))
-            upper = von_neumann_entropy(ms.dephase(rho, (0,)))
+            upper = ms._dephased_entropy(rho, (0,))
             lower = ms.c_r(rho)
             checked += 1
             if value > upper + 1e-9 or value < lower - 1e-9:

@@ -9,7 +9,7 @@ index layout and is never permuted implicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -116,11 +116,15 @@ class DensityMatrix:
     ordered list of subsystem dimensions.
 
     The matrix is validated on construction (hermiticity, positivity and
-    trace, each within the module tolerances) and stored read-only.
+    trace, each within the module tolerances) and stored read-only.  The
+    positivity check's eigenvalues are kept, ascending and read-only, as
+    ``spectrum``; the von Neumann entropy and the rho term of the relative
+    entropy read them instead of solving again.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...]
+    spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _to_square(self.mat).copy()
@@ -136,16 +140,19 @@ class DensityMatrix:
                 f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
             )
         try:
-            w_min = float(np.linalg.eigvalsh(mat)[0])
+            spectrum = np.linalg.eigvalsh(mat)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+        w_min = float(spectrum[0])
         if w_min < -TOL_PSD:
             raise InvalidStateError(
                 f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}"
             )
         mat.setflags(write=False)
+        spectrum.setflags(write=False)
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
@@ -265,11 +272,14 @@ def _entropy_from_eigs(w: np.ndarray) -> float:
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
-    Eigenvalues are clamped to [0, 1]; 0 log 0 is taken as 0.
+    A DensityMatrix contributes the spectrum its validation computed; a
+    plain matrix is diagonalized here.  Eigenvalues are clamped to [0, 1];
+    0 log 0 is taken as 0.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _to_square(rho)
+    if isinstance(rho, DensityMatrix):
+        return _entropy_from_eigs(rho.spectrum)
     try:
-        w = np.linalg.eigvalsh(mat)
+        w = np.linalg.eigvalsh(_to_square(rho))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     return _entropy_from_eigs(w)
@@ -280,13 +290,14 @@ def relative_entropy(rho, sigma, kernel_mass_tol: float = 1e-9) -> float:
 
     Returns ``math.inf`` when rho has more than ``kernel_mass_tol`` weight in
     the kernel of sigma (eigenvalues of sigma below TOL_PSD define the
-    kernel); support violations are a signal, not an error.
+    kernel); support violations are a signal, not an error.  The rho term
+    reads a DensityMatrix's stored spectrum.
     """
     r = rho.mat if isinstance(rho, DensityMatrix) else _to_square(rho)
     s = sigma.mat if isinstance(sigma, DensityMatrix) else _to_square(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
-    w_r = np.linalg.eigvalsh(r)
+    w_r = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(r)
     w_s, v_s = eig_hermitian(s, tol=TOL_HERM * max(1.0, np.abs(s).max()))
     in_kernel = w_s < TOL_PSD
     if np.any(in_kernel):

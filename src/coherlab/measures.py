@@ -27,6 +27,7 @@ from .linalg import (
     permute_subsystems,
     trace_norm,
     von_neumann_entropy,
+    _entropy_from_eigs,
     _validate_subsystems,
 )
 
@@ -144,10 +145,29 @@ def dephase(rho: DensityMatrix, subsystems) -> DensityMatrix:
     return DensityMatrix(np.where(mask, rho.mat, 0.0), rho.dims)
 
 
+def _dephased_entropy(rho: DensityMatrix, subsystems) -> float:
+    """S(dephase(rho, subsystems)) without building the dephased state.
+
+    Dephasing the set S leaves rho block-diagonal over S's basis labels,
+    one (d_rest, d_rest) block per label, so its spectrum is the union of
+    the blocks' spectra.  With S every subsystem the blocks are the
+    diagonal entries and the entropy is their Shannon entropy."""
+    idx = _validate_subsystems(subsystems, rho.n_subsystems)
+    rest = tuple(i for i in range(rho.n_subsystems) if i not in idx)
+    # labels[s, r]: row of rho holding S-label s and rest-label r.
+    labels = np.arange(rho.dim).reshape(rho.dims).transpose(idx + rest)
+    labels = labels.reshape(math.prod(rho.dims[i] for i in idx), -1)
+    if labels.shape[1] == 1:
+        return _entropy_from_eigs(np.diagonal(rho.mat))
+    blocks = rho.mat[labels[:, :, None], labels[:, None, :]]
+    return _entropy_from_eigs(np.linalg.eigvalsh(blocks))
+
+
 def c_r(rho: DensityMatrix) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho); equals the
-    distillable coherence."""
-    value = von_neumann_entropy(dephase(rho, range(rho.n_subsystems))) - von_neumann_entropy(rho)
+    distillable coherence.  S(dephase(rho)) is the Shannon entropy of the
+    diagonal and S(rho) comes from rho's stored spectrum."""
+    value = _dephased_entropy(rho, range(rho.n_subsystems)) - von_neumann_entropy(rho)
     return _finalize(value, "relative entropy of coherence")
 
 
@@ -157,15 +177,18 @@ distillable_coherence = c_r
 
 def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
     """Relative-entropy distance to the quantum-incoherent set for the A|B
-    split, in closed form: S(dephase_B(rho)) - S(rho)."""
+    split, in closed form: S(dephase_B(rho)) - S(rho).  S(dephase_B(rho))
+    comes from the A-blocks of rho, one per basis label of B, and S(rho)
+    from rho's stored spectrum."""
     split.validate(rho.n_subsystems)
-    value = von_neumann_entropy(dephase(rho, split.b)) - von_neumann_entropy(rho)
+    value = _dephased_entropy(rho, split.b) - von_neumann_entropy(rho)
     return _finalize(value, "QI relative entropy")
 
 
 def _qi_sigma(x: np.ndarray, da: int, db: int) -> np.ndarray:
     """Build a QI state on (A, B) block order from unconstrained reals:
-    softmax weights + one Cholesky-style A factor per B basis label."""
+    softmax weights + one Cholesky-style A factor per B basis label, whose
+    block sits on the rows and columns j, j + db, ... of B label j."""
     logits = x[:db]
     logits = logits - logits.max()
     p = np.exp(logits)
@@ -180,22 +203,17 @@ def _qi_sigma(x: np.ndarray, da: int, db: int) -> np.ndarray:
         if tr <= 0.0:
             continue
         block *= p[j] / tr
-        proj = np.zeros((db, db))
-        proj[j, j] = 1.0
-        sigma += np.kron(block, proj)
+        sigma[j::db, j::db] = block
     return sigma
 
 
-def _rel_entropy_floor(rho_mat: np.ndarray, sigma_mat: np.ndarray, floor: float = 1e-12) -> float:
-    """S(rho||sigma) with sigma eigenvalues floored so the optimizer always
-    sees a finite, smooth objective."""
-    w_r = np.clip(np.linalg.eigvalsh(rho_mat).real, 0.0, 1.0)
-    w_r = w_r[w_r > 0.0]
-    term_rho = float((w_r * np.log2(w_r)).sum()) if w_r.size else 0.0
+def _log_overlap_floor(rho_mat: np.ndarray, sigma_mat: np.ndarray, floor: float = 1e-12) -> float:
+    """Tr[rho log2 sigma] with sigma eigenvalues floored so the optimizer
+    always sees a finite, smooth objective."""
     w_s, v_s = np.linalg.eigh(sigma_mat)
     w_s = np.maximum(w_s.real, floor)
     weights = np.real(np.einsum("ij,ik,kj->j", v_s.conj(), rho_mat, v_s))
-    return term_rho - float((weights * np.log2(w_s)).sum())
+    return float((weights * np.log2(w_s)).sum())
 
 
 def qi_relative_entropy_oracle(
@@ -218,12 +236,14 @@ def qi_relative_entropy_oracle(
     if order != tuple(range(rho.n_subsystems)):
         rho = permute_subsystems(rho, order)
     rho_block = rho.mat
+    # S(rho||sigma) = -S(rho) - Tr[rho log2 sigma]; only the second term
+    # depends on sigma.
+    neg_entropy = -von_neumann_entropy(rho)
     n_params = db + db * 2 * da * da
     rng = np.random.default_rng(seed)
 
     def objective(x: np.ndarray) -> float:
-        sigma = _qi_sigma(x, da, db)
-        val = _rel_entropy_floor(rho_block, sigma)
+        val = neg_entropy - _log_overlap_floor(rho_block, _qi_sigma(x, da, db))
         return val if np.isfinite(val) else 1e6
 
     best = math.inf
@@ -251,10 +271,18 @@ def mutual_information(rho: DensityMatrix, split: Bipartition) -> float:
 
 def basis_dependent_discord(rho: DensityMatrix, split: Bipartition) -> float:
     """Mutual-information loss under dephasing of the B side:
-    I(A:B)(rho) - I(A:B)(dephase_B(rho))."""
+    I(A:B)(rho) - I(A:B)(dephase_B(rho)).
+
+    Dephasing B leaves rho_A unchanged and dephases rho_B, so
+    I(A:B)(dephase_B(rho)) = S(rho_A) + H(diag rho_B) - S(dephase_B(rho)),
+    the last term from the A-blocks of rho; S(rho), S(rho_A) and S(rho_B)
+    come from the stored spectra."""
     split.validate(rho.n_subsystems)
-    value = mutual_information(rho, split) - mutual_information(dephase(rho, split.b), split)
-    return _finalize(value, "basis-dependent discord")
+    rho_a, rho_b = _marginals(rho, split)
+    s_a = von_neumann_entropy(rho_a)
+    before = s_a + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
+    after = s_a + _dephased_entropy(rho_b, range(rho_b.n_subsystems)) - _dephased_entropy(rho, split.b)
+    return _finalize(before - after, "basis-dependent discord")
 
 
 def _shannon_bits(p: np.ndarray) -> float:

@@ -38,15 +38,14 @@ from .linalg import (
     partial_trace,
     permute_subsystems,
     trace_norm,
-    von_neumann_entropy,
 )
 from .measures import (
     Bipartition,
     MeasureReport,
     c_r,
     coherence_of_assistance,
-    dephase,
     qi_relative_entropy,
+    _dephased_entropy,
 )
 from .states import (
     SIGMA_X,
@@ -231,7 +230,7 @@ def assisted_distill_pure(
     metrics = {
         "average_coherence": average,
         "supplied_ensemble_average": supplied_average,
-        "bob_dephased_entropy": von_neumann_entropy(dephase(rho_b, range(rho_b.n_subsystems))),
+        "bob_dephased_entropy": _dephased_entropy(rho_b, range(rho_b.n_subsystems)),
     }
     return ProtocolResult(tuple(leaves), metrics, details={"instrument": instrument})
 
@@ -268,9 +267,7 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
         )
 
     basis = fourier_mc_basis(d)
-    target = float(
-        von_neumann_entropy(dephase(rho, (1,))) - von_neumann_entropy(rho)
-    )
+    target = qi_relative_entropy(rho, Bipartition((0,), (1,)))
     ops = []
     for j, psi_j in enumerate(basis):
         op = np.outer(ket(j, d), psi_j.vec.conj())

@@ -338,3 +338,41 @@ def test_density_matrix_is_immutable():
     rho = random_density((2,), 2, 1)
     with pytest.raises(ValueError):
         rho.mat[0, 0] = 0.0
+
+
+def test_density_matrix_keeps_validation_spectrum():
+    for seed in range(5):
+        rho = random_density((2, 3), 4, seed)
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.mat))
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.0
+    with pytest.raises(TypeError):
+        DensityMatrix(rho.mat, rho.dims, spectrum=rho.spectrum)
+
+
+def test_measures_do_no_full_order_eigensolve(monkeypatch):
+    from coherlab.measures import (
+        Bipartition,
+        basis_dependent_discord,
+        c_r,
+        mutual_information,
+        qi_relative_entropy,
+    )
+
+    rho = random_density((3, 9, 9), 8, 3)
+    split = Bipartition((0,), (1, 2))
+    orders = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    c_r(rho)
+    qi_relative_entropy(rho, split)
+    mutual_information(rho, split)
+    basis_dependent_discord(rho, split)
+    assert orders  # the marginals are still validated
+    assert rho.dim not in orders

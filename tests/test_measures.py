@@ -162,6 +162,41 @@ def test_cr_equals_relative_entropy_to_dephased():
         assert abs(c_r(rho) - relative_entropy(rho, dephase(rho, (0, 1)))) < 1e-9
 
 
+def dephase_route(rho, subsystems):
+    """S(dephase(rho)) - S(rho) with both entropies from full eigensolves."""
+    return von_neumann_entropy(dephase(rho, subsystems).mat) - von_neumann_entropy(rho.mat)
+
+
+def discord_route(rho, split):
+    """I(A:B)(rho) - I(A:B)(dephase_B(rho)), every entropy from a full
+    eigensolve of the built matrix."""
+
+    def mi(state):
+        marginals = partial_trace(state, split.a).mat, partial_trace(state, split.b).mat
+        return sum(von_neumann_entropy(m) for m in marginals) - von_neumann_entropy(state.mat)
+
+    return mi(rho) - mi(dephase(rho, split.b))
+
+
+SPLITS_232 = {
+    "non-contiguous": Bipartition((1,), (0, 2)),
+    "out-of-order": Bipartition((1,), (2, 0)),
+    "b-covers-all": Bipartition((), (0, 1, 2)),
+}
+
+
+@pytest.mark.parametrize("rank", [1, 5, 12])
+@pytest.mark.parametrize("case", sorted(SPLITS_232))
+def test_closed_forms_match_dephase_built_route(case, rank):
+    split = SPLITS_232[case]
+    for seed in range(5):
+        rho = random_density((2, 3, 2), rank, seed)
+        assert abs(c_r(rho) - dephase_route(rho, (0, 1, 2))) < 1e-12
+        assert abs(qi_relative_entropy(rho, split) - dephase_route(rho, split.b)) < 1e-12
+        if split.a:
+            assert abs(basis_dependent_discord(rho, split) - discord_route(rho, split)) < 1e-12
+
+
 def test_distillable_coherence_alias():
     assert distillable_coherence is c_r
 
@@ -188,6 +223,16 @@ def test_qire_equals_relative_entropy_identity():
         closed = qi_relative_entropy(rho, AB)
         direct = relative_entropy(rho, dephase(rho, (1,)))
         assert abs(closed - direct) < 1e-9
+
+
+def test_qire_is_the_first_term_of_the_chain_rule():
+    # For QI sigma, S(rho||sigma) = S(rho||dephase_B(rho)) + S(dephase_B(rho)||sigma),
+    # and the closed form is the first term: no optimizer involved.
+    for seed in range(20):
+        sigma = random_qi_state((2, 3), seed)
+        rho = random_density((2, 3), 6, seed + 1000)
+        chain = qi_relative_entropy(rho, AB) + relative_entropy(dephase(rho, (1,)), sigma)
+        assert abs(relative_entropy(rho, sigma) - chain) < 1e-9
 
 
 def test_qire_additive_over_tensor_products():
