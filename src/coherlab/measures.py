@@ -50,6 +50,16 @@ __all__ = [
 # negative is an internal-consistency failure.
 NEG_CLAMP = 1e-9
 
+# Coherence-of-assistance ascent: iterations per restart, the squared
+# gradient norm at which a restart counts as converged, and the distance to
+# the upper bound S(dephase(rho)) at which the search stops.
+ASSIST_MAX_ITER = 2000
+ASSIST_SLOPE_TOL = 1e-18
+ASSIST_GAP_TOL = 1e-12
+# Largest mixed state the ascent accepts for d >= 3: each step diagonalizes
+# an (n_outcomes x n_outcomes) matrix, and n_outcomes defaults to d^2.
+ASSIST_MAX_DIM = 16
+
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -185,35 +195,57 @@ def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
     return _finalize(value, "QI relative entropy")
 
 
-def _qi_sigma(x: np.ndarray, da: int, db: int) -> np.ndarray:
-    """Build a QI state on (A, B) block order from unconstrained reals:
-    softmax weights + one Cholesky-style A factor per B basis label, whose
-    block sits on the rows and columns j, j + db, ... of B label j."""
-    logits = x[:db]
-    logits = logits - logits.max()
+# Floor on the eigenvalues of the oracle's sigma, so the objective stays
+# finite where a block is rank-deficient.
+ORACLE_EIG_FLOOR = 1e-12
+
+
+def _qi_oracle_objective(x: np.ndarray, rho_blocks: np.ndarray, neg_entropy: float) -> tuple[float, np.ndarray]:
+    """S(rho||sigma) in bits and its gradient in x, for the QI state
+    sigma = sum_j p_j G_j / tr(G_j) (x) |j><j| on (A, B) block order.
+
+    p = softmax(x[:db]); G_j = g_j g_j^dagger, with g_j read from the rest
+    of x as da*da real parts followed by da*da imaginary parts, per B label
+    j.  rho_blocks[j] is rho's A-block for B label j and neg_entropy is
+    -S(rho).  sigma's eigenvalues are floored at ORACLE_EIG_FLOOR.
+
+    sigma is block diagonal, so Tr[rho log2 sigma] = sum_j Tr[rho_j f(sigma_j)]
+    with f = log2 of the floored eigenvalues.  Its derivative is
+    Tr[Gamma_j d sigma_j], Gamma_j = V (L o V^dagger rho_j V) V^dagger, where
+    V diagonalizes sigma_j and L holds the first divided differences of f at
+    its eigenvalues (Daleckii-Krein)."""
+    db, da, _ = rho_blocks.shape
+    logits = x[:db] - x[:db].max()
     p = np.exp(logits)
     p /= p.sum()
-    n_per = 2 * da * da
-    sigma = np.zeros((da * db, da * db), dtype=complex)
-    for j in range(db):
-        raw = x[db + j * n_per : db + (j + 1) * n_per]
-        g = raw[: da * da].reshape(da, da) + 1j * raw[da * da :].reshape(da, da)
-        block = g @ g.conj().T
-        tr = np.trace(block).real
-        if tr <= 0.0:
-            continue
-        block *= p[j] / tr
-        sigma[j::db, j::db] = block
-    return sigma
+    raw = x[db:].reshape(db, 2, da, da)
+    g = raw[:, 0] + 1j * raw[:, 1]
+    b, vecs = np.linalg.eigh(g @ g.conj().transpose(0, 2, 1))
+    t = b.sum(axis=1)
+    scale = np.divide(p, t, out=np.zeros(db), where=t > 0.0)  # an all-zero g_j gives sigma_j = 0
+    s = scale[:, None] * b
+    s_floor = np.maximum(s, ORACLE_EIG_FLOOR)
+    rho_rot = vecs.conj().transpose(0, 2, 1) @ rho_blocks @ vecs
+    value = neg_entropy - float((np.diagonal(rho_rot, axis1=1, axis2=2).real * np.log2(s_floor)).sum())
 
-
-def _log_overlap_floor(rho_mat: np.ndarray, sigma_mat: np.ndarray, floor: float = 1e-12) -> float:
-    """Tr[rho log2 sigma] with sigma eigenvalues floored so the optimizer
-    always sees a finite, smooth objective."""
-    w_s, v_s = np.linalg.eigh(sigma_mat)
-    w_s = np.maximum(w_s.real, floor)
-    weights = np.real(np.einsum("ij,ik,kj->j", v_s.conj(), rho_mat, v_s))
-    return float((weights * np.log2(w_s)).sum())
+    # Divided differences (f(s_k) - f(s_l)) / (s_k - s_l), and f'(s_k) where s_k = s_l.
+    num = np.log1p((s_floor[:, :, None] - s_floor[:, None, :]) / s_floor[:, None, :]) / math.log(2.0)
+    gap = s[:, :, None] - s[:, None, :]
+    deriv = np.where(s > ORACLE_EIG_FLOOR, 1.0 / (s_floor * math.log(2.0)), 0.0)
+    dd = np.divide(num, gap, out=np.repeat(deriv[:, :, None], da, axis=2), where=gap != 0.0)
+    gamma_rot = dd * rho_rot
+    # a_j = Tr[Gamma_j G_j] / t_j is the derivative of block j's term in p_j.
+    a = np.divide(np.einsum("jkk,jk->j", gamma_rot, b).real, t, out=np.zeros(db), where=t > 0.0)
+    gamma = vecs @ gamma_rot @ vecs.conj().transpose(0, 2, 1)
+    gamma -= a[:, None, None] * np.eye(da)
+    grad_g = 2.0 * scale[:, None, None] * (gamma @ g)
+    grad = np.concatenate([
+        -p * (a - p @ a),
+        -np.stack([grad_g.real, grad_g.imag], axis=1).ravel(),
+    ])
+    if not (np.isfinite(value) and np.isfinite(grad).all()):
+        return 1e6, np.zeros_like(x)
+    return value, grad
 
 
 def qi_relative_entropy_oracle(
@@ -224,8 +256,9 @@ def qi_relative_entropy_oracle(
     max_dim: int = 16,
 ) -> float:
     """Desk-scale check of the closed form: minimize S(rho||sigma) over a
-    parameterized family of quantum-incoherent sigma by multi-start local
-    optimization.  Only intended to validate ``qi_relative_entropy``."""
+    parameterized family of quantum-incoherent sigma by multi-start
+    L-BFGS-B with the analytic gradient of ``_qi_oracle_objective``.  Only
+    intended to validate ``qi_relative_entropy``."""
     split.validate(rho.n_subsystems)
     if rho.dim > max_dim:
         raise DimensionTooLargeError(f"oracle limited to dimension {max_dim}, got {rho.dim}")
@@ -235,21 +268,17 @@ def qi_relative_entropy_oracle(
     order = tuple(split.a) + tuple(split.b)
     if order != tuple(range(rho.n_subsystems)):
         rho = permute_subsystems(rho, order)
-    rho_block = rho.mat
+    rho_blocks = np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db))
     # S(rho||sigma) = -S(rho) - Tr[rho log2 sigma]; only the second term
     # depends on sigma.
     neg_entropy = -von_neumann_entropy(rho)
     n_params = db + db * 2 * da * da
     rng = np.random.default_rng(seed)
-
-    def objective(x: np.ndarray) -> float:
-        val = neg_entropy - _log_overlap_floor(rho_block, _qi_sigma(x, da, db))
-        return val if np.isfinite(val) else 1e6
-
     best = math.inf
     for _ in range(max(1, starts)):
         x0 = rng.standard_normal(n_params)
-        res = minimize(objective, x0, method="L-BFGS-B", options={"maxiter": 200})
+        res = minimize(_qi_oracle_objective, x0, args=(rho_blocks, neg_entropy), jac=True,
+                       method="L-BFGS-B", options={"maxiter": 200})
         if res.fun < best:
             best = float(res.fun)
     return best
@@ -285,23 +314,78 @@ def basis_dependent_discord(rho: DensityMatrix, split: Bipartition) -> float:
     return _finalize(before - after, "basis-dependent discord")
 
 
-def _shannon_bits(p: np.ndarray) -> float:
-    p = p[p > 0.0]
-    if p.size == 0:
-        return 0.0
-    return float(-(p * np.log2(p)).sum())
+def _assistance_objective(w_mat: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    """Average coherence F = sum_j p_j H(q_.j / p_j) in bits of the ensemble
+    Phi = W V^T (column j is member j, unnormalized; q = |Phi|^2 and p_j is
+    column j's weight), and its gradient dF/d(conj V) = G_Phi^T conj(W), where
+    dF/d(conj phi_ij) = log2(p_j / q_ij) phi_ij.  Entries with q_ij = 0
+    contribute nothing to either."""
+    phi = w_mat @ v.T
+    q = np.abs(phi) ** 2
+    ratio = np.divide(q.sum(axis=0), q, out=np.ones_like(q), where=q > 0.0)
+    log_ratio = np.log2(ratio)
+    return float((q * log_ratio).sum()), (log_ratio * phi).T @ w_mat.conj()
 
 
-def _hermitian_from_params(x: np.ndarray, m: int) -> np.ndarray:
-    h = np.zeros((m, m), dtype=complex)
-    diag = x[:m]
-    off = x[m:]
-    h[np.diag_indices(m)] = diag
-    iu = np.triu_indices(m, k=1)
-    n_off = iu[0].size
-    h[iu] = off[:n_off] + 1j * off[n_off:]
-    h[(iu[1], iu[0])] = np.conj(h[iu])
-    return h
+def _assistance_ascent(w_mat: np.ndarray, v: np.ndarray, target: float) -> tuple[float, np.ndarray]:
+    """Maximize ``_assistance_objective`` over isometries V by gradient
+    ascent along V <- exp(tX) V with X = G V^dagger - V G^dagger.
+
+    X is anti-Hermitian, so exp(tX) is unitary and V stays an isometry;
+    dF/dt at t = 0 is ||X||_F^2.  Each step starts at the Barzilai-Borwein
+    length <s, s> / -<s, y> (s the last step tX, y the change in X) and is
+    halved until the Armijo condition F_new >= F + 1e-4 t ||X||_F^2 holds.
+    Stops once F is within ASSIST_GAP_TOL of ``target`` (an upper bound on
+    F), or the slope falls below ASSIST_SLOPE_TOL, or no step gains."""
+    value, grad = _assistance_objective(w_mat, v)
+    step, last = 1.0, None
+    for _ in range(ASSIST_MAX_ITER):
+        if value >= target - ASSIST_GAP_TOL:
+            break
+        a = grad @ v.conj().T
+        x = a - a.conj().T
+        slope = float(np.vdot(x, x).real)
+        if slope < ASSIST_SLOPE_TOL:
+            break
+        if last is not None:
+            s, y = last[0] * last[1], x - last[1]
+            curvature = -float(np.vdot(s, y).real)
+            step = float(np.vdot(s, s).real) / curvature if curvature > 0.0 else 1.0
+        # exp(tX) = U diag(exp(-i t w)) U^dagger from the Hermitian iX = U diag(w) U^dagger.
+        wh, vh = np.linalg.eigh(1j * x)
+        rotated = vh.conj().T @ v
+        while True:
+            trial = (vh * np.exp(-1j * step * wh)) @ rotated
+            trial_value, trial_grad = _assistance_objective(w_mat, trial)
+            if trial_value >= value + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-12:
+                return value, v
+        last = (step, x)
+        value, grad, v = trial_value, trial_grad, trial
+    return value, v
+
+
+def _qubit_assistance(rho: DensityMatrix) -> list[tuple[float, PureState]]:
+    """The two-member ensemble of a mixed qubit whose members both have
+    diagonal diag(rho), so its average coherence is S(dephase(rho)).
+
+    A pure state with diagonal (p0, p1) has off-diagonal sqrt(p0 p1) u for a
+    phase u.  The members' off-diagonals c +- i (c/|c|) sqrt(p0 p1 - |c|^2)
+    average to rho's off-diagonal c; on the Bloch sphere they are the ends
+    of the chord through rho perpendicular to its radius, on the circle at
+    rho's height."""
+    p0, p1 = rho.mat[0, 0].real, rho.mat[1, 1].real
+    c = rho.mat[0, 1]
+    norm = math.sqrt(p0 * p1)
+    g = min(abs(c) / norm, 1.0)
+    direction = c / abs(c) if c != 0 else 1.0
+    ensemble = []
+    for sign in (1.0, -1.0):
+        u = direction * complex(g, sign * math.sqrt(1.0 - g * g))
+        ensemble.append((0.5, PureState(np.array([math.sqrt(p0), math.sqrt(p1) * np.conj(u)]), rho.dims)))
+    return ensemble
 
 
 def coherence_of_assistance(
@@ -310,12 +394,19 @@ def coherence_of_assistance(
     seed: int = 0,
     n_outcomes: int | None = None,
 ) -> tuple[float, list[tuple[float, PureState]]]:
-    """Best average pure-state coherence over the decompositions of rho
-    found by optimizing a measurement basis on a purification ancilla.
+    """Best average pure-state coherence over the decompositions of rho.
 
     Returns ``(value, ensemble)`` where the ensemble averages back to rho.
-    The value is a certified lower bound on the coherence of assistance
-    (any valid decomposition is); ``budget`` counts optimizer restarts.
+    Every decomposition's average lies in [c_r(rho), S(dephase(rho))].  For
+    a qubit the value is exactly S(dephase(rho)), from a two-member
+    ensemble.  For d >= 3 the decomposition is found by gradient ascent over
+    a measurement basis on a purification ancilla (``n_outcomes`` outcomes,
+    default d^2), so the value is a certified lower bound, with upper end
+    S(dephase(rho)).  ``budget`` caps the restarts, the first from the
+    eigen-ensemble and the rest from random bases drawn from
+    ``default_rng(seed)``; they stop early once the value reaches the upper
+    end.  Mixed states above ASSIST_MAX_DIM dimensions raise
+    ``DimensionTooLargeError``.
     """
     d = rho.dim
     w, v = np.linalg.eigh(rho.mat)
@@ -330,41 +421,27 @@ def coherence_of_assistance(
     m = n_outcomes if n_outcomes is not None else d * d
     if m < r:
         raise BadSubsystemError(f"need at least {r} measurement outcomes, got {m}")
-    # Columns of W are the sub-normalized eigenbranch vectors.
+    upper = _dephased_entropy(rho, range(rho.n_subsystems))
+    if d == 2:
+        return upper, _qubit_assistance(rho)
+    if d > ASSIST_MAX_DIM:
+        raise DimensionTooLargeError(f"assistance search limited to dimension {ASSIST_MAX_DIM}, got {d}")
+    # Columns of W are the sub-normalized eigenbranch vectors; member j of
+    # the ensemble for the isometry V is sum_k V[j, k] W[:, k].
     w_mat = vecs * np.sqrt(lam)
-
-    def ensemble_from_unitary(u: np.ndarray) -> np.ndarray:
-        # Phi[:, j] = sum_k U[j, k] W[:, k]; columns are unnormalized members.
-        return w_mat @ u[:, :r].T
-
-    def score(phi: np.ndarray) -> float:
-        probs_per_entry = np.abs(phi) ** 2
-        p = probs_per_entry.sum(axis=0)
-        total = 0.0
-        for j in range(phi.shape[1]):
-            if p[j] > 1e-14:
-                total += p[j] * _shannon_bits(probs_per_entry[:, j] / p[j])
-        return total
-
-    def objective(x: np.ndarray) -> float:
-        h = _hermitian_from_params(x, m)
-        wh, vh = np.linalg.eigh(h)
-        u = (vh * np.exp(1j * wh)) @ vh.conj().T
-        return -score(ensemble_from_unitary(u))
-
     rng = np.random.default_rng(seed)
-    n_params = m * m
-    best_val, best_x = -1.0, np.zeros(n_params)
+    best_val, best_v = -1.0, None
     for trial in range(max(1, budget)):
-        x0 = np.zeros(n_params) if trial == 0 else rng.standard_normal(n_params)
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       options={"maxiter": 300 * m, "fatol": 1e-10, "xatol": 1e-7})
-        if -res.fun > best_val:
-            best_val, best_x = -float(res.fun), res.x
-    h = _hermitian_from_params(best_x, m)
-    wh, vh = np.linalg.eigh(h)
-    u = (vh * np.exp(1j * wh)) @ vh.conj().T
-    phi = ensemble_from_unitary(u)
+        if trial == 0:
+            v0 = np.eye(m, r, dtype=complex)
+        else:
+            v0 = np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
+        value, v_opt = _assistance_ascent(w_mat, v0, upper)
+        if value > best_val:
+            best_val, best_v = value, v_opt
+        if best_val >= upper - ASSIST_GAP_TOL:
+            break
+    phi = w_mat @ best_v.T
     ensemble = []
     for j in range(phi.shape[1]):
         p = float(np.linalg.norm(phi[:, j]) ** 2)

@@ -120,6 +120,13 @@ def test_measure_assistance_labeled_optimized(runner):
     assert abs(payload["value"] - 1.0) < 1e-9
 
 
+def test_measure_assistance_on_large_mixed_state_exits_3(runner):
+    # the 243-dimensional merging state is mixed and beyond the search's size limit
+    result = runner.invoke(main, ["measure", "assistance", "--builtin", "merging", "--budget", "1"])
+    assert result.exit_code == 3
+    assert "Traceback" not in result.output
+
+
 def test_measure_exit_codes(runner, tmp_path, bell_file):
     # parse failure: missing file
     result = runner.invoke(main, ["measure", "cr", "--state", str(tmp_path / "nope.json")])

@@ -25,6 +25,8 @@ from coherlab.measures import (
     mutual_information,
     qi_relative_entropy,
     qi_relative_entropy_oracle,
+    _assistance_objective,
+    _qi_oracle_objective,
 )
 from coherlab.states import (
     bell_states,
@@ -306,6 +308,28 @@ def test_oracle_agreement_band_small_batch():
         assert -1e-4 <= oracle - closed <= 1e-2
 
 
+def central_difference_gradient(f, x, h=1e-6):
+    """Central differences of a real function of a real vector."""
+    steps = h * np.eye(x.size)
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_oracle_gradient_matches_central_differences(dims):
+    da, db = dims
+    rng = np.random.default_rng(11)
+    for rank in (da * db, 2):
+        rho = random_density(dims, rank, int(rng.integers(2**31)))
+        blocks = np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db))
+        neg_entropy = -von_neumann_entropy(rho)
+        for _ in range(3):
+            x = rng.standard_normal(db + 2 * db * da * da)
+            _, grad = _qi_oracle_objective(x, blocks, neg_entropy)
+            numeric = central_difference_gradient(
+                lambda y: _qi_oracle_objective(y, blocks, neg_entropy)[0], x)
+            assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
 # ---------------------------------------------------------------------------
 # mutual information and discord
 
@@ -365,6 +389,81 @@ def test_assistance_between_cr_and_dephased_entropy():
         assert value >= c_r(rho) - 1e-9
         avg = sum(p * np.outer(s.vec, s.vec.conj()) for p, s in ensemble)
         assert np.abs(avg - rho.mat).max() < 1e-8
+
+
+def _shannon(p):
+    p = np.asarray(p)
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _qubit_cases():
+    cases = [random_density((2,), 2, seed) for seed in range(50)]
+    cases.append(DensityMatrix(np.diag([0.3, 0.7]), (2,)))  # x = y = 0
+    psi = random_pure((2,), 3).vec
+    eps = 1e-10
+    cases.append(DensityMatrix((1 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(2) / 2, (2,)))
+    return cases
+
+
+def test_assistance_qubit_closed_form_is_ground_truth():
+    for rho in _qubit_cases():
+        value, ensemble = coherence_of_assistance(rho, budget=1, seed=0)
+        diag = np.diag(rho.mat).real
+        assert abs(value - _shannon(diag)) <= 1e-12
+        assert len(ensemble) == 2
+        for _, member in ensemble:
+            assert np.abs(np.abs(member.vec) ** 2 - diag).max() <= 1e-12
+        avg = sum(p * np.outer(s.vec, s.vec.conj()) for p, s in ensemble)
+        assert np.abs(avg - rho.mat).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dims,rank", [((3,), 3), ((3,), 2), ((2, 2), 4)])
+def test_assistance_gradient_matches_central_differences(dims, rank):
+    rng = np.random.default_rng(12)
+    rho = random_density(dims, rank, int(rng.integers(2**31)))
+    w, v = np.linalg.eigh(rho.mat)
+    w_mat = v[:, -rank:] * np.sqrt(w[-rank:])
+    m = rho.dim**2
+    for _ in range(3):
+        v0 = rng.standard_normal((m, rank)) + 1j * rng.standard_normal((m, rank))
+        _, grad = _assistance_objective(w_mat, v0)
+        # dF = 2 Re Tr[G^dagger dV]: the real gradient is 2 Re G, 2 Im G.
+        analytic = 2.0 * np.concatenate([grad.real.ravel(), grad.imag.ravel()])
+
+        def f(y):
+            return _assistance_objective(w_mat, (y[: m * rank] + 1j * y[m * rank :]).reshape(m, rank))[0]
+
+        numeric = central_difference_gradient(f, np.concatenate([v0.real.ravel(), v0.imag.ravel()]))
+        assert np.linalg.norm(analytic - numeric) <= 1e-6 * np.linalg.norm(numeric)
+
+
+# (dims, rank, seed): 20 qutrits of ranks 3 and 2, and two mixed 2x2 states.
+ASSISTANCE_REGRESSION = (
+    [((3,), 3, seed) for seed in range(400, 410)]
+    + [((3,), 2, seed) for seed in range(400, 410)]
+    + [((2, 2), 4, 500), ((2, 2), 3, 501)]
+)
+
+
+@pytest.mark.parametrize("dims,rank,seed", ASSISTANCE_REGRESSION)
+def test_assistance_bracket_beyond_qubits(dims, rank, seed):
+    rho = random_density(dims, rank, seed)
+    value, ensemble = coherence_of_assistance(rho, budget=2, seed=seed)
+    upper = von_neumann_entropy(dephase(rho, range(len(dims))))
+    assert c_r(rho) - 1e-9 <= value <= upper + 1e-9
+    avg = sum(p * np.outer(s.vec, s.vec.conj()) for p, s in ensemble)
+    assert np.abs(avg - rho.mat).max() <= 1e-8
+    if dims == (3,) and rank == 3:
+        assert upper - value < 1e-8
+
+
+def test_assistance_rejects_large_mixed_dimension():
+    with pytest.raises(DimensionTooLargeError):
+        coherence_of_assistance(random_density((17,), 2, 0), budget=1)
+    # pure states and qubits never reach the search
+    value, _ = coherence_of_assistance(random_density((17,), 1, 0), budget=1)
+    assert value >= 0.0
 
 
 # ---------------------------------------------------------------------------
