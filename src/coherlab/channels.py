@@ -68,6 +68,17 @@ class InstrumentOutcome:
     outcome: int
 
 
+def _outcomes(posts, dims: tuple[int, ...]) -> list[InstrumentOutcome]:
+    """Instrument outcomes from the unnormalized post-states, one per
+    operator in order; outcomes with probability <= 1e-12 are pruned."""
+    outcomes = []
+    for l, post in enumerate(posts):
+        p = float(np.trace(post).real)
+        if p > OUTCOME_PRUNE_TOL:
+            outcomes.append(InstrumentOutcome(p, DensityMatrix(post / p, dims), l))
+    return outcomes
+
+
 def _freeze_ops(ops) -> tuple[np.ndarray, ...]:
     frozen = []
     for op in ops:
@@ -145,13 +156,7 @@ class KrausChannel:
         with the channel placed as in ``apply``.  Outcomes with probability
         <= 1e-12 are pruned."""
         before, after, dims = self._place(rho, at)
-        outcomes = []
-        for l, op in enumerate(self.ops):
-            post = apply_local(rho.mat, op, before, after)
-            p = float(np.trace(post).real)
-            if p > OUTCOME_PRUNE_TOL:
-                outcomes.append(InstrumentOutcome(p, DensityMatrix(post / p, dims), l))
-        return outcomes
+        return _outcomes((apply_local(rho.mat, op, before, after) for op in self.ops), dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,28 +217,46 @@ class ProductKrausChannel:
         ops = [np.kron(a, b) for a, b in self.pairs]
         return KrausChannel(tuple(ops), self.in_dims, self.out_dims)
 
+    def _posts(self, rho: DensityMatrix):
+        """(A_i x B_i) rho (A_i x B_i)' per pair, one party at a time: A_i
+        acts first, so B_i's block comes after A's output dimension."""
+        if rho.dims != self.in_dims:
+            raise DimensionMismatchError(
+                f"state dims {rho.dims} != channel dims {self.in_dims}"
+            )
+        d_a_out, d_b_in = math.prod(self.a_out_dims), math.prod(self.b_in_dims)
+        for a_op, b_op in self.pairs:
+            yield apply_local(apply_local(rho.mat, a_op, 1, d_b_in), b_op, d_a_out, 1)
+
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return self.to_kraus().apply(rho)
+        return DensityMatrix(sum(self._posts(rho)), self.out_dims)
 
     def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
-        return self.to_kraus().apply_instrument(rho)
+        """Per-pair outcomes as in ``KrausChannel.apply_instrument``."""
+        return _outcomes(self._posts(rho), self.out_dims)
 
 
 @dataclass(frozen=True)
 class ChannelClass:
     """Classification flags for a product-Kraus channel.  The hierarchy
-    SI => SQI => separable must hold by construction."""
+    SI => SQI must hold by construction.  A product channel is separable by
+    definition, and for one the incoherent flag is the SI flag, so both are
+    derived."""
 
-    separable: bool
     separable_incoherent: bool
     separable_quantum_incoherent: bool
-    incoherent: bool
 
     def __post_init__(self):
         if self.separable_incoherent and not self.separable_quantum_incoherent:
             raise IncompleteChannelError("inconsistent flags: SI requires SQI")
-        if self.separable_quantum_incoherent and not self.separable:
-            raise IncompleteChannelError("inconsistent flags: SQI requires separable")
+
+    @property
+    def separable(self) -> bool:
+        return True
+
+    @property
+    def incoherent(self) -> bool:
+        return self.separable_incoherent
 
     def to_dict(self) -> dict:
         return {
@@ -245,16 +268,11 @@ class ChannelClass:
 
 
 def classify(ch: ProductKrausChannel, tol: float = 1e-9) -> ChannelClass:
-    """Classify a product channel: separable always; SI iff both parties'
-    operators are incoherent; SQI iff the B-side operators are."""
+    """Classify a product channel: SI iff both parties' operators are
+    incoherent; SQI iff the B-side operators are."""
     a_ok = all(is_incoherent_operator(a, tol) for a, _ in ch.pairs)
     b_ok = all(is_incoherent_operator(b, tol) for _, b in ch.pairs)
-    return ChannelClass(
-        separable=True,
-        separable_incoherent=a_ok and b_ok,
-        separable_quantum_incoherent=b_ok,
-        incoherent=a_ok and b_ok,
-    )
+    return ChannelClass(separable_incoherent=a_ok and b_ok, separable_quantum_incoherent=b_ok)
 
 
 def complete_incoherent_kraus(raw: Sequence, in_dims, out_dims=None,

@@ -233,19 +233,20 @@ def apply_local(m, k, before: int = 1, after: int = 1) -> np.ndarray:
 
     K, square or rectangular, acts on the middle factor of a square matrix
     whose row and column index is (before, K's input, after).  Each side is
-    one batched matmul over the ``before`` index; the right-hand product
-    reuses the left one through (K M K')' = K (K M)'.
+    one batched matmul over the ``before`` index: H = K M, then the
+    right-hand product through its transpose, (H K')^T = conj(K) H^T, which
+    needs no conjugated copy of the large matrix.
     """
     k = _to_matrix(k)
     mat = _to_square(m)
     p, q = k.shape
+    n = before * p * after
     if mat.shape[0] != before * q * after:
         raise DimensionMismatchError(
             f"matrix order {mat.shape[0]} != {before} x {q} x {after}"
         )
-    half = (k @ mat.reshape(before, q, -1)).reshape(before * p * after, -1)
-    full = (k @ half.conj().T.reshape(before, q, -1)).reshape(before * p * after, -1)
-    return full.conj().T
+    half = (k @ mat.reshape(before, q, -1)).reshape(n, -1)
+    return (k.conj() @ half.T.reshape(before, q, -1)).reshape(n, -1).T
 
 
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:

@@ -528,15 +528,32 @@ class MergingWitnessResult:
     merge_residual: float
 
 
+def _merge_channel() -> KrausChannel:
+    """The explicit SQI merge on Alice's and Bob's shares (A, B) -> (A, A', B):
+    K_i = |alpha_i><alpha_i| x |beta_i>_A' x |0><beta_i|, one operator per
+    domino state, complete because sum_i P_alpha_i x P_beta_i = 1."""
+    family = domino_states()
+    ops = []
+    for alpha, beta in zip(family.alpha_parts, family.beta_parts):
+        store = np.kron(beta[:, None], np.outer(ket(0, 3), beta.conj()))
+        ops.append(np.kron(np.outer(alpha, alpha.conj()), store))
+    return KrausChannel(tuple(ops), (3, 3), (3, 3, 3))
+
+
 def merging_witness() -> MergingWitnessResult:
     """Evaluate the single-shot merging witness on the flagged domino
     mixture.
 
     Computes the QI relative entropy for the R|AB and RB|A splits (8/9 and
     4/9), asserts the first exceeds the second, and simulates the explicit
-    SQI merge K_ij = |alpha_i><alpha_i| x |beta_i><j| x |0><beta_i| that
-    moves Bob's share into Alice's register, checking the final (R, A, A')
-    state reproduces the input with B relabeled to A'.
+    SQI merge that moves Bob's share into Alice's new register A'.  The
+    merge acts on (A, B) of the (R, A, B) input and outputs (A, A', B) with
+    the nine operators of ``_merge_channel``.  Written on an (R, A, A', B)
+    input with A' in |0>, the merge has the 27 operators
+    K_ij = |alpha_i><alpha_i| x |beta_i><j| x |0><beta_i|; since
+    <j|0> = delta_j0, those with j != 0 annihilate that input, and the
+    nine left are the ones applied here.  The check is that the final
+    (R, A, A') state reproduces the input with B relabeled to A'.
     """
     rho = merging_state()
     split_r_ab = Bipartition(a=(0,), b=(1, 2))
@@ -550,23 +567,7 @@ def merging_witness() -> MergingWitnessResult:
         "qi_relative_entropy", val_rb_a, {"state": "merging", "split": "RB|A"}
     )
 
-    # Extended input (R, A, A', B) with Alice's register A' in |0>.
-    zero3 = np.zeros((3, 3), dtype=complex)
-    zero3[0, 0] = 1.0
-    extended = DensityMatrix(np.kron(rho.mat, zero3), (9, 3, 3, 3))
-    extended = permute_subsystems(extended, (0, 1, 3, 2))
-
-    family = domino_states()
-    ops = []
-    for i in range(9):
-        alpha, beta = family.alpha_parts[i], family.beta_parts[i]
-        proj_alpha = np.outer(alpha, alpha.conj())
-        bob_op = np.outer(ket(0, 3), beta.conj())
-        for j in range(3):
-            store = np.outer(beta, ket(j, 3).conj())
-            ops.append(np.kron(proj_alpha, np.kron(store, bob_op)))
-    merge = KrausChannel(tuple(ops), (3, 3, 3), (3, 3, 3))
-    final = merge.apply(extended, at=1)
+    final = _merge_channel().apply(rho, at=1)
     final_raa = partial_trace(final, {0, 1, 2})
     residual = trace_norm(final_raa.mat - rho.mat)
 

@@ -78,14 +78,14 @@ class DominoFamily:
     def __post_init__(self):
         if len(self.states) != 9 or len(self.alpha_parts) != 9 or len(self.beta_parts) != 9:
             raise InvalidStateError("domino family must hold exactly nine states")
-        gram = np.array(
-            [[s_i.overlap(s_j) for s_j in self.states] for s_i in self.states]
-        )
-        gap = np.abs(gram - np.eye(9)).max()
+        if any(state.dims != (3, 3) for state in self.states):
+            raise InvalidStateError("domino states must live on a 3x3 system")
+        vecs = np.array([state.vec for state in self.states])
+        gap = np.abs(vecs.conj() @ vecs.T - np.eye(9)).max()
         if gap > 1e-12:
             raise InvalidStateError(f"domino states not orthonormal: Gram gap {gap:.3e}")
-        for state, a, b in zip(self.states, self.alpha_parts, self.beta_parts):
-            if np.abs(np.kron(a, b) - state.vec).max() > 1e-12:
+        for vec, a, b in zip(vecs, self.alpha_parts, self.beta_parts):
+            if np.abs(np.outer(a, b).ravel() - vec).max() > 1e-12:
                 raise InvalidStateError("domino state is not the product of its local factors")
 
 
@@ -107,7 +107,7 @@ def domino_states() -> DominoFamily:
         (plus01, k2),
         (minus01, k2),
     ]
-    states = tuple(PureState(np.kron(a, b), (3, 3)) for a, b in parts)
+    states = tuple(PureState(np.outer(a, b).ravel(), (3, 3)) for a, b in parts)
     return DominoFamily(
         states=states,
         alpha_parts=tuple(a for a, _ in parts),

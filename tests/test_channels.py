@@ -188,6 +188,49 @@ def test_apply_at_rejects_bad_placement(at):
 
 
 # ---------------------------------------------------------------------------
+# product channels
+
+
+def _random_product_channel(seed):
+    """A 2 -> 3 and B 3 -> 2 with four pairs (A_k, B_m): A_k = |w_k><k| for
+    random unit w_k, and B_m a Ginibre pair normalized by its Gram sum."""
+    rng = np.random.default_rng(seed)
+    a_ops = []
+    for k in range(2):
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        a_ops.append(np.outer(w / np.linalg.norm(w), np.eye(2)[k]))
+    raws = [rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)) for _ in range(2)]
+    gw, gv = np.linalg.eigh(sum(r.conj().T @ r for r in raws))
+    inv_sqrt = (gv / np.sqrt(gw)) @ gv.conj().T
+    pairs = tuple((a, r @ inv_sqrt) for a in a_ops for r in raws)
+    return ProductKrausChannel(pairs, (2,), (3,), (3,), (2,))
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_product_channel_matches_its_kraus_form(seed):
+    channel = _random_product_channel(seed)
+    kraus = channel.to_kraus()
+    # a full-rank state fires all four pairs; A in |0> prunes the two with A_1
+    full = random_density((2, 3), 6, seed + 100)
+    a_zero = DensityMatrix(np.kron(np.diag([1.0, 0.0]), random_density((3,), 3, seed).mat), (2, 3))
+    for rho, kept in ((full, [0, 1, 2, 3]), (a_zero, [0, 1])):
+        ours, ref = channel.apply(rho), kraus.apply(rho)
+        assert ours.dims == ref.dims == (3, 2)
+        assert np.abs(ours.mat - ref.mat).max() < 1e-12
+        local, whole = channel.apply_instrument(rho), kraus.apply_instrument(rho)
+        assert [o.outcome for o in local] == [o.outcome for o in whole] == kept
+        for ours_o, ref_o in zip(local, whole):
+            assert abs(ours_o.probability - ref_o.probability) < 1e-12
+            assert ours_o.state.dims == ref_o.state.dims == (3, 2)
+            assert np.abs(ours_o.state.mat - ref_o.state.mat).max() < 1e-12
+    wrong = random_density((3, 2), 6, seed)
+    with pytest.raises(DimensionMismatchError):
+        channel.apply(wrong)
+    with pytest.raises(DimensionMismatchError):
+        channel.apply_instrument(wrong)
+
+
+# ---------------------------------------------------------------------------
 # classification
 
 
@@ -216,11 +259,17 @@ def test_classify_sqi_but_not_si():
 
 def test_channel_class_flag_hierarchy():
     with pytest.raises(IncompleteChannelError):
-        ChannelClass(separable=True, separable_incoherent=True,
-                     separable_quantum_incoherent=False, incoherent=True)
-    with pytest.raises(IncompleteChannelError):
+        ChannelClass(separable_incoherent=True, separable_quantum_incoherent=False)
+    # separable and incoherent are derived, so "SQI but not separable" and
+    # "incoherent but not SI" cannot be stated at all
+    with pytest.raises(TypeError):
         ChannelClass(separable=False, separable_incoherent=False,
                      separable_quantum_incoherent=True, incoherent=False)
+    for si, sqi in ((False, False), (False, True), (True, True)):
+        flags = ChannelClass(separable_incoherent=si, separable_quantum_incoherent=sqi)
+        assert flags.separable
+        assert flags.incoherent == si
+        assert flags.to_dict() == {"separable": True, "si": si, "sqi": sqi, "incoherent": si}
 
 
 # ---------------------------------------------------------------------------

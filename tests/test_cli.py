@@ -121,7 +121,7 @@ def test_measure_assistance_labeled_optimized(runner):
 
 
 def test_measure_assistance_on_large_mixed_state_exits_3(runner):
-    # the 243-dimensional merging state is mixed and beyond the search's size limit
+    # the 81-dimensional (9, 3, 3) merging state is mixed and beyond the search's size limit
     result = runner.invoke(main, ["measure", "assistance", "--builtin", "merging", "--budget", "1"])
     assert result.exit_code == 3
     assert "Traceback" not in result.output

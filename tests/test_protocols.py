@@ -20,6 +20,7 @@ from coherlab.linalg import (
     DensityMatrix,
     PureState,
     partial_trace,
+    permute_subsystems,
     trace_norm,
     von_neumann_entropy,
 )
@@ -35,6 +36,7 @@ from coherlab.protocols import (
     incoherent_teleport,
     merging_witness,
     sqi_to_si_reduce,
+    _merge_channel,
 )
 from coherlab.states import (
     bell_states,
@@ -42,6 +44,7 @@ from coherlab.states import (
     ket,
     maximally_coherent,
     maximally_correlated,
+    merging_state,
     random_density,
     random_pure,
     random_qi_state,
@@ -450,3 +453,45 @@ def test_merging_simulation_channel_is_sqi_not_si():
     flags = classify(channel)
     assert flags.separable_quantum_incoherent
     assert not flags.separable_incoherent
+
+    # The nine operators merging_witness applies to (R, A, B) give the same
+    # (R, A, A', B) state as the 27 above on the input padded with A' in |0>.
+    merge = _merge_channel()
+    assert merge.n_outcomes == 9
+    padded = ProductKrausChannel(tuple(pairs), (3, 3), (3,)).to_kraus()
+    zero3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    inputs = [merging_state()] + [random_density((9, 3, 3), 6, seed) for seed in range(5)]
+    for rho in inputs:
+        extended = permute_subsystems(DensityMatrix(np.kron(rho.mat, zero3), (9, 3, 3, 3)),
+                                      (0, 1, 3, 2))
+        ours, ref = merge.apply(rho, at=1), padded.apply(extended, at=1)
+        assert ours.dims == ref.dims == (9, 3, 3, 3)
+        assert np.abs(ours.mat - ref.mat).max() < 1e-12
+
+    # As (A -> (A, A'), B) pairs the nine operators are SQI and not SI.
+    folded = []
+    for op, alpha, beta in zip(merge.ops, family.alpha_parts, family.beta_parts):
+        a_op = np.kron(np.outer(alpha, alpha.conj()), beta[:, None])
+        b_op = np.outer(ket(0, 3), beta.conj())
+        assert np.abs(np.kron(a_op, b_op) - op).max() < 1e-15
+        folded.append((a_op, b_op))
+    flags = classify(ProductKrausChannel(tuple(folded), (3,), (3,), (3, 3), (3,)))
+    assert flags.separable_quantum_incoherent
+    assert not flags.separable_incoherent
+
+
+def test_merging_witness_solves_one_full_order_eigenproblem(monkeypatch):
+    # only the validation of the 243-dim (R, A, A', B) output; no padded
+    # input is built or validated
+    orders = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    merging_witness()
+    assert orders.count(243) == 1
+    assert max(orders) == 243

@@ -3,10 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from coherlab.exceptions import BadDimensionError, BadRankError, InvalidCoefficientsError
+from coherlab.exceptions import (
+    BadDimensionError,
+    BadRankError,
+    InvalidCoefficientsError,
+    InvalidStateError,
+)
 from coherlab.linalg import partial_trace, von_neumann_entropy
 from coherlab.measures import Bipartition, c_r, qi_relative_entropy
 from coherlab.states import (
+    DominoFamily,
     bell_states,
     domino_states,
     fourier_mc_basis,
@@ -65,6 +71,25 @@ def test_domino_gram_is_identity():
     family = domino_states()
     gram = np.array([[si.overlap(sj) for sj in family.states] for si in family.states])
     assert np.abs(gram - np.eye(9)).max() < 1e-12
+
+
+def test_domino_family_rejects_a_repeated_state():
+    family = domino_states()
+    states = (family.states[0],) + family.states[:8]
+    alphas = (family.alpha_parts[0],) + family.alpha_parts[:8]
+    betas = (family.beta_parts[0],) + family.beta_parts[:8]
+    with pytest.raises(InvalidStateError, match="not orthonormal"):
+        DominoFamily(states, alphas, betas)
+
+
+def test_domino_family_rejects_wrong_local_factors():
+    # states 1 and 2 share alpha = |0>; swapping their beta factors keeps
+    # the states orthonormal but breaks state = alpha x beta
+    family = domino_states()
+    betas = list(family.beta_parts)
+    betas[1], betas[2] = betas[2], betas[1]
+    with pytest.raises(InvalidStateError, match="not the product"):
+        DominoFamily(family.states, family.alpha_parts, tuple(betas))
 
 
 def test_merging_state_entropy():
