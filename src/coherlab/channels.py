@@ -56,9 +56,9 @@ OUTCOME_PRUNE_TOL = 1e-12
 def is_incoherent_operator(k, tol: float = 1e-9) -> bool:
     """True iff every column of k has at most one entry with modulus > tol,
     i.e. the operator maps each basis vector to a multiple of a basis
-    vector.  Phases are irrelevant."""
+    vector.  Phases are irrelevant; a NaN entry counts as nonzero."""
     mat = _to_matrix(k)
-    return bool(((np.abs(mat) > tol).sum(axis=0) <= 1).all())
+    return bool(((~(np.abs(mat) <= tol)).sum(axis=0) <= 1).all())
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ class KrausChannel:
                 )
         gram = sum(op.conj().T @ op for op in ops)
         residual = np.abs(gram - np.eye(shape[1])).max()
-        if residual > COMPLETENESS_TOL:
+        if not residual <= COMPLETENESS_TOL:
             raise IncompleteChannelError(
                 f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
             )
@@ -191,7 +191,7 @@ class ProductKrausChannel:
             raise IncompleteChannelError("channel needs at least one operator pair")
         gram = sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in pairs)
         residual = np.abs(gram - np.eye(a_shape[1] * b_shape[1])).max()
-        if residual > COMPLETENESS_TOL:
+        if not residual <= COMPLETENESS_TOL:
             raise IncompleteChannelError(
                 f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
             )

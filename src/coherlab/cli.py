@@ -23,7 +23,14 @@ from . import measures as ms
 from . import protocols as pr
 from . import states as st
 from .exceptions import CoherlabError
-from .linalg import DensityMatrix, PureState, partial_trace, trace_norm, von_neumann_entropy
+from .linalg import (
+    DensityMatrix,
+    PureState,
+    partial_trace,
+    relative_entropy,
+    trace_norm,
+    von_neumann_entropy,
+)
 
 EXIT_PARSE = 2
 EXIT_INVARIANT = 3
@@ -97,8 +104,8 @@ def _operator(values, dims_out, dims_in, what: str) -> np.ndarray:
 
 
 def _dims(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(d, int) for d in value):
-        raise ParseError(f'{what} must be a list of integers')
+    if not isinstance(value, list) or not all(isinstance(d, int) and d >= 1 for d in value):
+        raise ParseError(f'{what} must be a list of positive integers')
     return tuple(value)
 
 
@@ -412,23 +419,18 @@ def _random_extended_si(rng) -> ch.ProductKrausChannel:
 @click.argument("name", type=click.Choice(PROTOCOLS))
 @click.option("--state", "state_path", type=str, default=None)
 @click.option("--builtin", type=str, default=None)
-@click.option("--input", "input_spec", type=str, default=None,
-              help='"random" (default) or a state JSON path.')
 @click.option("--trials", type=int, default=1, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--index", type=int, default=1, show_default=True,
               help="Domino state index for discriminate.")
 @click.option("--out", "out_path", type=str, default=None)
-def protocol(name, state_path, builtin, input_spec, trials, seed, index, out_path):
-    """Run a named protocol and print its summary metrics as JSON."""
+def protocol(name, state_path, builtin, trials, seed, index, out_path):
+    """Run a named protocol and print its summary metrics as JSON.  A
+    protocol that takes a state draws a random one from --seed unless
+    --state or --builtin is given."""
 
     def body():
-        path = state_path
-        if input_spec is not None and input_spec != "random":
-            if path is not None:
-                raise ParseError("provide --input or --state, not both")
-            path = input_spec
-        payload = _protocol_payload(name, path, builtin, trials, seed, index)
+        payload = _protocol_payload(name, state_path, builtin, trials, seed, index)
         _emit(canonical_json(payload) + "\n", out_path)
 
     _run(body)
@@ -443,6 +445,8 @@ def classify(channel_path, tol, out_path):
     """Classify a channel file (separable / SI / SQI / incoherent)."""
 
     def body():
+        if not tol >= 0.0:
+            raise ParseError(f"--tol must be a non-negative number, got {tol}")
         try:
             with open(channel_path, "r", encoding="utf-8") as fh:
                 channel = channel_from_json(fh.read())
@@ -480,9 +484,8 @@ def reference_rows(seed: int = 0) -> list[dict]:
     add("qire_merging_RB_A", witness.qire_rb_a.value, 4.0 / 9.0, 1e-9)
     add("merge_simulation_residual", witness.merge_residual, 0.0, 1e-9)
     family = st.domino_states()
-    gram_gap = np.abs(
-        np.array([[si.overlap(sj) for sj in family.states] for si in family.states]) - np.eye(9)
-    ).max()
+    vecs = np.array([psi.vec for psi in family.states])
+    gram_gap = np.abs(vecs.conj() @ vecs.T - np.eye(9)).max()
     add("domino_gram_identity", gram_gap, 0.0, 1e-12)
     channel = pr.domino_discrimination_channel()
     completeness = np.abs(
@@ -601,8 +604,6 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
             rho = st.random_density(dims, int(np.prod(dims)), local.integers(2**63))
             split = ms.Bipartition((0,), (1,))
             closed = ms.qi_relative_entropy(rho, split)
-            from .linalg import relative_entropy
-
             direct = relative_entropy(rho, ms.dephase(rho, (1,)))
             checked += 1
             if abs(closed - direct) > 1e-9:

@@ -23,7 +23,9 @@ from .exceptions import (
 )
 
 # Tolerances used for every invariant check in the package.  Chosen with
-# double-precision headroom for total dimensions up to a few hundred.
+# double-precision headroom for total dimensions up to a few hundred.  Each
+# check is written as "not residual <= tol", so that the NaN residual of a
+# non-finite input fails it.
 TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
@@ -84,7 +86,7 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     """
     mat = _to_square(m)
     asym = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-    if asym > tol:
+    if not asym <= tol:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |M - M'| = {asym:.3e} exceeds {tol:.0e}"
         )
@@ -130,12 +132,12 @@ class DensityMatrix:
         mat = _to_square(self.mat).copy()
         dims = _check_dims(self.dims, mat.shape[0])
         asym = np.abs(mat - mat.conj().T).max()
-        if asym > TOL_HERM:
+        if not asym <= TOL_HERM:
             raise InvalidStateError(
                 f"hermiticity violated: max |M - M'| = {asym:.3e} exceeds {TOL_HERM:.0e}"
             )
         tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TOL_TRACE:
+        if not abs(tr - 1.0) <= TOL_TRACE:
             raise InvalidStateError(
                 f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
             )
@@ -144,7 +146,7 @@ class DensityMatrix:
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
         w_min = float(spectrum[0])
-        if w_min < -TOL_PSD:
+        if not w_min >= -TOL_PSD:
             raise InvalidStateError(
                 f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}"
             )
@@ -177,7 +179,7 @@ class PureState:
         vec = np.asarray(self.vec, dtype=complex).reshape(-1).copy()
         dims = _check_dims(self.dims, vec.shape[0])
         norm = float(np.linalg.norm(vec))
-        if abs(norm - 1.0) > TOL_TRACE:
+        if not abs(norm - 1.0) <= TOL_TRACE:
             raise InvalidStateError(
                 f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
             )

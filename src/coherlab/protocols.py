@@ -1,8 +1,9 @@
 """Executable two-party protocols.
 
 Incoherent teleportation, assisted coherence distillation for pure and for
-maximally correlated states, the steering search certifying that non-QI
-states let Alice steer Bob to a coherent state, the SQI-to-SI pinching
+maximally correlated states, the finite steering witness certifying that
+non-QI states let Alice steer Bob to a coherent state (its None answer
+bounds every B-off-diagonal entry by 4 tol), the SQI-to-SI pinching
 reduction, the incoherent-ancilla reduction, domino-state discrimination
 and the single-shot state-merging witness.
 """
@@ -50,6 +51,7 @@ from .measures import (
 from .states import (
     SIGMA_X,
     SIGMA_Z,
+    DominoFamily,
     bell_states,
     domino_states,
     fourier_mc_basis,
@@ -297,111 +299,47 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
     )
 
 
-def _offdiag_mass(mat: np.ndarray) -> float:
-    return float(np.abs(mat - np.diag(np.diag(mat))).max())
+def _polarization_vectors(da: int) -> np.ndarray:
+    """The d_A^2 rows e_a, (e_a + e_c)/sqrt(2) and (e_a + i e_c)/sqrt(2),
+    a < c."""
+    eye = np.eye(da, dtype=complex)
+    a, c = np.triu_indices(da, 1)
+    return np.concatenate([eye, (eye[a] + eye[c]) / math.sqrt(2.0),
+                           (eye[a] + 1j * eye[c]) / math.sqrt(2.0)])
 
 
-def _golden_refine(f, lo: float, hi: float, iters: int = 60):
-    """Golden-section maximization of f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
+def find_steering_measurement(rho: DensityMatrix, tol: float = 1e-6) -> SteeringWitness | None:
+    """Find an incoherent Alice outcome |0><v| that leaves Bob coherent.
 
-
-def find_steering_measurement(
-    rho: DensityMatrix,
-    theta_grid: int = 64,
-    coherence_tol: float = 1e-8,
-    probability_tol: float = 1e-10,
-) -> SteeringWitness | None:
-    """Search for an incoherent Alice measurement outcome that leaves Bob
-    coherent.
-
-    Decomposes rho = sum_ij |e_i><e_j| x N_ij in the eigenbasis of Alice's
-    marginal.  A coherent diagonal block N_ii gives the witness |i><e_i|
-    directly; otherwise coherent off-diagonal blocks are converted via
-    projectors onto cos(theta)|e_k> + sin(theta)|e_l> (or the i-phased
-    variant), scanning theta on a grid with golden-section refinement.
-    Returns None exactly when no outcome exceeds the tolerances, i.e. when
-    rho is quantum-incoherent up to numerics.
+    Bob's unnormalized post-state is M(v)_bd = v' X^bd v with
+    X^bd_ac = rho_(ab),(cd), and rho is quantum-incoherent exactly when
+    X^bd = 0 for every b != d.  By polarization, M at the d_A^2 fixed
+    vectors e_a, (e_a + e_c)/sqrt(2) and (e_a + i e_c)/sqrt(2) determines
+    every X^bd, so the search is finite: the vector whose M has the largest
+    off-diagonal modulus is the witness.  When that modulus is <= ``tol``
+    the answer is None, which certifies max_(b != d) |rho_(ab),(cd)| <=
+    4 tol.  Otherwise an off-diagonal entry |m| > tol of M, with
+    probability p = Tr M <= 1, gives Bob c_r >= 2 (|m|/p)^2 / ln 2 by
+    Pinsker's inequality, so the default tol keeps every witness's
+    coherence far above rounding.
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError("steering search needs a bipartite state")
     da, db = rho.dims
-    rho_a = partial_trace(rho, {0})
-    w, e = np.linalg.eigh(rho_a.mat)
-    e = e[:, ::-1]  # descending order, deterministic canonical basis
-
-    tensor = rho.mat.reshape(da, db, da, db)
-    blocks = np.einsum("ai,abcd,cj->ijbd", e.conj(), tensor, e)
-
-    def witness_from_vector(vec: np.ndarray) -> SteeringWitness | None:
-        post = np.einsum("a,abcd,c->bd", vec.conj(), tensor, vec)
-        p = float(np.trace(post).real)
-        if p <= probability_tol:
-            return None
-        bob = DensityMatrix(post / p, (db,))
-        coherence = c_r(bob)
-        if coherence <= coherence_tol:
-            return None
-        return SteeringWitness(
-            kraus_op=np.outer(ket(0, da), vec.conj()),
-            probability=p,
-            bob_post_state=bob,
-            bob_coherence=coherence,
-        )
-
-    # Diagonal blocks first.
-    for i in range(da):
-        if _offdiag_mass(blocks[i, i]) > coherence_tol:
-            witness = witness_from_vector(e[:, i])
-            if witness is not None:
-                return witness
-
-    # Off-diagonal blocks via the two Hermitian combinations.
-    def post_coherence(vec: np.ndarray) -> float:
-        post = np.einsum("a,abcd,c->bd", vec.conj(), tensor, vec)
-        p = float(np.trace(post).real)
-        if p <= probability_tol:
-            return -1.0
-        return c_r(DensityMatrix(post / p, (db,)))
-
-    thetas = np.linspace(0.0, math.pi / 2.0, theta_grid + 2)[1:-1]
-    for k in range(da):
-        for l in range(k + 1, da):
-            n_kl = blocks[k, l]
-            p_comb = n_kl + n_kl.conj().T
-            q_comb = 1j * (n_kl - n_kl.conj().T)
-            for comb, phase in ((p_comb, 1.0), (q_comb, 1.0j)):
-                if _offdiag_mass(comb) <= coherence_tol:
-                    continue
-
-                def vec_of(theta: float) -> np.ndarray:
-                    return math.cos(theta) * e[:, k] + phase * math.sin(theta) * e[:, l]
-
-                scores = [post_coherence(vec_of(t)) for t in thetas]
-                best = int(np.argmax(scores))
-                if scores[best] <= coherence_tol:
-                    continue
-                lo = thetas[max(0, best - 1)]
-                hi = thetas[min(len(thetas) - 1, best + 1)]
-                theta, _ = _golden_refine(lambda t: post_coherence(vec_of(t)), lo, hi)
-                witness = witness_from_vector(vec_of(theta))
-                if witness is not None:
-                    return witness
-    return None
+    vecs = _polarization_vectors(da)
+    posts = np.einsum("ka,abcd,kc->kbd", vecs.conj(), rho.mat.reshape(da, db, da, db), vecs)
+    offdiag = np.abs(posts * (1.0 - np.eye(db))).max(axis=(1, 2))
+    k = int(np.argmax(offdiag))
+    if offdiag[k] <= tol:
+        return None
+    p = float(np.trace(posts[k]).real)
+    bob = DensityMatrix(posts[k] / p, (db,))
+    return SteeringWitness(
+        kraus_op=np.outer(ket(0, da), vecs[k].conj()),
+        probability=p,
+        bob_post_state=bob,
+        bob_coherence=c_r(bob),
+    )
 
 
 def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:
@@ -484,7 +422,10 @@ def domino_discrimination_channel() -> ProductKrausChannel:
     """Separable incoherent channel whose outcome pairs are
     (|i><alpha_i|, |i><beta_i|): it identifies the nine domino states and
     records the result in an incoherent flag on each side."""
-    family = domino_states()
+    return _discrimination_channel(domino_states())
+
+
+def _discrimination_channel(family: DominoFamily) -> ProductKrausChannel:
     pairs = []
     for i in range(9):
         a_op = np.outer(ket(i, 9), family.alpha_parts[i].conj())
@@ -500,7 +441,7 @@ def discriminate_domino(input_index: int) -> ProtocolResult:
     if not 1 <= input_index <= 9:
         raise DimensionMismatchError(f"input index must be 1..9, got {input_index}")
     family = domino_states()
-    channel = domino_discrimination_channel()
+    channel = _discrimination_channel(family)
     state = family.states[input_index - 1].to_density()
     outcomes = channel.apply_instrument(state)
     leaves = tuple((o.probability, o.state, (("AB", o.outcome),)) for o in outcomes)

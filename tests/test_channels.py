@@ -67,6 +67,10 @@ def test_hadamard_is_not_incoherent():
     assert not is_incoherent_operator(HADAMARD)
 
 
+def test_nan_entry_counts_as_nonzero():
+    assert not is_incoherent_operator(np.array([[math.nan, 0.0], [1.0, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # KrausChannel basics
 
@@ -74,6 +78,18 @@ def test_hadamard_is_not_incoherent():
 def test_channel_requires_completeness():
     with pytest.raises(IncompleteChannelError):
         KrausChannel((np.eye(2) * 0.5,), (2,), (2,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_channels_reject_non_finite_operators(bad):
+    op = np.eye(2, dtype=complex)
+    op[0, 0] = bad
+    with pytest.raises(IncompleteChannelError):
+        KrausChannel((op,), (2,), (2,))
+    with pytest.raises(IncompleteChannelError):
+        ProductKrausChannel(((np.eye(1), op),), (1,), (2,))
+    with pytest.raises(IncompleteChannelError):
+        ProductKrausChannel(((op, np.eye(1)),), (2,), (1,))
 
 
 def test_identity_channel_is_noop():

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from coherlab.cli import (
+    MEASURES,
     builtin_state,
     canonical_json,
     channel_from_json,
@@ -18,7 +21,7 @@ from coherlab.cli import (
     state_to_json,
 )
 from coherlab.protocols import domino_discrimination_channel
-from coherlab.states import bell_states, random_density
+from coherlab.states import bell_states, random_density, random_pure
 
 
 @pytest.fixture
@@ -229,6 +232,14 @@ MALFORMED_INPUTS = {
     "measure-non-integer-split": (
         ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=x"], None
     ),
+    "classify-nan-tol": (
+        ["classify", "--channel", "{path}", "--tol", "nan"],
+        '{"kind": "kraus", "in_dims": [1], "ops": [[[1, 0]]]}',
+    ),
+    "measure-negative-dims": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "density", "dims": [-1], "matrix": [[1, 0]]}',
+    ),
 }
 
 
@@ -241,6 +252,137 @@ def test_malformed_input_exits_2_without_traceback(runner, tmp_path, args, conte
     assert result.exit_code == 2, result.exception
     assert "parse error:" in result.output
     assert "Traceback" not in result.output
+
+
+NON_FINITE_INPUTS = {
+    "measure-nan-density": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "density", "dims": [2], "matrix": [["nan", 0], [0, 0], [0, 0], [1, 0]]}',
+    ),
+    "measure-inf-pure": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "pure", "dims": [2], "matrix": [["inf", 0], [0, 0]]}',
+    ),
+    "classify-nan-kraus": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "kraus", "in_dims": [2], "ops": [[["nan", 0], [0, 0], [0, 0], [1, 0]]]}',
+    ),
+    "classify-nan-product": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "product", "in_dims": [[1], [2]], '
+        '"ops": [{"a": [[1, 0]], "b": [[1, 0], [0, 0], [0, 0], ["nan", 0]]}]}',
+    ),
+}
+
+
+@pytest.mark.parametrize("args, content", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
+def test_non_finite_input_exits_3(runner, tmp_path, args, content):
+    path = tmp_path / "input.json"
+    path.write_text(content)
+    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    assert result.exit_code == 3, result.output
+    assert "invariant violation:" in result.output
+
+
+# The exit-code contract on generated input: every run ends in 0, 2, 3 or 4
+# through the CLI's own handling, never in an uncaught exception.
+BAD_NUMBERS = hst.sampled_from([math.nan, math.inf, -math.inf, "nan", "inf", "x", None, 1e308])
+ENTRY = hst.one_of(hst.integers(-1, 1), hst.floats(-1, 1), BAD_NUMBERS)
+DIMS = hst.one_of(hst.lists(hst.integers(1, 3), min_size=1, max_size=2),
+                  hst.lists(hst.integers(-1, 3), max_size=3))
+SPLITS = hst.one_of(
+    hst.sampled_from(["A=0;B=1", "B=1", "A=1;B=0", "A=0;B=0", "A=0;B=5", "A=0",
+                      "A=0,1;B=2", "A=x;B=1", "C=0;B=1", ";", ""]),
+    hst.text(alphabet="AB=;,0123x ", max_size=8),
+)
+
+
+def _entries(draw, n, valid):
+    """[re, im] pairs: the n entries of ``valid`` (a flat complex array),
+    or up to 16 random ones when it is None; then at most one corrupted
+    entry and sometimes one entry too few."""
+    if valid is None:
+        pairs = [[draw(ENTRY), draw(ENTRY)] for _ in range(min(n, 16))]
+    else:
+        pairs = [[float(z.real), float(z.imag)] for z in valid]
+    if pairs and draw(hst.integers(0, 2)) == 0:
+        pairs[draw(hst.integers(0, len(pairs) - 1))] = draw(
+            hst.one_of(hst.tuples(BAD_NUMBERS, hst.just(0)).map(list), BAD_NUMBERS))
+    return pairs[: len(pairs) - draw(hst.sampled_from([0, 0, 0, 1]))]
+
+
+@hst.composite
+def state_files(draw):
+    dims = draw(DIMS)
+    kind = draw(hst.sampled_from(["density"] * 4 + ["pure", "mixed"]))
+    valid = None
+    if dims and min(dims) > 0 and draw(hst.integers(0, 3)) > 0:
+        seed = draw(hst.integers(0, 99))
+        if kind == "pure":
+            valid = random_pure(tuple(dims), seed).vec
+        else:
+            valid = random_density(tuple(dims), math.prod(dims), seed).mat.reshape(-1)
+    total = math.prod(dims) if dims and min(dims) > 0 else 1
+    n = total if kind == "pure" else total * total
+    return json.dumps({"kind": kind, "dims": dims, "matrix": _entries(draw, n, valid)})
+
+
+@hst.composite
+def channel_files(draw):
+    """Kraus or product channels; a "valid" draw starts from the identity
+    channel, so only its corruption can make it fail."""
+    valid = draw(hst.integers(0, 2)) > 0
+    n_ops = 1 if valid else draw(hst.integers(0, 2))
+
+    def order(dims):
+        return math.prod(dims) if all(d > 0 for d in dims) else 1
+
+    def ops(rows, cols):
+        eye = np.eye(rows, cols).reshape(-1) if valid else None
+        return [_entries(draw, rows * cols, eye) for _ in range(n_ops)]
+
+    in_dims = draw(DIMS)
+    out_dims = in_dims if valid else draw(DIMS)
+    if draw(hst.booleans()):
+        return json.dumps({"kind": "kraus", "in_dims": in_dims, "out_dims": out_dims,
+                           "ops": ops(order(out_dims), order(in_dims))})
+    da, db = order(in_dims), order(out_dims)
+    pairs = [{"a": a, "b": b} for a, b in zip(ops(da, da), ops(db, db))]
+    return json.dumps({"kind": "product", "in_dims": [in_dims, out_dims], "ops": pairs})
+
+
+FUZZ = settings(derandomize=True, max_examples=60, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def _assert_contract(args, content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(content)
+        result = CliRunner().invoke(main, [arg.format(path=path) for arg in args])
+    assert result.exit_code in (0, 2, 3, 4), (args, content, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), content
+    assert "Traceback" not in result.output
+
+
+@FUZZ
+@given(name=hst.sampled_from(MEASURES), content=state_files(), split=hst.none() | SPLITS)
+def test_fuzz_measure_exit_codes(name, content, split):
+    args = ["measure", name, "--state", "{path}", "--budget", "1"]
+    _assert_contract(args + ([] if split is None else ["--split", split]), content)
+
+
+@FUZZ
+@given(content=channel_files())
+def test_fuzz_classify_exit_codes(content):
+    _assert_contract(["classify", "--channel", "{path}"], content)
+
+
+@FUZZ
+@given(content=state_files())
+def test_fuzz_protocol_steer_exit_codes(content):
+    _assert_contract(["protocol", "steer", "--state", "{path}"], content)
 
 
 # ---------------------------------------------------------------------------
@@ -290,16 +432,17 @@ def test_reproduce_exits_4_on_check_failure(runner, monkeypatch):
     assert result.exit_code == 4
 
 
-def test_protocol_input_flag_accepts_random_and_paths(runner, bell_file, tmp_path):
+def test_protocol_state_path_runs_and_input_flag_is_gone(runner, tmp_path):
     from coherlab.cli import state_to_json as dump
     from coherlab.states import random_pure
 
-    result = runner.invoke(main, ["protocol", "teleport", "--input", "random", "--trials", "3"])
-    assert result.exit_code == 0
     path = tmp_path / "input.json"
     path.write_text(dump(random_pure((2, 2), 3)))
-    result = runner.invoke(main, ["protocol", "distill-pure", "--input", str(path)])
+    result = runner.invoke(main, ["protocol", "distill-pure", "--state", str(path)])
     assert result.exit_code == 0
+    assert json.loads(result.output)["protocol"] == "distill-pure"
+    result = runner.invoke(main, ["protocol", "teleport", "--input", "random"])
+    assert result.exit_code == 2
 
 
 # ---------------------------------------------------------------------------

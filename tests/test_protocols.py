@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from coherlab.exceptions import (
 from coherlab.linalg import (
     DensityMatrix,
     PureState,
+    apply_local,
     partial_trace,
     permute_subsystems,
     trace_norm,
@@ -276,6 +278,36 @@ def test_steering_offdiagonal_block_case():
     assert witness is not None and witness.bob_coherence > 1e-6
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_steering_certificate_on_near_qi_states(dims):
+    # (1 - eps) QI + eps random straddles the threshold: None must certify
+    # max_(b != d) |rho_(ab),(cd)| <= 4 tol, and every witness must be the
+    # outcome it claims to be.
+    tol = inspect.signature(find_steering_measurement).parameters["tol"].default
+    da, db = dims
+    rng = np.random.default_rng(11)
+    b_offdiag = 1.0 - np.eye(db)[None, :, None, :]
+    answers = {True: 0, False: 0}
+    for eps in np.logspace(-9, -2, 100):
+        qi = random_qi_state(dims, int(rng.integers(2**63)))
+        noise = random_density(dims, da * db, int(rng.integers(2**63)))
+        rho = DensityMatrix((1.0 - eps) * qi.mat + eps * noise.mat, dims)
+        witness = find_steering_measurement(rho)
+        answers[witness is None] += 1
+        tensor = rho.mat.reshape(da, db, da, db)
+        if witness is None:
+            assert np.abs(tensor * b_offdiag).max() <= 4 * tol
+            continue
+        assert witness.probability > 0.0 and witness.bob_coherence > 0.0
+        assert is_incoherent_operator(witness.kraus_op)
+        post = apply_local(rho.mat, witness.kraus_op, 1, db).reshape(da, db, da, db)
+        bob = np.trace(post, axis1=0, axis2=2)
+        assert abs(np.trace(bob).real - witness.probability) < 1e-12
+        assert np.abs(bob - witness.probability * witness.bob_post_state.mat).max() < 1e-12
+        assert abs(c_r(witness.bob_post_state) - witness.bob_coherence) < 1e-12
+    assert answers[True] > 0 and answers[False] > 0
+
+
 # ---------------------------------------------------------------------------
 # SQI -> SI reduction
 
@@ -411,6 +443,24 @@ def test_domino_discrimination_identifies_every_state():
         expected = np.zeros((81, 81), dtype=complex)
         expected[j * 9 + j, j * 9 + j] = 1.0
         assert np.abs(state.mat - expected).max() < 1e-9
+
+
+def test_discriminate_domino_builds_family_and_channel_once(monkeypatch):
+    import coherlab.protocols as protocols
+
+    calls = {"family": 0, "channel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(protocols, "domino_states", counted("family", protocols.domino_states))
+    monkeypatch.setattr(protocols, "ProductKrausChannel",
+                        counted("channel", protocols.ProductKrausChannel))
+    discriminate_domino(3)
+    assert calls == {"family": 1, "channel": 1}
 
 
 def test_domino_channel_completeness():

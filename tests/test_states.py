@@ -9,7 +9,7 @@ from coherlab.exceptions import (
     InvalidCoefficientsError,
     InvalidStateError,
 )
-from coherlab.linalg import partial_trace, von_neumann_entropy
+from coherlab.linalg import DensityMatrix, PureState, partial_trace, von_neumann_entropy
 from coherlab.measures import Bipartition, c_r, qi_relative_entropy
 from coherlab.states import (
     DominoFamily,
@@ -193,3 +193,20 @@ def test_generators_deterministic():
 def test_random_unitary_is_unitary():
     u = random_unitary(5, 3)
     assert np.abs(u.conj().T @ u - np.eye(5)).max() < 1e-12
+
+
+# Every invariant check must fail on non-finite input: a NaN residual
+# compares False with ">", so a "residual > tol" check would let it through.
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [(0, 0), (1, 1), (0, 1)])
+def test_density_matrix_rejects_non_finite_entries(bad, where):
+    mat = np.diag([0.5, 0.5]).astype(complex)
+    mat[where] = bad
+    with pytest.raises(InvalidStateError):
+        DensityMatrix(mat, (2,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(InvalidStateError):
+        PureState(np.array([bad, 1.0], dtype=complex), (2,))
