@@ -83,6 +83,8 @@ def _freeze_ops(ops) -> tuple[np.ndarray, ...]:
     frozen = []
     for op in ops:
         mat = _to_matrix(op).copy()
+        if not np.isfinite(mat).all():
+            raise IncompleteChannelError("operator has a non-finite (nan or inf) entry")
         mat.setflags(write=False)
         frozen.append(mat)
     return tuple(frozen)
@@ -177,16 +179,13 @@ class ProductKrausChannel:
         b_out = b_in if self.b_out_dims is None else tuple(int(d) for d in self.b_out_dims)
         a_shape = (math.prod(a_out), math.prod(a_in))
         b_shape = (math.prod(b_out), math.prod(b_in))
-        pairs = []
-        for a_op, b_op in self.pairs:
-            a_mat, b_mat = _to_matrix(a_op).copy(), _to_matrix(b_op).copy()
+        pairs = tuple(zip(_freeze_ops(a for a, _ in self.pairs),
+                          _freeze_ops(b for _, b in self.pairs)))
+        for a_mat, b_mat in pairs:
             if a_mat.shape != a_shape or b_mat.shape != b_shape:
                 raise DimensionMismatchError(
                     f"pair shapes {a_mat.shape}, {b_mat.shape} do not match {a_shape}, {b_shape}"
                 )
-            a_mat.setflags(write=False)
-            b_mat.setflags(write=False)
-            pairs.append((a_mat, b_mat))
         if not pairs:
             raise IncompleteChannelError("channel needs at least one operator pair")
         gram = sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in pairs)
@@ -195,7 +194,7 @@ class ProductKrausChannel:
             raise IncompleteChannelError(
                 f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
             )
-        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "a_in_dims", a_in)
         object.__setattr__(self, "b_in_dims", b_in)
         object.__setattr__(self, "a_out_dims", a_out)

@@ -131,6 +131,8 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _to_square(self.mat).copy()
         dims = _check_dims(self.dims, mat.shape[0])
+        if not np.isfinite(mat).all():
+            raise InvalidStateError("matrix has a non-finite (nan or inf) entry")
         asym = np.abs(mat - mat.conj().T).max()
         if not asym <= TOL_HERM:
             raise InvalidStateError(
@@ -180,6 +182,10 @@ class PureState:
         dims = _check_dims(self.dims, vec.shape[0])
         norm = float(np.linalg.norm(vec))
         if not abs(norm - 1.0) <= TOL_TRACE:
+            # the norm raises no warning on nan or inf, so finiteness is
+            # tested only once the norm check has failed
+            if not np.isfinite(vec).all():
+                raise InvalidStateError("amplitude vector has a non-finite (nan or inf) entry")
             raise InvalidStateError(
                 f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
             )

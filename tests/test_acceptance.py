@@ -4,38 +4,21 @@ pass/fail line and enforcing its stated tolerance and runtime budget."""
 import time
 
 import numpy as np
-import pytest
 
-from coherlab.channels import (
-    ProductKrausChannel,
-    classify,
-    is_incoherent_operator,
-    random_incoherent_channel,
-    random_sqi_channel,
-)
-from coherlab.linalg import (
-    partial_trace,
-    relative_entropy,
-    trace_norm,
-    von_neumann_entropy,
-)
+from coherlab import checks
+from coherlab.channels import classify, is_incoherent_operator
+from coherlab.linalg import partial_trace, von_neumann_entropy
 from coherlab.measures import (
     Bipartition,
-    coherence_of_assistance,
-    continuity_bound,
     dephase,
     qi_relative_entropy,
     qi_relative_entropy_oracle,
 )
 from coherlab.protocols import (
-    ancilla_reduce,
     assisted_distill_mc,
     discriminate_domino,
     domino_discrimination_channel,
-    extend_with_ancillas,
     find_steering_measurement,
-    incoherent_teleport,
-    sqi_to_si_reduce,
 )
 from coherlab.states import (
     bell_states,
@@ -71,22 +54,14 @@ def test_acceptance_incoherent_teleportation():
     for phi in bell_states():
         assert is_incoherent_operator(np.outer(zero2, phi.vec.conj()))
     rng = np.random.default_rng(0)
-    worst = 1.0
-    for _ in range(100):
-        psi = random_pure((2,), int(rng.integers(2**63)))
-        result = incoherent_teleport(psi)
-        worst = min(worst, result.metrics["min_fidelity"])
-    assert worst >= 1.0 - 1e-9
+    assert min(checks.teleport_fidelity(rng) for _ in range(100)) >= 1.0 - 1e-9
     _report("incoherent teleportation of 100 Haar-random qubits", time.perf_counter() - t0, 1.0)
 
 
 def test_acceptance_domino_discrimination():
     t0 = time.perf_counter()
     channel = domino_discrimination_channel()
-    completeness = np.abs(
-        sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in channel.pairs) - np.eye(9)
-    ).max()
-    assert completeness <= 1e-9
+    assert checks.completeness_residual(channel) <= 1e-9
     flags = classify(channel)
     assert flags.separable_incoherent and flags.separable_quantum_incoherent
     for index in range(1, 10):
@@ -113,7 +88,7 @@ def test_acceptance_steering_property_suite():
     sampled = 0
     while sampled < 100:
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
-        if trace_norm(rho.mat - dephase(rho, (1,)).mat) <= 1e-3:
+        if not checks.far_from_qi(rho):
             continue
         sampled += 1
         if find_steering_measurement(rho) is not None:
@@ -132,12 +107,7 @@ def test_acceptance_sqi_monotonicity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     for trial in range(200):
-        rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
-        rounds = 1 + trial % 2
-        protocol = random_sqi_channel((2,), (2,), rounds, int(rng.integers(2**63)))
-        before = qi_relative_entropy(rho, AB)
-        after = qi_relative_entropy(protocol.apply(rho), AB)
-        assert after <= before + 1e-9
+        assert checks.qi_increase(rng, rounds=1 + trial % 2) <= 1e-9
     _report("QI relative entropy monotone under 200 random SQI channels", time.perf_counter() - t0, 30.0)
 
 
@@ -145,25 +115,9 @@ def test_acceptance_reduction_contracts():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
     for _ in range(100):
-        channel = random_sqi_channel((2,), (2,), 1, int(rng.integers(2**63))).to_product()
-        reduced = sqi_to_si_reduce(channel)
-        rho = random_density((2, 2), 4, int(rng.integers(2**63)))
-        gap = trace_norm(
-            partial_trace(channel.apply(rho), {1}).mat
-            - partial_trace(reduced.apply(rho), {1}).mat
-        )
-        assert gap <= 1e-9
+        assert checks.sqi_to_si_gap(rng) <= 1e-9
     for _ in range(100):
-        a_instr = random_incoherent_channel((2, 2), 2, int(rng.integers(2**63)))
-        b_instr = random_incoherent_channel((2, 2), 2, int(rng.integers(2**63)))
-        extended = ProductKrausChannel(
-            tuple((a, b) for a in a_instr.ops for b in b_instr.ops), (2, 2), (2, 2)
-        )
-        reduced = ancilla_reduce(extended, (2, 2))
-        rho = random_density((2, 2), 4, int(rng.integers(2**63)))
-        big = extended.apply(extend_with_ancillas(rho, (2, 2)))
-        gap = trace_norm(partial_trace(big, {0, 2}).mat - reduced.apply(rho).mat)
-        assert gap <= 1e-9
+        assert checks.ancilla_gap(rng) <= 1e-9
     _report("SQI->SI and ancilla reductions, 100 trials each", time.perf_counter() - t0, 30.0)
 
 
@@ -171,11 +125,7 @@ def test_acceptance_closed_form_cross_validation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     for _ in range(200):
-        dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-        rho = random_density(dims, int(np.prod(dims)), int(rng.integers(2**63)))
-        closed = qi_relative_entropy(rho, AB)
-        direct = relative_entropy(rho, dephase(rho, (1,)))
-        assert abs(closed - direct) <= 1e-9
+        assert checks.closed_form_gap(rng) <= 1e-9
     for trial in range(20):
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         closed = qi_relative_entropy(rho, AB)
@@ -184,15 +134,13 @@ def test_acceptance_closed_form_cross_validation():
     _report("closed form vs direct relative entropy and minimization oracle", time.perf_counter() - t0, 120.0)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_acceptance_continuity_bound():
     t0 = time.perf_counter()
     rng = np.random.default_rng(6)
     for _ in range(200):
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         sigma = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
-        diff = abs(qi_relative_entropy(rho, AB) - qi_relative_entropy(sigma, AB))
-        assert diff <= continuity_bound(rho, sigma, AB) + 1e-12
+        assert checks.continuity_excess(rho, sigma) <= 1e-12
     _report("continuity bound dominates on 200 random pairs", time.perf_counter() - t0, 5.0)
 
 
@@ -201,8 +149,7 @@ def test_acceptance_inequality_chain_spot_checks():
     rng = np.random.default_rng(7)
     for _ in range(100):
         rho = random_density((2,), int(rng.integers(1, 3)), int(rng.integers(2**63)))
-        value, _ = coherence_of_assistance(rho, budget=2, seed=int(rng.integers(2**31)))
-        assert value <= von_neumann_entropy(dephase(rho, (0,))) + 1e-9
+        assert checks.assistance_excess(rho, int(rng.integers(2**31))) <= 1e-9
         bipartite = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         assert qi_relative_entropy(bipartite, AB) >= 0.0
     for _ in range(50):

@@ -282,6 +282,39 @@ def test_non_finite_input_exits_3(runner, tmp_path, args, content):
     result = runner.invoke(main, [arg.format(path=path) for arg in args])
     assert result.exit_code == 3, result.output
     assert "invariant violation:" in result.output
+    assert "non-finite" in result.output
+
+
+# Flag values outside their range: click rejects each as a usage error.
+QUTRIT = state_to_json(random_density((3,), 3, 0))
+BAD_FLAGS = {
+    "reproduce-negative-seed": (["reproduce", "--seed", "-1"], None),
+    "suite-negative-seed": (["suite", "teleport", "--seed", "-1"], None),
+    "suite-zero-trials": (["suite", "teleport", "--trials", "0"], None),
+    "teleport-negative-seed": (["protocol", "teleport", "--seed", "-1"], None),
+    "sqi-to-si-negative-seed": (["protocol", "sqi-to-si", "--seed", "-1"], None),
+    "distill-pure-negative-seed": (["protocol", "distill-pure", "--seed", "-1"], None),
+    "steer-negative-seed": (["protocol", "steer", "--seed", "-1"], None),
+    "teleport-zero-trials": (["protocol", "teleport", "--trials", "0"], None),
+    "teleport-negative-trials": (["protocol", "teleport", "--trials", "-4"], None),
+    "discriminate-index-0": (["protocol", "discriminate", "--index", "0"], None),
+    "discriminate-index-10": (["protocol", "discriminate", "--index", "10"], None),
+    "assistance-negative-seed": (
+        ["measure", "assistance", "--state", "{path}", "--seed", "-1"], QUTRIT
+    ),
+    "assistance-zero-budget": (["measure", "assistance", "--builtin", "psi2", "--budget", "0"], None),
+}
+
+
+@pytest.mark.parametrize("args, content", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+def test_out_of_range_flag_exits_2_without_traceback(runner, tmp_path, args, content):
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    assert result.exit_code == 2, result.output
+    assert "Invalid value" in result.output
+    assert "Traceback" not in result.output
 
 
 # The exit-code contract on generated input: every run ends in 0, 2, 3 or 4
@@ -418,6 +451,31 @@ def test_run_suite_reports_counts():
     assert summary["trials"] == 3
     assert summary["failures"] == 0
     assert summary["failure_seeds"] == []
+
+
+def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
+    import coherlab.protocols as pr
+    from coherlab.channels import ProductKrausChannel
+    from coherlab.checks import SUITES
+
+    real_reduce = pr.sqi_to_si_reduce
+    flip = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def flipped_reduce(channel):
+        # a wrong reduction: the true one followed by a bit flip on B
+        reduced = real_reduce(channel)
+        return ProductKrausChannel(tuple((a, flip @ b) for a, b in reduced.pairs),
+                                   reduced.a_in_dims, reduced.b_in_dims,
+                                   reduced.a_out_dims, reduced.b_out_dims)
+
+    monkeypatch.setattr(pr, "sqi_to_si_reduce", flipped_reduce)
+    result = runner.invoke(main, ["suite", "reductions", "--trials", "20", "--seed", "0"])
+    assert result.exit_code == 4
+    summary = json.loads(result.output)
+    assert summary["failures"] > 16
+    assert len(summary["failure_seeds"]) == 16
+    for seed in summary["failure_seeds"]:
+        assert not SUITES["reductions"](np.random.default_rng(seed))
 
 
 def test_reproduce_exits_4_on_check_failure(runner, monkeypatch):
