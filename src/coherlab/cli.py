@@ -312,16 +312,8 @@ def measure(measure_name, state_path, builtin, split_spec, seed, budget, out_pat
     _run(body)
 
 
-PROTOCOLS = (
-    "teleport",
-    "distill-pure",
-    "distill-mc",
-    "steer",
-    "discriminate",
-    "merge-witness",
-    "sqi-to-si",
-    "ancilla-reduce",
-)
+PROTOCOLS = ("teleport", "distill-pure", "distill-mc", "steer", "discriminate",
+             "merge-witness", "sqi-to-si", "ancilla-reduce")
 
 
 def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
@@ -338,7 +330,7 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
         else:
             state = st.random_pure((2, 2), seed)
         result = pr.assisted_distill_pure(state, seed=seed)
-        return {"protocol": name, **{k: v for k, v in result.metrics.items()}}
+        return {"protocol": name, **result.metrics}
     if name == "distill-mc":
         if state_path or builtin:
             state = _as_density(load_state(state_path, builtin))
@@ -498,6 +490,8 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
     """Run one property suite; returns counts and failure seeds.  Each
     trial runs on its own ``default_rng(s)``, s drawn from
     ``default_rng(seed)``, so a listed failure seed reruns that trial alone."""
+    if name not in checks.SUITES:
+        raise ParseError(f"unknown suite {name!r}")
     rng = np.random.default_rng(seed)
     passes = checks.SUITES[name]
     failures = []

@@ -6,7 +6,7 @@ import time
 import numpy as np
 
 from coherlab import checks
-from coherlab.channels import classify, is_incoherent_operator
+from coherlab.channels import classify, is_incoherent_operator, random_sqi_channel
 from coherlab.linalg import partial_trace, von_neumann_entropy
 from coherlab.measures import (
     Bipartition,
@@ -107,7 +107,10 @@ def test_acceptance_sqi_monotonicity():
     t0 = time.perf_counter()
     rng = np.random.default_rng(3)
     for trial in range(200):
-        assert checks.qi_increase(rng, rounds=1 + trial % 2) <= 1e-9
+        rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
+        rounds = 1 + trial % 2
+        protocol = random_sqi_channel((2,), (2,), rounds, int(rng.integers(2**63)))
+        assert checks.qi_increase(rho, protocol) <= 1e-9
     _report("QI relative entropy monotone under 200 random SQI channels", time.perf_counter() - t0, 30.0)
 
 

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as hst
 
 from coherlab.cli import (
     MEASURES,
+    ParseError,
     builtin_state,
     canonical_json,
     channel_from_json,
@@ -476,6 +477,11 @@ def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
     assert len(summary["failure_seeds"]) == 16
     for seed in summary["failure_seeds"]:
         assert not SUITES["reductions"](np.random.default_rng(seed))
+
+
+def test_run_suite_rejects_unknown_name():
+    with pytest.raises(ParseError, match="unknown suite 'nope'"):
+        run_suite("nope", 1, 0)
 
 
 def test_reproduce_exits_4_on_check_failure(runner, monkeypatch):
