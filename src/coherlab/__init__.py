@@ -16,7 +16,6 @@ from .channels import (
     random_incoherent_channel,
     random_licc_protocol,
     random_sqi_channel,
-    unitary_channel,
 )
 from .exceptions import CoherlabError
 from .linalg import (

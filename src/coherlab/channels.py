@@ -26,7 +26,7 @@ from .exceptions import (
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import DensityMatrix, apply_local, permute_subsystems, _to_matrix
+from .linalg import DensityMatrix, apply_local, _to_matrix
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -42,7 +42,6 @@ __all__ = [
     "complete_incoherent_kraus",
     "dephasing_channel",
     "identity_channel",
-    "unitary_channel",
     "random_incoherent_channel",
     "random_instrument",
     "random_sqi_channel",
@@ -313,11 +312,6 @@ def identity_channel(dims) -> KrausChannel:
     return KrausChannel((np.eye(math.prod(dims), dtype=complex),), dims, dims)
 
 
-def unitary_channel(u, dims) -> KrausChannel:
-    dims = tuple(int(d) for d in dims)
-    return KrausChannel((_to_matrix(u),), dims, dims)
-
-
 def dephasing_channel(dims, subsystems=None) -> KrausChannel:
     """Pinching channel that projects onto the incoherent basis of the
     selected subsystems (all of them by default)."""
@@ -359,104 +353,105 @@ class LocalProtocol:
     """Script of party-local instruments with classical-message branching.
 
     ``incoherent_parties`` lists the parties whose instruments must pass the
-    incoherence predicate at run time ({"A", "B"} for LICC scripts, {"B"}
-    for LQICC).  ``final_permutation`` optionally relabels subsystems of
-    every leaf state.
+    incoherence predicate ({"A", "B"} for LICC scripts, {"B"} for LQICC).
+    Each distinct round is checked once, when the script is built: its
+    instrument must act on its party's dims and, for a listed party, be
+    incoherent.
     """
 
     a_dims: tuple[int, ...]
     b_dims: tuple[int, ...]
     root: ProtocolRound | None
     incoherent_parties: frozenset[str] = frozenset()
-    final_permutation: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "a_dims", tuple(int(d) for d in self.a_dims))
         object.__setattr__(self, "b_dims", tuple(int(d) for d in self.b_dims))
         object.__setattr__(self, "incoherent_parties", frozenset(self.incoherent_parties))
+        party_dims = {"A": self.a_dims, "B": self.b_dims}
+        # continuations are shared between branches, so each round is
+        # checked once, by identity
+        seen: set[int] = set()
+        pending = [self.root]
+        while pending:
+            node = pending.pop()
+            if node is None or id(node) in seen:
+                continue
+            seen.add(id(node))
+            instrument = node.instrument
+            if not instrument.in_dims == instrument.out_dims == party_dims[node.party]:
+                raise DimensionMismatchError(
+                    f"round instrument does not match party {node.party} dims"
+                )
+            if node.party in self.incoherent_parties and not instrument.is_incoherent():
+                raise IncoherenceViolationError(
+                    f"party {node.party} instrument is not incoherent in a restricted round"
+                )
+            pending.extend(node.branches or ())
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.a_dims + self.b_dims
 
-    def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
-        """Depth-first expansion of the script.
+    def _walk(self, node: ProtocolRound | None, value, transcript: tuple, step):
+        """Depth-first walk of the script below ``node``, yielding one
+        (value, transcript) per leaf.  ``step(value, party, op)`` is an
+        outcome's value, or None to prune that branch; the transcript
+        records (party, outcome) per round."""
+        if node is None:
+            yield value, transcript
+            return
+        for outcome, op in enumerate(node.instrument.ops):
+            nxt = step(value, node.party, op)
+            if nxt is not None:
+                branch = None if node.branches is None else node.branches[outcome]
+                yield from self._walk(branch, nxt, transcript + ((node.party, outcome),), step)
 
-        Returns a list of (probability, state, transcript) leaves; the
-        transcript records (party, outcome) per round.  Raises
-        IncoherenceViolationError when a flagged party uses a coherent
-        operator.
-        """
+    def _branches(self, rho: DensityMatrix) -> list[tuple[tuple[np.ndarray, float], tuple]]:
+        """((unnormalized post-state, probability), transcript) per leaf.  A
+        branch is pruned when its probability is <= 1e-12 of its parent's;
+        the leaf probabilities must sum to 1 within 1e-9."""
         if rho.dims != self.dims:
             raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
-        da, db = math.prod(self.a_dims), math.prod(self.b_dims)
-        # party -> (its dims, dimension before and after its block)
-        placement = {"A": (self.a_dims, 1, db), "B": (self.b_dims, da, 1)}
-        leaves: list[tuple[float, DensityMatrix, tuple]] = []
+        # party -> dimension before and after its block
+        placement = {"A": (1, math.prod(self.b_dims)), "B": (math.prod(self.a_dims), 1)}
 
-        def expand(node: ProtocolRound | None, mat: np.ndarray, prob: float, transcript: tuple):
-            if node is None:
-                state = DensityMatrix(mat / prob, self.dims)
-                if self.final_permutation is not None:
-                    state = permute_subsystems(state, self.final_permutation)
-                leaves.append((prob, state, transcript))
-                return
-            if node.party in self.incoherent_parties and not node.instrument.is_incoherent():
-                raise IncoherenceViolationError(
-                    f"party {node.party} instrument is not incoherent in a restricted round"
-                )
-            party_dims, before, after = placement[node.party]
-            if not node.instrument.in_dims == node.instrument.out_dims == party_dims:
-                raise DimensionMismatchError(
-                    f"round instrument does not match party {node.party} dims"
-                )
-            for outcome, op in enumerate(node.instrument.ops):
-                post = apply_local(mat, op, before, after)
-                p = float(np.trace(post).real)
-                if p <= OUTCOME_PRUNE_TOL * prob:
-                    continue
-                branch = None if node.branches is None else node.branches[outcome]
-                expand(branch, post, p, transcript + ((node.party, outcome),))
+        def step(value, party, op):
+            mat, prob = value
+            post = apply_local(mat, op, *placement[party])
+            p = float(np.trace(post).real)
+            return None if p <= OUTCOME_PRUNE_TOL * prob else (post, p)
 
-        if self.root is None:
-            state = rho
-            if self.final_permutation is not None:
-                state = permute_subsystems(state, self.final_permutation)
-            return [(1.0, state, ())]
-        expand(self.root, rho.mat.copy(), 1.0, ())
-        total = sum(p for p, _, _ in leaves)
+        leaves = list(self._walk(self.root, (rho.mat, 1.0), (), step))
+        total = sum(p for (_, p), _ in leaves)
         if abs(total - 1.0) > 1e-9:
             raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
         return leaves
 
+    def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
+        """Depth-first expansion of the script: one (probability, state,
+        transcript) per leaf, the transcript recording (party, outcome) per
+        round."""
+        return [(p, DensityMatrix(mat / p, self.dims), transcript)
+                for (mat, p), transcript in self._branches(rho)]
+
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        """The protocol as a deterministic channel: probability-weighted sum
-        over all leaves."""
-        leaves = self.run(rho)
-        dims = leaves[0][1].dims
-        mat = sum(p * state.mat for p, state, _ in leaves)
-        return DensityMatrix(mat, dims)
+        """The protocol as a deterministic channel: the sum of the
+        unnormalized leaf states, validated once."""
+        return DensityMatrix(sum(mat for (mat, _), _ in self._branches(rho)), self.dims)
 
     def to_product(self) -> ProductKrausChannel:
         """Compile the script to product-Kraus form: one (A, B) operator
         pair per branch, each the composition of that branch's local ops."""
-        da, db = math.prod(self.a_dims), math.prod(self.b_dims)
-        pairs: list[tuple[np.ndarray, np.ndarray]] = []
 
-        def walk(node: ProtocolRound | None, a_op: np.ndarray, b_op: np.ndarray):
-            if node is None:
-                pairs.append((a_op, b_op))
-                return
-            for outcome, op in enumerate(node.instrument.ops):
-                if node.party == "A":
-                    nxt = (op @ a_op, b_op)
-                else:
-                    nxt = (a_op, op @ b_op)
-                branch = None if node.branches is None else node.branches[outcome]
-                walk(branch, *nxt)
+        def step(value, party, op):
+            a_op, b_op = value
+            return (op @ a_op, b_op) if party == "A" else (a_op, op @ b_op)
 
-        walk(self.root, np.eye(da, dtype=complex), np.eye(db, dtype=complex))
-        return ProductKrausChannel(tuple(pairs), self.a_dims, self.b_dims)
+        identities = (np.eye(math.prod(self.a_dims), dtype=complex),
+                      np.eye(math.prod(self.b_dims), dtype=complex))
+        pairs = tuple(pair for pair, _ in self._walk(self.root, identities, (), step))
+        return ProductKrausChannel(pairs, self.a_dims, self.b_dims)
 
 
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:

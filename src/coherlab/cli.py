@@ -288,8 +288,11 @@ def measure(measure_name, state_path, builtin, split_spec, seed, budget, out_pat
                 raise ParseError(f"{measure_name} needs --split")
             try:
                 split = ms.Bipartition.parse(split_spec)
+                split.validate(state.n_subsystems)
             except CoherlabError as exc:
                 raise ParseError(str(exc)) from exc
+            if measure_name != "qire" and not split.a:
+                raise ParseError(f"{measure_name} needs a non-empty A side in --split")
             inputs["split"] = split_spec
             if measure_name == "qire":
                 value = ms.qi_relative_entropy(state, split)
@@ -314,9 +317,12 @@ def measure(measure_name, state_path, builtin, split_spec, seed, budget, out_pat
 
 PROTOCOLS = ("teleport", "distill-pure", "distill-mc", "steer", "discriminate",
              "merge-witness", "sqi-to-si", "ancilla-reduce")
+STATELESS_PROTOCOLS = ("teleport", "discriminate", "merge-witness", "sqi-to-si", "ancilla-reduce")
 
 
 def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
+    if name in STATELESS_PROTOCOLS and (state_path is not None or builtin is not None):
+        raise ParseError(f"{name} takes no state; drop --state/--builtin")
     rng = np.random.default_rng(seed)
     if name == "teleport":
         # a fidelity can round above 1; the report never exceeds 1
@@ -386,7 +392,7 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
 def protocol(name, state_path, builtin, trials, seed, index, out_path):
     """Run a named protocol and print its summary metrics as JSON.  A
     protocol that takes a state draws a random one from --seed unless
-    --state or --builtin is given."""
+    --state or --builtin is given; the others reject both flags."""
 
     def body():
         payload = _protocol_payload(name, state_path, builtin, trials, seed, index)

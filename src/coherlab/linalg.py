@@ -30,12 +30,14 @@ TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
 TOL_RECON = 1e-10
+TOL_KERNEL_MASS = 1e-9
 
 __all__ = [
     "TOL_HERM",
     "TOL_TRACE",
     "TOL_PSD",
     "TOL_RECON",
+    "TOL_KERNEL_MASS",
     "DensityMatrix",
     "PureState",
     "eig_hermitian",
@@ -294,10 +296,10 @@ def von_neumann_entropy(rho) -> float:
     return _entropy_from_eigs(w)
 
 
-def relative_entropy(rho, sigma, kernel_mass_tol: float = 1e-9) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Relative entropy S(rho||sigma) = Tr[rho log2 rho] - Tr[rho log2 sigma].
 
-    Returns ``math.inf`` when rho has more than ``kernel_mass_tol`` weight in
+    Returns ``math.inf`` when rho has more than TOL_KERNEL_MASS weight in
     the kernel of sigma (eigenvalues of sigma below TOL_PSD define the
     kernel); support violations are a signal, not an error.  The rho term
     reads a DensityMatrix's stored spectrum.
@@ -312,7 +314,7 @@ def relative_entropy(rho, sigma, kernel_mass_tol: float = 1e-9) -> float:
     if np.any(in_kernel):
         kernel_vecs = v_s[:, in_kernel]
         mass = float(np.real(np.einsum("ij,ik,kj->", kernel_vecs.conj(), r, kernel_vecs)))
-        if mass > kernel_mass_tol:
+        if mass > TOL_KERNEL_MASS:
             return math.inf
     w_pos = np.clip(w_r.real, 0.0, 1.0)
     w_pos = w_pos[w_pos > 0.0]

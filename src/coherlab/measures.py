@@ -57,7 +57,7 @@ ASSIST_MAX_ITER = 2000
 ASSIST_SLOPE_TOL = 1e-18
 ASSIST_GAP_TOL = 1e-12
 # Largest mixed state the ascent accepts for d >= 3: each step diagonalizes
-# an (n_outcomes x n_outcomes) matrix, and n_outcomes defaults to d^2.
+# a (d^2 x d^2) matrix, one row per outcome of the ancilla measurement.
 ASSIST_MAX_DIM = 16
 
 
@@ -198,6 +198,8 @@ def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
 # Floor on the eigenvalues of the oracle's sigma, so the objective stays
 # finite where a block is rank-deficient.
 ORACLE_EIG_FLOOR = 1e-12
+# Largest state the oracle accepts.
+ORACLE_MAX_DIM = 16
 
 
 def _qi_oracle_objective(x: np.ndarray, rho_blocks: np.ndarray, neg_entropy: float) -> tuple[float, np.ndarray]:
@@ -253,15 +255,14 @@ def qi_relative_entropy_oracle(
     split: Bipartition,
     starts: int = 32,
     seed: int = 0,
-    max_dim: int = 16,
 ) -> float:
     """Desk-scale check of the closed form: minimize S(rho||sigma) over a
     parameterized family of quantum-incoherent sigma by multi-start
     L-BFGS-B with the analytic gradient of ``_qi_oracle_objective``.  Only
     intended to validate ``qi_relative_entropy``."""
     split.validate(rho.n_subsystems)
-    if rho.dim > max_dim:
-        raise DimensionTooLargeError(f"oracle limited to dimension {max_dim}, got {rho.dim}")
+    if rho.dim > ORACLE_MAX_DIM:
+        raise DimensionTooLargeError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {rho.dim}")
     da = math.prod(rho.dims[i] for i in split.a) if split.a else 1
     db = math.prod(rho.dims[i] for i in split.b)
     # Work in (A-block, B-block) order; permute rho once if needed.
@@ -392,7 +393,6 @@ def coherence_of_assistance(
     rho: DensityMatrix,
     budget: int = 64,
     seed: int = 0,
-    n_outcomes: int | None = None,
 ) -> tuple[float, list[tuple[float, PureState]]]:
     """Best average pure-state coherence over the decompositions of rho.
 
@@ -400,13 +400,12 @@ def coherence_of_assistance(
     Every decomposition's average lies in [c_r(rho), S(dephase(rho))].  For
     a qubit the value is exactly S(dephase(rho)), from a two-member
     ensemble.  For d >= 3 the decomposition is found by gradient ascent over
-    a measurement basis on a purification ancilla (``n_outcomes`` outcomes,
-    default d^2), so the value is a certified lower bound, with upper end
-    S(dephase(rho)).  ``budget`` caps the restarts, the first from the
-    eigen-ensemble and the rest from random bases drawn from
-    ``default_rng(seed)``; they stop early once the value reaches the upper
-    end.  Mixed states above ASSIST_MAX_DIM dimensions raise
-    ``DimensionTooLargeError``.
+    a measurement basis on a purification ancilla (d^2 outcomes), so the
+    value is a certified lower bound, with upper end S(dephase(rho)).
+    ``budget`` caps the restarts, the first from the eigen-ensemble and the
+    rest from random bases drawn from ``default_rng(seed)``; they stop
+    early once the value reaches the upper end.  Mixed states above
+    ASSIST_MAX_DIM dimensions raise ``DimensionTooLargeError``.
     """
     d = rho.dim
     w, v = np.linalg.eigh(rho.mat)
@@ -418,9 +417,6 @@ def coherence_of_assistance(
     if r <= 1:
         psi = PureState(vecs[:, 0], rho.dims)
         return c_r(rho), [(1.0, psi)]
-    m = n_outcomes if n_outcomes is not None else d * d
-    if m < r:
-        raise BadSubsystemError(f"need at least {r} measurement outcomes, got {m}")
     upper = _dephased_entropy(rho, range(rho.n_subsystems))
     if d == 2:
         return upper, _qubit_assistance(rho)
@@ -429,6 +425,7 @@ def coherence_of_assistance(
     # Columns of W are the sub-normalized eigenbranch vectors; member j of
     # the ensemble for the isometry V is sum_k V[j, k] W[:, k].
     w_mat = vecs * np.sqrt(lam)
+    m = d * d
     rng = np.random.default_rng(seed)
     best_val, best_v = -1.0, None
     for trial in range(max(1, budget)):

@@ -412,12 +412,49 @@ def test_two_round_licc_on_incoherent_state_stays_incoherent():
 
 def test_licc_flag_rejects_coherent_instrument():
     coherent = KrausChannel((HADAMARD,), (2,), (2,))
-    protocol = LocalProtocol(
-        (2,), (2,), ProtocolRound("A", coherent, None),
-        incoherent_parties=frozenset({"A", "B"}),
-    )
     with pytest.raises(IncoherenceViolationError):
-        protocol.run(random_density((2, 2), 4, 0))
+        LocalProtocol(
+            (2,), (2,), ProtocolRound("A", coherent, None),
+            incoherent_parties=frozenset({"A", "B"}),
+        )
+
+
+def test_lqicc_script_rejects_coherent_shared_continuation_when_built():
+    coherent_b = ProtocolRound("B", KrausChannel((HADAMARD,), (2,), (2,)), None)
+    root = ProtocolRound("A", dephasing_channel((2,)), (coherent_b, coherent_b))
+    with pytest.raises(IncoherenceViolationError):
+        LocalProtocol((2,), (2,), root, incoherent_parties=frozenset({"B"}))
+
+
+def test_script_rejects_round_with_wrong_party_dims_when_built():
+    root = ProtocolRound("A", identity_channel((2,)), (ProtocolRound("B", identity_channel((3,))),))
+    with pytest.raises(DimensionMismatchError):
+        LocalProtocol((2,), (2,), root)
+
+
+def test_apply_validates_one_state_and_checks_no_incoherence(monkeypatch):
+    import coherlab.channels as channels_module
+
+    protocol = random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3)
+    rho = random_density((3, 3), 9, 8)
+    counts = {"states": 0, "checks": 0}
+    post_init, predicate = DensityMatrix.__post_init__, is_incoherent_operator
+
+    def counting_post_init(self):
+        counts["states"] += 1
+        post_init(self)
+
+    def counting_predicate(*args, **kwargs):
+        counts["checks"] += 1
+        return predicate(*args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(channels_module, "is_incoherent_operator", counting_predicate)
+    protocol.apply(rho)
+    assert counts == {"states": 1, "checks": 0}
+    counts["states"] = 0
+    assert len(protocol.run(rho)) == 729
+    assert counts["checks"] == 0
 
 
 def test_protocol_transcripts_record_outcomes():
@@ -435,11 +472,3 @@ def test_to_product_matches_protocol_action():
         rho = random_density((2, 2), 4, seed + 10)
         assert np.abs(protocol.apply(rho).mat - product.apply(rho).mat).max() < 1e-10
 
-
-def test_final_permutation_applied_to_leaves():
-    protocol = LocalProtocol((2,), (3,), None, final_permutation=(1, 0))
-    rho_a = random_density((2,), 2, 0)
-    rho_b = random_density((3,), 3, 1)
-    leaves = protocol.run(rho_a.tensor(rho_b))
-    assert leaves[0][1].dims == (3, 2)
-    assert np.abs(leaves[0][1].mat - np.kron(rho_b.mat, rho_a.mat)).max() < 1e-12

@@ -241,6 +241,22 @@ MALFORMED_INPUTS = {
         ["measure", "cr", "--state", "{path}"],
         '{"kind": "density", "dims": [-1], "matrix": [[1, 0]]}',
     ),
+    "measure-split-outside-state": (
+        ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=5"], None
+    ),
+    "measure-discord-empty-a-side": (
+        ["measure", "discord", "--builtin", "bell", "--split", "B=0,1"], None
+    ),
+    "teleport-with-builtin": (["protocol", "teleport", "--builtin", "bell"], None),
+    "discriminate-with-builtin": (["protocol", "discriminate", "--builtin", "domino:1"], None),
+    "merge-witness-with-missing-state": (
+        ["protocol", "merge-witness", "--state", "{path}"], None
+    ),
+    "sqi-to-si-with-state": (
+        ["protocol", "sqi-to-si", "--state", "{path}"],
+        '{"kind": "pure", "dims": [2], "matrix": [[1, 0], [0, 0]]}',
+    ),
+    "ancilla-reduce-with-builtin": (["protocol", "ancilla-reduce", "--builtin", "bell"], None),
 }
 
 
