@@ -14,7 +14,7 @@ Operation classes on a bipartite system:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -26,7 +26,7 @@ from .exceptions import (
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import DensityMatrix, apply_local, _to_matrix
+from .linalg import DensityMatrix, apply_local
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -55,9 +55,12 @@ OUTCOME_PRUNE_TOL = 1e-12
 def is_incoherent_operator(k, tol: float = 1e-9) -> bool:
     """True iff every column of k has at most one entry with modulus > tol,
     i.e. the operator maps each basis vector to a multiple of a basis
-    vector.  Phases are irrelevant; a NaN entry counts as nonzero."""
-    mat = _to_matrix(k)
-    return bool(((~(np.abs(mat) <= tol)).sum(axis=0) <= 1).all())
+    vector.  Phases are irrelevant; a NaN entry counts as nonzero.  For a
+    stack of operators (leading axes) it is true iff it holds for each."""
+    mat = np.asarray(k, dtype=complex)
+    if mat.ndim < 2:
+        raise DimensionMismatchError(f"expected a matrix or a stack of them, got shape {mat.shape}")
+    return bool(((~(np.abs(mat) <= tol)).sum(axis=-2) <= 1).all())
 
 
 @dataclass(frozen=True)
@@ -67,58 +70,64 @@ class InstrumentOutcome:
     outcome: int
 
 
-def _outcomes(posts, dims: tuple[int, ...]) -> list[InstrumentOutcome]:
-    """Instrument outcomes from the unnormalized post-states, one per
-    operator in order; outcomes with probability <= 1e-12 are pruned."""
-    outcomes = []
-    for l, post in enumerate(posts):
-        p = float(np.trace(post).real)
-        if p > OUTCOME_PRUNE_TOL:
-            outcomes.append(InstrumentOutcome(p, DensityMatrix(post / p, dims), l))
-    return outcomes
+def _outcomes(posts: np.ndarray, dims: tuple[int, ...]) -> list[InstrumentOutcome]:
+    """Instrument outcomes from the stack of unnormalized post-states, one
+    per operator in order; outcomes with probability <= 1e-12 are pruned."""
+    probs = np.trace(posts, axis1=-2, axis2=-1).real
+    return [InstrumentOutcome(float(p), DensityMatrix(post / p, dims), l)
+            for l, (p, post) in enumerate(zip(probs, posts)) if p > OUTCOME_PRUNE_TOL]
 
 
-def _freeze_ops(ops) -> tuple[np.ndarray, ...]:
-    frozen = []
-    for op in ops:
-        mat = _to_matrix(op).copy()
-        if not np.isfinite(mat).all():
-            raise IncompleteChannelError("operator has a non-finite (nan or inf) entry")
-        mat.setflags(write=False)
-        frozen.append(mat)
-    return tuple(frozen)
+def _freeze_ops(ops, shape: tuple[int, int]) -> np.ndarray:
+    """The operators as one read-only (n, out, in) complex array, checked
+    once for a common ``shape`` and finite entries."""
+    try:
+        stack = np.array(ops, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatchError(f"Kraus operators do not share one shape: {exc}") from exc
+    if len(stack) == 0:
+        raise IncompleteChannelError("channel needs at least one Kraus operator")
+    if stack.ndim != 3 or stack.shape[1:] != shape:
+        raise DimensionMismatchError(
+            f"Kraus operator shape {stack.shape[1:]} does not match dims {shape}"
+        )
+    if not np.isfinite(stack).all():
+        raise IncompleteChannelError("operator has a non-finite (nan or inf) entry")
+    stack.setflags(write=False)
+    return stack
+
+
+def _grams(ops: np.ndarray) -> np.ndarray:
+    """K_l' K_l for each operator of an (n, out, in) stack."""
+    return ops.conj().transpose(0, 2, 1) @ ops
+
+
+def _check_complete(gram: np.ndarray) -> None:
+    residual = np.abs(gram - np.eye(len(gram))).max()
+    if not residual <= COMPLETENESS_TOL:
+        raise IncompleteChannelError(
+            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Ordered family of Kraus operators with a completeness certificate.
 
-    Operators share the shape (prod(out_dims), prod(in_dims)); completeness
-    requires || sum_l K_l' K_l - 1 ||_max <= 1e-9.
+    ``ops`` is stored as one read-only (n, prod(out_dims), prod(in_dims))
+    array, which iterates, indexes and has len() like a sequence of the
+    operators; completeness requires || sum_l K_l' K_l - 1 ||_max <= 1e-9.
     """
 
-    ops: tuple[np.ndarray, ...]
+    ops: np.ndarray
     in_dims: tuple[int, ...]
     out_dims: tuple[int, ...]
 
     def __post_init__(self):
-        ops = _freeze_ops(self.ops)
-        if not ops:
-            raise IncompleteChannelError("channel needs at least one Kraus operator")
         in_dims = tuple(int(d) for d in self.in_dims)
         out_dims = tuple(int(d) for d in self.out_dims)
-        shape = (math.prod(out_dims), math.prod(in_dims))
-        for op in ops:
-            if op.shape != shape:
-                raise DimensionMismatchError(
-                    f"Kraus operator shape {op.shape} does not match dims {shape}"
-                )
-        gram = sum(op.conj().T @ op for op in ops)
-        residual = np.abs(gram - np.eye(shape[1])).max()
-        if not residual <= COMPLETENESS_TOL:
-            raise IncompleteChannelError(
-                f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
-            )
+        ops = _freeze_ops(self.ops, (math.prod(out_dims), math.prod(in_dims)))
+        _check_complete(_grams(ops).sum(axis=0))
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "in_dims", in_dims)
         object.__setattr__(self, "out_dims", out_dims)
@@ -128,7 +137,7 @@ class KrausChannel:
         return len(self.ops)
 
     def is_incoherent(self, tol: float = 1e-9) -> bool:
-        return all(is_incoherent_operator(op, tol) for op in self.ops)
+        return is_incoherent_operator(self.ops, tol)
 
     def _place(self, rho: DensityMatrix, at: int | None) -> tuple[int, int, tuple[int, ...]]:
         """Dimension before and after the block of rho the channel acts on,
@@ -146,7 +155,9 @@ class KrausChannel:
 
     def apply(self, rho: DensityMatrix, at: int | None = None) -> DensityMatrix:
         """Summed channel output sum_l K_l rho K_l', acting on the whole
-        state or on the block of subsystems starting at ``at``."""
+        state or on the block of subsystems starting at ``at``.  Outputs are
+        added one operator at a time: a stack of all post-states would hold
+        n copies of a possibly large state."""
         before, after, dims = self._place(rho, at)
         out = sum(apply_local(rho.mat, op, before, after) for op in self.ops)
         return DensityMatrix(out, dims)
@@ -157,43 +168,39 @@ class KrausChannel:
         with the channel placed as in ``apply``.  Outcomes with probability
         <= 1e-12 are pruned."""
         before, after, dims = self._place(rho, at)
-        return _outcomes((apply_local(rho.mat, op, before, after) for op in self.ops), dims)
+        return _outcomes(apply_local(rho.mat, self.ops, before, after), dims)
 
 
 @dataclass(frozen=True, eq=False)
 class ProductKrausChannel:
     """Two-party channel sum_i (A_i x B_i) rho (A_i x B_i)' with one operator
-    pair per outcome and a joint completeness certificate."""
+    pair per outcome and a joint completeness certificate.
+
+    Each side is stored as one read-only (n, out, in) array, ``a_ops`` and
+    ``b_ops``; ``pairs`` holds the (A_i, B_i) views into them.
+    """
 
     pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
     a_in_dims: tuple[int, ...]
     b_in_dims: tuple[int, ...]
     a_out_dims: tuple[int, ...] | None = None
     b_out_dims: tuple[int, ...] | None = None
+    a_ops: np.ndarray = field(init=False, repr=False)
+    b_ops: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a_in = tuple(int(d) for d in self.a_in_dims)
         b_in = tuple(int(d) for d in self.b_in_dims)
         a_out = a_in if self.a_out_dims is None else tuple(int(d) for d in self.a_out_dims)
         b_out = b_in if self.b_out_dims is None else tuple(int(d) for d in self.b_out_dims)
-        a_shape = (math.prod(a_out), math.prod(a_in))
-        b_shape = (math.prod(b_out), math.prod(b_in))
-        pairs = tuple(zip(_freeze_ops(a for a, _ in self.pairs),
-                          _freeze_ops(b for _, b in self.pairs)))
-        for a_mat, b_mat in pairs:
-            if a_mat.shape != a_shape or b_mat.shape != b_shape:
-                raise DimensionMismatchError(
-                    f"pair shapes {a_mat.shape}, {b_mat.shape} do not match {a_shape}, {b_shape}"
-                )
-        if not pairs:
-            raise IncompleteChannelError("channel needs at least one operator pair")
-        gram = sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in pairs)
-        residual = np.abs(gram - np.eye(a_shape[1] * b_shape[1])).max()
-        if not residual <= COMPLETENESS_TOL:
-            raise IncompleteChannelError(
-                f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
-            )
-        object.__setattr__(self, "pairs", pairs)
+        a_ops = _freeze_ops([a for a, _ in self.pairs], (math.prod(a_out), math.prod(a_in)))
+        b_ops = _freeze_ops([b for _, b in self.pairs], (math.prod(b_out), math.prod(b_in)))
+        # sum_i A_i'A_i (x) B_i'B_i, indexed ((a, b), (c, d))
+        gram = np.einsum("nac,nbd->abcd", _grams(a_ops), _grams(b_ops))
+        _check_complete(gram.reshape(a_ops.shape[2] * b_ops.shape[2], -1))
+        object.__setattr__(self, "a_ops", a_ops)
+        object.__setattr__(self, "b_ops", b_ops)
+        object.__setattr__(self, "pairs", tuple(zip(a_ops, b_ops)))
         object.__setattr__(self, "a_in_dims", a_in)
         object.__setattr__(self, "b_in_dims", b_in)
         object.__setattr__(self, "a_out_dims", a_out)
@@ -215,19 +222,19 @@ class ProductKrausChannel:
         ops = [np.kron(a, b) for a, b in self.pairs]
         return KrausChannel(tuple(ops), self.in_dims, self.out_dims)
 
-    def _posts(self, rho: DensityMatrix):
-        """(A_i x B_i) rho (A_i x B_i)' per pair, one party at a time: A_i
-        acts first, so B_i's block comes after A's output dimension."""
+    def _posts(self, rho: DensityMatrix) -> np.ndarray:
+        """The stack of (A_i x B_i) rho (A_i x B_i)', one party at a time:
+        every A_i acts on rho, then B_i on the i-th result, with B's block
+        after A's output dimension."""
         if rho.dims != self.in_dims:
             raise DimensionMismatchError(
                 f"state dims {rho.dims} != channel dims {self.in_dims}"
             )
         d_a_out, d_b_in = math.prod(self.a_out_dims), math.prod(self.b_in_dims)
-        for a_op, b_op in self.pairs:
-            yield apply_local(apply_local(rho.mat, a_op, 1, d_b_in), b_op, d_a_out, 1)
+        return apply_local(apply_local(rho.mat, self.a_ops, 1, d_b_in), self.b_ops, d_a_out, 1)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(sum(self._posts(rho)), self.out_dims)
+        return DensityMatrix(self._posts(rho).sum(axis=0), self.out_dims)
 
     def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
         """Per-pair outcomes as in ``KrausChannel.apply_instrument``."""
@@ -268,8 +275,8 @@ class ChannelClass:
 def classify(ch: ProductKrausChannel, tol: float = 1e-9) -> ChannelClass:
     """Classify a product channel: SI iff both parties' operators are
     incoherent; SQI iff the B-side operators are."""
-    a_ok = all(is_incoherent_operator(a, tol) for a, _ in ch.pairs)
-    b_ok = all(is_incoherent_operator(b, tol) for _, b in ch.pairs)
+    a_ok = is_incoherent_operator(ch.a_ops, tol)
+    b_ok = is_incoherent_operator(ch.b_ops, tol)
     return ChannelClass(separable_incoherent=a_ok and b_ok, separable_quantum_incoherent=b_ok)
 
 
@@ -286,25 +293,21 @@ def complete_incoherent_kraus(raw: Sequence, in_dims, out_dims=None,
     """
     in_dims = tuple(int(d) for d in in_dims)
     out_dims = in_dims if out_dims is None else tuple(int(d) for d in out_dims)
-    mats = [_to_matrix(r) for r in raw]
-    for mat in mats:
-        if not is_incoherent_operator(mat, tol):
-            raise NotIncoherentError("input operator maps a basis state to a superposition")
-    m = sum(mat.conj().T @ mat for mat in mats)
-    w, v = np.linalg.eigh(m)
+    mats = _freeze_ops(raw, (math.prod(out_dims), math.prod(in_dims)))
+    if not is_incoherent_operator(mats, tol):
+        raise NotIncoherentError("input operator maps a basis state to a superposition")
+    w, v = np.linalg.eigh(_grams(mats).sum(axis=0))
     if float(w.min()) < 1e-12:
         raise SingularNormalizerError(
             f"normalizer has eigenvalue {float(w.min()):.3e} < 1e-12"
         )
-    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    ops = [mat @ inv_sqrt for mat in mats]
-    for op in ops:
-        if not is_incoherent_operator(op, tol):
-            raise NotIncoherentError(
-                "normalizer mixed columns (colliding column targets); "
-                "completed operators are no longer incoherent"
-            )
-    return KrausChannel(tuple(ops), in_dims, out_dims)
+    ops = mats @ ((v / np.sqrt(w)) @ v.conj().T)
+    if not is_incoherent_operator(ops, tol):
+        raise NotIncoherentError(
+            "normalizer mixed columns (colliding column targets); "
+            "completed operators are no longer incoherent"
+        )
+    return KrausChannel(ops, in_dims, out_dims)
 
 
 def identity_channel(dims) -> KrausChannel:
@@ -319,13 +322,13 @@ def dephasing_channel(dims, subsystems=None) -> KrausChannel:
     n = len(dims)
     idx = tuple(range(n)) if subsystems is None else tuple(sorted(set(subsystems)))
     total = math.prod(dims)
-    multi = np.array(np.unravel_index(np.arange(total), dims))
-    labels = [tuple(multi[s][k] for s in idx) for k in range(total)]
-    ops = []
-    for label in sorted(set(labels)):
-        diag = np.array([1.0 if labels[k] == label else 0.0 for k in range(total)])
-        ops.append(np.diag(diag).astype(complex))
-    return KrausChannel(tuple(ops), dims, dims)
+    grid = np.unravel_index(np.arange(total), dims)
+    # row-major label of each basis state on the selected subsystems; one
+    # projector per label, in label order
+    labels = np.ravel_multi_index([grid[s] for s in idx], [dims[s] for s in idx])
+    ops = np.zeros((math.prod(dims[s] for s in idx), total, total), dtype=complex)
+    ops[labels, np.arange(total), np.arange(total)] = 1.0
+    return KrausChannel(ops, dims, dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +351,21 @@ class ProtocolRound:
             )
 
 
+def _merge(chunks: list) -> tuple[tuple[np.ndarray, ...], list]:
+    """One stack of values and one transcript list from the (values,
+    transcripts) chunks of branches that reach the same round."""
+    if len(chunks) == 1:
+        return chunks[0]
+    values = tuple(np.concatenate(parts) for parts in zip(*(v for v, _ in chunks)))
+    return values, [t for _, ts in chunks for t in ts]
+
+
+def _depth_first(transcripts: list) -> list[int]:
+    """Leaf indices in depth-first order: outcomes are explored in order,
+    so that is the lexicographic order of the transcripts."""
+    return sorted(range(len(transcripts)), key=transcripts.__getitem__)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalProtocol:
     """Script of party-local instruments with classical-message branching.
@@ -363,6 +381,8 @@ class LocalProtocol:
     b_dims: tuple[int, ...]
     root: ProtocolRound | None
     incoherent_parties: frozenset[str] = frozenset()
+    # the distinct rounds, each before every round it can lead to
+    _rounds: tuple[ProtocolRound, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_dims", tuple(int(d) for d in self.a_dims))
@@ -370,13 +390,14 @@ class LocalProtocol:
         object.__setattr__(self, "incoherent_parties", frozenset(self.incoherent_parties))
         party_dims = {"A": self.a_dims, "B": self.b_dims}
         # continuations are shared between branches, so each round is
-        # checked once, by identity
+        # checked once, by identity; reversed depth-first post-order puts
+        # every round before its continuations
         seen: set[int] = set()
-        pending = [self.root]
-        while pending:
-            node = pending.pop()
+        post_order: list[ProtocolRound] = []
+
+        def visit(node: ProtocolRound | None) -> None:
             if node is None or id(node) in seen:
-                continue
+                return
             seen.add(id(node))
             instrument = node.instrument
             if not instrument.in_dims == instrument.out_dims == party_dims[node.party]:
@@ -387,71 +408,107 @@ class LocalProtocol:
                 raise IncoherenceViolationError(
                     f"party {node.party} instrument is not incoherent in a restricted round"
                 )
-            pending.extend(node.branches or ())
+            for branch in node.branches or ():
+                visit(branch)
+            post_order.append(node)
+
+        visit(self.root)
+        object.__setattr__(self, "_rounds", tuple(reversed(post_order)))
 
     @property
     def dims(self) -> tuple[int, ...]:
         return self.a_dims + self.b_dims
 
-    def _walk(self, node: ProtocolRound | None, value, transcript: tuple, step):
-        """Depth-first walk of the script below ``node``, yielding one
-        (value, transcript) per leaf.  ``step(value, party, op)`` is an
-        outcome's value, or None to prune that branch; the transcript
-        records (party, outcome) per round."""
-        if node is None:
-            yield value, transcript
-            return
-        for outcome, op in enumerate(node.instrument.ops):
-            nxt = step(value, node.party, op)
-            if nxt is not None:
-                branch = None if node.branches is None else node.branches[outcome]
-                yield from self._walk(branch, nxt, transcript + ((node.party, outcome),), step)
+    def _expand(self, start: tuple[np.ndarray, ...], step) -> tuple[tuple[np.ndarray, ...], list]:
+        """Round-by-round expansion of the script: (leaf values, leaf
+        transcripts), leaves in no fixed order.
 
-    def _branches(self, rho: DensityMatrix) -> list[tuple[tuple[np.ndarray, float], tuple]]:
-        """((unnormalized post-state, probability), transcript) per leaf.  A
-        branch is pruned when its probability is <= 1e-12 of its parent's;
-        the leaf probabilities must sum to 1 within 1e-9."""
+        A value is a tuple of arrays with one leading entry per branch;
+        ``start`` is the root's single branch.  Each distinct round is
+        stepped once, on the stack of every branch that reaches it:
+        ``step(values, party, ops)`` returns the outcome values, each array
+        with leading axes (outcome, branch), and an (outcome, branch) mask
+        of the branches to keep.  Kept branches move on to their outcome's
+        continuation, where branches from every round that leads there are
+        stacked together.  A transcript records (party, outcome) per round.
+        """
+        arrived = {self.root: [(start, [()])]}  # round or None (leaf) -> chunks
+        for node in self._rounds:
+            chunks = arrived.pop(node, None)
+            if chunks is None:  # every branch reaching this round was pruned
+                continue
+            values, transcripts = _merge(chunks)
+            outs, keep = step(values, node.party, node.instrument.ops)
+            pruned = not keep.all()
+            for outcome in range(len(keep)):
+                record = ((node.party, outcome),)
+                if pruned:
+                    idx = np.flatnonzero(keep[outcome])
+                    if not idx.size:
+                        continue
+                    chunk = (tuple([v[outcome, idx] for v in outs]),
+                             [transcripts[i] + record for i in idx])
+                else:
+                    chunk = (tuple([v[outcome] for v in outs]), [t + record for t in transcripts])
+                nxt = None if node.branches is None else node.branches[outcome]
+                arrived.setdefault(nxt, []).append(chunk)
+        return _merge(arrived[None])
+
+    def _branches(self, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, list]:
+        """(unnormalized post-states, probabilities, transcripts) of the
+        leaves, stacked.  A branch is pruned when its probability is
+        <= 1e-12 of its parent's; the leaf probabilities must sum to 1
+        within 1e-9."""
         if rho.dims != self.dims:
             raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
         # party -> dimension before and after its block
         placement = {"A": (1, math.prod(self.b_dims)), "B": (math.prod(self.a_dims), 1)}
 
-        def step(value, party, op):
-            mat, prob = value
-            post = apply_local(mat, op, *placement[party])
-            p = float(np.trace(post).real)
-            return None if p <= OUTCOME_PRUNE_TOL * prob else (post, p)
+        def step(values, party, ops):
+            mats, probs = values
+            posts = apply_local(mats, ops[:, None], *placement[party])
+            p = posts.trace(axis1=-2, axis2=-1).real
+            return (posts, p), ~(p <= OUTCOME_PRUNE_TOL * probs)
 
-        leaves = list(self._walk(self.root, (rho.mat, 1.0), (), step))
-        total = sum(p for (_, p), _ in leaves)
+        (mats, probs), transcripts = self._expand((rho.mat[None], np.ones(1)), step)
+        total = probs.sum()
         if abs(total - 1.0) > 1e-9:
             raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
-        return leaves
+        return mats, probs, transcripts
 
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
         """Depth-first expansion of the script: one (probability, state,
         transcript) per leaf, the transcript recording (party, outcome) per
         round."""
-        return [(p, DensityMatrix(mat / p, self.dims), transcript)
-                for (mat, p), transcript in self._branches(rho)]
+        mats, probs, transcripts = self._branches(rho)
+        probs = probs.tolist()
+        return [(probs[i], DensityMatrix(mats[i] / probs[i], self.dims), transcripts[i])
+                for i in _depth_first(transcripts)]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """The protocol as a deterministic channel: the sum of the
         unnormalized leaf states, validated once."""
-        return DensityMatrix(sum(mat for (mat, _), _ in self._branches(rho)), self.dims)
+        mats, _, _ = self._branches(rho)
+        return DensityMatrix(mats.sum(axis=0), self.dims)
 
     def to_product(self) -> ProductKrausChannel:
         """Compile the script to product-Kraus form: one (A, B) operator
-        pair per branch, each the composition of that branch's local ops."""
+        pair per branch, each the composition of that branch's local ops,
+        in depth-first order."""
 
-        def step(value, party, op):
-            a_op, b_op = value
-            return (op @ a_op, b_op) if party == "A" else (a_op, op @ b_op)
+        def step(values, party, ops):
+            a_ops, b_ops = values
+            if party == "A":
+                a_ops, b_ops = ops[:, None] @ a_ops, b_ops[None].repeat(len(ops), axis=0)
+            else:
+                a_ops, b_ops = a_ops[None].repeat(len(ops), axis=0), ops[:, None] @ b_ops
+            return (a_ops, b_ops), np.ones(a_ops.shape[:2], dtype=bool)
 
-        identities = (np.eye(math.prod(self.a_dims), dtype=complex),
-                      np.eye(math.prod(self.b_dims), dtype=complex))
-        pairs = tuple(pair for pair, _ in self._walk(self.root, identities, (), step))
-        return ProductKrausChannel(pairs, self.a_dims, self.b_dims)
+        identities = (np.eye(math.prod(self.a_dims), dtype=complex)[None],
+                      np.eye(math.prod(self.b_dims), dtype=complex)[None])
+        (a_ops, b_ops), transcripts = self._expand(identities, step)
+        order = _depth_first(transcripts)
+        return ProductKrausChannel(tuple(zip(a_ops[order], b_ops[order])), self.a_dims, self.b_dims)
 
 
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
@@ -461,15 +518,16 @@ def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
     so completion preserves incoherence."""
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
+    n = max(1, n_kraus)
     rng = np.random.default_rng(seed)
     for _ in range(16):
-        raws = []
-        for _ in range(max(1, n_kraus)):
-            perm = rng.permutation(d)
-            amps = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            op = np.zeros((d, d), dtype=complex)
-            op[perm, np.arange(d)] = amps
-            raws.append(op)
+        # drawn operator by operator: permutation, then real and imaginary
+        # amplitudes, so a seed keeps naming the same channel
+        perms, re, im = (np.array(x) for x in zip(*(
+            (rng.permutation(d), rng.standard_normal(d), rng.standard_normal(d)) for _ in range(n)
+        )))
+        raws = np.zeros((n, d, d), dtype=complex)
+        raws[np.arange(n)[:, None], perms, np.arange(d)] = re + 1j * im
         try:
             return complete_incoherent_kraus(raws, dims)
         except SingularNormalizerError:
@@ -483,12 +541,12 @@ def random_instrument(dims, n_kraus: int, seed) -> KrausChannel:
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
     rng = np.random.default_rng(seed)
-    raws = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            for _ in range(max(1, n_kraus))]
-    m = sum(r.conj().T @ r for r in raws)
-    w, v = np.linalg.eigh(m)
+    # real then imaginary part of each operator in turn, as one draw
+    parts = rng.standard_normal((max(1, n_kraus), 2, d, d))
+    raws = parts[:, 0] + 1j * parts[:, 1]
+    w, v = np.linalg.eigh(_grams(raws).sum(axis=0))
     inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))) @ v.conj().T
-    return KrausChannel(tuple(r @ inv_sqrt for r in raws), dims, dims)
+    return KrausChannel(raws @ inv_sqrt, dims, dims)
 
 
 def _random_rounds(a_dims, b_dims, rounds: int, rng: np.random.Generator,

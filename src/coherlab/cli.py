@@ -321,7 +321,8 @@ STATELESS_PROTOCOLS = ("teleport", "discriminate", "merge-witness", "sqi-to-si",
 
 
 def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
-    if name in STATELESS_PROTOCOLS and (state_path is not None or builtin is not None):
+    state_given = state_path is not None or builtin is not None
+    if name in STATELESS_PROTOCOLS and state_given:
         raise ParseError(f"{name} takes no state; drop --state/--builtin")
     rng = np.random.default_rng(seed)
     if name == "teleport":
@@ -329,7 +330,7 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
         worst = min(1.0, *(checks.teleport_fidelity(rng) for _ in range(trials)))
         return {"protocol": name, "trials": trials, "min_fidelity": worst}
     if name == "distill-pure":
-        if state_path or builtin:
+        if state_given:
             state = load_state(state_path, builtin)
             if not isinstance(state, PureState):
                 raise ParseError("distill-pure needs a pure state")
@@ -338,7 +339,7 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
         result = pr.assisted_distill_pure(state, seed=seed)
         return {"protocol": name, **result.metrics}
     if name == "distill-mc":
-        if state_path or builtin:
+        if state_given:
             state = _as_density(load_state(state_path, builtin))
         else:
             coeffs = st.random_density((3,), 3, seed)
@@ -346,7 +347,7 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
         result = pr.assisted_distill_mc(state)
         return {"protocol": name, **result.metrics}
     if name == "steer":
-        if state_path or builtin:
+        if state_given:
             state = _as_density(load_state(state_path, builtin))
         else:
             state = st.random_density((2, 2), 4, seed)

@@ -242,21 +242,33 @@ def apply_local(m, k, before: int = 1, after: int = 1) -> np.ndarray:
     the embedded operator.
 
     K, square or rectangular, acts on the middle factor of a square matrix
-    whose row and column index is (before, K's input, after).  Each side is
+    whose row and column index is (before, K's input, after).  Both
+    arguments broadcast over their leading axes: M of shape (..., N, N) and
+    K of shape (..., p, q) give one result per entry of the broadcast
+    leading shape, so a stack of operators on one matrix (K[:, None] on a
+    stack of matrices, or K[i] paired with M[i]) is one call.  Each side is
     one batched matmul over the ``before`` index: H = K M, then the
     right-hand product through its transpose, (H K')^T = conj(K) H^T, which
     needs no conjugated copy of the large matrix.
     """
-    k = _to_matrix(k)
-    mat = _to_square(m)
-    p, q = k.shape
-    n = before * p * after
-    if mat.shape[0] != before * q * after:
+    k = np.asarray(k, dtype=complex)
+    mat = np.asarray(m, dtype=complex)
+    if k.ndim < 2 or mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionMismatchError(
-            f"matrix order {mat.shape[0]} != {before} x {q} x {after}"
+            f"expected operators (..., p, q) and square matrices (..., N, N), "
+            f"got shapes {k.shape} and {mat.shape}"
         )
-    half = (k @ mat.reshape(before, q, -1)).reshape(n, -1)
-    return (k.conj() @ half.T.reshape(before, q, -1)).reshape(n, -1).T
+    p, q = k.shape[-2:]
+    n = before * p * after
+    if mat.shape[-1] != before * q * after:
+        raise DimensionMismatchError(
+            f"matrix order {mat.shape[-1]} != {before} x {q} x {after}"
+        )
+    k = k[..., None, :, :]  # broadcast over the ``before`` index
+    half = k @ mat.reshape(*mat.shape[:-2], before, q, -1)
+    lead = half.shape[:-3]
+    half = half.reshape(*lead, n, -1).swapaxes(-1, -2)
+    return (k.conj() @ half.reshape(*lead, before, q, -1)).reshape(*lead, n, n).swapaxes(-1, -2)
 
 
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:

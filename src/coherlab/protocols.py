@@ -348,15 +348,12 @@ def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:
     the new pairs are (|j><j| A_i, B_i) over all outcomes i and labels j."""
     if not classify(ch).separable_quantum_incoherent:
         raise NotSQIError("channel is not separable quantum-incoherent")
-    d_a_out = math.prod(ch.a_out_dims)
-    pairs = []
-    for a_op, b_op in ch.pairs:
-        for j in range(d_a_out):
-            proj = np.zeros((d_a_out, d_a_out), dtype=complex)
-            proj[j, j] = 1.0
-            pairs.append((proj @ a_op, b_op))
+    _, d_a_out, d_a_in = ch.a_ops.shape
+    # [i, j] is |j><j| A_i: row j of A_i, every other row zero
+    pinched = (ch.a_ops[:, None] * np.eye(d_a_out)[:, :, None]).reshape(-1, d_a_out, d_a_in)
     reduced = ProductKrausChannel(
-        tuple(pairs), ch.a_in_dims, ch.b_in_dims, ch.a_out_dims, ch.b_out_dims
+        tuple(zip(pinched, np.repeat(ch.b_ops, d_a_out, axis=0))),
+        ch.a_in_dims, ch.b_in_dims, ch.a_out_dims, ch.b_out_dims,
     )
     if not classify(reduced).separable_incoherent:
         raise NotSIError("pinched channel failed the SI check")
@@ -381,17 +378,15 @@ def ancilla_reduce(ch_tilde: ProductKrausChannel, ancilla_dims: tuple[int, int])
     da = math.prod(ch_tilde.a_in_dims) // da_anc
     db = math.prod(ch_tilde.b_in_dims) // db_anc
 
-    pairs = []
-    for a_tilde, b_tilde in ch_tilde.pairs:
-        a_tensor = a_tilde.reshape(da, da_anc, da, da_anc)
-        b_tensor = b_tilde.reshape(db, db_anc, db, db_anc)
-        a_parts = [a_tensor[:, l, :, 0] for l in range(da_anc)]
-        b_parts = [b_tensor[:, m, :, 0] for m in range(db_anc)]
-        for a_part in a_parts:
-            for b_part in b_parts:
-                pairs.append((a_part, b_part))
+    n = ch_tilde.n_outcomes
+    # [k, l] is (1 x <l|) A~_k (1 x |0>), and likewise [k, m] on B
+    a_parts = ch_tilde.a_ops.reshape(n, da, da_anc, da, da_anc)[..., 0].transpose(0, 2, 1, 3)
+    b_parts = ch_tilde.b_ops.reshape(n, db, db_anc, db, db_anc)[..., 0].transpose(0, 2, 1, 3)
+    # one pair per (k, l, m), in that order
+    shape = (n, da_anc, db_anc)
     reduced = ProductKrausChannel(
-        tuple(pairs),
+        tuple(zip(np.broadcast_to(a_parts[:, :, None], shape + (da, da)).reshape(-1, da, da),
+                  np.broadcast_to(b_parts[:, None], shape + (db, db)).reshape(-1, db, db))),
         ch_tilde.a_in_dims[:-1],
         ch_tilde.b_in_dims[:-1],
     )

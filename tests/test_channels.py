@@ -112,6 +112,17 @@ def test_dephasing_channel_partial():
     assert np.abs(out.mat - expected).max() < 1e-12
 
 
+def test_dephasing_channel_on_second_subsystem():
+    channel = dephasing_channel((2, 3), (1,))
+    expected = [np.kron(np.eye(2), np.diag(np.eye(3)[j])) for j in range(3)]
+    assert len(channel.ops) == 3
+    for op, ref in zip(channel.ops, expected):
+        assert np.array_equal(op, ref)
+    rho = random_density((2, 3), 6, 2)
+    mask = np.kron(np.ones((2, 2)), np.eye(3))
+    assert np.abs(channel.apply(rho).mat - rho.mat * mask).max() < 1e-12
+
+
 def test_instrument_on_bell_measured_pure_state():
     # Bell measurement instrument on a random two-qubit pure state:
     # probabilities sum to one, each post-state is pure.
@@ -220,6 +231,31 @@ def _random_product_channel(seed):
     inv_sqrt = (gv / np.sqrt(gw)) @ gv.conj().T
     pairs = tuple((a, r @ inv_sqrt) for a in a_ops for r in raws)
     return ProductKrausChannel(pairs, (2,), (3,), (3,), (2,))
+
+
+def test_product_channel_completeness_is_joint():
+    # A: 2 -> 3 and B: 3 -> 2 with pairs (s_k |w_k><k|, R_r / s_k): the Gram
+    # sum is sum_k |k><k| (x) sum_r R_r'R_r = 1, but neither party's sum is
+    # (8 |0><0| + 0.5 |1><1| on A, 4.25 on B)
+    rng = np.random.default_rng(34)
+    scales = (2.0, 0.5)
+    raws = [rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)) for _ in range(2)]
+    gw, gv = np.linalg.eigh(sum(r.conj().T @ r for r in raws))
+    b_parts = [r @ (gv / np.sqrt(gw)) @ gv.conj().T for r in raws]
+    pairs = []
+    for k, s in enumerate(scales):
+        w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        a_op = s * np.outer(w / np.linalg.norm(w), np.eye(2)[k])
+        pairs.extend((a_op, b / s) for b in b_parts)
+    channel = ProductKrausChannel(tuple(pairs), (2,), (3,), (3,), (2,))
+    a_sum = sum(a.conj().T @ a for a, _ in channel.pairs)
+    b_sum = sum(b.conj().T @ b for _, b in channel.pairs)
+    assert np.abs(a_sum - np.diag([8.0, 0.5])).max() < 1e-12
+    assert np.abs(b_sum - 4.25 * np.eye(3)).max() < 1e-12
+    moved = [(a, b.copy()) for a, b in pairs]
+    moved[0][1][0, 0] += 1e-6
+    with pytest.raises(IncompleteChannelError):
+        ProductKrausChannel(tuple(moved), (2,), (3,), (3,), (2,))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -455,6 +491,58 @@ def test_apply_validates_one_state_and_checks_no_incoherence(monkeypatch):
     counts["states"] = 0
     assert len(protocol.run(rho)) == 729
     assert counts["checks"] == 0
+
+
+def _depth_first_reference(node, mat, prob, transcript, a_dims, b_dims):
+    """One branch at a time, depth first, with Kronecker-embedded operators:
+    (probability, normalized state, transcript) per leaf, a branch pruned
+    at 1e-12 of its parent's probability."""
+    if node is None:
+        return [(prob, mat / prob, transcript)]
+    leaves = []
+    for outcome, op in enumerate(node.instrument.ops):
+        if node.party == "A":
+            emb = np.kron(op, np.eye(math.prod(b_dims)))
+        else:
+            emb = np.kron(np.eye(math.prod(a_dims)), op)
+        post = emb @ mat @ emb.conj().T
+        p = np.trace(post).real
+        if p > 1e-12 * prob:
+            branch = None if node.branches is None else node.branches[outcome]
+            leaves += _depth_first_reference(branch, post, p, transcript + ((node.party, outcome),),
+                                             a_dims, b_dims)
+    return leaves
+
+
+def test_expansion_steps_each_round_once_on_a_stack(monkeypatch):
+    import coherlab.channels as channels_module
+
+    # three rounds of qutrit A and B instruments with three outcomes: 52
+    # distinct rounds (1 + 3 + 3 + 9 + 9 + 27), 1092 operator branches
+    protocol = random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3)
+    product = _random_product_channel(31)
+    rho = random_density((3, 3), 9, 8)
+    calls = {"apply_local": 0}
+    apply_local = channels_module.apply_local
+
+    def counting_apply_local(*args, **kwargs):
+        calls["apply_local"] += 1
+        return apply_local(*args, **kwargs)
+
+    monkeypatch.setattr(channels_module, "apply_local", counting_apply_local)
+    protocol.apply(rho)
+    assert calls["apply_local"] == 52
+    calls["apply_local"] = 0
+    product.apply(random_density((2, 3), 6, 9))
+    assert calls["apply_local"] == 2
+
+    leaves = protocol.run(rho)
+    reference = _depth_first_reference(protocol.root, rho.mat, 1.0, (), (3,), (3,))
+    assert len(leaves) == len(reference) == 729
+    assert [t for _, _, t in leaves] == [t for _, _, t in reference]
+    for (p, state, _), (p_ref, mat_ref, _) in zip(leaves, reference):
+        assert abs(p - p_ref) < 1e-12
+        assert np.abs(state.mat - mat_ref).max() < 1e-10
 
 
 def test_protocol_transcripts_record_outcomes():

@@ -257,6 +257,9 @@ MALFORMED_INPUTS = {
         '{"kind": "pure", "dims": [2], "matrix": [[1, 0], [0, 0]]}',
     ),
     "ancilla-reduce-with-builtin": (["protocol", "ancilla-reduce", "--builtin", "bell"], None),
+    "steer-empty-builtin": (["protocol", "steer", "--builtin", ""], None),
+    "distill-mc-empty-state": (["protocol", "distill-mc", "--state", ""], None),
+    "distill-pure-empty-builtin": (["protocol", "distill-pure", "--builtin", ""], None),
 }
 
 

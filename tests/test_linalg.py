@@ -196,10 +196,31 @@ def test_apply_local_matches_kronecker_embedding(rng, before, after, shape):
     assert out.shape == (before * p * after,) * 2
     assert np.abs(out - embedded @ m @ embedded.conj().T).max() < 1e-12
 
+    def kronecker(mat, op):
+        emb = np.kron(np.kron(np.eye(before), op), np.eye(after))
+        return emb @ mat @ emb.conj().T
+
+    # stacked inputs broadcast over their leading axes
+    ks = rng.standard_normal((3,) + shape) + 1j * rng.standard_normal((3,) + shape)
+    ms = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+    cases = [
+        (apply_local(m, ks, before, after), [kronecker(m, op) for op in ks]),
+        (apply_local(ms, k, before, after), [kronecker(mat, k) for mat in ms]),
+        (apply_local(ms, ks, before, after), [kronecker(mat, op) for mat, op in zip(ms, ks)]),
+        (apply_local(ms, ks[:, None], before, after).reshape(9, *out.shape),
+         [kronecker(mat, op) for op in ks for mat in ms]),
+    ]
+    for stacked, expected in cases:
+        assert stacked.shape == (len(expected),) + out.shape
+        for got, ref in zip(stacked, expected):
+            assert np.abs(got - ref).max() < 1e-12
+
 
 def test_apply_local_rejects_wrong_order():
     with pytest.raises(DimensionMismatchError):
         apply_local(np.eye(6), np.eye(2), before=2, after=2)
+    with pytest.raises(DimensionMismatchError):
+        apply_local(np.eye(6), np.stack([np.eye(2)] * 3), before=2, after=2)
 
 
 # ---------------------------------------------------------------------------
