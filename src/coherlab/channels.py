@@ -155,12 +155,9 @@ class KrausChannel:
 
     def apply(self, rho: DensityMatrix, at: int | None = None) -> DensityMatrix:
         """Summed channel output sum_l K_l rho K_l', acting on the whole
-        state or on the block of subsystems starting at ``at``.  Outputs are
-        added one operator at a time: a stack of all post-states would hold
-        n copies of a possibly large state."""
+        state or on the block of subsystems starting at ``at``."""
         before, after, dims = self._place(rho, at)
-        out = sum(apply_local(rho.mat, op, before, after) for op in self.ops)
-        return DensityMatrix(out, dims)
+        return DensityMatrix(apply_local(rho.mat, self.ops, before, after).sum(axis=0), dims)
 
     def apply_instrument(self, rho: DensityMatrix,
                          at: int | None = None) -> list[InstrumentOutcome]:
@@ -476,14 +473,19 @@ class LocalProtocol:
             raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
         return mats, probs, transcripts
 
+    def _leaves(self, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, list]:
+        """``_branches`` with the leaves in depth-first order."""
+        mats, probs, transcripts = self._branches(rho)
+        order = _depth_first(transcripts)
+        return mats[order], probs[order], [transcripts[i] for i in order]
+
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
         """Depth-first expansion of the script: one (probability, state,
         transcript) per leaf, the transcript recording (party, outcome) per
         round."""
-        mats, probs, transcripts = self._branches(rho)
-        probs = probs.tolist()
-        return [(probs[i], DensityMatrix(mats[i] / probs[i], self.dims), transcripts[i])
-                for i in _depth_first(transcripts)]
+        mats, probs, transcripts = self._leaves(rho)
+        return [(p, DensityMatrix(m / p, self.dims), t)
+                for m, p, t in zip(mats, probs.tolist(), transcripts)]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """The protocol as a deterministic channel: the sum of the

@@ -431,7 +431,7 @@ def reference_rows(seed: int = 0) -> list[dict]:
     """Every built-in closed-form reference value, with tolerances."""
     bell = st.bell_states()[0].to_density()
     witness = pr.merging_witness()
-    vecs = np.array([psi.vec for psi in st.domino_states().states])
+    vecs = np.array([psi.vec for psi in pr._DOMINO.states])
     channel = pr.domino_discrimination_channel()
     rng = np.random.default_rng(seed)
     table = [  # (name, value, expected, tolerance)

@@ -29,14 +29,12 @@ from .exceptions import (
 TOL_HERM = 1e-9
 TOL_TRACE = 1e-9
 TOL_PSD = 1e-9
-TOL_RECON = 1e-10
 TOL_KERNEL_MASS = 1e-9
 
 __all__ = [
     "TOL_HERM",
     "TOL_TRACE",
     "TOL_PSD",
-    "TOL_RECON",
     "TOL_KERNEL_MASS",
     "DensityMatrix",
     "PureState",

@@ -113,25 +113,10 @@ class SteeringWitness:
             raise InvalidStateError("steering operator must be incoherent")
 
 
-def _bob_fidelity(state: DensityMatrix, psi: PureState, bob_index: int) -> float:
-    bob = partial_trace(state, {bob_index})
-    return float(np.real(psi.vec.conj() @ bob.mat @ psi.vec))
-
-
-def incoherent_teleport(psi: PureState) -> ProtocolResult:
-    """Teleport an unknown qubit using one maximally entangled pair and two
-    classical bits, with both parties restricted to incoherent instruments.
-
-    Subsystem order is (A', A, B): A' carries the input, (A, B) the shared
-    pair.  Alice's four Kraus operators |00><phi_i| are incoherent in her
-    two-qubit basis; Bob's corrections are Pauli operators.  Every branch
-    has probability 1/4 and leaves Bob holding the input state exactly.
-    """
-    if psi.dims != (2,):
-        raise DimensionMismatchError("teleportation input must be a single qubit")
-    pair = bell_states()[0]
-    total = psi.tensor(pair)
-
+def _teleport_script() -> LocalProtocol:
+    """The LICC teleportation script on (A', A, B): Alice's four operators
+    |00><phi_i|, incoherent in her two-qubit basis, then Bob's Pauli
+    correction for each outcome."""
     zero2 = np.kron(ket(0, 2), ket(0, 2))
     alice_ops = tuple(np.outer(zero2, phi.vec.conj()) for phi in bell_states())
     alice = KrausChannel(alice_ops, (2, 2), (2, 2))
@@ -145,20 +130,53 @@ def incoherent_teleport(psi: PureState) -> ProtocolResult:
         ProtocolRound("B", KrausChannel((corr,), (2,), (2,)), None)
         for corr in corrections
     )
-    protocol = LocalProtocol(
+    return LocalProtocol(
         a_dims=(2, 2),
         b_dims=(2,),
         root=ProtocolRound("A", alice, branches),
         incoherent_parties=frozenset({"A", "B"}),
     )
-    leaves = protocol.run(total.to_density())
-    fidelities = [_bob_fidelity(state, psi, 2) for _, state, _ in leaves]
+
+
+# Neither the shared pair nor the script depends on the input qubit.
+_TELEPORT_PAIR = bell_states()[0]
+_TELEPORT = _teleport_script()
+
+
+def _teleport_branches(psi: PureState) -> tuple[np.ndarray, np.ndarray, list, list[float]]:
+    """Teleport psi: the unnormalized leaf states, their probabilities and
+    transcripts in depth-first order, and Bob's fidelity with psi on each
+    leaf.  The input is the one state validated; each fidelity is read
+    from the normalized leaf with A and then A' traced out, as
+    ``partial_trace`` does."""
+    if psi.dims != (2,):
+        raise DimensionMismatchError("teleportation input must be a single qubit")
+    mats, probs, transcripts = _TELEPORT._leaves(psi.tensor(_TELEPORT_PAIR).to_density())
+    bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
+    bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
+    fidelities = [float(np.real(psi.vec.conj() @ bob @ psi.vec)) for bob in bobs]
+    return mats, probs, transcripts, fidelities
+
+
+def incoherent_teleport(psi: PureState) -> ProtocolResult:
+    """Teleport an unknown qubit using one maximally entangled pair and two
+    classical bits, with both parties restricted to incoherent instruments.
+
+    Subsystem order is (A', A, B): A' carries the input, (A, B) the shared
+    pair.  Alice's four Kraus operators |00><phi_i| are incoherent in her
+    two-qubit basis; Bob's corrections are Pauli operators.  Every branch
+    has probability 1/4 and leaves Bob holding the input state exactly.
+    """
+    mats, probs, transcripts, fidelities = _teleport_branches(psi)
+    probs = probs.tolist()
+    leaves = [(p, DensityMatrix(m / p, _TELEPORT.dims), t)
+              for m, p, t in zip(mats, probs, transcripts)]
     metrics = {
         "min_fidelity": min(fidelities),
         "mean_fidelity": float(np.mean(fidelities)),
-        "max_probability_error": max(abs(p - 0.25) for p, _, _ in leaves),
+        "max_probability_error": max(abs(p - 0.25) for p in probs),
     }
-    return ProtocolResult(tuple(leaves), metrics, details={"protocol": protocol})
+    return ProtocolResult(tuple(leaves), metrics, details={"protocol": _TELEPORT})
 
 
 def _ensemble_average(ensemble) -> np.ndarray:
@@ -254,14 +272,9 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
         u = np.asarray(u, dtype=complex)
         mat = apply_local(mat, u.conj().T, after=d)
     # Coefficients on the |ii> subspace must reproduce the state.
-    coeffs = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            coeffs[i, j] = mat[i * d + i, j * d + j]
+    block = np.ix_(np.arange(d) * (d + 1), np.arange(d) * (d + 1))  # rows and columns |ii>
     rebuilt = np.zeros_like(mat)
-    for i in range(d):
-        for j in range(d):
-            rebuilt[i * d + i, j * d + j] = coeffs[i, j]
+    rebuilt[block] = mat[block]
     residual = trace_norm(mat - rebuilt)
     if residual > 1e-9:
         raise NotMaximallyCorrelatedError(
@@ -417,7 +430,7 @@ def domino_discrimination_channel() -> ProductKrausChannel:
     """Separable incoherent channel whose outcome pairs are
     (|i><alpha_i|, |i><beta_i|): it identifies the nine domino states and
     records the result in an incoherent flag on each side."""
-    return _discrimination_channel(domino_states())
+    return _DOMINO_CHANNEL
 
 
 def _discrimination_channel(family: DominoFamily) -> ProductKrausChannel:
@@ -429,16 +442,19 @@ def _discrimination_channel(family: DominoFamily) -> ProductKrausChannel:
     return ProductKrausChannel(tuple(pairs), (3,), (3,), (9,), (9,))
 
 
+# The family and its channel are fixed, so they are built and certified once.
+_DOMINO = domino_states()
+_DOMINO_CHANNEL = _discrimination_channel(_DOMINO)
+
+
 def discriminate_domino(input_index: int) -> ProtocolResult:
     """Run the domino discrimination channel on the chosen domino state
     (1-based index).  The matching outcome fires with probability one and
     leaves the flag state |jj>."""
     if not 1 <= input_index <= 9:
         raise DimensionMismatchError(f"input index must be 1..9, got {input_index}")
-    family = domino_states()
-    channel = _discrimination_channel(family)
-    state = family.states[input_index - 1].to_density()
-    outcomes = channel.apply_instrument(state)
+    channel = _DOMINO_CHANNEL
+    outcomes = channel.apply_instrument(_DOMINO.states[input_index - 1].to_density())
     leaves = tuple((o.probability, o.state, (("AB", o.outcome),)) for o in outcomes)
     target = input_index - 1
     p_correct = sum(o.probability for o in outcomes if o.outcome == target)
@@ -468,12 +484,14 @@ def _merge_channel() -> KrausChannel:
     """The explicit SQI merge on Alice's and Bob's shares (A, B) -> (A, A', B):
     K_i = |alpha_i><alpha_i| x |beta_i>_A' x |0><beta_i|, one operator per
     domino state, complete because sum_i P_alpha_i x P_beta_i = 1."""
-    family = domino_states()
     ops = []
-    for alpha, beta in zip(family.alpha_parts, family.beta_parts):
+    for alpha, beta in zip(_DOMINO.alpha_parts, _DOMINO.beta_parts):
         store = np.kron(beta[:, None], np.outer(ket(0, 3), beta.conj()))
         ops.append(np.kron(np.outer(alpha, alpha.conj()), store))
     return KrausChannel(tuple(ops), (3, 3), (3, 3, 3))
+
+
+_MERGE = _merge_channel()
 
 
 def merging_witness() -> MergingWitnessResult:
@@ -489,7 +507,9 @@ def merging_witness() -> MergingWitnessResult:
     K_ij = |alpha_i><alpha_i| x |beta_i><j| x |0><beta_i|; since
     <j|0> = delta_j0, those with j != 0 annihilate that input, and the
     nine left are the ones applied here.  The check is that the final
-    (R, A, A') state reproduces the input with B relabeled to A'.
+    (R, A, A') state reproduces the input with B relabeled to A'.  Each
+    operator's 243-dim (R, A, A', B) post-state has B traced out as soon
+    as it is made, so only the 81-dim sum is held and validated.
     """
     rho = merging_state()
     split_r_ab = Bipartition(a=(0,), b=(1, 2))
@@ -503,8 +523,11 @@ def merging_witness() -> MergingWitnessResult:
         "qi_relative_entropy", val_rb_a, {"state": "merging", "split": "RB|A"}
     )
 
-    final = _merge_channel().apply(rho, at=1)
-    final_raa = partial_trace(final, {0, 1, 2})
+    final_raa = DensityMatrix(
+        sum(apply_local(rho.mat, op, before=9).reshape(81, 3, 81, 3).trace(axis1=1, axis2=3)
+            for op in _MERGE.ops),
+        (9, 3, 3),
+    )
     residual = trace_norm(final_raa.mat - rho.mat)
 
     return MergingWitnessResult(

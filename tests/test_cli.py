@@ -458,6 +458,23 @@ def test_reproduce_csv_format(runner):
     assert all(line.endswith("pass") for line in lines[1:])
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("fmt,seed,name", [
+    ("json", 0, "reproduce_json_seed0.json"),
+    ("json", 9, "reproduce_json_seed9.json"),
+    ("csv", 3, "reproduce_csv_seed3.csv"),
+])
+def test_reproduce_prints_golden_bytes(runner, fmt, seed, name):
+    # the files hold the output of an earlier, unoptimized reproduce; a
+    # faster route must print the same bytes
+    result = runner.invoke(main, ["reproduce", "--format", fmt, "--seed", str(seed)])
+    assert result.exit_code == 0
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert result.output == fh.read()
+
+
 def test_suite_runs_clean(runner):
     for name in ("monotonicity", "steering", "closed-form", "continuity",
                  "reductions", "chain"):

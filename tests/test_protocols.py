@@ -112,6 +112,32 @@ def test_teleport_total_channel_is_identity_on_operator_basis():
         assert np.abs(avg - np.outer(vec, vec.conj())).max() < 1e-10
 
 
+def test_teleport_trial_builds_only_its_input_state(monkeypatch):
+    import coherlab.checks as checks
+    import coherlab.protocols as protocols
+    import coherlab.states as states
+
+    calls = {"bell": 0, "density": 0}
+
+    def counted_bell(fn):
+        def wrapper(*args, **kwargs):
+            calls["bell"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    post_init = DensityMatrix.__post_init__
+
+    def counted_post_init(self):
+        calls["density"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(protocols, "bell_states", counted_bell(protocols.bell_states))
+    monkeypatch.setattr(states, "bell_states", counted_bell(states.bell_states))
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    assert checks.teleport_fidelity(np.random.default_rng(7)) >= 1 - 1e-9
+    assert calls == {"bell": 0, "density": 1}
+
+
 # ---------------------------------------------------------------------------
 # assisted distillation, pure states
 
@@ -460,7 +486,7 @@ def test_discriminate_domino_builds_family_and_channel_once(monkeypatch):
     monkeypatch.setattr(protocols, "ProductKrausChannel",
                         counted("channel", protocols.ProductKrausChannel))
     discriminate_domino(3)
-    assert calls == {"family": 1, "channel": 1}
+    assert calls == {"family": 0, "channel": 0}
 
 
 def test_domino_channel_completeness():
@@ -531,8 +557,9 @@ def test_merging_simulation_channel_is_sqi_not_si():
 
 
 def test_merging_witness_solves_one_full_order_eigenproblem(monkeypatch):
-    # only the validation of the 243-dim (R, A, A', B) output; no padded
-    # input is built or validated
+    # the 243-dim (R, A, A', B) post-states are traced down to (R, A, A')
+    # unvalidated; the largest eigenproblem is the 81-dim merge output or
+    # the 81-dim input
     orders = []
     for name in ("eigvalsh", "eigh"):
         solver = getattr(np.linalg, name)
@@ -543,5 +570,4 @@ def test_merging_witness_solves_one_full_order_eigenproblem(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     merging_witness()
-    assert orders.count(243) == 1
-    assert max(orders) == 243
+    assert max(orders) == 81
