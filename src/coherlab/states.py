@@ -140,10 +140,9 @@ def maximally_correlated(coeffs) -> DensityMatrix:
     except InvalidStateError as exc:
         raise InvalidCoefficientsError(f"coefficients are not a density matrix: {exc}") from exc
     d = base.dim
+    diag = np.arange(d) * (d + 1)  # row of |ii>
     mat = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            mat[i * d + i, j * d + j] = base.mat[i, j]
+    mat[np.ix_(diag, diag)] = base.mat
     return DensityMatrix(mat, (d, d))
 
 
@@ -194,8 +193,7 @@ def random_qi_state(dims, seed) -> DensityMatrix:
         g = _ginibre(rng, da, da)
         block = g @ g.conj().T
         block *= probs[j] / np.trace(block).real
-        proj = np.outer(ket(j, db), ket(j, db).conj())
-        mat += np.kron(block, proj)
+        mat[j::db, j::db] += block  # rows and columns with B label j
     return DensityMatrix(mat, (da, db))
 
 

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
+from coherlab import measures
 from coherlab.exceptions import BadSubsystemError, DimensionTooLargeError
 from coherlab.linalg import (
     DensityMatrix,
@@ -15,6 +17,7 @@ from coherlab.linalg import (
 from coherlab.measures import (
     Bipartition,
     MeasureReport,
+    ORACLE_BAD_VALUE,
     basis_dependent_discord,
     binary_entropy,
     c_r,
@@ -27,6 +30,7 @@ from coherlab.measures import (
     qi_relative_entropy_oracle,
     _assistance_objective,
     _qi_oracle_objective,
+    _qi_oracle_values,
 )
 from coherlab.states import (
     bell_states,
@@ -314,20 +318,76 @@ def central_difference_gradient(f, x, h=1e-6):
     return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
 
 
+def oracle_inputs(rho, da, db):
+    """rho's A-blocks per B label and -S(rho), as the oracle passes them."""
+    return np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db)), -von_neumann_entropy(rho)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_oracle_gradient_matches_central_differences(dims):
+    """The stacked objective's gradient matches central differences of the
+    summed value, and each start's slice is that start's gradient alone.
+    The middle start has an all-zero g_1, so sigma_1 = 0."""
     da, db = dims
+    n_params = db + 2 * db * da * da
     rng = np.random.default_rng(11)
     for rank in (da * db, 2):
         rho = random_density(dims, rank, int(rng.integers(2**31)))
-        blocks = np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db))
-        neg_entropy = -von_neumann_entropy(rho)
+        blocks, neg_entropy = oracle_inputs(rho, da, db)
         for _ in range(3):
-            x = rng.standard_normal(db + 2 * db * da * da)
-            _, grad = _qi_oracle_objective(x, blocks, neg_entropy)
+            x = rng.standard_normal((3, n_params))
+            x[1, db + 2 * da * da:db + 4 * da * da] = 0.0  # g_1 of the middle start
+            _, grad = _qi_oracle_objective(x.ravel(), blocks, neg_entropy)
             numeric = central_difference_gradient(
-                lambda y: _qi_oracle_objective(y, blocks, neg_entropy)[0], x)
+                lambda y: _qi_oracle_objective(y, blocks, neg_entropy)[0], x.ravel())
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
+            for start, grad_start in zip(x, grad.reshape(3, n_params)):
+                assert np.array_equal(grad_start, _qi_oracle_objective(start, blocks, neg_entropy)[1])
+
+
+@pytest.mark.parametrize("starts", [1, 8, 32])
+def test_oracle_solves_its_starts_in_one_minimize_call(monkeypatch, starts):
+    """One L-BFGS-B run per oracle call, from the starts drawn one after
+    another from default_rng(seed), and the result is the best start's
+    value where that run ends."""
+    runs = []
+
+    def recording_minimize(fun, x0, *args, **kwargs):
+        res = scipy_minimize(fun, x0, *args, **kwargs)
+        runs.append((x0.copy(), res.x))
+        return res
+
+    monkeypatch.setattr(measures, "minimize", recording_minimize)
+    da, db = 2, 3
+    rho = random_density((da, db), 3, 4)
+    value = qi_relative_entropy_oracle(rho, AB, starts=starts, seed=9)
+    assert len(runs) == 1
+    x0, x_end = runs[0]
+    rng = np.random.default_rng(9)
+    n_params = db + 2 * db * da * da
+    assert np.array_equal(x0, np.concatenate([rng.standard_normal(n_params) for _ in range(starts)]))
+    blocks, neg_entropy = oracle_inputs(rho, da, db)
+    assert value == _qi_oracle_values(x_end, blocks, neg_entropy)[0].min()
+
+
+def test_oracle_guard_is_per_start():
+    """A start whose value is not finite adds ORACLE_BAD_VALUE and a zero
+    gradient slice; the other starts keep their values and gradients."""
+    da, db = 2, 2
+    n_params = db + 2 * db * da * da
+    rho = random_density((da, db), 3, 2)
+    blocks, neg_entropy = oracle_inputs(rho, da, db)
+    x = np.random.default_rng(3).standard_normal((3, n_params))
+    x[1, db:] = 1e200  # G_j = g_j g_j^dagger overflows
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(_qi_oracle_values(x[1], blocks, neg_entropy)[0]).any()
+        value, grad = _qi_oracle_objective(x.ravel(), blocks, neg_entropy)
+    alone = [_qi_oracle_objective(x[s], blocks, neg_entropy) for s in (0, 2)]
+    assert value == pytest.approx(alone[0][0] + ORACLE_BAD_VALUE + alone[1][0], rel=1e-15)
+    grad = grad.reshape(3, n_params)
+    assert np.array_equal(grad[0], alone[0][1])
+    assert not grad[1].any()
+    assert np.array_equal(grad[2], alone[1][1])
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,16 @@ def test_maximally_correlated_entropy_identity():
     assert abs(lhs - rhs) < 1e-10
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_maximally_correlated_places_coefficients_at_ii_jj(d):
+    coeffs = random_density((d,), d, 7).mat
+    expected = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            expected[i * d + i, j * d + j] = coeffs[i, j]
+    assert maximally_correlated(coeffs).mat.tobytes() == expected.tobytes()
+
+
 def test_maximally_correlated_rejects_bad_coeffs():
     with pytest.raises(InvalidCoefficientsError):
         maximally_correlated(np.eye(2) * 0.9)
@@ -176,6 +186,22 @@ def test_random_qi_state_has_zero_qire():
     for seed in range(10):
         rho = random_qi_state((2, 3), seed)
         assert qi_relative_entropy(rho, Bipartition((0,), (1,))) < 1e-10
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (1, 3)])
+def test_random_qi_state_matches_kron_definition(dims):
+    # The same draws as the generator, then sum_j block_j x |j><j| by kron.
+    da, db = dims
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        probs = rng.dirichlet(np.ones(db))
+        expected = np.zeros((da * db, da * db), dtype=complex)
+        for j in range(db):
+            g = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
+            block = g @ g.conj().T
+            block *= probs[j] / np.trace(block).real
+            expected += np.kron(block, np.diag(np.eye(db)[j]))
+        assert random_qi_state(dims, seed).mat.tobytes() == expected.tobytes()
 
 
 def test_generators_deterministic():
