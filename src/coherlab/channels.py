@@ -219,23 +219,29 @@ class ProductKrausChannel:
         ops = [np.kron(a, b) for a, b in self.pairs]
         return KrausChannel(tuple(ops), self.in_dims, self.out_dims)
 
-    def _posts(self, rho: DensityMatrix) -> np.ndarray:
-        """The stack of (A_i x B_i) rho (A_i x B_i)', one party at a time:
-        every A_i acts on rho, then B_i on the i-th result, with B's block
-        after A's output dimension."""
+    def _input(self, rho: DensityMatrix) -> np.ndarray:
+        """rho's matrix, once its dims are checked against the input dims."""
         if rho.dims != self.in_dims:
             raise DimensionMismatchError(
                 f"state dims {rho.dims} != channel dims {self.in_dims}"
             )
+        return rho.mat
+
+    def _posts(self, mats: np.ndarray) -> np.ndarray:
+        """The stack of (A_i x B_i) M (A_i x B_i)', one party at a time:
+        every A_i acts on M, then B_i on the i-th result, with B's block
+        after A's output dimension.  M is one matrix of the input dims, or
+        a stack of one per pair, where the i-th pair acts on the i-th
+        matrix only."""
         d_a_out, d_b_in = math.prod(self.a_out_dims), math.prod(self.b_in_dims)
-        return apply_local(apply_local(rho.mat, self.a_ops, 1, d_b_in), self.b_ops, d_a_out, 1)
+        return apply_local(apply_local(mats, self.a_ops, 1, d_b_in), self.b_ops, d_a_out, 1)
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self._posts(rho).sum(axis=0), self.out_dims)
+        return DensityMatrix(self._posts(self._input(rho)).sum(axis=0), self.out_dims)
 
     def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
         """Per-pair outcomes as in ``KrausChannel.apply_instrument``."""
-        return _outcomes(self._posts(rho), self.out_dims)
+        return _outcomes(self._posts(self._input(rho)), self.out_dims)
 
 
 @dataclass(frozen=True)
@@ -357,10 +363,11 @@ def _merge(chunks: list) -> tuple[tuple[np.ndarray, ...], list]:
     return values, [t for _, ts in chunks for t in ts]
 
 
-def _depth_first(transcripts: list) -> list[int]:
+def _depth_first(keys: list) -> list[int]:
     """Leaf indices in depth-first order: outcomes are explored in order,
-    so that is the lexicographic order of the transcripts."""
-    return sorted(range(len(transcripts)), key=transcripts.__getitem__)
+    so that is the lexicographic order of the transcripts (or of keys that
+    end with them)."""
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,15 +428,16 @@ class LocalProtocol:
         transcripts), leaves in no fixed order.
 
         A value is a tuple of arrays with one leading entry per branch;
-        ``start`` is the root's single branch.  Each distinct round is
-        stepped once, on the stack of every branch that reaches it:
+        ``start`` holds the root's branches, one per input.  Each distinct
+        round is stepped once, on the stack of every branch that reaches it:
         ``step(values, party, ops)`` returns the outcome values, each array
         with leading axes (outcome, branch), and an (outcome, branch) mask
         of the branches to keep.  Kept branches move on to their outcome's
         continuation, where branches from every round that leads there are
         stacked together.  A transcript records (party, outcome) per round.
         """
-        arrived = {self.root: [(start, [()])]}  # round or None (leaf) -> chunks
+        # round or None (leaf) -> chunks
+        arrived = {self.root: [(start, [()] * len(start[0]))]}
         for node in self._rounds:
             chunks = arrived.pop(node, None)
             if chunks is None:  # every branch reaching this round was pruned
@@ -451,46 +459,53 @@ class LocalProtocol:
                 arrived.setdefault(nxt, []).append(chunk)
         return _merge(arrived[None])
 
-    def _branches(self, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, list]:
-        """(unnormalized post-states, probabilities, transcripts) of the
-        leaves, stacked.  A branch is pruned when its probability is
-        <= 1e-12 of its parent's; the leaf probabilities must sum to 1
-        within 1e-9."""
-        if rho.dims != self.dims:
-            raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
+    def _branches(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """(unnormalized post-states, probabilities, input indices,
+        transcripts) of the leaves of every input, stacked: all inputs are
+        expanded together, each round stepped once on the branches of every
+        input that reach it.  A leaf's input index is its position in
+        ``rhos``.  A branch is pruned when its probability is <= 1e-12 of
+        its parent's; each input's leaf probabilities must sum to 1 within
+        1e-9."""
+        for rho in rhos:
+            if rho.dims != self.dims:
+                raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
         # party -> dimension before and after its block
         placement = {"A": (1, math.prod(self.b_dims)), "B": (math.prod(self.a_dims), 1)}
 
         def step(values, party, ops):
-            mats, probs = values
+            mats, probs, inputs = values
             posts = apply_local(mats, ops[:, None], *placement[party])
             p = posts.trace(axis1=-2, axis2=-1).real
-            return (posts, p), ~(p <= OUTCOME_PRUNE_TOL * probs)
+            return (posts, p, np.broadcast_to(inputs, p.shape)), ~(p <= OUTCOME_PRUNE_TOL * probs)
 
-        (mats, probs), transcripts = self._expand((rho.mat[None], np.ones(1)), step)
-        total = probs.sum()
-        if abs(total - 1.0) > 1e-9:
-            raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
-        return mats, probs, transcripts
+        start = (np.stack([rho.mat for rho in rhos]), np.ones(len(rhos)), np.arange(len(rhos)))
+        (mats, probs, inputs), transcripts = self._expand(start, step)
+        totals = np.bincount(inputs, probs, minlength=len(rhos))
+        for total in totals:
+            if abs(total - 1.0) > 1e-9:
+                raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
+        return mats, probs, inputs, transcripts
 
-    def _leaves(self, rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray, list]:
-        """``_branches`` with the leaves in depth-first order."""
-        mats, probs, transcripts = self._branches(rho)
-        order = _depth_first(transcripts)
-        return mats[order], probs[order], [transcripts[i] for i in order]
+    def _leaves(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """``_branches`` with the leaves input by input and, within each
+        input, in depth-first order."""
+        mats, probs, inputs, transcripts = self._branches(*rhos)
+        order = _depth_first(list(zip(inputs.tolist(), transcripts)))
+        return mats[order], probs[order], inputs[order], [transcripts[i] for i in order]
 
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
         """Depth-first expansion of the script: one (probability, state,
         transcript) per leaf, the transcript recording (party, outcome) per
         round."""
-        mats, probs, transcripts = self._leaves(rho)
+        mats, probs, _, transcripts = self._leaves(rho)
         return [(p, DensityMatrix(m / p, self.dims), t)
                 for m, p, t in zip(mats, probs.tolist(), transcripts)]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """The protocol as a deterministic channel: the sum of the
         unnormalized leaf states, validated once."""
-        mats, _, _ = self._branches(rho)
+        mats, _, _, _ = self._branches(rho)
         return DensityMatrix(mats.sum(axis=0), self.dims)
 
     def to_product(self) -> ProductKrausChannel:
@@ -516,8 +531,10 @@ class LocalProtocol:
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
     """Random incoherent channel: each Kraus operator picks an injective
     column-target map (a permutation) with complex-Gaussian amplitudes, then
-    the family is completed.  Injective targets keep the normalizer diagonal
-    so completion preserves incoherence."""
+    the family is completed.  Injective targets make M = sum_l R_l' R_l
+    diagonal, holding each column's squared norm over the family, so
+    completion K_l = R_l M^{-1/2} rescales each column by the inverse root
+    of that norm and preserves incoherence."""
     dims = tuple(int(d) for d in dims)
     d = math.prod(dims)
     n = max(1, n_kraus)
@@ -528,12 +545,13 @@ def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
         perms, re, im = (np.array(x) for x in zip(*(
             (rng.permutation(d), rng.standard_normal(d), rng.standard_normal(d)) for _ in range(n)
         )))
-        raws = np.zeros((n, d, d), dtype=complex)
-        raws[np.arange(n)[:, None], perms, np.arange(d)] = re + 1j * im
-        try:
-            return complete_incoherent_kraus(raws, dims)
-        except SingularNormalizerError:
+        amps = re + 1j * im
+        colnorm2 = (re**2 + im**2).sum(axis=0)
+        if colnorm2.min() < 1e-12:
             continue
+        ops = np.zeros((n, d, d), dtype=complex)
+        ops[np.arange(n)[:, None], perms, np.arange(d)] = amps * (1.0 / np.sqrt(colnorm2))
+        return KrausChannel(ops, dims, dims)
     raise SingularNormalizerError("failed to draw a nonsingular incoherent family in 16 attempts")
 
 

@@ -23,11 +23,12 @@ from .linalg import DensityMatrix, partial_trace, relative_entropy, trace_norm, 
 AB = ms.Bipartition((0,), (1,))
 
 
-def teleport_fidelity(rng: np.random.Generator) -> float:
-    """Worst branch fidelity of incoherent teleportation of a Haar-random
-    qubit (ideally 1)."""
-    psi = st.random_pure((2,), rng.integers(2**63))
-    return min(pr._teleport_branches(psi)[3])
+def teleport_fidelity(rng: np.random.Generator, n: int = 1) -> float:
+    """Worst branch fidelity of incoherent teleportation of n Haar-random
+    qubits (ideally 1), all teleported through one stacked expansion; it
+    equals the worst of n single draws from the same generator."""
+    psis = [st.random_pure((2,), rng.integers(2**63)) for _ in range(n)]
+    return min(pr._teleport_branches(*psis)[3])
 
 
 def qi_increase(rho: DensityMatrix, protocol: ch.LocalProtocol) -> float:

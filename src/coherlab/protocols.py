@@ -143,18 +143,22 @@ _TELEPORT_PAIR = bell_states()[0]
 _TELEPORT = _teleport_script()
 
 
-def _teleport_branches(psi: PureState) -> tuple[np.ndarray, np.ndarray, list, list[float]]:
-    """Teleport psi: the unnormalized leaf states, their probabilities and
-    transcripts in depth-first order, and Bob's fidelity with psi on each
-    leaf.  The input is the one state validated; each fidelity is read
-    from the normalized leaf with A and then A' traced out, as
+def _teleport_branches(*psis: PureState) -> tuple[np.ndarray, np.ndarray, list, list[float]]:
+    """Teleport each input qubit, all of them through one stacked
+    expansion of the script: the unnormalized leaf states, their
+    probabilities and transcripts, input by input and depth-first within
+    each input, and Bob's fidelity with his leaf's input on each leaf.
+    The inputs are the only states validated; each fidelity is read from
+    the normalized leaf with A and then A' traced out, as
     ``partial_trace`` does."""
-    if psi.dims != (2,):
+    if any(psi.dims != (2,) for psi in psis):
         raise DimensionMismatchError("teleportation input must be a single qubit")
-    mats, probs, transcripts = _TELEPORT._leaves(psi.tensor(_TELEPORT_PAIR).to_density())
+    mats, probs, inputs, transcripts = _TELEPORT._leaves(
+        *(psi.tensor(_TELEPORT_PAIR).to_density() for psi in psis))
     bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
     bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
-    fidelities = [float(np.real(psi.vec.conj() @ bob @ psi.vec)) for bob in bobs]
+    fidelities = [float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
+                  for k, bob in zip(inputs.tolist(), bobs)]
     return mats, probs, transcripts, fidelities
 
 
@@ -466,6 +470,17 @@ def discriminate_domino(input_index: int) -> ProtocolResult:
         "sqi": float(flags.separable_quantum_incoherent),
     }
     return ProtocolResult(leaves, metrics, details={"channel": channel})
+
+
+def _domino_success_probabilities() -> np.ndarray:
+    """p_k = Tr[(A_k x B_k) rho_k (A_k x B_k)'] for the nine domino states
+    rho_k and the channel's matching pairs (A_k, B_k), in family order:
+    ``discriminate_domino(k + 1)``'s success probability without its
+    outcome states.  Each rho_k is validated; the nine inputs are one
+    stack, on which each party's operators act pair by pair, A_k on the
+    k-th input only."""
+    rhos = np.stack([psi.to_density().mat for psi in _DOMINO.states])
+    return _DOMINO_CHANNEL._posts(rhos).trace(axis1=-2, axis2=-1).real
 
 
 @dataclass(frozen=True, eq=False)

@@ -124,8 +124,9 @@ def merging_state() -> DensityMatrix:
     family = domino_states()
     mat = np.zeros((81, 81), dtype=complex)
     for i, psi in enumerate(family.states):
-        flag = np.outer(ket(i, 9), ket(i, 9).conj())
-        mat += np.kron(flag, np.outer(psi.vec, psi.vec.conj())) / 9.0
+        # |i><i| x psi psi' is psi psi' on the i-th diagonal block; adding
+        # it to the zeros turns its -0.0 imaginary parts into +0.0
+        mat[9 * i:9 * i + 9, 9 * i:9 * i + 9] += np.outer(psi.vec, psi.vec.conj()) / 9.0
     return DensityMatrix(mat, (9, 3, 3))
 
 

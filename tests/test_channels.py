@@ -378,6 +378,25 @@ def test_completion_property_over_500_seeds():
         assert channel.is_incoherent()
 
 
+def test_random_incoherent_channel_matches_completion_of_its_draws():
+    # the same draws as the generator, completed through M^{-1/2} by an
+    # eigendecomposition; the generator rescales columns in closed form
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        n = int(rng.integers(1, 4))
+        seed = int(rng.integers(2**63))
+        draw = np.random.default_rng(seed)
+        perms, re, im = (np.array(x) for x in zip(*(
+            (draw.permutation(d), draw.standard_normal(d), draw.standard_normal(d))
+            for _ in range(n)
+        )))
+        raws = np.zeros((n, d, d), dtype=complex)
+        raws[np.arange(n)[:, None], perms, np.arange(d)] = re + 1j * im
+        expected = complete_incoherent_kraus(raws, (d,)).ops
+        assert np.abs(random_incoherent_channel((d,), n, seed).ops - expected).max() <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # random channels
 
@@ -543,6 +562,43 @@ def test_expansion_steps_each_round_once_on_a_stack(monkeypatch):
     for (p, state, _), (p_ref, mat_ref, _) in zip(leaves, reference):
         assert abs(p - p_ref) < 1e-12
         assert np.abs(state.mat - mat_ref).max() < 1e-10
+
+
+def _assert_stacked_leaves_match_single(protocol, rhos):
+    mats, probs, inputs, transcripts = protocol._leaves(*rhos)
+    start = 0
+    for k, rho in enumerate(rhos):
+        one_mats, one_probs, one_inputs, one_transcripts = protocol._leaves(rho)
+        stop = start + len(one_probs)
+        assert inputs[start:stop].tolist() == [k] * len(one_probs)
+        assert one_inputs.tolist() == [0] * len(one_probs)
+        assert mats[start:stop].tobytes() == one_mats.tobytes()
+        assert probs[start:stop].tobytes() == one_probs.tobytes()
+        assert transcripts[start:stop] == one_transcripts
+        start = stop
+    assert start == len(probs)
+
+
+def test_stacked_leaves_equal_single_input_expansions():
+    protocol = random_sqi_channel((2,), (3,), 2, 17)
+    rhos = [random_density((2, 3), rank, 40 + rank) for rank in range(1, 6)]
+    _assert_stacked_leaves_match_single(protocol, rhos)
+
+
+def test_stacked_leaves_prune_each_input_on_its_own():
+    # A measures projectively in its incoherent basis, then B applies a
+    # random incoherent instrument.  An incoherent input with A in |0> or
+    # |1> prunes the other A outcome; the mixed inputs keep both.
+    b_round = ProtocolRound("B", random_incoherent_channel((2,), 2, 3))
+    protocol = LocalProtocol((2,), (2,), ProtocolRound("A", dephasing_channel((2,)),
+                                                       (b_round, b_round)),
+                             incoherent_parties=frozenset({"A", "B"}))
+    diag = [DensityMatrix(np.diag(p).astype(complex), (2, 2))
+            for p in ([1, 0, 0, 0], [0, 0, 0.4, 0.6], [0.25] * 4)]
+    rhos = [diag[0], random_density((2, 2), 4, 1), diag[1], diag[2], random_density((2, 2), 2, 2)]
+    _, _, inputs, _ = protocol._leaves(*rhos)
+    assert np.bincount(inputs).tolist() == [2, 4, 2, 4, 4]
+    _assert_stacked_leaves_match_single(protocol, rhos)
 
 
 def test_protocol_transcripts_record_outcomes():

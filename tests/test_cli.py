@@ -450,6 +450,38 @@ def test_reference_rows_all_pass():
     assert all(r["status"] == "pass" for r in rows)
 
 
+def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
+    # the 20 teleports are one 5-round expansion, the 9 domino inputs one
+    # pair of stacked local actions and the merge its 9 operators; only the
+    # merging state and the merge output are validated at order 81
+    import coherlab.channels as channels
+    import coherlab.linalg as linalg
+    import coherlab.protocols as protocols
+
+    calls = {"apply_local": 0}
+    orders = []
+    apply_local = linalg.apply_local
+
+    def counted_apply_local(*args, **kwargs):
+        calls["apply_local"] += 1
+        return apply_local(*args, **kwargs)
+
+    for module in (linalg, channels, protocols):
+        monkeypatch.setattr(module, "apply_local", counted_apply_local)
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            orders.append(np.shape(a)[-1])
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    reference_rows(seed=0)
+    assert calls["apply_local"] == 16
+    assert orders.count(81) == 2
+    assert max(orders) == 81
+
+
 def test_reproduce_csv_format(runner):
     result = runner.invoke(main, ["reproduce", "--format", "csv"])
     assert result.exit_code == 0
@@ -463,8 +495,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 @pytest.mark.parametrize("fmt,seed,name", [
     ("json", 0, "reproduce_json_seed0.json"),
+    ("json", 1, "reproduce_json_seed1.json"),
+    ("json", 2, "reproduce_json_seed2.json"),
+    ("json", 4, "reproduce_json_seed4.json"),
     ("json", 9, "reproduce_json_seed9.json"),
     ("csv", 3, "reproduce_csv_seed3.csv"),
+    ("pretty", 0, "reproduce_pretty_seed0.txt"),
 ])
 def test_reproduce_prints_golden_bytes(runner, fmt, seed, name):
     # the files hold the output of an earlier, unoptimized reproduce; a

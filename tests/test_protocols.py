@@ -137,6 +137,32 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
     assert checks.teleport_fidelity(np.random.default_rng(7)) >= 1 - 1e-9
     assert calls == {"bell": 0, "density": 1}
 
+    # n inputs: one validation each, and the five rounds of the script
+    # stepped once on the stack of all of them
+    import coherlab.channels as channels
+
+    calls.update(density=0, apply_local=0)
+    apply_local_ = channels.apply_local
+
+    def counted_apply_local(*args, **kwargs):
+        calls["apply_local"] += 1
+        return apply_local_(*args, **kwargs)
+
+    monkeypatch.setattr(channels, "apply_local", counted_apply_local)
+    assert checks.teleport_fidelity(np.random.default_rng(7), 20) >= 1 - 1e-9
+    assert calls == {"bell": 0, "density": 20, "apply_local": 5}
+
+
+def test_stacked_teleport_trial_equals_single_draws():
+    import coherlab.checks as checks
+
+    for seed in range(50):
+        stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = checks.teleport_fidelity(stacked_rng, 20)
+        single = min(checks.teleport_fidelity(single_rng) for _ in range(20))
+        assert stacked == single
+        assert stacked_rng.integers(2**63) == single_rng.integers(2**63)
+
 
 # ---------------------------------------------------------------------------
 # assisted distillation, pure states
@@ -469,6 +495,14 @@ def test_domino_discrimination_identifies_every_state():
         expected = np.zeros((81, 81), dtype=complex)
         expected[j * 9 + j, j * 9 + j] = 1.0
         assert np.abs(state.mat - expected).max() < 1e-9
+
+
+def test_domino_success_probabilities_equal_discrimination_runs():
+    from coherlab.protocols import _domino_success_probabilities
+
+    values = _domino_success_probabilities()
+    assert values.tolist() == [discriminate_domino(i).metrics["success_probability"]
+                               for i in range(1, 10)]
 
 
 def test_discriminate_domino_builds_family_and_channel_once(monkeypatch):

@@ -111,6 +111,26 @@ def test_merging_state_qire_value():
     assert abs(qi_relative_entropy(rho, Bipartition((0,), (1, 2))) - 8 / 9) < 1e-9
 
 
+def test_merging_state_matches_kron_definition(monkeypatch):
+    # sum_i |i><i| x psi_i psi_i' / 9 by kron, byte for byte, with the
+    # 81-dim state validated once
+    family = domino_states()
+    expected = np.zeros((81, 81), dtype=complex)
+    for i, psi in enumerate(family.states):
+        flag = np.outer(ket(i, 9), ket(i, 9).conj())
+        expected += np.kron(flag, np.outer(psi.vec, psi.vec.conj())) / 9.0
+    orders = []
+    post_init = DensityMatrix.__post_init__
+
+    def counted_post_init(self):
+        orders.append(np.shape(self.mat)[-1])
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    assert merging_state().mat.tobytes() == expected.tobytes()
+    assert orders == [81]
+
+
 def test_maximally_correlated_bell_case():
     psi2 = maximally_coherent(2)
     rho = maximally_correlated(np.outer(psi2.vec, psi2.vec.conj()))
