@@ -26,7 +26,6 @@ from .linalg import (
     partial_trace,
     permute_subsystems,
     relative_entropy,
-    tensor_product,
     trace_norm,
     von_neumann_entropy,
 )
@@ -39,7 +38,6 @@ from .measures import (
     coherence_of_assistance,
     continuity_bound,
     dephase,
-    distillable_coherence,
     mutual_information,
     qi_relative_entropy,
     qi_relative_entropy_oracle,

@@ -233,8 +233,11 @@ def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
     else:
         click.echo(text, nl=not text.endswith("\n"))
 

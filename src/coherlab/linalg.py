@@ -39,7 +39,6 @@ __all__ = [
     "DensityMatrix",
     "PureState",
     "eig_hermitian",
-    "tensor_product",
     "partial_trace",
     "apply_local",
     "permute_subsystems",
@@ -95,11 +94,6 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     return w[::-1].copy(), v[:, ::-1].copy()
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (subsystem dims concatenate)."""
-    return np.kron(_to_matrix(a), _to_matrix(b))
 
 
 def trace_norm(m) -> float:

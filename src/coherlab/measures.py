@@ -1,9 +1,12 @@
 """Scalar coherence and correlation quantifiers.
 
 Dephasing maps, relative entropy of coherence, the quantum-incoherent (QI)
-relative entropy in closed form and as a small-scale minimization oracle,
-basis-dependent discord, mutual information, coherence of assistance, and
-the trace-distance continuity bound.  All values are in bits.
+relative entropy in closed form and as a small-scale minimization oracle
+(solved by the numpy L-BFGS ``minimize``), basis-dependent discord, mutual
+information, coherence of assistance, and the trace-distance continuity
+bound.  All values are in bits.  The module needs numpy only: a solver
+that needs scipy must import it inside the function that uses it, so that
+``import coherlab`` never loads scipy.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .exceptions import (
     BadSubsystemError,
@@ -37,7 +40,6 @@ __all__ = [
     "binary_entropy",
     "dephase",
     "c_r",
-    "distillable_coherence",
     "qi_relative_entropy",
     "qi_relative_entropy_oracle",
     "mutual_information",
@@ -181,10 +183,6 @@ def c_r(rho: DensityMatrix) -> float:
     return _finalize(value, "relative entropy of coherence")
 
 
-# The distillable coherence coincides with c_r for every state.
-distillable_coherence = c_r
-
-
 def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
     """Relative-entropy distance to the quantum-incoherent set for the A|B
     split, in closed form: S(dephase_B(rho)) - S(rho).  S(dephase_B(rho))
@@ -203,6 +201,68 @@ ORACLE_MAX_DIM = 16
 # Value the objective gives a start whose value or gradient is not finite;
 # that start's gradient slice is zero.
 ORACLE_BAD_VALUE = 1e6
+# L-BFGS run of the oracle, with scipy's L-BFGS-B defaults: iteration cap,
+# curvature pairs kept, and the stops on the relative decrease of the value
+# and on max |gradient|.
+ORACLE_MAX_ITER = 200
+ORACLE_HISTORY = 10
+ORACLE_FTOL = 2.220446049250313e-09
+ORACLE_GTOL = 1e-5
+
+
+class MinimizeResult(NamedTuple):
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+
+
+def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, ftol=ORACLE_FTOL, gtol=ORACLE_GTOL) -> MinimizeResult:
+    """Unconstrained L-BFGS on ``fun(x, *args) -> (value, gradient)``.
+
+    The direction comes from the two-loop recursion over the last
+    ORACLE_HISTORY curvature pairs (s, y), with the initial inverse Hessian
+    scaled by s.y / y.y of the newest pair; a pair with s.y <= 1e-10 y.y is
+    not kept.  Each step starts at length 1 (1 / max|g| on the first) and
+    is halved until the Armijo condition f(x + t d) <= f(x) + 1e-4 t g.d
+    holds.  Stops once max|g| <= ``gtol``, once a step lowers the value by
+    at most ``ftol`` relative to max(|f|, |f_new|, 1), after ``maxiter``
+    iterations, or when no step lowers the value.  The value never rises
+    above fun(x0)."""
+    x = np.array(x0, dtype=float)
+    f, g = fun(x, *args)
+    nit, nfev, pairs = 0, 1, []
+    while nit < maxiter and np.abs(g).max() > gtol:
+        q, alphas = g.copy(), []
+        for s, y, r in reversed(pairs):
+            alphas.append(r * (s @ q))
+            q -= alphas[-1] * y
+        if pairs:
+            s, y, _ = pairs[-1]
+            q *= (s @ y) / (y @ y)
+        else:
+            q /= np.abs(g).max()
+        for (s, y, r), alpha in zip(pairs, reversed(alphas)):
+            q += (alpha - r * (y @ q)) * s
+        slope, step = -(g @ q), 1.0
+        while True:
+            x_new = x - step * q
+            f_new, g_new = fun(x_new, *args)
+            nfev += 1
+            if f_new <= f + 1e-4 * step * slope:
+                break
+            step *= 0.5
+            if step < 1e-20:
+                return MinimizeResult(x, f, nit, nfev)
+        s, y = x_new - x, g_new - g
+        if s @ y > 1e-10 * (y @ y):
+            pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-ORACLE_HISTORY:]
+        nit += 1
+        done = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        x, f, g = x_new, f_new, g_new
+        if done:
+            break
+    return MinimizeResult(x, f, nit, nfev)
 
 
 def _qi_oracle_values(x: np.ndarray, rho_blocks: np.ndarray, neg_entropy: float) -> tuple[np.ndarray, tuple]:
@@ -277,10 +337,11 @@ def qi_relative_entropy_oracle(
     """Desk-scale check of the closed form: minimize S(rho||sigma) over a
     parameterized family of quantum-incoherent sigma from ``starts`` random
     starts, drawn from ``default_rng(seed)``.  The starts are solved as one
-    stacked problem, by a single L-BFGS-B run on the sum of their values
-    with the analytic gradient of ``_qi_oracle_objective``, and the result
-    is the smallest start's value at the end of that run, an upper bound on
-    the closed form.  Only intended to validate ``qi_relative_entropy``."""
+    stacked problem, by a single numpy L-BFGS run (``minimize``) on the sum
+    of their values with the analytic gradient of ``_qi_oracle_objective``,
+    and the result is the smallest start's value at the end of that run, an
+    upper bound on the closed form.  Only intended to validate
+    ``qi_relative_entropy``."""
     split.validate(rho.n_subsystems)
     if rho.dim > ORACLE_MAX_DIM:
         raise DimensionTooLargeError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {rho.dim}")
@@ -295,8 +356,7 @@ def qi_relative_entropy_oracle(
     # depends on sigma.
     neg_entropy = -von_neumann_entropy(rho)
     x0 = np.random.default_rng(seed).standard_normal((max(1, starts), db + db * 2 * da * da))
-    res = minimize(_qi_oracle_objective, x0.ravel(), args=(rho_blocks, neg_entropy), jac=True,
-                   method="L-BFGS-B", options={"maxiter": 200})
+    res = minimize(_qi_oracle_objective, x0.ravel(), args=(rho_blocks, neg_entropy))
     return float(_qi_oracle_values(res.x, rho_blocks, neg_entropy)[0].min())
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
+import coherlab
 from coherlab.cli import (
     MEASURES,
     ParseError,
@@ -596,3 +599,46 @@ def test_out_flag_writes_file_and_stdout_does_not(runner, tmp_path, bell_file, m
     assert result.exit_code == 0
     assert out.exists()
     assert json.loads(out.read_text())["name"] == "cr"
+
+
+OUT_COMMANDS = {
+    "measure": ["measure", "cr", "--builtin", "bell"],
+    "protocol": ["protocol", "merge-witness"],
+    "classify": ["classify", "--channel", "{channel}"],
+    "reproduce": ["reproduce"],
+    "suite": ["suite", "teleport", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("args", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
+def test_out_into_a_missing_directory_exits_2_without_traceback(runner, tmp_path, args):
+    channel = tmp_path / "channel.json"
+    channel.write_text(channel_to_json(domino_discrimination_channel()))
+    out = tmp_path / "missing" / "x.json"
+    result = runner.invoke(main, [arg.format(channel=channel) for arg in args] + ["--out", str(out)])
+    assert result.exit_code == 2, result.exception
+    assert f"parse error: cannot write {out}" in result.output
+    assert "Traceback" not in result.output
+    assert not out.parent.exists()
+
+
+NO_SCIPY_PROBE = """
+import sys
+from click.testing import CliRunner
+import coherlab
+from coherlab.cli import main
+for args in (["reproduce", "--format", "json", "--seed", "0"], ["suite", "teleport", "--trials", "2"],
+             ["measure", "assistance", "--builtin", "psi2"]):
+    assert CliRunner().invoke(main, args).exit_code == 0, args
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_no_cli_path_imports_scipy():
+    """coherlab runs on numpy alone: importing it and running the CLI loads
+    no scipy module."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coherlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    assert done.stdout.strip() == "[]"

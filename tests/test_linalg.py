@@ -21,30 +21,16 @@ from coherlab.linalg import (
     partial_trace,
     permute_subsystems,
     relative_entropy,
-    tensor_product,
     trace_norm,
     von_neumann_entropy,
 )
-from coherlab.states import SIGMA_X, SIGMA_Z, random_density, random_pure, random_unitary
+from coherlab.states import SIGMA_X, random_density, random_pure, random_unitary
 
 from conftest import rand_hermitian
 
 
 # ---------------------------------------------------------------------------
 # independent oracles
-
-
-def kron_oracle(a, b):
-    """Element-by-element Kronecker product definition."""
-    ra, ca = a.shape
-    rb, cb = b.shape
-    out = np.zeros((ra * rb, ca * cb), dtype=complex)
-    for i in range(ra):
-        for j in range(ca):
-            for k in range(rb):
-                for l in range(cb):
-                    out[i * rb + k, j * cb + l] = a[i, j] * b[k, l]
-    return out
 
 
 def ptrace_oracle(mat, dims, keep):
@@ -106,27 +92,6 @@ def test_eig_roundtrip_500_instances():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
-# tensor product
-
-
-def test_tensor_identity():
-    assert np.allclose(tensor_product(np.eye(2), np.eye(3)), np.eye(6))
-
-
-def test_tensor_basis_projectors():
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    out = tensor_product(p0, p1)
-    expected = np.zeros((4, 4))
-    expected[1, 1] = 1.0
-    assert np.allclose(out, expected)
-
-
-def test_tensor_matches_definition_oracle():
-    assert np.allclose(tensor_product(SIGMA_X, SIGMA_Z), kron_oracle(SIGMA_X, SIGMA_Z))
 
 
 # ---------------------------------------------------------------------------

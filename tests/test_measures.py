@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize as scipy_minimize
 
 from coherlab import measures
 from coherlab.exceptions import BadSubsystemError, DimensionTooLargeError
@@ -18,13 +17,13 @@ from coherlab.measures import (
     Bipartition,
     MeasureReport,
     ORACLE_BAD_VALUE,
+    ORACLE_MAX_ITER,
     basis_dependent_discord,
     binary_entropy,
     c_r,
     coherence_of_assistance,
     continuity_bound,
     dephase,
-    distillable_coherence,
     mutual_information,
     qi_relative_entropy,
     qi_relative_entropy_oracle,
@@ -203,10 +202,6 @@ def test_closed_forms_match_dephase_built_route(case, rank):
             assert abs(basis_dependent_discord(rho, split) - discord_route(rho, split)) < 1e-12
 
 
-def test_distillable_coherence_alias():
-    assert distillable_coherence is c_r
-
-
 # ---------------------------------------------------------------------------
 # QI relative entropy
 
@@ -312,6 +307,16 @@ def test_oracle_agreement_band_small_batch():
         assert -1e-4 <= oracle - closed <= 1e-2
 
 
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3)])
+def test_oracle_agreement_band_at_every_rank(dims):
+    d = dims[0] * dims[1]
+    for rank in range(1, d + 1):
+        rho = random_density(dims, rank, 100 * d + rank)
+        closed = qi_relative_entropy(rho, AB)
+        oracle = qi_relative_entropy_oracle(rho, AB, starts=8, seed=1)
+        assert -1e-4 <= oracle - closed <= 1e-2
+
+
 def central_difference_gradient(f, x, h=1e-6):
     """Central differences of a real function of a real vector."""
     steps = h * np.eye(x.size)
@@ -347,13 +352,14 @@ def test_oracle_gradient_matches_central_differences(dims):
 
 @pytest.mark.parametrize("starts", [1, 8, 32])
 def test_oracle_solves_its_starts_in_one_minimize_call(monkeypatch, starts):
-    """One L-BFGS-B run per oracle call, from the starts drawn one after
+    """One L-BFGS run per oracle call, from the starts drawn one after
     another from default_rng(seed), and the result is the best start's
     value where that run ends."""
     runs = []
+    solver = measures.minimize
 
     def recording_minimize(fun, x0, *args, **kwargs):
-        res = scipy_minimize(fun, x0, *args, **kwargs)
+        res = solver(fun, x0, *args, **kwargs)
         runs.append((x0.copy(), res.x))
         return res
 
@@ -368,6 +374,48 @@ def test_oracle_solves_its_starts_in_one_minimize_call(monkeypatch, starts):
     assert np.array_equal(x0, np.concatenate([rng.standard_normal(n_params) for _ in range(starts)]))
     blocks, neg_entropy = oracle_inputs(rho, da, db)
     assert value == _qi_oracle_values(x_end, blocks, neg_entropy)[0].min()
+
+
+def random_quadratic(n, seed):
+    """f(x) = (x - m)^T A (x - m) / 2 with A symmetric positive definite
+    (eigenvalues in [0.5, 5]), its gradient, and its minimizer m."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = (q * rng.uniform(0.5, 5.0, n)) @ q.T
+    m = rng.standard_normal(n)
+
+    def fun(x):
+        r = a @ (x - m)
+        return 0.5 * float((x - m) @ r), r
+
+    return fun, m
+
+
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_minimize_reaches_the_minimizer_of_a_convex_quadratic(n):
+    for seed in range(5):
+        fun, m = random_quadratic(n, seed)
+        res = measures.minimize(fun, np.zeros(n), ftol=0.0, gtol=1e-10)
+        assert np.abs(res.x - m).max() <= 1e-8
+        assert res.fun == fun(res.x)[0]
+
+
+def test_minimize_respects_maxiter_and_never_rises_above_the_start():
+    fun, _ = random_quadratic(30, 7)
+    x0 = np.random.default_rng(8).standard_normal(30)
+    for maxiter in (0, 1, 3, 10):
+        res = measures.minimize(fun, x0, maxiter=maxiter, gtol=0.0)
+        assert res.nit <= maxiter
+        assert res.fun <= fun(x0)[0]
+    da, db = 3, 2
+    rho = random_density((da, db), 2, 6)
+    blocks, neg_entropy = oracle_inputs(rho, da, db)
+    for seed in range(10):
+        x0 = np.random.default_rng(seed).standard_normal(8 * (db + 2 * db * da * da))
+        res = measures.minimize(_qi_oracle_objective, x0, args=(blocks, neg_entropy))
+        assert res.nit <= ORACLE_MAX_ITER
+        assert res.nfev >= res.nit + 1
+        assert res.fun <= _qi_oracle_objective(x0, blocks, neg_entropy)[0]
 
 
 def test_oracle_guard_is_per_start():
