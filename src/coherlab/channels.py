@@ -173,39 +173,44 @@ class ProductKrausChannel:
     """Two-party channel sum_i (A_i x B_i) rho (A_i x B_i)' with one operator
     pair per outcome and a joint completeness certificate.
 
-    Each side is stored as one read-only (n, out, in) array, ``a_ops`` and
-    ``b_ops``; ``pairs`` holds the (A_i, B_i) views into them.
+    Built from the two parties' stacks ``a_ops`` and ``b_ops``, the i-th
+    entries forming the i-th pair; each is stored as one read-only
+    (n, out, in) array.  ``pairs`` is the derived view of the (A_i, B_i).
     """
 
-    pairs: tuple[tuple[np.ndarray, np.ndarray], ...]
+    a_ops: np.ndarray
+    b_ops: np.ndarray
     a_in_dims: tuple[int, ...]
     b_in_dims: tuple[int, ...]
     a_out_dims: tuple[int, ...] | None = None
     b_out_dims: tuple[int, ...] | None = None
-    a_ops: np.ndarray = field(init=False, repr=False)
-    b_ops: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a_in = tuple(int(d) for d in self.a_in_dims)
         b_in = tuple(int(d) for d in self.b_in_dims)
         a_out = a_in if self.a_out_dims is None else tuple(int(d) for d in self.a_out_dims)
         b_out = b_in if self.b_out_dims is None else tuple(int(d) for d in self.b_out_dims)
-        a_ops = _freeze_ops([a for a, _ in self.pairs], (math.prod(a_out), math.prod(a_in)))
-        b_ops = _freeze_ops([b for _, b in self.pairs], (math.prod(b_out), math.prod(b_in)))
+        a_ops = _freeze_ops(self.a_ops, (math.prod(a_out), math.prod(a_in)))
+        b_ops = _freeze_ops(self.b_ops, (math.prod(b_out), math.prod(b_in)))
+        if len(a_ops) != len(b_ops):
+            raise DimensionMismatchError(f"{len(a_ops)} A operators but {len(b_ops)} B operators")
         # sum_i A_i'A_i (x) B_i'B_i, indexed ((a, b), (c, d))
         gram = np.einsum("nac,nbd->abcd", _grams(a_ops), _grams(b_ops))
         _check_complete(gram.reshape(a_ops.shape[2] * b_ops.shape[2], -1))
         object.__setattr__(self, "a_ops", a_ops)
         object.__setattr__(self, "b_ops", b_ops)
-        object.__setattr__(self, "pairs", tuple(zip(a_ops, b_ops)))
         object.__setattr__(self, "a_in_dims", a_in)
         object.__setattr__(self, "b_in_dims", b_in)
         object.__setattr__(self, "a_out_dims", a_out)
         object.__setattr__(self, "b_out_dims", b_out)
 
     @property
+    def pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        return tuple(zip(self.a_ops, self.b_ops))
+
+    @property
     def n_outcomes(self) -> int:
-        return len(self.pairs)
+        return len(self.a_ops)
 
     @property
     def in_dims(self) -> tuple[int, ...]:
@@ -525,7 +530,7 @@ class LocalProtocol:
                       np.eye(math.prod(self.b_dims), dtype=complex)[None])
         (a_ops, b_ops), transcripts = self._expand(identities, step)
         order = _depth_first(transcripts)
-        return ProductKrausChannel(tuple(zip(a_ops[order], b_ops[order])), self.a_dims, self.b_dims)
+        return ProductKrausChannel(a_ops[order], b_ops[order], self.a_dims, self.b_dims)
 
 
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:

@@ -104,9 +104,9 @@ def ancilla_gap(rng: np.random.Generator) -> float:
     and its ancilla-free reduction."""
     a_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
     b_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
-    extended = ch.ProductKrausChannel(
-        tuple((a, b) for a in a_instr.ops for b in b_instr.ops), (2, 2), (2, 2)
-    )
+    # one pair per (A outcome, B outcome), in that order
+    extended = ch.ProductKrausChannel(np.repeat(a_instr.ops, b_instr.n_outcomes, axis=0),
+                                      np.tile(b_instr.ops, (a_instr.n_outcomes, 1, 1)), (2, 2), (2, 2))
     reduced = pr.ancilla_reduce(extended, (2, 2))
     rho = st.random_density((2, 2), 4, rng.integers(2**63))
     big = extended.apply(pr.extend_with_ancillas(rho, (2, 2)))

@@ -167,11 +167,13 @@ def channel_from_json(text: str) -> ch.KrausChannel | ch.ProductKrausChannel:
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ParseError("channel file must hold a JSON object")
-    kind = payload.get("kind")
+    kind, ops = payload.get("kind"), payload.get("ops", [])
+    if not isinstance(ops, list):
+        raise ParseError('channel "ops" must be a list')
     if kind == "kraus":
         in_dims = _dims(payload.get("in_dims"), 'kraus channel "in_dims"')
         out_dims = _dims(payload.get("out_dims", list(in_dims)), 'kraus channel "out_dims"')
-        ops = [_operator(op, out_dims, in_dims, "ops") for op in payload.get("ops", [])]
+        ops = [_operator(op, out_dims, in_dims, "ops") for op in ops]
         return ch.KrausChannel(tuple(ops), in_dims, out_dims)
     if kind == "product":
         try:
@@ -182,13 +184,13 @@ def channel_from_json(text: str) -> ch.KrausChannel | ch.ProductKrausChannel:
             raise ParseError(
                 'product channel "in_dims"/"out_dims" must be [[a...], [b...]] pairs'
             ) from exc
-        pairs = []
-        for entry in payload.get("ops", []):
+        a_ops, b_ops = [], []
+        for entry in ops:
             if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
                 raise ParseError('product channel ops must be {"a": ..., "b": ...} objects')
-            pairs.append((_operator(entry["a"], a_out, a_in, "ops.a"),
-                          _operator(entry["b"], b_out, b_in, "ops.b")))
-        return ch.ProductKrausChannel(tuple(pairs), a_in, b_in, a_out, b_out)
+            a_ops.append(_operator(entry["a"], a_out, a_in, "ops.a"))
+            b_ops.append(_operator(entry["b"], b_out, b_in, "ops.b"))
+        return ch.ProductKrausChannel(a_ops, b_ops, a_in, b_in, a_out, b_out)
     raise ParseError(f'channel "kind" must be "kraus" or "product", got {kind!r}')
 
 

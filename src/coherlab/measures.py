@@ -225,10 +225,10 @@ def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, ftol=ORACLE_FTOL, gtol=O
     scaled by s.y / y.y of the newest pair; a pair with s.y <= 1e-10 y.y is
     not kept.  Each step starts at length 1 (1 / max|g| on the first) and
     is halved until the Armijo condition f(x + t d) <= f(x) + 1e-4 t g.d
-    holds.  Stops once max|g| <= ``gtol``, once a step lowers the value by
-    at most ``ftol`` relative to max(|f|, |f_new|, 1), after ``maxiter``
-    iterations, or when no step lowers the value.  The value never rises
-    above fun(x0)."""
+    holds.  Stops once max|g| <= ``gtol``, once a step Armijo did not halve
+    lowers the value by at most ``ftol`` relative to max(|f|, |f_new|, 1),
+    after ``maxiter`` iterations, or when no step lowers the value.  The
+    value never rises above fun(x0)."""
     x = np.array(x0, dtype=float)
     f, g = fun(x, *args)
     nit, nfev, pairs = 0, 1, []
@@ -258,7 +258,7 @@ def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, ftol=ORACLE_FTOL, gtol=O
         if s @ y > 1e-10 * (y @ y):
             pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-ORACLE_HISTORY:]
         nit += 1
-        done = f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
+        done = step == 1.0 and f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
         if done:
             break

@@ -51,7 +51,6 @@ from .measures import (
 from .states import (
     SIGMA_X,
     SIGMA_Z,
-    DominoFamily,
     bell_states,
     domino_states,
     fourier_mc_basis,
@@ -88,10 +87,6 @@ class ProtocolResult:
         total = sum(p for p, _, _ in self.outcomes)
         if abs(total - 1.0) > 1e-9:
             raise IncompleteChannelError(f"outcome probabilities sum to {total}, not 1")
-
-    @property
-    def probabilities(self) -> list[float]:
-        return [p for p, _, _ in self.outcomes]
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +364,7 @@ def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:
     # [i, j] is |j><j| A_i: row j of A_i, every other row zero
     pinched = (ch.a_ops[:, None] * np.eye(d_a_out)[:, :, None]).reshape(-1, d_a_out, d_a_in)
     reduced = ProductKrausChannel(
-        tuple(zip(pinched, np.repeat(ch.b_ops, d_a_out, axis=0))),
+        pinched, np.repeat(ch.b_ops, d_a_out, axis=0),
         ch.a_in_dims, ch.b_in_dims, ch.a_out_dims, ch.b_out_dims,
     )
     if not classify(reduced).separable_incoherent:
@@ -402,8 +397,8 @@ def ancilla_reduce(ch_tilde: ProductKrausChannel, ancilla_dims: tuple[int, int])
     # one pair per (k, l, m), in that order
     shape = (n, da_anc, db_anc)
     reduced = ProductKrausChannel(
-        tuple(zip(np.broadcast_to(a_parts[:, :, None], shape + (da, da)).reshape(-1, da, da),
-                  np.broadcast_to(b_parts[:, None], shape + (db, db)).reshape(-1, db, db))),
+        np.broadcast_to(a_parts[:, :, None], shape + (da, da)).reshape(-1, da, da),
+        np.broadcast_to(b_parts[:, None], shape + (db, db)).reshape(-1, db, db),
         ch_tilde.a_in_dims[:-1],
         ch_tilde.b_in_dims[:-1],
     )
@@ -437,18 +432,14 @@ def domino_discrimination_channel() -> ProductKrausChannel:
     return _DOMINO_CHANNEL
 
 
-def _discrimination_channel(family: DominoFamily) -> ProductKrausChannel:
-    pairs = []
-    for i in range(9):
-        a_op = np.outer(ket(i, 9), family.alpha_parts[i].conj())
-        b_op = np.outer(ket(i, 9), family.beta_parts[i].conj())
-        pairs.append((a_op, b_op))
-    return ProductKrausChannel(tuple(pairs), (3,), (3,), (9,), (9,))
-
-
 # The family and its channel are fixed, so they are built and certified once.
 _DOMINO = domino_states()
-_DOMINO_CHANNEL = _discrimination_channel(_DOMINO)
+# [i] is |i><alpha_i| on A and |i><beta_i| on B: row i holds the conjugate part
+_DOMINO_CHANNEL = ProductKrausChannel(
+    np.eye(9)[:, :, None] * np.conj(_DOMINO.alpha_parts)[:, None],
+    np.eye(9)[:, :, None] * np.conj(_DOMINO.beta_parts)[:, None],
+    (3,), (3,), (9,), (9,),
+)
 
 
 def discriminate_domino(input_index: int) -> ProtocolResult:

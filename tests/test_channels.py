@@ -87,9 +87,16 @@ def test_channels_reject_non_finite_operators(bad):
     with pytest.raises(IncompleteChannelError):
         KrausChannel((op,), (2,), (2,))
     with pytest.raises(IncompleteChannelError):
-        ProductKrausChannel(((np.eye(1), op),), (1,), (2,))
+        ProductKrausChannel((np.eye(1),), (op,), (1,), (2,))
     with pytest.raises(IncompleteChannelError):
-        ProductKrausChannel(((op, np.eye(1)),), (2,), (1,))
+        ProductKrausChannel((op,), (np.eye(1),), (2,), (1,))
+
+
+def test_product_channel_rejects_stacks_of_unequal_length():
+    # two A operators against one B operator pair up no outcome
+    half = np.eye(2, dtype=complex) / math.sqrt(2)
+    with pytest.raises(DimensionMismatchError, match="2 A operators but 1 B operators"):
+        ProductKrausChannel((half, half), (np.eye(2),), (2,), (2,))
 
 
 def test_identity_channel_is_noop():
@@ -230,7 +237,7 @@ def _random_product_channel(seed):
     gw, gv = np.linalg.eigh(sum(r.conj().T @ r for r in raws))
     inv_sqrt = (gv / np.sqrt(gw)) @ gv.conj().T
     pairs = tuple((a, r @ inv_sqrt) for a in a_ops for r in raws)
-    return ProductKrausChannel(pairs, (2,), (3,), (3,), (2,))
+    return ProductKrausChannel(*zip(*pairs), (2,), (3,), (3,), (2,))
 
 
 def test_product_channel_completeness_is_joint():
@@ -247,7 +254,7 @@ def test_product_channel_completeness_is_joint():
         w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         a_op = s * np.outer(w / np.linalg.norm(w), np.eye(2)[k])
         pairs.extend((a_op, b / s) for b in b_parts)
-    channel = ProductKrausChannel(tuple(pairs), (2,), (3,), (3,), (2,))
+    channel = ProductKrausChannel(*zip(*pairs), (2,), (3,), (3,), (2,))
     a_sum = sum(a.conj().T @ a for a, _ in channel.pairs)
     b_sum = sum(b.conj().T @ b for _, b in channel.pairs)
     assert np.abs(a_sum - np.diag([8.0, 0.5])).max() < 1e-12
@@ -255,7 +262,7 @@ def test_product_channel_completeness_is_joint():
     moved = [(a, b.copy()) for a, b in pairs]
     moved[0][1][0, 0] += 1e-6
     with pytest.raises(IncompleteChannelError):
-        ProductKrausChannel(tuple(moved), (2,), (3,), (3,), (2,))
+        ProductKrausChannel(*zip(*moved), (2,), (3,), (3,), (2,))
 
 
 @pytest.mark.parametrize("seed", [31, 32, 33])
@@ -294,7 +301,7 @@ def test_classify_domino_channel_is_si():
 
 
 def test_classify_hadamard_pair_separable_only():
-    channel = ProductKrausChannel(((HADAMARD, HADAMARD),), (2,), (2,))
+    channel = ProductKrausChannel((HADAMARD,), (HADAMARD,), (2,), (2,))
     flags = classify(channel)
     assert flags.separable
     assert not flags.separable_quantum_incoherent
@@ -303,7 +310,7 @@ def test_classify_hadamard_pair_separable_only():
 
 def test_classify_sqi_but_not_si():
     # coherent on A, incoherent on B
-    channel = ProductKrausChannel(((HADAMARD, SIGMA_X),), (2,), (2,))
+    channel = ProductKrausChannel((HADAMARD,), (SIGMA_X,), (2,), (2,))
     flags = classify(channel)
     assert flags.separable_quantum_incoherent
     assert not flags.separable_incoherent

@@ -24,6 +24,7 @@ from coherlab.cli import (
     state_from_json,
     state_to_json,
 )
+from coherlab.channels import random_sqi_channel
 from coherlab.protocols import domino_discrimination_channel
 from coherlab.states import bell_states, random_density, random_pure
 
@@ -228,6 +229,13 @@ MALFORMED_INPUTS = {
     "classify-op-wrong-entry-count": (
         ["classify", "--channel", "{path}"],
         '{"kind": "kraus", "in_dims": [2], "ops": [[[1, 0], [0, 0], [0, 0]]]}',
+    ),
+    "classify-kraus-number-ops": (
+        ["classify", "--channel", "{path}"], '{"kind": "kraus", "in_dims": [2], "ops": 5}'
+    ),
+    "classify-product-null-ops": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "product", "in_dims": [[2], [2]], "ops": null}',
     ),
     "measure-non-numeric-entry": (
         ["measure", "cr", "--state", "{path}"],
@@ -514,6 +522,34 @@ def test_reproduce_prints_golden_bytes(runner, fmt, seed, name):
         assert result.output == fh.read()
 
 
+@pytest.mark.parametrize("channel,name", [
+    (domino_discrimination_channel, "domino_channel.json"),
+    (lambda: random_sqi_channel((2,), (2,), 1, 7).to_product(), "sqi_channel_seed7.json"),
+])
+def test_product_channel_json_is_golden(channel, name):
+    # the product channels' operators, pinned byte for byte
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert channel_to_json(channel()) == fh.read()
+
+
+@pytest.mark.parametrize("args,name", [
+    (["classify", "--channel", os.path.join(GOLDEN, "domino_channel.json")],
+     "classify_domino_channel.txt"),
+    (["classify", "--channel", os.path.join(GOLDEN, "sqi_channel_seed7.json")],
+     "classify_sqi_channel_seed7.txt"),
+    (["protocol", "sqi-to-si", "--trials", "20", "--seed", "3"],
+     "protocol_sqi_to_si_trials20_seed3.txt"),
+    (["protocol", "ancilla-reduce", "--trials", "20", "--seed", "3"],
+     "protocol_ancilla_reduce_trials20_seed3.txt"),
+    (["protocol", "discriminate", "--index", "4"], "protocol_discriminate_index4.txt"),
+])
+def test_product_channel_commands_print_golden_bytes(runner, args, name):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        assert result.output == fh.read()
+
+
 def test_suite_runs_clean(runner):
     for name in ("monotonicity", "steering", "closed-form", "continuity",
                  "reductions", "chain"):
@@ -540,7 +576,7 @@ def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
     def flipped_reduce(channel):
         # a wrong reduction: the true one followed by a bit flip on B
         reduced = real_reduce(channel)
-        return ProductKrausChannel(tuple((a, flip @ b) for a, b in reduced.pairs),
+        return ProductKrausChannel(reduced.a_ops, flip @ reduced.b_ops,
                                    reduced.a_in_dims, reduced.b_in_dims,
                                    reduced.a_out_dims, reduced.b_out_dims)
 

@@ -317,6 +317,15 @@ def test_oracle_agreement_band_at_every_rank(dims):
         assert -1e-4 <= oracle - closed <= 1e-2
 
 
+def test_oracle_does_not_stop_after_a_halved_step():
+    # on this rank-1 state the last step of the solve was halved four times
+    # and lowered the value by less than ftol; stopping there left the
+    # oracle 3.3e-6 above the closed form
+    rho = random_density((2, 3), 1, 772680123)
+    oracle = qi_relative_entropy_oracle(rho, AB, starts=32, seed=445)
+    assert -1e-4 <= oracle - qi_relative_entropy(rho, AB) <= 1e-8
+
+
 def central_difference_gradient(f, x, h=1e-6):
     """Central differences of a real function of a real vector."""
     steps = h * np.eye(x.size)

@@ -59,7 +59,7 @@ def random_extended_si(rng):
     a_instr = random_incoherent_channel((2, 2), 2, int(rng.integers(2**63)))
     b_instr = random_incoherent_channel((2, 2), 2, int(rng.integers(2**63)))
     pairs = [(a, b) for a in a_instr.ops for b in b_instr.ops]
-    return ProductKrausChannel(tuple(pairs), (2, 2), (2, 2))
+    return ProductKrausChannel(*zip(*pairs), (2, 2), (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def test_sqi_to_si_preserves_bob_marginal_when_already_si():
     a_instr = random_incoherent_channel((2,), 2, 1)
     b_instr = random_incoherent_channel((2,), 2, 2)
     channel = ProductKrausChannel(
-        tuple((a, b) for a in a_instr.ops for b in b_instr.ops), (2,), (2,)
+        *zip(*((a, b) for a in a_instr.ops for b in b_instr.ops)), (2,), (2,)
     )
     reduced = sqi_to_si_reduce(channel)
     rho = random_density((2, 2), 4, 3)
@@ -408,7 +408,7 @@ def test_sqi_to_si_random_lqicc_compiled():
 
 def test_sqi_to_si_rejects_non_sqi():
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-    channel = ProductKrausChannel(((hadamard, hadamard),), (2,), (2,))
+    channel = ProductKrausChannel((hadamard,), (hadamard,), (2,), (2,))
     with pytest.raises(NotSQIError):
         sqi_to_si_reduce(channel)
 
@@ -423,14 +423,14 @@ def test_ancilla_reduce_trivial_extension():
     a_instr = random_incoherent_channel((2,), 2, 11)
     b_instr = random_incoherent_channel((2,), 2, 12)
     factor = ProductKrausChannel(
-        tuple((a, b) for a in a_instr.ops for b in b_instr.ops), (2,), (2,)
+        *zip(*((a, b) for a in a_instr.ops for b in b_instr.ops)), (2,), (2,)
     )
     extended = ProductKrausChannel(
-        tuple(
+        *zip(*(
             (np.kron(a, np.eye(2)), np.kron(b, np.eye(2)))
             for a in a_instr.ops
             for b in b_instr.ops
-        ),
+        )),
         (2, 2),
         (2, 2),
     )
@@ -452,7 +452,7 @@ def test_ancilla_reduce_swap_then_dephase_equals_dephasing():
         for j in range(2)
     ]
     pairs = tuple((a, np.eye(4, dtype=complex)) for a in a_ops)
-    extended = ProductKrausChannel(pairs, (2, 2), (2, 2))
+    extended = ProductKrausChannel(*zip(*pairs), (2, 2), (2, 2))
     reduced = ancilla_reduce(extended, (2, 2))
     rho = random_density((2, 2), 4, 21)
     expected = dephase(rho, (0,))
@@ -474,7 +474,7 @@ def test_ancilla_reduce_matches_extended_action():
 def test_ancilla_reduce_rejects_non_si():
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     ext = ProductKrausChannel(
-        ((np.kron(hadamard, np.eye(2)), np.eye(4, dtype=complex)),), (2, 2), (2, 2)
+        (np.kron(hadamard, np.eye(2)),), (np.eye(4, dtype=complex),), (2, 2), (2, 2)
     )
     with pytest.raises(NotSIError):
         ancilla_reduce(ext, (2, 2))
@@ -559,7 +559,7 @@ def test_merging_simulation_channel_is_sqi_not_si():
             a_op = np.kron(np.outer(alpha, alpha.conj()), np.outer(beta, ket(j, 3).conj()))
             b_op = np.outer(ket(0, 3), beta.conj())
             pairs.append((a_op, b_op))
-    channel = ProductKrausChannel(tuple(pairs), (3, 3), (3,))
+    channel = ProductKrausChannel(*zip(*pairs), (3, 3), (3,))
     flags = classify(channel)
     assert flags.separable_quantum_incoherent
     assert not flags.separable_incoherent
@@ -568,7 +568,7 @@ def test_merging_simulation_channel_is_sqi_not_si():
     # (R, A, A', B) state as the 27 above on the input padded with A' in |0>.
     merge = _merge_channel()
     assert merge.n_outcomes == 9
-    padded = ProductKrausChannel(tuple(pairs), (3, 3), (3,)).to_kraus()
+    padded = ProductKrausChannel(*zip(*pairs), (3, 3), (3,)).to_kraus()
     zero3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     inputs = [merging_state()] + [random_density((9, 3, 3), 6, seed) for seed in range(5)]
     for rho in inputs:
@@ -585,7 +585,7 @@ def test_merging_simulation_channel_is_sqi_not_si():
         b_op = np.outer(ket(0, 3), beta.conj())
         assert np.abs(np.kron(a_op, b_op) - op).max() < 1e-15
         folded.append((a_op, b_op))
-    flags = classify(ProductKrausChannel(tuple(folded), (3,), (3,), (3, 3), (3,)))
+    flags = classify(ProductKrausChannel(*zip(*folded), (3,), (3,), (3, 3), (3,)))
     assert flags.separable_quantum_incoherent
     assert not flags.separable_incoherent
 
