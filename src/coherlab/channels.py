@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 COMPLETENESS_TOL = 1e-9
+# an instrument outcome, and a protocol leaf, fires only with probability
+# above this
 OUTCOME_PRUNE_TOL = 1e-12
 
 
@@ -368,11 +370,10 @@ def _merge(chunks: list) -> tuple[tuple[np.ndarray, ...], list]:
     return values, [t for _, ts in chunks for t in ts]
 
 
-def _depth_first(keys: list) -> list[int]:
+def _depth_first(transcripts: list) -> list[int]:
     """Leaf indices in depth-first order: outcomes are explored in order,
-    so that is the lexicographic order of the transcripts (or of keys that
-    end with them)."""
-    return sorted(range(len(keys)), key=keys.__getitem__)
+    so that is the lexicographic order of the transcripts."""
+    return sorted(range(len(transcripts)), key=transcripts.__getitem__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -433,45 +434,33 @@ class LocalProtocol:
         transcripts), leaves in no fixed order.
 
         A value is a tuple of arrays with one leading entry per branch;
-        ``start`` holds the root's branches, one per input.  Each distinct
-        round is stepped once, on the stack of every branch that reaches it:
+        ``start`` holds the root's one branch.  Each distinct round is
+        stepped once, on the stack of every branch that reaches it:
         ``step(values, party, ops)`` returns the outcome values, each array
-        with leading axes (outcome, branch), and an (outcome, branch) mask
-        of the branches to keep.  Kept branches move on to their outcome's
-        continuation, where branches from every round that leads there are
-        stacked together.  A transcript records (party, outcome) per round.
+        with leading axes (outcome, branch).  Every branch moves on to its
+        outcome's continuation, where branches from every round that leads
+        there are stacked together.  A transcript records (party, outcome)
+        per round.
         """
         # round or None (leaf) -> chunks
-        arrived = {self.root: [(start, [()] * len(start[0]))]}
+        arrived = {self.root: [(start, [()])]}
         for node in self._rounds:
-            chunks = arrived.pop(node, None)
-            if chunks is None:  # every branch reaching this round was pruned
-                continue
-            values, transcripts = _merge(chunks)
-            outs, keep = step(values, node.party, node.instrument.ops)
-            pruned = not keep.all()
-            for outcome in range(len(keep)):
+            values, transcripts = _merge(arrived.pop(node))
+            outs = step(values, node.party, node.instrument.ops)
+            for outcome in range(node.instrument.n_outcomes):
                 record = ((node.party, outcome),)
-                if pruned:
-                    idx = np.flatnonzero(keep[outcome])
-                    if not idx.size:
-                        continue
-                    chunk = (tuple([v[outcome, idx] for v in outs]),
-                             [transcripts[i] + record for i in idx])
-                else:
-                    chunk = (tuple([v[outcome] for v in outs]), [t + record for t in transcripts])
                 nxt = None if node.branches is None else node.branches[outcome]
-                arrived.setdefault(nxt, []).append(chunk)
+                arrived.setdefault(nxt, []).append(
+                    (tuple([v[outcome] for v in outs]), [t + record for t in transcripts]))
         return _merge(arrived[None])
 
-    def _branches(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """(unnormalized post-states, probabilities, input indices,
-        transcripts) of the leaves of every input, stacked: all inputs are
-        expanded together, each round stepped once on the branches of every
-        input that reach it.  A leaf's input index is its position in
-        ``rhos``.  A branch is pruned when its probability is <= 1e-12 of
-        its parent's; each input's leaf probabilities must sum to 1 within
-        1e-9."""
+    def _branches(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, list]:
+        """(unnormalized post-states, probabilities, transcripts) of every
+        leaf of the script, unpruned and in no fixed order.  The inputs are
+        one more stacked axis: the states have shape (leaf, input, N, N) and
+        the probabilities, their traces, shape (leaf, input), so each round
+        is stepped once on every input.  Each input's leaf probabilities
+        must sum to 1 within 1e-9."""
         for rho in rhos:
             if rho.dims != self.dims:
                 raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
@@ -479,30 +468,34 @@ class LocalProtocol:
         placement = {"A": (1, math.prod(self.b_dims)), "B": (math.prod(self.a_dims), 1)}
 
         def step(values, party, ops):
-            mats, probs, inputs = values
-            posts = apply_local(mats, ops[:, None], *placement[party])
-            p = posts.trace(axis1=-2, axis2=-1).real
-            return (posts, p, np.broadcast_to(inputs, p.shape)), ~(p <= OUTCOME_PRUNE_TOL * probs)
+            return (apply_local(values[0], ops[:, None, None], *placement[party]),)
 
-        start = (np.stack([rho.mat for rho in rhos]), np.ones(len(rhos)), np.arange(len(rhos)))
-        (mats, probs, inputs), transcripts = self._expand(start, step)
-        totals = np.bincount(inputs, probs, minlength=len(rhos))
-        for total in totals:
+        start = (np.stack([rho.mat for rho in rhos])[None],)
+        (mats,), transcripts = self._expand(start, step)
+        probs = np.trace(mats, axis1=-2, axis2=-1).real
+        for total in probs.sum(axis=0):
             if abs(total - 1.0) > 1e-9:
                 raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
-        return mats, probs, inputs, transcripts
+        return mats, probs, transcripts
 
     def _leaves(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """``_branches`` with the leaves input by input and, within each
-        input, in depth-first order."""
-        mats, probs, inputs, transcripts = self._branches(*rhos)
-        order = _depth_first(list(zip(inputs.tolist(), transcripts)))
-        return mats[order], probs[order], inputs[order], [transcripts[i] for i in order]
+        """(post-states, probabilities, input indices, transcripts) of the
+        leaves of every input, input by input and, within each input, in
+        depth-first order.  A leaf is kept when its probability is > 1e-12,
+        the rule that prunes an instrument's outcomes; a leaf's input index
+        is its position in ``rhos``."""
+        mats, probs, transcripts = self._branches(*rhos)
+        order = _depth_first(transcripts)
+        probs = probs[order].T
+        keep = probs > OUTCOME_PRUNE_TOL
+        inputs, leaves = np.nonzero(keep)
+        return (mats[order].swapaxes(0, 1)[keep], probs[keep], inputs,
+                [transcripts[order[i]] for i in leaves.tolist()])
 
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
         """Depth-first expansion of the script: one (probability, state,
-        transcript) per leaf, the transcript recording (party, outcome) per
-        round."""
+        transcript) per leaf of probability > 1e-12, the transcript
+        recording (party, outcome) per round."""
         mats, probs, _, transcripts = self._leaves(rho)
         return [(p, DensityMatrix(m / p, self.dims), t)
                 for m, p, t in zip(mats, probs.tolist(), transcripts)]
@@ -510,8 +503,8 @@ class LocalProtocol:
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """The protocol as a deterministic channel: the sum of the
         unnormalized leaf states, validated once."""
-        mats, _, _, _ = self._branches(rho)
-        return DensityMatrix(mats.sum(axis=0), self.dims)
+        mats, _, _ = self._branches(rho)
+        return DensityMatrix(mats[:, 0].sum(axis=0), self.dims)
 
     def to_product(self) -> ProductKrausChannel:
         """Compile the script to product-Kraus form: one (A, B) operator
@@ -524,7 +517,7 @@ class LocalProtocol:
                 a_ops, b_ops = ops[:, None] @ a_ops, b_ops[None].repeat(len(ops), axis=0)
             else:
                 a_ops, b_ops = a_ops[None].repeat(len(ops), axis=0), ops[:, None] @ b_ops
-            return (a_ops, b_ops), np.ones(a_ops.shape[:2], dtype=bool)
+            return a_ops, b_ops
 
         identities = (np.eye(math.prod(self.a_dims), dtype=complex)[None],
                       np.eye(math.prod(self.b_dims), dtype=complex)[None])

@@ -95,7 +95,9 @@ def _operator(values, dims_out, dims_in, what: str) -> np.ndarray:
 
 
 def _dims(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list) or not all(isinstance(d, int) and d >= 1 for d in value):
+    # a JSON true is a Python int, but not a dimension
+    if not isinstance(value, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in value):
         raise ParseError(f'{what} must be a list of positive integers')
     return tuple(value)
 
@@ -332,7 +334,7 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
     rng = np.random.default_rng(seed)
     if name == "teleport":
         # a fidelity can round above 1; the report never exceeds 1
-        worst = min(1.0, *(checks.teleport_fidelity(rng) for _ in range(trials)))
+        worst = min(1.0, checks.teleport_fidelity(rng, trials))
         return {"protocol": name, "trials": trials, "min_fidelity": worst}
     if name == "distill-pure":
         if state_given:

@@ -458,7 +458,7 @@ def test_empty_protocol_is_identity():
     protocol = LocalProtocol((2,), (2,), None)
     rho = random_density((2, 2), 4, 1)
     leaves = protocol.run(rho)
-    assert len(leaves) == 1 and leaves[0][0] == 1.0
+    assert len(leaves) == 1 and leaves[0][0] == float(np.trace(rho.mat).real)
     assert np.abs(leaves[0][1].mat - rho.mat).max() < 1e-15
 
 
@@ -521,10 +521,10 @@ def test_apply_validates_one_state_and_checks_no_incoherence(monkeypatch):
 
 def _depth_first_reference(node, mat, prob, transcript, a_dims, b_dims):
     """One branch at a time, depth first, with Kronecker-embedded operators:
-    (probability, normalized state, transcript) per leaf, a branch pruned
-    at 1e-12 of its parent's probability."""
+    (probability, normalized state, transcript) per leaf, a leaf pruned
+    when its probability is <= 1e-12."""
     if node is None:
-        return [(prob, mat / prob, transcript)]
+        return [(prob, mat / prob, transcript)] if prob > 1e-12 else []
     leaves = []
     for outcome, op in enumerate(node.instrument.ops):
         if node.party == "A":
@@ -533,10 +533,9 @@ def _depth_first_reference(node, mat, prob, transcript, a_dims, b_dims):
             emb = np.kron(np.eye(math.prod(a_dims)), op)
         post = emb @ mat @ emb.conj().T
         p = np.trace(post).real
-        if p > 1e-12 * prob:
-            branch = None if node.branches is None else node.branches[outcome]
-            leaves += _depth_first_reference(branch, post, p, transcript + ((node.party, outcome),),
-                                             a_dims, b_dims)
+        branch = None if node.branches is None else node.branches[outcome]
+        leaves += _depth_first_reference(branch, post, p, transcript + ((node.party, outcome),),
+                                         a_dims, b_dims)
     return leaves
 
 
@@ -606,6 +605,27 @@ def test_stacked_leaves_prune_each_input_on_its_own():
     _, _, inputs, _ = protocol._leaves(*rhos)
     assert np.bincount(inputs).tolist() == [2, 4, 2, 4, 4]
     _assert_stacked_leaves_match_single(protocol, rhos)
+
+
+def test_script_and_product_form_prune_the_same_leaves():
+    # A dephases, then B dephases on each branch.  The last leaf has
+    # probability delta**2 = 1e-14: it passes a test relative to its
+    # parent's 1e-7, but not the instrument rule, so neither form fires it.
+    delta = 1e-7
+    marginal = np.diag([1 - delta, delta])
+    rho = DensityMatrix(np.kron(marginal, marginal).astype(complex), (2, 2))
+    b_round = ProtocolRound("B", dephasing_channel((2,)))
+    protocol = LocalProtocol((2,), (2,), ProtocolRound("A", dephasing_channel((2,)),
+                                                       (b_round, b_round)),
+                             incoherent_parties=frozenset({"A", "B"}))
+    transcripts = [(("A", a), ("B", b)) for a in range(2) for b in range(2)]
+    leaves = protocol.run(rho)
+    outcomes = protocol.to_product().apply_instrument(rho)
+    assert [t for _, _, t in leaves] == [transcripts[o.outcome] for o in outcomes]
+    assert [t for _, _, t in leaves] == transcripts[:3]
+    for (p, state, _), o in zip(leaves, outcomes):
+        assert abs(p - o.probability) < 1e-15
+        assert np.abs(state.mat - o.state.mat).max() < 1e-12
 
 
 def test_protocol_transcripts_record_outcomes():

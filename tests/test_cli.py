@@ -252,6 +252,20 @@ MALFORMED_INPUTS = {
         ["measure", "cr", "--state", "{path}"],
         '{"kind": "density", "dims": [-1], "matrix": [[1, 0]]}',
     ),
+    "classify-kraus-boolean-out-dims": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "kraus", "in_dims": [2], "out_dims": [true, 2], '
+        '"ops": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}',
+    ),
+    "measure-boolean-dims": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "density", "dims": [true], "matrix": [[1, 0]]}',
+    ),
+    "classify-product-boolean-in-dims": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "product", "in_dims": [[true], [2]], '
+        '"ops": [{"a": [[1, 0]], "b": [[1, 0], [0, 0], [0, 0], [1, 0]]}]}',
+    ),
     "measure-split-outside-state": (
         ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=5"], None
     ),
@@ -542,6 +556,8 @@ def test_product_channel_json_is_golden(channel, name):
     (["protocol", "ancilla-reduce", "--trials", "20", "--seed", "3"],
      "protocol_ancilla_reduce_trials20_seed3.txt"),
     (["protocol", "discriminate", "--index", "4"], "protocol_discriminate_index4.txt"),
+    (["protocol", "teleport", "--trials", "20", "--seed", "3"],
+     "protocol_teleport_trials20_seed3.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, args, name):
     result = runner.invoke(main, args)
