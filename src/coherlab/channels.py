@@ -235,20 +235,41 @@ class ProductKrausChannel:
         return rho.mat
 
     def _posts(self, mats: np.ndarray) -> np.ndarray:
-        """The stack of (A_i x B_i) M (A_i x B_i)', one party at a time:
-        every A_i acts on M, then B_i on the i-th result, with B's block
-        after A's output dimension.  M is one matrix of the input dims, or
-        a stack of one per pair, where the i-th pair acts on the i-th
-        matrix only."""
-        d_a_out, d_b_in = math.prod(self.a_out_dims), math.prod(self.b_in_dims)
-        return apply_local(apply_local(mats, self.a_ops, 1, d_b_in), self.b_ops, d_a_out, 1)
+        """The stack of (A_i x B_i) M (A_i x B_i)'.  M is one matrix of the
+        input dims, or a stack of one per pair, where the i-th pair acts on
+        the i-th matrix only."""
+        return _product_posts([self], mats[None])[0]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self._posts(self._input(rho)).sum(axis=0), self.out_dims)
+        return DensityMatrix(_product_outputs([self], self._input(rho)[None])[0], self.out_dims)
 
     def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
         """Per-pair outcomes as in ``KrausChannel.apply_instrument``."""
         return _outcomes(self._posts(self._input(rho)), self.out_dims)
+
+
+def _product_posts(channels: Sequence[ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
+    """(A_ci x B_ci) M_c (A_ci x B_ci)' for the pairs i of each channel c,
+    shape (channel, pair, N', N'), one party at a time: every A_ci acts on
+    M_c, then B_ci on the i-th result, with B's block after A's output
+    dimension.  The channels share their dims and pair count, so each party
+    is one ``apply_local`` on the whole stack.  ``mats`` broadcasts against
+    the (channel, pair) axes: M[:, None] gives each channel its own
+    matrix."""
+    first = channels[0]
+    for c in channels[1:]:
+        if (c.in_dims, c.out_dims, c.n_outcomes) != (first.in_dims, first.out_dims, first.n_outcomes):
+            raise DimensionMismatchError("stacked product channels must share dims and pair count")
+    a_ops = np.stack([c.a_ops for c in channels])
+    b_ops = np.stack([c.b_ops for c in channels])
+    d_a_out, d_b_in = math.prod(first.a_out_dims), math.prod(first.b_in_dims)
+    return apply_local(apply_local(mats, a_ops, 1, d_b_in), b_ops, d_a_out, 1)
+
+
+def _product_outputs(channels: Sequence[ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
+    """``channels[i]`` as a deterministic channel on ``mats[i]``: the stack
+    of summed outputs, not validated."""
+    return _product_posts(channels, mats[:, None]).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -436,8 +457,8 @@ class LocalProtocol:
         A value is a tuple of arrays with one leading entry per branch;
         ``start`` holds the root's one branch.  Each distinct round is
         stepped once, on the stack of every branch that reaches it:
-        ``step(values, party, ops)`` returns the outcome values, each array
-        with leading axes (outcome, branch).  Every branch moves on to its
+        ``step(values, node)`` returns the outcome values, each array with
+        leading axes (outcome, branch).  Every branch moves on to its
         outcome's continuation, where branches from every round that leads
         there are stacked together.  A transcript records (party, outcome)
         per round.
@@ -446,7 +467,7 @@ class LocalProtocol:
         arrived = {self.root: [(start, [()])]}
         for node in self._rounds:
             values, transcripts = _merge(arrived.pop(node))
-            outs = step(values, node.party, node.instrument.ops)
+            outs = step(values, node)
             for outcome in range(node.instrument.n_outcomes):
                 record = ((node.party, outcome),)
                 nxt = None if node.branches is None else node.branches[outcome]
@@ -454,37 +475,24 @@ class LocalProtocol:
                     (tuple([v[outcome] for v in outs]), [t + record for t in transcripts]))
         return _merge(arrived[None])
 
-    def _branches(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, list]:
-        """(unnormalized post-states, probabilities, transcripts) of every
-        leaf of the script, unpruned and in no fixed order.  The inputs are
-        one more stacked axis: the states have shape (leaf, input, N, N) and
-        the probabilities, their traces, shape (leaf, input), so each round
-        is stepped once on every input.  Each input's leaf probabilities
-        must sum to 1 within 1e-9."""
-        for rho in rhos:
-            if rho.dims != self.dims:
-                raise DimensionMismatchError(f"state dims {rho.dims} != protocol dims {self.dims}")
-        # party -> dimension before and after its block
-        placement = {"A": (1, math.prod(self.b_dims)), "B": (math.prod(self.a_dims), 1)}
+    def _shape(self) -> tuple:
+        """What scripts stepped as one stack must share: dims, and per
+        round its party, outcome count and continuations (as positions)."""
+        position = {node: i for i, node in enumerate(self._rounds)}
+        return self.dims, tuple(
+            (node.party, node.instrument.n_outcomes,
+             None if node.branches is None else tuple(position.get(b) for b in node.branches))
+            for node in self._rounds)
 
-        def step(values, party, ops):
-            return (apply_local(values[0], ops[:, None, None], *placement[party]),)
-
-        start = (np.stack([rho.mat for rho in rhos])[None],)
-        (mats,), transcripts = self._expand(start, step)
-        probs = np.trace(mats, axis1=-2, axis2=-1).real
-        for total in probs.sum(axis=0):
-            if abs(total - 1.0) > 1e-9:
-                raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
-        return mats, probs, transcripts
-
-    def _leaves(self, *rhos: DensityMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    def _leaves(self, mats: np.ndarray,
+                dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         """(post-states, probabilities, input indices, transcripts) of the
-        leaves of every input, input by input and, within each input, in
-        depth-first order.  A leaf is kept when its probability is > 1e-12,
-        the rule that prunes an instrument's outcomes; a leaf's input index
-        is its position in ``rhos``."""
-        mats, probs, transcripts = self._branches(*rhos)
+        leaves of the script on each matrix of a validated (n, N, N) stack,
+        input by input and, within each input, in depth-first order.  A leaf
+        is kept when its probability is > 1e-12, the rule that prunes an
+        instrument's outcomes; a leaf's input index is its matrix's position
+        in the stack."""
+        mats, probs, transcripts = _branches([self], mats, dims)
         order = _depth_first(transcripts)
         probs = probs[order].T
         keep = probs > OUTCOME_PRUNE_TOL
@@ -496,24 +504,24 @@ class LocalProtocol:
         """Depth-first expansion of the script: one (probability, state,
         transcript) per leaf of probability > 1e-12, the transcript
         recording (party, outcome) per round."""
-        mats, probs, _, transcripts = self._leaves(rho)
+        mats, probs, _, transcripts = self._leaves(rho.mat[None], rho.dims)
         return [(p, DensityMatrix(m / p, self.dims), t)
                 for m, p, t in zip(mats, probs.tolist(), transcripts)]
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """The protocol as a deterministic channel: the sum of the
         unnormalized leaf states, validated once."""
-        mats, _, _ = self._branches(rho)
-        return DensityMatrix(mats[:, 0].sum(axis=0), self.dims)
+        return DensityMatrix(_outputs([self], rho.mat[None], rho.dims)[0], self.dims)
 
     def to_product(self) -> ProductKrausChannel:
         """Compile the script to product-Kraus form: one (A, B) operator
         pair per branch, each the composition of that branch's local ops,
         in depth-first order."""
 
-        def step(values, party, ops):
+        def step(values, node):
             a_ops, b_ops = values
-            if party == "A":
+            ops = node.instrument.ops
+            if node.party == "A":
                 a_ops, b_ops = ops[:, None] @ a_ops, b_ops[None].repeat(len(ops), axis=0)
             else:
                 a_ops, b_ops = a_ops[None].repeat(len(ops), axis=0), ops[:, None] @ b_ops
@@ -524,6 +532,46 @@ class LocalProtocol:
         (a_ops, b_ops), transcripts = self._expand(identities, step)
         order = _depth_first(transcripts)
         return ProductKrausChannel(a_ops[order], b_ops[order], self.a_dims, self.b_dims)
+
+
+def _branches(scripts: Sequence[LocalProtocol], mats: np.ndarray,
+              dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
+    """(unnormalized post-states, probabilities, transcripts) of every leaf
+    of scripts of one shape (``LocalProtocol._shape``) on a validated
+    (n, N, N) stack of states with subsystem dims ``dims``: ``scripts[i]``
+    acts on ``mats[i]``, or a single script on every matrix.  Leaves are
+    unpruned and in no fixed order.  The inputs are one more stacked axis:
+    the states have shape (leaf, input, N, N) and the probabilities, their
+    traces, shape (leaf, input), so each round is stepped once, with one
+    ``apply_local`` pairing each script's operators with its own input.
+    Each input's leaf probabilities must sum to 1 within 1e-9."""
+    first = scripts[0]
+    if dims != first.dims:
+        raise DimensionMismatchError(f"state dims {dims} != protocol dims {first.dims}")
+    if len(scripts) > 1 and any(s._shape() != first._shape() for s in scripts[1:]):
+        raise DimensionMismatchError("stacked protocol scripts must share one shape")
+    # round of the first script -> the matching rounds' operators,
+    # shape (outcome, script, out, in)
+    ops = {node: np.stack([s._rounds[i].instrument.ops for s in scripts], axis=1)
+           for i, node in enumerate(first._rounds)}
+    # party -> dimension before and after its block
+    placement = {"A": (1, math.prod(first.b_dims)), "B": (math.prod(first.a_dims), 1)}
+
+    def step(values, node):
+        return (apply_local(values[0], ops[node][:, None], *placement[node.party]),)
+
+    (leaves,), transcripts = first._expand((mats[None],), step)
+    probs = np.trace(leaves, axis1=-2, axis2=-1).real
+    for total in probs.sum(axis=0):
+        if abs(total - 1.0) > 1e-9:
+            raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
+    return leaves, probs, transcripts
+
+
+def _outputs(scripts: Sequence[LocalProtocol], mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Each script of ``_branches`` as a deterministic channel on its
+    input: the (n, N, N) stack of its summed leaf states, not validated."""
+    return _branches(scripts, mats, dims)[0].sum(axis=0)
 
 
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:

@@ -1,16 +1,26 @@
-"""The paper's randomized checks, each written once.
+"""The paper's randomized checks, each written once, as stacks.
 
-A trial takes a ``np.random.Generator``, draws its inputs from it and
-returns the number its check bounds.  ``coherlab suite``, ``coherlab
-protocol``, ``coherlab reproduce`` and the acceptance tests all call these
-functions, so a trial on the same generator draws the same inputs wherever
-it runs.  ``SUITES`` maps each property-suite name to the test one trial
-must pass.
+A trial takes a sequence of ``np.random.Generator`` and returns one value
+per generator, the number its check bounds.  It draws the inputs of each
+trial from that trial's generator, in the order a single trial draws them,
+so a trial on ``[rng] * n`` draws exactly what n trials on ``[rng]`` draw,
+and the n = 1 call is one trial.  The drawn states and every state a trial
+computes are then validated, measured and applied as stacks, in batched
+calls: each state still passes all four checks of a ``DensityMatrix``
+(``linalg._density_stack``), and the values equal those of n single
+trials.  A helper that takes states takes the stack of their matrices and
+validates every state it reads.  ``coherlab suite``, ``coherlab protocol``, ``coherlab reproduce``
+and the acceptance tests all call these functions; the CLI runs any
+number of trials in consecutive stacks of at most ``MAX_STACK``
+(``stack_sizes``), so memory stays bounded.  ``SUITES`` maps each
+property-suite name to its trial and the test each value must pass.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -18,99 +28,174 @@ from . import channels as ch
 from . import measures as ms
 from . import protocols as pr
 from . import states as st
-from .linalg import DensityMatrix, partial_trace, relative_entropy, trace_norm, von_neumann_entropy
+from .linalg import (
+    DensityMatrix,
+    _density_stack,
+    _partial_traces,
+    _relative_entropies,
+    _trace_norms,
+    von_neumann_entropy,
+)
 
 AB = ms.Bipartition((0,), (1,))
+QUBITS = (2, 2)
+
+# Largest number of trials run as one stack.
+MAX_STACK = 64
+
+Generators = Sequence[np.random.Generator]
 
 
-def teleport_fidelity(rng: np.random.Generator, n: int = 1) -> float:
-    """Worst branch fidelity of incoherent teleportation of n Haar-random
-    qubits (ideally 1), all teleported through one stacked expansion; it
-    equals the worst of n single draws from the same generator."""
-    psis = [st.random_pure((2,), rng.integers(2**63)) for _ in range(n)]
-    return min(pr._teleport_branches(*psis)[3])
+def stack_sizes(trials: int) -> list[int]:
+    """Sizes of the consecutive stacks, of at most MAX_STACK trials each,
+    that ``trials`` trials run in."""
+    return [min(MAX_STACK, trials - start) for start in range(0, trials, MAX_STACK)]
 
 
-def qi_increase(rho: DensityMatrix, protocol: ch.LocalProtocol) -> float:
-    """QI relative entropy of rho after minus before an SQI protocol
-    (monotonicity: <= 0)."""
-    before = ms.qi_relative_entropy(rho, AB)
-    return ms.qi_relative_entropy(protocol.apply(rho), AB) - before
+def teleport_fidelity(rngs: Generators) -> np.ndarray:
+    """Worst branch fidelity of incoherent teleportation of a Haar-random
+    qubit (ideally 1), per generator; all the qubits are teleported through
+    one stacked expansion."""
+    psis = [st.random_pure((2,), rng.integers(2**63)) for rng in rngs]
+    _, _, inputs, _, fidelities = pr._teleport_branches(*psis)
+    worst = np.full(len(psis), np.inf)
+    np.minimum.at(worst, inputs, fidelities)
+    return worst
 
 
-def monotonicity_trial(rng: np.random.Generator) -> float:
+def qi_increase(mats: np.ndarray, protocols: Sequence[ch.LocalProtocol]) -> np.ndarray:
+    """QI relative entropy after minus before an SQI protocol
+    (monotonicity: <= 0), ``protocols[i]`` run on the two-party state
+    ``mats[i]``.  The protocols share one shape, so each round is stepped
+    once on the whole stack; the inputs and the outputs are validated as
+    one stack each."""
+    dims = protocols[0].dims
+    spectra = _density_stack(mats, dims)
+    outs = ch._outputs(protocols, mats, dims)
+    before = ms._qi_relative_entropies(mats, spectra, dims, AB)
+    return ms._qi_relative_entropies(outs, _density_stack(outs, dims), dims, AB) - before
+
+
+def monotonicity_trial(rngs: Generators) -> np.ndarray:
     """``qi_increase`` under a random one-round SQI channel, on a two-qubit
     state of random rank."""
-    rho = st.random_density((2, 2), int(rng.integers(1, 5)), rng.integers(2**63))
-    protocol = ch.random_sqi_channel((2,), (2,), 1, rng.integers(2**63))
-    return qi_increase(rho, protocol)
+    draws = [(int(rng.integers(1, 5)), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
+    mats = np.stack([st._random_density_mat(QUBITS, rank, seed) for rank, seed, _ in draws])
+    protocols = [ch.random_sqi_channel((2,), (2,), 1, seed) for _, _, seed in draws]
+    return qi_increase(mats, protocols)
 
 
-def far_from_qi(rho: DensityMatrix) -> bool:
-    """Whether rho is farther than 1e-3 in trace norm from its B-dephasing,
-    the states the steering witness must find."""
-    return trace_norm(rho.mat - ms.dephase(rho, (1,)).mat) > 1e-3
+def far_from_qi(mats: np.ndarray) -> np.ndarray:
+    """Whether each two-qubit state of a stack is farther than 1e-3 in trace
+    norm from its B-dephasing, the states the steering witness must find.
+    The states and their dephasings are validated as one stack each."""
+    _density_stack(mats, QUBITS)
+    dephased = ms._dephase_stack(mats, QUBITS, (1,))
+    _density_stack(dephased, QUBITS)
+    return _trace_norms(mats - dephased) > 1e-3
 
 
-def steering_verdict_ok(rng: np.random.Generator) -> bool:
-    """Whether the steering witness decides one random two-qubit state
-    right: with even odds a full-rank state, which needs a witness when it
-    is far from QI, or a QI state, which must have none."""
-    if rng.random() < 0.5:
-        rho = st.random_density((2, 2), 4, rng.integers(2**63))
-        return not far_from_qi(rho) or pr.find_steering_measurement(rho) is not None
-    return pr.find_steering_measurement(st.random_qi_state((2, 2), rng.integers(2**63))) is None
+def steering_verdict_ok(rngs: Generators) -> np.ndarray:
+    """Whether the steering witness decides a random two-qubit state right:
+    with even odds a full-rank state, which needs a witness when it is far
+    from QI, or a QI state, which must have none.  A full-rank state near
+    QI is not searched."""
+    draws = [(rng.random() < 0.5, rng.integers(2**63)) for rng in rngs]
+    full = np.array([is_full for is_full, _ in draws], dtype=bool)
+    mats = np.stack([st._random_density_mat(QUBITS, 4, seed) if is_full
+                     else st._random_qi_mat(QUBITS, seed) for is_full, seed in draws])
+    # the full-rank states are validated by far_from_qi, the QI states here
+    searched = ~full
+    searched[full] = far_from_qi(mats[full])
+    _density_stack(mats[~full], QUBITS)
+    found = np.zeros(len(draws), dtype=bool)
+    found[searched] = [w is not None for w in pr._steering_witnesses(mats[searched], QUBITS)]
+    return np.where(full, found | ~searched, ~found)
 
 
-def closed_form_gap(rng: np.random.Generator) -> float:
+def closed_form_gap(rngs: Generators) -> np.ndarray:
     """|closed-form QI relative entropy - S(rho || dephase_B(rho))| on a
-    full-rank state of random dims (2 or 3 per party)."""
-    dims = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-    rho = st.random_density(dims, int(np.prod(dims)), rng.integers(2**63))
-    return abs(ms.qi_relative_entropy(rho, AB) - relative_entropy(rho, ms.dephase(rho, (1,))))
+    full-rank state of random dims (2 or 3 per party).  The trials are
+    stacked by the dims they draw; each stack's states and their
+    dephasings are validated as one stack each."""
+    draws = [((int(rng.integers(2, 4)), int(rng.integers(2, 4))), rng.integers(2**63)) for rng in rngs]
+    gaps = np.empty(len(draws))
+    for dims in sorted({d for d, _ in draws}):
+        group = [i for i, (d, _) in enumerate(draws) if d == dims]
+        mats = np.stack([st._random_density_mat(dims, math.prod(dims), draws[i][1]) for i in group])
+        spectra = _density_stack(mats, dims)
+        dephased = ms._dephase_stack(mats, dims, (1,))
+        _density_stack(dephased, dims)
+        gaps[group] = np.abs(ms._qi_relative_entropies(mats, spectra, dims, AB)
+                             - _relative_entropies(mats, spectra, dephased))
+    return gaps
 
 
-def continuity_excess(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Change of the QI relative entropy between two states minus the
-    continuity bound (<= 0 when the bound holds).  The bound's warning for
-    trace distances above 1/2 is silenced: the bound still holds there."""
-    diff = abs(ms.qi_relative_entropy(rho, AB) - ms.qi_relative_entropy(sigma, AB))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        return diff - ms.continuity_bound(rho, sigma, AB)
+def continuity_excess(rho_mats: np.ndarray, sigma_mats: np.ndarray) -> np.ndarray:
+    """Change of the QI relative entropy between paired two-qubit states
+    minus the continuity bound (<= 0 where the bound holds).  The bound is
+    taken for any trace distance: above 1/2 it still holds."""
+    n = len(rho_mats)
+    mats = np.concatenate([rho_mats, sigma_mats])
+    qi = ms._qi_relative_entropies(mats, _density_stack(mats, QUBITS), QUBITS, AB)
+    distances = _trace_norms(rho_mats - sigma_mats) / 2.0
+    bounds = [ms._continuity_bound(t, math.prod(QUBITS)) for t in distances]
+    return np.abs(qi[:n] - qi[n:]) - bounds
 
 
-def continuity_trial(rng: np.random.Generator) -> float:
+def continuity_trial(rngs: Generators) -> np.ndarray:
     """``continuity_excess`` on two full-rank two-qubit states."""
-    rho = st.random_density((2, 2), 4, rng.integers(2**63))
-    sigma = st.random_density((2, 2), 4, rng.integers(2**63))
-    return continuity_excess(rho, sigma)
+    seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
+    rhos = np.stack([st._random_density_mat(QUBITS, 4, seed) for seed, _ in seeds])
+    sigmas = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, seed in seeds])
+    return continuity_excess(rhos, sigmas)
 
 
-def sqi_to_si_gap(rng: np.random.Generator) -> float:
+def _apply(channels: Sequence[ch.ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
+    """channels[i] applied to mats[i], the outputs validated as one stack."""
+    outs = ch._product_outputs(channels, mats)
+    _density_stack(outs, channels[0].out_dims)
+    return outs
+
+
+def _marginals(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
+    """The ``keep`` marginals of a stack of states, validated as one stack."""
+    marginals, marginal_dims = _partial_traces(mats, dims, keep)
+    _density_stack(marginals, marginal_dims)
+    return marginals
+
+
+def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between the marginals of the surviving party under a
     random one-round SQI channel and under its SI reduction."""
-    channel = ch.random_sqi_channel((2,), (2,), 1, rng.integers(2**63)).to_product()
-    reduced = pr.sqi_to_si_reduce(channel)
-    rho = st.random_density((2, 2), 4, rng.integers(2**63))
-    return trace_norm(
-        partial_trace(channel.apply(rho), {1}).mat - partial_trace(reduced.apply(rho), {1}).mat
-    )
+    seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
+    channels = [ch.random_sqi_channel((2,), (2,), 1, seed).to_product() for seed, _ in seeds]
+    reduced = [pr.sqi_to_si_reduce(channel) for channel in channels]
+    mats = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, seed in seeds])
+    _density_stack(mats, QUBITS)
+    bobs = _marginals(np.concatenate([_apply(channels, mats), _apply(reduced, mats)]), QUBITS, {1})
+    return _trace_norms(bobs[:len(mats)] - bobs[len(mats):])
 
 
-def ancilla_gap(rng: np.random.Generator) -> float:
+def ancilla_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between a random SI channel on (A, A') x (B, B'),
     built from incoherent local instruments, with the ancillas traced out,
-    and its ancilla-free reduction."""
-    a_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
-    b_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
-    # one pair per (A outcome, B outcome), in that order
-    extended = ch.ProductKrausChannel(np.repeat(a_instr.ops, b_instr.n_outcomes, axis=0),
-                                      np.tile(b_instr.ops, (a_instr.n_outcomes, 1, 1)), (2, 2), (2, 2))
-    reduced = pr.ancilla_reduce(extended, (2, 2))
-    rho = st.random_density((2, 2), 4, rng.integers(2**63))
-    big = extended.apply(pr.extend_with_ancillas(rho, (2, 2)))
-    return trace_norm(partial_trace(big, {0, 2}).mat - reduced.apply(rho).mat)
+    and its ancilla-free reduction.  Each input state and its extension by
+    the ancillas are built one at a time; the channels act as stacks."""
+    extended, reduced, rhos, bigs = [], [], [], []
+    for rng in rngs:
+        a_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
+        b_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
+        # one pair per (A outcome, B outcome), in that order
+        channel = ch.ProductKrausChannel(np.repeat(a_instr.ops, b_instr.n_outcomes, axis=0),
+                                         np.tile(b_instr.ops, (a_instr.n_outcomes, 1, 1)), (2, 2), (2, 2))
+        extended.append(channel)
+        reduced.append(pr.ancilla_reduce(channel, (2, 2)))
+        rho = st.random_density(QUBITS, 4, rng.integers(2**63))
+        rhos.append(rho.mat)
+        bigs.append(pr.extend_with_ancillas(rho, (2, 2)).mat)
+    kept = _marginals(_apply(extended, np.stack(bigs)), extended[0].out_dims, {0, 2})
+    return _trace_norms(kept - _apply(reduced, np.stack(rhos)))
 
 
 def assistance_excess(rho: DensityMatrix, seed: int) -> float:
@@ -122,10 +207,10 @@ def assistance_excess(rho: DensityMatrix, seed: int) -> float:
     return max(value - upper, ms.c_r(rho) - value)
 
 
-def chain_trial(rng: np.random.Generator) -> float:
-    """``assistance_excess`` on a rank-2 qubit state."""
-    rho = st.random_density((2,), 2, rng.integers(2**63))
-    return assistance_excess(rho, int(rng.integers(2**63)))
+def chain_trial(rngs: Generators) -> np.ndarray:
+    """``assistance_excess`` on a rank-2 qubit state, one trial at a time."""
+    return np.array([assistance_excess(st.random_density((2,), 2, rng.integers(2**63)),
+                                       int(rng.integers(2**63))) for rng in rngs])
 
 
 def completeness_residual(channel: ch.ProductKrausChannel) -> float:
@@ -135,13 +220,24 @@ def completeness_residual(channel: ch.ProductKrausChannel) -> float:
     return float(np.abs(gram - np.eye(len(gram))).max())
 
 
-# suite name -> whether one trial on the given generator passes
+@dataclass(frozen=True)
+class Suite:
+    """A property suite: its trial, and the test its values must pass.
+    Called on generators, it gives one pass/fail per generator."""
+
+    trial: Callable[[Generators], np.ndarray]
+    passes: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, rngs: Generators) -> np.ndarray:
+        return self.passes(self.trial(rngs))
+
+
 SUITES = {
-    "monotonicity": lambda rng: monotonicity_trial(rng) <= 1e-9,
-    "steering": steering_verdict_ok,
-    "teleport": lambda rng: teleport_fidelity(rng) >= 1.0 - 1e-9,
-    "closed-form": lambda rng: closed_form_gap(rng) <= 1e-9,
-    "continuity": lambda rng: continuity_trial(rng) <= 1e-12,
-    "reductions": lambda rng: sqi_to_si_gap(rng) <= 1e-9,
-    "chain": lambda rng: chain_trial(rng) <= 1e-9,
+    "monotonicity": Suite(monotonicity_trial, lambda v: v <= 1e-9),
+    "steering": Suite(steering_verdict_ok, lambda v: v),
+    "teleport": Suite(teleport_fidelity, lambda v: v >= 1.0 - 1e-9),
+    "closed-form": Suite(closed_form_gap, lambda v: v <= 1e-9),
+    "continuity": Suite(continuity_trial, lambda v: v <= 1e-12),
+    "reductions": Suite(sqi_to_si_gap, lambda v: v <= 1e-9),
+    "chain": Suite(chain_trial, lambda v: v <= 1e-9),
 }

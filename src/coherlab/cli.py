@@ -312,8 +312,7 @@ def measure(measure_name, state_path, builtin, split_spec, seed, budget, out_pat
         elif measure_name == "entropy":
             value = von_neumann_entropy(state)
         else:
-            value, _ = ms.coherence_of_assistance(state, budget=budget, seed=seed)
-            method = "optimized"
+            value, _, method = ms._assistance(state, budget, seed)
             inputs["seed"] = seed
             inputs["budget"] = budget
         report = ms.MeasureReport(measure_name, value, inputs, method)
@@ -334,8 +333,8 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
     rng = np.random.default_rng(seed)
     if name == "teleport":
         # a fidelity can round above 1; the report never exceeds 1
-        worst = min(1.0, checks.teleport_fidelity(rng, trials))
-        return {"protocol": name, "trials": trials, "min_fidelity": worst}
+        worst = min([1.0] + [checks.teleport_fidelity([rng] * n).min() for n in checks.stack_sizes(trials)])
+        return {"protocol": name, "trials": trials, "min_fidelity": float(worst)}
     if name == "distill-pure":
         if state_given:
             state = load_state(state_path, builtin)
@@ -380,11 +379,11 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
             "merge_residual": result.merge_residual,
         }
     if name == "sqi-to-si":
-        gap = max(checks.sqi_to_si_gap(rng) for _ in range(trials))
-        return {"protocol": name, "trials": trials, "max_bob_marginal_gap": gap}
+        gap = max(checks.sqi_to_si_gap([rng] * n).max() for n in checks.stack_sizes(trials))
+        return {"protocol": name, "trials": trials, "max_bob_marginal_gap": float(gap)}
     if name == "ancilla-reduce":
-        gap = max(checks.ancilla_gap(rng) for _ in range(trials))
-        return {"protocol": name, "trials": trials, "max_action_gap": gap}
+        gap = max(checks.ancilla_gap([rng] * n).max() for n in checks.stack_sizes(trials))
+        return {"protocol": name, "trials": trials, "max_action_gap": float(gap)}
     raise ParseError(f"unknown protocol {name!r}")
 
 
@@ -451,7 +450,7 @@ def reference_rows(seed: int = 0) -> list[dict]:
         ("domino_completeness_residual", checks.completeness_residual(channel), 0.0, 1e-9),
         ("domino_channel_si", ch.classify(channel).separable_incoherent, 1.0, 0.0),
         ("domino_discrimination_success", pr._domino_success_probabilities().min(), 1.0, 1e-9),
-        ("teleport_min_fidelity_20_random", checks.teleport_fidelity(rng, 20), 1.0, 1e-9),
+        ("teleport_min_fidelity_20_random", checks.teleport_fidelity([rng] * 20).min(), 1.0, 1e-9),
         ("continuity_bound_bell_vs_dephased",
          ms.continuity_bound(bell, ms.dephase(bell, (0, 1))), 4.0, 1e-9),
     ]
@@ -497,35 +496,59 @@ def reproduce(fmt, seed, out_path):
     _run(body)
 
 
+def _suite(name: str) -> checks.Suite:
+    if name not in checks.SUITES:
+        raise ParseError(f"unknown suite {name!r}")
+    return checks.SUITES[name]
+
+
 def run_suite(name: str, trials: int, seed: int) -> dict:
     """Run one property suite; returns counts and failure seeds.  Each
     trial runs on its own ``default_rng(s)``, s drawn from
-    ``default_rng(seed)``, so a listed failure seed reruns that trial alone."""
-    if name not in checks.SUITES:
-        raise ParseError(f"unknown suite {name!r}")
+    ``default_rng(seed)``, so a listed failure seed reruns that trial alone
+    (``replay_suite``).  The trials run in consecutive stacks of at most
+    ``checks.MAX_STACK``."""
+    passes = _suite(name)
     rng = np.random.default_rng(seed)
-    passes = checks.SUITES[name]
-    failures = []
-    for _ in range(trials):
-        s = int(rng.integers(2**63))
-        if not passes(np.random.default_rng(s)):
-            failures.append(s)
-    return {"suite": name, "trials": trials, "failures": len(failures),
-            "failure_seeds": failures[:16]}
+    failures, failure_seeds = 0, []
+    for n in checks.stack_sizes(trials):
+        seeds = [int(rng.integers(2**63)) for _ in range(n)]
+        failed = [s for s, ok in zip(seeds, passes([np.random.default_rng(s) for s in seeds])) if not ok]
+        failures += len(failed)
+        failure_seeds = (failure_seeds + failed)[:16]
+    return {"suite": name, "trials": trials, "failures": failures,
+            "failure_seeds": failure_seeds}
+
+
+def replay_suite(name: str, seed: int) -> dict:
+    """Rerun the one trial of a suite that ``run_suite`` lists under
+    ``seed``: its value and whether it passes."""
+    suite = _suite(name)
+    value = suite.trial([np.random.default_rng(seed)])
+    return {"suite": name, "seed": seed, "value": value[0].item(),
+            "pass": bool(suite.passes(value)[0])}
 
 
 @main.command()
 @click.argument("name", type=click.Choice(list(checks.SUITES)))
 @click.option("--trials", type=TRIALS, default=50, show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True)
+@click.option("--replay", type=SEED, default=None,
+              help="Rerun only the trial of this failure seed.")
 @click.option("--out", "out_path", type=str, default=None)
-def suite(name, trials, seed, out_path):
-    """Run a seeded property suite; failures list reproduction seeds."""
+def suite(name, trials, seed, replay, out_path):
+    """Run a seeded property suite; failures list reproduction seeds, and
+    --replay SEED reruns the trial of one of them."""
 
     def body():
-        summary = run_suite(name, trials, seed)
+        if replay is None:
+            summary = run_suite(name, trials, seed)
+            failed = summary["failures"] > 0
+        else:
+            summary = replay_suite(name, replay)
+            failed = not summary["pass"]
         _emit(canonical_json(summary) + "\n", out_path)
-        if summary["failures"]:
+        if failed:
             sys.exit(EXIT_CHECK)
 
     _run(body)

@@ -63,8 +63,8 @@ def _to_square(m) -> np.ndarray:
 
 
 def _check_dims(dims, total: int) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
-    if not dims or any(d < 1 for d in dims):
+    dims = tuple(map(int, dims))
+    if not dims or min(dims) < 1:
         raise BadSubsystemError(f"invalid subsystem dimensions {dims}")
     if math.prod(dims) != total:
         raise DimensionMismatchError(
@@ -96,14 +96,58 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def trace_norm(m) -> float:
-    """Trace norm ||M|| = sum of singular values."""
-    mat = _to_square(m)
+def _trace_norms(mats: np.ndarray) -> np.ndarray:
+    """Trace norm of each matrix of an (n, N, N) stack, from one batched SVD."""
     try:
-        s = np.linalg.svd(mat, compute_uv=False)
+        s = np.linalg.svd(mats, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"SVD failed: {exc}") from exc
-    return float(s.sum())
+    return s.sum(axis=-1)
+
+
+def trace_norm(m) -> float:
+    """Trace norm ||M|| = sum of singular values."""
+    return float(_trace_norms(_to_square(m)[None])[0])
+
+
+def _invalid(k: int, n: int, message: str) -> InvalidStateError:
+    """The error for state k of a stack of n: the message, prefixed with k
+    when the stack holds more than one state."""
+    return InvalidStateError((f"state {k}: " if n > 1 else "") + message)
+
+
+def _density_stack(mats: np.ndarray, dims) -> np.ndarray:
+    """Validate an (n, N, N) stack of density matrices with subsystem dims
+    ``dims`` and return their spectra, ascending, shape (n, N).
+
+    The checks of ``DensityMatrix`` run on the whole stack, in this order:
+    finite entries, hermiticity, unit trace and positivity (one batched
+    eigvalsh).  A failure raises InvalidStateError with the message a
+    single state gets, prefixed, in a stack of more than one state, with
+    the index of the first state that fails that check."""
+    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+        raise DimensionMismatchError(f"expected a stack of square matrices, got shape {mats.shape}")
+    _check_dims(dims, mats.shape[-1])
+    n = len(mats)
+    if not np.isfinite(mats).all():
+        k = int(np.argmin(np.isfinite(mats).reshape(n, -1).all(axis=1)))
+        raise _invalid(k, n, "matrix has a non-finite (nan or inf) entry")
+    asym = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    for k, r in enumerate(asym.tolist()):
+        if not r <= TOL_HERM:
+            raise _invalid(k, n, f"hermiticity violated: max |M - M'| = {r:.3e} exceeds {TOL_HERM:.0e}")
+    for k, tr in enumerate(mats.trace(axis1=1, axis2=2).tolist()):
+        if not abs(tr - 1.0) <= TOL_TRACE:
+            raise _invalid(k, n, f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} "
+                                 f"exceeds {TOL_TRACE:.0e}")
+    try:
+        spectra = np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+    for k, w_min in enumerate(spectra[:, 0].tolist()):
+        if not w_min >= -TOL_PSD:
+            raise _invalid(k, n, f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}")
+    return spectra
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,27 +169,7 @@ class DensityMatrix:
     def __post_init__(self):
         mat = _to_square(self.mat).copy()
         dims = _check_dims(self.dims, mat.shape[0])
-        if not np.isfinite(mat).all():
-            raise InvalidStateError("matrix has a non-finite (nan or inf) entry")
-        asym = np.abs(mat - mat.conj().T).max()
-        if not asym <= TOL_HERM:
-            raise InvalidStateError(
-                f"hermiticity violated: max |M - M'| = {asym:.3e} exceeds {TOL_HERM:.0e}"
-            )
-        tr = complex(np.trace(mat))
-        if not abs(tr - 1.0) <= TOL_TRACE:
-            raise InvalidStateError(
-                f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
-            )
-        try:
-            spectrum = np.linalg.eigvalsh(mat)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-        w_min = float(spectrum[0])
-        if not w_min >= -TOL_PSD:
-            raise InvalidStateError(
-                f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}"
-            )
+        spectrum = _density_stack(mat[None], dims)[0]
         mat.setflags(write=False)
         spectrum.setflags(write=False)
         object.__setattr__(self, "mat", mat)
@@ -212,21 +236,29 @@ def _validate_subsystems(indices, n: int, allow_empty: bool = False) -> tuple[in
     return idx
 
 
+def _partial_traces(mats: np.ndarray, dims: tuple[int, ...], keep) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Trace every subsystem not in ``keep`` out of each matrix of an
+    (n, N, N) stack with subsystem dims ``dims``: the reduced stack and its
+    dims, the kept subsystems in their original order."""
+    keep_idx = _validate_subsystems(keep, len(dims))
+    traced = [i for i in range(len(dims)) if i not in keep_idx]
+    dims = list(dims)
+    tensor = mats.reshape([len(mats)] + dims + dims)
+    for idx in sorted(traced, reverse=True):
+        tensor = np.trace(tensor, axis1=idx + 1, axis2=idx + 1 + len(dims))
+        dims.pop(idx)
+    d = math.prod(dims)
+    return tensor.reshape(len(mats), d, d), tuple(dims)
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``.
 
     ``keep`` is a set of subsystem indices; the result carries the kept
     subsystems in their original order.
     """
-    keep_idx = _validate_subsystems(keep, rho.n_subsystems)
-    traced = [i for i in range(rho.n_subsystems) if i not in keep_idx]
-    dims = list(rho.dims)
-    tensor = rho.mat.reshape(dims + dims)
-    for idx in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=idx, axis2=idx + len(dims))
-        dims.pop(idx)
-    d = math.prod(dims)
-    return DensityMatrix(tensor.reshape(d, d), tuple(dims))
+    mats, dims = _partial_traces(rho.mat[None], rho.dims, keep)
+    return DensityMatrix(mats[0], dims)
 
 
 def apply_local(m, k, before: int = 1, after: int = 1) -> np.ndarray:
@@ -284,6 +316,29 @@ def _entropy_from_eigs(w: np.ndarray) -> float:
     return float(-(w * np.log2(w)).sum())
 
 
+def _entropies(spectra: np.ndarray) -> np.ndarray:
+    """``_entropy_from_eigs`` of each entry of a stack of spectra (the
+    eigenvalues of state i are spectra[i], of any shape), bit for bit.
+
+    The terms of a whole row are summed at once, a zero standing in for
+    each eigenvalue clamped to 0 (or nan).  That is the sum of the positive
+    terms alone while a row has fewer than 8 entries (numpy then sums in
+    order), or when no term is dropped; any other row, and a row with no
+    positive eigenvalue, is summed on its own."""
+    if len(spectra) == 1:
+        # one state: its positive terms summed alone cost less than a row
+        return np.array([_entropy_from_eigs(spectra[0])])
+    w = np.minimum(np.fmax(spectra.real.reshape(len(spectra), -1), 0.0), 1.0)
+    keep = w > 0.0
+    # a dropped entry is 0, and log2(0 + 1) = 0; a kept one is w + 0 = w
+    values = -(w * np.log2(w + ~keep)).sum(axis=1)
+    if not keep.all():
+        exact = keep.any(axis=1) if w.shape[1] < 8 else keep.all(axis=1)
+        for i in np.nonzero(~exact)[0]:
+            values[i] = _entropy_from_eigs(w[i])
+    return values
+
+
 def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
@@ -300,6 +355,36 @@ def von_neumann_entropy(rho) -> float:
     return _entropy_from_eigs(w)
 
 
+def _relative_entropies(r: np.ndarray, w_r: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """S(rho_i||sigma_i) for an (n, N, N) stack of rho_i with spectra
+    w_r[i] and a stack of sigma_i of the same shape.
+
+    Each sigma_i must be Hermitian within TOL_HERM times its largest
+    modulus (or 1); one batched eigh then gives its eigenpairs.  A value is
+    ``math.inf`` when rho_i has more than TOL_KERNEL_MASS weight in the
+    kernel of sigma_i (the eigenvectors with eigenvalue below TOL_PSD), or
+    when sigma_i is numerically zero."""
+    asym = np.abs(s - s.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    tol = TOL_HERM * np.maximum(1.0, np.abs(s).max(axis=(1, 2)))
+    if not (asym <= tol).all():
+        k = int(np.argmin(asym <= tol))
+        raise NonHermitianError(
+            f"matrix is not Hermitian: max |M - M'| = {asym[k]:.3e} exceeds {tol[k]:.0e}"
+        )
+    try:
+        w_s, v_s = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+    in_kernel = w_s < TOL_PSD
+    # weights[i, j] = <v_j| rho_i |v_j> for the eigenvectors v_j of sigma_i
+    weights = np.real((v_s.conj() * (r @ v_s)).sum(axis=1))
+    mass = np.where(in_kernel, weights, 0.0).sum(axis=1)
+    log_s = np.log2(np.where(in_kernel, 1.0, w_s))
+    term_sigma = (np.where(in_kernel, 0.0, weights) * log_s).sum(axis=1)
+    values = -_entropies(w_r) - term_sigma
+    return np.where((mass > TOL_KERNEL_MASS) | in_kernel.all(axis=1), math.inf, values)
+
+
 def relative_entropy(rho, sigma) -> float:
     """Relative entropy S(rho||sigma) = Tr[rho log2 rho] - Tr[rho log2 sigma].
 
@@ -313,21 +398,4 @@ def relative_entropy(rho, sigma) -> float:
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")
     w_r = rho.spectrum if isinstance(rho, DensityMatrix) else np.linalg.eigvalsh(r)
-    w_s, v_s = eig_hermitian(s, tol=TOL_HERM * max(1.0, np.abs(s).max()))
-    in_kernel = w_s < TOL_PSD
-    if np.any(in_kernel):
-        kernel_vecs = v_s[:, in_kernel]
-        mass = float(np.real(np.einsum("ij,ik,kj->", kernel_vecs.conj(), r, kernel_vecs)))
-        if mass > TOL_KERNEL_MASS:
-            return math.inf
-    w_pos = np.clip(w_r.real, 0.0, 1.0)
-    w_pos = w_pos[w_pos > 0.0]
-    term_rho = float((w_pos * np.log2(w_pos)).sum()) if w_pos.size else 0.0
-    support = ~in_kernel
-    if not np.any(support):
-        # sigma numerically zero: only reachable for invalid sigma
-        return math.inf
-    vecs = v_s[:, support]
-    weights = np.real(np.einsum("ij,ik,kj->j", vecs.conj(), r, vecs))
-    term_sigma = float((weights * np.log2(w_s[support].real)).sum())
-    return term_rho - term_sigma
+    return float(_relative_entropies(r[None], w_r[None], s[None])[0])

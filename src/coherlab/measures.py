@@ -30,7 +30,7 @@ from .linalg import (
     permute_subsystems,
     trace_norm,
     von_neumann_entropy,
-    _entropy_from_eigs,
+    _entropies,
     _validate_subsystems,
 )
 
@@ -142,45 +142,62 @@ def binary_entropy(t: float) -> float:
     return float(-t * math.log2(t) - (1.0 - t) * math.log2(1.0 - t))
 
 
+def _dephase_stack(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np.ndarray:
+    """Each matrix of an (n, N, N) stack with subsystem dims ``dims``, its
+    off-diagonal elements in the basis of the selected subsystems zeroed."""
+    idx = _validate_subsystems(subsystems, len(dims), allow_empty=True)
+    size = math.prod(dims)
+    multi = np.array(np.unravel_index(np.arange(size), dims))
+    mask = np.ones((size, size), dtype=bool)
+    for s in idx:
+        mask &= multi[s][:, None] == multi[s][None, :]
+    return np.where(mask, mats, 0.0)
+
+
 def dephase(rho: DensityMatrix, subsystems) -> DensityMatrix:
     """Zero every off-diagonal element in the incoherent basis of the
     selected subsystems.  Empty selection is the identity map; the full
     selection is total dephasing.  Trace-preserving and idempotent."""
-    idx = _validate_subsystems(subsystems, rho.n_subsystems, allow_empty=True)
-    if not idx:
+    if not _validate_subsystems(subsystems, rho.n_subsystems, allow_empty=True):
         return rho
-    size = rho.dim
-    multi = np.array(np.unravel_index(np.arange(size), rho.dims))
-    mask = np.ones((size, size), dtype=bool)
-    for s in idx:
-        mask &= multi[s][:, None] == multi[s][None, :]
-    return DensityMatrix(np.where(mask, rho.mat, 0.0), rho.dims)
+    return DensityMatrix(_dephase_stack(rho.mat[None], rho.dims, subsystems)[0], rho.dims)
 
 
-def _dephased_entropy(rho: DensityMatrix, subsystems) -> float:
-    """S(dephase(rho, subsystems)) without building the dephased state.
+def _dephased_entropy(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np.ndarray:
+    """S(dephase(rho, subsystems)) for each rho of an (n, N, N) stack with
+    subsystem dims ``dims``, without building the dephased states.
 
     Dephasing the set S leaves rho block-diagonal over S's basis labels,
     one (d_rest, d_rest) block per label, so its spectrum is the union of
-    the blocks' spectra.  With S every subsystem the blocks are the
-    diagonal entries and the entropy is their Shannon entropy."""
-    idx = _validate_subsystems(subsystems, rho.n_subsystems)
-    rest = tuple(i for i in range(rho.n_subsystems) if i not in idx)
+    the blocks' spectra; the blocks of the whole stack go through one
+    batched eigvalsh.  With S every subsystem the blocks are the diagonal
+    entries and the entropy is their Shannon entropy."""
+    idx = _validate_subsystems(subsystems, len(dims))
+    rest = tuple(i for i in range(len(dims)) if i not in idx)
     # labels[s, r]: row of rho holding S-label s and rest-label r.
-    labels = np.arange(rho.dim).reshape(rho.dims).transpose(idx + rest)
-    labels = labels.reshape(math.prod(rho.dims[i] for i in idx), -1)
+    labels = np.arange(math.prod(dims)).reshape(dims).transpose(idx + rest)
+    labels = labels.reshape(math.prod(dims[i] for i in idx), -1)
     if labels.shape[1] == 1:
-        return _entropy_from_eigs(np.diagonal(rho.mat))
-    blocks = rho.mat[labels[:, :, None], labels[:, None, :]]
-    return _entropy_from_eigs(np.linalg.eigvalsh(blocks))
+        return _entropies(np.diagonal(mats, axis1=1, axis2=2))
+    blocks = mats[:, labels[:, :, None], labels[:, None, :]]
+    return _entropies(np.linalg.eigvalsh(blocks))
 
 
 def c_r(rho: DensityMatrix) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho); equals the
     distillable coherence.  S(dephase(rho)) is the Shannon entropy of the
     diagonal and S(rho) comes from rho's stored spectrum."""
-    value = _dephased_entropy(rho, range(rho.n_subsystems)) - von_neumann_entropy(rho)
-    return _finalize(value, "relative entropy of coherence")
+    dephased = _dephased_entropy(rho.mat[None], rho.dims, range(rho.n_subsystems))[0]
+    return _finalize(dephased - von_neumann_entropy(rho), "relative entropy of coherence")
+
+
+def _qi_relative_entropies(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ...],
+                           split: Bipartition) -> np.ndarray:
+    """``qi_relative_entropy`` of each state of a validated (n, N, N) stack
+    with spectra ``spectra`` and subsystem dims ``dims``."""
+    split.validate(len(dims))
+    values = _dephased_entropy(mats, dims, split.b) - _entropies(spectra)
+    return np.array([_finalize(value, "QI relative entropy") for value in values.tolist()])
 
 
 def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
@@ -188,9 +205,7 @@ def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
     split, in closed form: S(dephase_B(rho)) - S(rho).  S(dephase_B(rho))
     comes from the A-blocks of rho, one per basis label of B, and S(rho)
     from rho's stored spectrum."""
-    split.validate(rho.n_subsystems)
-    value = _dephased_entropy(rho, split.b) - von_neumann_entropy(rho)
-    return _finalize(value, "QI relative entropy")
+    return float(_qi_relative_entropies(rho.mat[None], rho.spectrum[None], rho.dims, split)[0])
 
 
 # Floor on the eigenvalues of the oracle's sigma, so the objective stays
@@ -386,7 +401,8 @@ def basis_dependent_discord(rho: DensityMatrix, split: Bipartition) -> float:
     rho_a, rho_b = _marginals(rho, split)
     s_a = von_neumann_entropy(rho_a)
     before = s_a + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
-    after = s_a + _dephased_entropy(rho_b, range(rho_b.n_subsystems)) - _dephased_entropy(rho, split.b)
+    after = (s_a + _dephased_entropy(rho_b.mat[None], rho_b.dims, range(rho_b.n_subsystems))[0]
+             - _dephased_entropy(rho.mat[None], rho.dims, split.b)[0])
     return _finalize(before - after, "basis-dependent discord")
 
 
@@ -469,12 +485,25 @@ def coherence_of_assistance(
     budget: int = 64,
     seed: int = 0,
 ) -> tuple[float, list[tuple[float, PureState]]]:
+    """Best average pure-state coherence over the decompositions of rho:
+    ``(value, ensemble)`` of ``_assistance``."""
+    value, ensemble, _ = _assistance(rho, budget, seed)
+    return value, ensemble
+
+
+def _assistance(
+    rho: DensityMatrix,
+    budget: int,
+    seed: int,
+) -> tuple[float, list[tuple[float, PureState]], str]:
     """Best average pure-state coherence over the decompositions of rho.
 
-    Returns ``(value, ensemble)`` where the ensemble averages back to rho.
-    Every decomposition's average lies in [c_r(rho), S(dephase(rho))].  For
-    a qubit the value is exactly S(dephase(rho)), from a two-member
-    ensemble.  For d >= 3 the decomposition is found by gradient ascent over
+    Returns ``(value, ensemble, method)`` where the ensemble averages back
+    to rho and the method says how the value was obtained: "closed-form"
+    for a pure state or a qubit, where it is exact, and "optimized" for the
+    ascent.  Every decomposition's average lies in [c_r(rho),
+    S(dephase(rho))].  For a qubit the value is exactly S(dephase(rho)),
+    from a two-member ensemble.  For d >= 3 the decomposition is found by gradient ascent over
     a measurement basis on a purification ancilla (d^2 outcomes), so the
     value is a certified lower bound, with upper end S(dephase(rho)).
     ``budget`` caps the restarts, the first from the eigen-ensemble and the
@@ -491,10 +520,10 @@ def coherence_of_assistance(
     # Pure state: the only decomposition is the state itself.
     if r <= 1:
         psi = PureState(vecs[:, 0], rho.dims)
-        return c_r(rho), [(1.0, psi)]
-    upper = _dephased_entropy(rho, range(rho.n_subsystems))
+        return c_r(rho), [(1.0, psi)], "closed-form"
+    upper = float(_dephased_entropy(rho.mat[None], rho.dims, range(rho.n_subsystems))[0])
     if d == 2:
-        return upper, _qubit_assistance(rho)
+        return upper, _qubit_assistance(rho), "closed-form"
     if d > ASSIST_MAX_DIM:
         raise DimensionTooLargeError(f"assistance search limited to dimension {ASSIST_MAX_DIM}, got {d}")
     # Columns of W are the sub-normalized eigenbranch vectors; member j of
@@ -519,7 +548,7 @@ def coherence_of_assistance(
         p = float(np.linalg.norm(phi[:, j]) ** 2)
         if p > 1e-12:
             ensemble.append((p, PureState(phi[:, j] / math.sqrt(p), rho.dims)))
-    return best_val, ensemble
+    return best_val, ensemble, "optimized"
 
 
 def continuity_bound(rho: DensityMatrix, sigma: DensityMatrix, split: Bipartition | None = None) -> float:
@@ -535,4 +564,9 @@ def continuity_bound(rho: DensityMatrix, sigma: DensityMatrix, split: Bipartitio
     t = trace_norm(rho.mat - sigma.mat) / 2.0
     if t > 0.5:
         warnings.warn(f"trace distance T = {t:.3f} > 1/2: bound is outside its monotone range")
-    return 2.0 * t * math.log2(rho.dim) + 2.0 * binary_entropy(t)
+    return _continuity_bound(t, rho.dim)
+
+
+def _continuity_bound(t: float, d: int) -> float:
+    """2 T log2(d) + 2 h(T) for the trace distance T on dimension d."""
+    return 2.0 * t * math.log2(d) + 2.0 * binary_entropy(t)

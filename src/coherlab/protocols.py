@@ -39,6 +39,7 @@ from .linalg import (
     partial_trace,
     permute_subsystems,
     trace_norm,
+    _density_stack,
 )
 from .measures import (
     Bipartition,
@@ -138,23 +139,25 @@ _TELEPORT_PAIR = bell_states()[0]
 _TELEPORT = _teleport_script()
 
 
-def _teleport_branches(*psis: PureState) -> tuple[np.ndarray, np.ndarray, list, list[float]]:
+def _teleport_branches(*psis: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
     """Teleport each input qubit, all of them through one stacked
     expansion of the script: the unnormalized leaf states, their
-    probabilities and transcripts, input by input and depth-first within
-    each input, and Bob's fidelity with his leaf's input on each leaf.
-    The inputs are the only states validated; each fidelity is read from
-    the normalized leaf with A and then A' traced out, as
-    ``partial_trace`` does."""
+    probabilities, input indices and transcripts, input by input and
+    depth-first within each input, and Bob's fidelity with his leaf's input
+    on each leaf.  The inputs psi x phi+ are the only states validated, as
+    one stack; each fidelity is read from the normalized leaf with A and
+    then A' traced out, as ``partial_trace`` does."""
     if any(psi.dims != (2,) for psi in psis):
         raise DimensionMismatchError("teleportation input must be a single qubit")
-    mats, probs, inputs, transcripts = _TELEPORT._leaves(
-        *(psi.tensor(_TELEPORT_PAIR).to_density() for psi in psis))
+    vecs = np.stack([np.kron(psi.vec, _TELEPORT_PAIR.vec) for psi in psis])
+    rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
+    _density_stack(rhos, _TELEPORT.dims)
+    mats, probs, inputs, transcripts = _TELEPORT._leaves(rhos, _TELEPORT.dims)
     bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
     bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
-    fidelities = [float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
-                  for k, bob in zip(inputs.tolist(), bobs)]
-    return mats, probs, transcripts, fidelities
+    fidelities = np.array([float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
+                           for k, bob in zip(inputs.tolist(), bobs)])
+    return mats, probs, inputs, transcripts, fidelities
 
 
 def incoherent_teleport(psi: PureState) -> ProtocolResult:
@@ -166,12 +169,12 @@ def incoherent_teleport(psi: PureState) -> ProtocolResult:
     two-qubit basis; Bob's corrections are Pauli operators.  Every branch
     has probability 1/4 and leaves Bob holding the input state exactly.
     """
-    mats, probs, transcripts, fidelities = _teleport_branches(psi)
+    mats, probs, _, transcripts, fidelities = _teleport_branches(psi)
     probs = probs.tolist()
     leaves = [(p, DensityMatrix(m / p, _TELEPORT.dims), t)
               for m, p, t in zip(mats, probs, transcripts)]
     metrics = {
-        "min_fidelity": min(fidelities),
+        "min_fidelity": float(fidelities.min()),
         "mean_fidelity": float(np.mean(fidelities)),
         "max_probability_error": max(abs(p - 0.25) for p in probs),
     }
@@ -249,7 +252,8 @@ def assisted_distill_pure(
     metrics = {
         "average_coherence": average,
         "supplied_ensemble_average": supplied_average,
-        "bob_dephased_entropy": _dephased_entropy(rho_b, range(rho_b.n_subsystems)),
+        "bob_dephased_entropy": float(
+            _dephased_entropy(rho_b.mat[None], rho_b.dims, range(rho_b.n_subsystems))[0]),
     }
     return ProtocolResult(tuple(leaves), metrics, details={"instrument": instrument})
 
@@ -320,7 +324,12 @@ def _polarization_vectors(da: int) -> np.ndarray:
                            (eye[a] + 1j * eye[c]) / math.sqrt(2.0)])
 
 
-def find_steering_measurement(rho: DensityMatrix, tol: float = 1e-6) -> SteeringWitness | None:
+# Largest off-diagonal modulus of Bob's post-states that the steering
+# search reads as zero.
+STEERING_TOL = 1e-6
+
+
+def find_steering_measurement(rho: DensityMatrix, tol: float = STEERING_TOL) -> SteeringWitness | None:
     """Find an incoherent Alice outcome |0><v| that leaves Bob coherent.
 
     Bob's unnormalized post-state is M(v)_bd = v' X^bd v with
@@ -337,21 +346,35 @@ def find_steering_measurement(rho: DensityMatrix, tol: float = 1e-6) -> Steering
     """
     if len(rho.dims) != 2:
         raise DimensionMismatchError("steering search needs a bipartite state")
-    da, db = rho.dims
+    return _steering_witnesses(rho.mat[None], rho.dims, tol)[0]
+
+
+def _steering_witnesses(mats: np.ndarray, dims: tuple[int, int],
+                        tol: float = STEERING_TOL) -> list[SteeringWitness | None]:
+    """``find_steering_measurement`` on each state of a validated
+    (n, N, N) stack of (d_A, d_B) states: the post-states at the
+    polarization vectors of the whole stack come from one ``einsum``, and
+    a witness, with its validated Bob state and that state's c_r, is built
+    for each state that has one."""
+    da, db = dims
     vecs = _polarization_vectors(da)
-    posts = np.einsum("ka,abcd,kc->kbd", vecs.conj(), rho.mat.reshape(da, db, da, db), vecs)
-    offdiag = np.abs(posts * (1.0 - np.eye(db))).max(axis=(1, 2))
-    k = int(np.argmax(offdiag))
-    if offdiag[k] <= tol:
-        return None
-    p = float(np.trace(posts[k]).real)
-    bob = DensityMatrix(posts[k] / p, (db,))
-    return SteeringWitness(
-        kraus_op=np.outer(ket(0, da), vecs[k].conj()),
-        probability=p,
-        bob_post_state=bob,
-        bob_coherence=c_r(bob),
-    )
+    posts = np.einsum("ka,nabcd,kc->nkbd", vecs.conj(), mats.reshape(-1, da, db, da, db), vecs)
+    offdiag = np.abs(posts * (1.0 - np.eye(db))).max(axis=(2, 3))
+    witnesses = []
+    for post, off in zip(posts, offdiag):
+        k = int(np.argmax(off))
+        if off[k] <= tol:
+            witnesses.append(None)
+            continue
+        p = float(np.trace(post[k]).real)
+        bob = DensityMatrix(post[k] / p, (db,))
+        witnesses.append(SteeringWitness(
+            kraus_op=np.outer(ket(0, da), vecs[k].conj()),
+            probability=p,
+            bob_post_state=bob,
+            bob_coherence=c_r(bob),
+        ))
+    return witnesses
 
 
 def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:

@@ -171,21 +171,26 @@ def random_pure(dims, seed) -> PureState:
     return PureState(v / np.linalg.norm(v), dims)
 
 
-def random_density(dims, rank, seed) -> DensityMatrix:
-    """Random mixed state G G' / Tr(G G') for a Gaussian d x rank matrix."""
-    dims = tuple(int(d) for d in dims)
+def _random_density_mat(dims: tuple[int, ...], rank, seed) -> np.ndarray:
+    """The matrix of ``random_density(dims, rank, seed)``, not validated:
+    callers that draw many validate them as one stack."""
     d = math.prod(dims)
     if not 1 <= rank <= d:
         raise BadRankError(f"rank {rank} invalid for total dimension {d}")
     rng = np.random.default_rng(seed)
     g = _ginibre(rng, d, rank)
     mat = g @ g.conj().T
-    return DensityMatrix(mat / np.trace(mat).real, dims)
+    return mat / np.trace(mat).real
 
 
-def random_qi_state(dims, seed) -> DensityMatrix:
-    """Random quantum-incoherent state sum_j p_j sigma_j^A x |j><j|^B on a
-    bipartite (d_A, d_B) system: arbitrary on A, diagonal on B."""
+def random_density(dims, rank, seed) -> DensityMatrix:
+    """Random mixed state G G' / Tr(G G') for a Gaussian d x rank matrix."""
+    dims = tuple(int(d) for d in dims)
+    return DensityMatrix(_random_density_mat(dims, rank, seed), dims)
+
+
+def _random_qi_mat(dims: tuple[int, int], seed) -> np.ndarray:
+    """The matrix of ``random_qi_state(dims, seed)``, not validated."""
     da, db = (int(d) for d in dims)
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(db))
@@ -195,7 +200,14 @@ def random_qi_state(dims, seed) -> DensityMatrix:
         block = g @ g.conj().T
         block *= probs[j] / np.trace(block).real
         mat[j::db, j::db] += block  # rows and columns with B label j
-    return DensityMatrix(mat, (da, db))
+    return mat
+
+
+def random_qi_state(dims, seed) -> DensityMatrix:
+    """Random quantum-incoherent state sum_j p_j sigma_j^A x |j><j|^B on a
+    bipartite (d_A, d_B) system: arbitrary on A, diagonal on B."""
+    da, db = (int(d) for d in dims)
+    return DensityMatrix(_random_qi_mat((da, db), seed), (da, db))
 
 
 def random_unitary(d: int, seed) -> np.ndarray:

@@ -54,7 +54,7 @@ def test_acceptance_incoherent_teleportation():
     for phi in bell_states():
         assert is_incoherent_operator(np.outer(zero2, phi.vec.conj()))
     rng = np.random.default_rng(0)
-    assert min(checks.teleport_fidelity(rng) for _ in range(100)) >= 1.0 - 1e-9
+    assert min(checks.teleport_fidelity([rng])[0] for _ in range(100)) >= 1.0 - 1e-9
     _report("incoherent teleportation of 100 Haar-random qubits", time.perf_counter() - t0, 1.0)
 
 
@@ -88,7 +88,7 @@ def test_acceptance_steering_property_suite():
     sampled = 0
     while sampled < 100:
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
-        if not checks.far_from_qi(rho):
+        if not checks.far_from_qi(rho.mat[None])[0]:
             continue
         sampled += 1
         if find_steering_measurement(rho) is not None:
@@ -110,7 +110,7 @@ def test_acceptance_sqi_monotonicity():
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         rounds = 1 + trial % 2
         protocol = random_sqi_channel((2,), (2,), rounds, int(rng.integers(2**63)))
-        assert checks.qi_increase(rho, protocol) <= 1e-9
+        assert checks.qi_increase(rho.mat[None], [protocol])[0] <= 1e-9
     _report("QI relative entropy monotone under 200 random SQI channels", time.perf_counter() - t0, 30.0)
 
 
@@ -118,9 +118,9 @@ def test_acceptance_reduction_contracts():
     t0 = time.perf_counter()
     rng = np.random.default_rng(4)
     for _ in range(100):
-        assert checks.sqi_to_si_gap(rng) <= 1e-9
+        assert checks.sqi_to_si_gap([rng])[0] <= 1e-9
     for _ in range(100):
-        assert checks.ancilla_gap(rng) <= 1e-9
+        assert checks.ancilla_gap([rng])[0] <= 1e-9
     _report("SQI->SI and ancilla reductions, 100 trials each", time.perf_counter() - t0, 30.0)
 
 
@@ -128,7 +128,7 @@ def test_acceptance_closed_form_cross_validation():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     for _ in range(200):
-        assert checks.closed_form_gap(rng) <= 1e-9
+        assert checks.closed_form_gap([rng])[0] <= 1e-9
     for trial in range(20):
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         closed = qi_relative_entropy(rho, AB)
@@ -143,7 +143,7 @@ def test_acceptance_continuity_bound():
     for _ in range(200):
         rho = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         sigma = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
-        assert checks.continuity_excess(rho, sigma) <= 1e-12
+        assert checks.continuity_excess(rho.mat[None], sigma.mat[None])[0] <= 1e-12
     _report("continuity bound dominates on 200 random pairs", time.perf_counter() - t0, 5.0)
 
 

@@ -571,10 +571,10 @@ def test_expansion_steps_each_round_once_on_a_stack(monkeypatch):
 
 
 def _assert_stacked_leaves_match_single(protocol, rhos):
-    mats, probs, inputs, transcripts = protocol._leaves(*rhos)
+    mats, probs, inputs, transcripts = protocol._leaves(np.stack([rho.mat for rho in rhos]), protocol.dims)
     start = 0
     for k, rho in enumerate(rhos):
-        one_mats, one_probs, one_inputs, one_transcripts = protocol._leaves(rho)
+        one_mats, one_probs, one_inputs, one_transcripts = protocol._leaves(rho.mat[None], rho.dims)
         stop = start + len(one_probs)
         assert inputs[start:stop].tolist() == [k] * len(one_probs)
         assert one_inputs.tolist() == [0] * len(one_probs)
@@ -602,7 +602,7 @@ def test_stacked_leaves_prune_each_input_on_its_own():
     diag = [DensityMatrix(np.diag(p).astype(complex), (2, 2))
             for p in ([1, 0, 0, 0], [0, 0, 0.4, 0.6], [0.25] * 4)]
     rhos = [diag[0], random_density((2, 2), 4, 1), diag[1], diag[2], random_density((2, 2), 2, 2)]
-    _, _, inputs, _ = protocol._leaves(*rhos)
+    _, _, inputs, _ = protocol._leaves(np.stack([rho.mat for rho in rhos]), protocol.dims)
     assert np.bincount(inputs).tolist() == [2, 4, 2, 4, 4]
     _assert_stacked_leaves_match_single(protocol, rhos)
 
@@ -643,3 +643,33 @@ def test_to_product_matches_protocol_action():
         rho = random_density((2, 2), 4, seed + 10)
         assert np.abs(protocol.apply(rho).mat - product.apply(rho).mat).max() < 1e-10
 
+
+
+def test_scripts_of_one_shape_step_as_one_stack():
+    # scripts[i] on rhos[i]: each output is the script's own apply, bit for bit
+    from coherlab.channels import _outputs, _product_outputs
+
+    for rounds, n_outcomes in ((1, 2), (2, 3)):
+        scripts = [random_sqi_channel((2,), (3,), rounds, seed, n_outcomes=n_outcomes) for seed in range(6)]
+        rhos = [random_density((2, 3), 1 + seed, 50 + seed) for seed in range(6)]
+        outs = _outputs(scripts, np.stack([rho.mat for rho in rhos]), (2, 3))
+        for out, script, rho in zip(outs, scripts, rhos):
+            assert out.tobytes() == script.apply(rho).mat.tobytes()
+        products = [script.to_product() for script in scripts]
+        outs = _product_outputs(products, np.stack([rho.mat for rho in rhos]))
+        for out, product, rho in zip(outs, products, rhos):
+            assert out.tobytes() == product.apply(rho).mat.tobytes()
+
+
+def test_scripts_of_different_shapes_do_not_stack():
+    from coherlab.channels import _branches, _product_outputs
+
+    rho = random_density((2, 2), 4, 0).mat
+    with pytest.raises(DimensionMismatchError, match="one shape"):
+        _branches([random_sqi_channel((2,), (2,), 1, 0), random_sqi_channel((2,), (2,), 2, 1)],
+                  np.stack([rho, rho]), (2, 2))
+    with pytest.raises(DimensionMismatchError, match="state dims"):
+        _branches([random_sqi_channel((2,), (2,), 1, 0)], rho[None], (4,))
+    with pytest.raises(DimensionMismatchError, match="pair count"):
+        _product_outputs([random_sqi_channel((2,), (2,), 1, 0).to_product(),
+                          random_sqi_channel((2,), (2,), 2, 1).to_product()], np.stack([rho, rho]))

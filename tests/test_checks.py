@@ -1,0 +1,143 @@
+import json
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from coherlab import checks
+from coherlab.cli import main, run_suite
+from coherlab.exceptions import InvalidStateError
+from coherlab.linalg import DensityMatrix, _density_stack
+from coherlab.states import random_density
+
+# every trial of checks, the suites' and the protocols'
+TRIALS = [checks.SUITES[name].trial for name in checks.SUITES] + [checks.ancilla_gap]
+
+
+@pytest.mark.parametrize("trial", TRIALS, ids=lambda trial: trial.__name__)
+def test_stacked_trial_equals_single_draws(trial):
+    # n trials on one generator, as one stack and one at a time: the same
+    # values bit for bit, and the generator left in the same state
+    for seed in range(10):
+        stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = trial([stacked_rng] * 20)
+        single = np.concatenate([trial([single_rng]) for _ in range(20)])
+        assert stacked.shape == (20,)
+        assert stacked.tobytes() == single.tobytes()
+        assert stacked_rng.integers(2**63) == single_rng.integers(2**63)
+
+
+def test_stacked_trial_reads_each_generator_in_turn():
+    rngs = [np.random.default_rng(seed) for seed in range(20)]
+    stacked = checks.monotonicity_trial(rngs)
+    single = [checks.monotonicity_trial([np.random.default_rng(seed)])[0] for seed in range(20)]
+    assert stacked.tolist() == single
+
+
+def test_stack_sizes_are_bounded():
+    assert checks.stack_sizes(1) == [1]
+    assert checks.stack_sizes(checks.MAX_STACK) == [checks.MAX_STACK]
+    assert checks.stack_sizes(150) == [64, 64, 22]
+
+
+def _forced_failures(monkeypatch, trials, seed, failing):
+    """Replace the teleport suite by a trial that fails on the generators
+    of the trials at the indices ``failing``; returns their seeds, in
+    order, and the stack sizes the trial is called with."""
+    rng = np.random.default_rng(seed)
+    seeds = [int(rng.integers(2**63)) for _ in range(trials)]
+    bad = {int(np.random.default_rng(seeds[i]).integers(2**63)) for i in failing}
+    sizes = []
+
+    def trial(rngs):
+        sizes.append(len(rngs))
+        return np.array([0.0 if int(r.integers(2**63)) in bad else 1.0 for r in rngs])
+
+    monkeypatch.setitem(checks.SUITES, "teleport", checks.Suite(trial, lambda v: v >= 0.5))
+    return [seeds[i] for i in sorted(failing)], sizes
+
+
+def test_failure_seeds_cross_stack_boundaries(monkeypatch):
+    expected, sizes = _forced_failures(monkeypatch, 150, 4, (0, 63, 64, 130))
+    summary = run_suite("teleport", 150, 4)
+    assert summary == {"suite": "teleport", "trials": 150, "failures": 4,
+                       "failure_seeds": expected}
+    assert sizes == [64, 64, 22]
+
+
+def test_failure_seeds_are_capped_at_16_in_order(monkeypatch):
+    failing = range(1, 150, 3)
+    expected, _ = _forced_failures(monkeypatch, 150, 5, failing)
+    summary = run_suite("teleport", 150, 5)
+    assert summary["failures"] == len(failing) == 50
+    assert summary["failure_seeds"] == expected[:16]
+
+
+def test_suite_replay_reruns_one_failure_seed(monkeypatch):
+    runner = CliRunner()
+    expected, _ = _forced_failures(monkeypatch, 150, 6, (70,))
+    result = runner.invoke(main, ["suite", "teleport", "--trials", "150", "--seed", "6"])
+    assert result.exit_code == 4
+    assert json.loads(result.output)["failure_seeds"] == expected
+    result = runner.invoke(main, ["suite", "teleport", "--replay", str(expected[0])])
+    assert result.exit_code == 4
+    assert json.loads(result.output) == {"suite": "teleport", "seed": expected[0],
+                                         "value": 0.0, "pass": False}
+    result = runner.invoke(main, ["suite", "teleport", "--replay", "7"])
+    assert result.exit_code == 0
+    assert json.loads(result.output) == {"suite": "teleport", "seed": 7, "value": 1.0, "pass": True}
+
+
+def test_suite_replay_gives_the_single_trial_value():
+    result = CliRunner().invoke(main, ["suite", "closed-form", "--replay", "11"])
+    assert result.exit_code == 0
+    payload = json.loads(result.output)
+    assert payload["value"] == checks.closed_form_gap([np.random.default_rng(11)])[0]
+    assert payload["pass"] is True
+    result = CliRunner().invoke(main, ["suite", "steering", "--replay", "11"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["value"] is True
+
+
+def _break(mat, check):
+    mat = mat.copy()
+    if check == "finite":
+        mat[0, 1] = np.nan
+    elif check == "hermiticity":
+        mat[0, 1] += 1e-3
+    elif check == "trace":
+        mat *= 1.01
+    else:
+        mat[0, 0] -= 0.9
+        mat[3, 3] += 0.9
+    return mat
+
+
+@pytest.mark.parametrize("check,message", [
+    ("finite", "matrix has a non-finite"),
+    ("hermiticity", "hermiticity violated"),
+    ("trace", "unit trace violated"),
+    ("positivity", "positivity violated"),
+])
+@pytest.mark.parametrize("k", [0, 3, 5])
+def test_density_stack_names_the_first_failing_state(check, message, k):
+    mats = np.stack([random_density((2, 2), 4, seed).mat for seed in range(6)])
+    mats[k] = _break(mats[k], check)
+    if k < 5:
+        mats[5] = _break(mats[5], check)
+    with pytest.raises(InvalidStateError) as single:
+        DensityMatrix(mats[k], (2, 2))
+    assert str(single.value).startswith(message)
+    with pytest.raises(InvalidStateError) as stacked:
+        _density_stack(mats, (2, 2))
+    assert str(stacked.value) == f"state {k}: {single.value}"
+    with pytest.raises(InvalidStateError) as alone:
+        _density_stack(mats[k:k + 1], (2, 2))
+    assert str(alone.value) == str(single.value)
+
+
+def test_density_stack_returns_the_single_spectra():
+    mats = np.stack([random_density((3, 3), rank, rank).mat for rank in range(1, 10)])
+    spectra = _density_stack(mats, (3, 3))
+    for mat, spectrum in zip(mats, spectra):
+        assert spectrum.tobytes() == DensityMatrix(mat, (3, 3)).spectrum.tobytes()

@@ -120,12 +120,26 @@ def test_measure_cr_diagonal_state(runner, tmp_path):
     assert json.loads(result.output)["value"] == 0.0
 
 
-def test_measure_assistance_labeled_optimized(runner):
+def test_measure_assistance_labels_exact_routes_closed_form(runner, tmp_path):
+    # a pure state (c_r) and a mixed qubit (S of the dephased state) are exact
     result = runner.invoke(main, ["measure", "assistance", "--builtin", "psi2", "--budget", "1"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert payload["method"] == "optimized"
+    assert payload["method"] == "closed-form"
     assert abs(payload["value"] - 1.0) < 1e-9
+    path = tmp_path / "qubit.json"
+    path.write_text(state_to_json(random_density((2,), 2, 3)))
+    result = runner.invoke(main, ["measure", "assistance", "--state", str(path), "--budget", "1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["method"] == "closed-form"
+
+
+def test_measure_assistance_labels_the_qutrit_ascent_optimized(runner, tmp_path):
+    path = tmp_path / "qutrit.json"
+    path.write_text(state_to_json(random_density((3,), 3, 0)))
+    result = runner.invoke(main, ["measure", "assistance", "--state", str(path), "--budget", "1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["method"] == "optimized"
 
 
 def test_measure_assistance_on_large_mixed_state_exits_3(runner):
@@ -603,7 +617,7 @@ def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
     assert summary["failures"] > 16
     assert len(summary["failure_seeds"]) == 16
     for seed in summary["failure_seeds"]:
-        assert not SUITES["reductions"](np.random.default_rng(seed))
+        assert not SUITES["reductions"]([np.random.default_rng(seed)])[0]
 
 
 def test_run_suite_rejects_unknown_name():

@@ -114,6 +114,7 @@ def test_teleport_total_channel_is_identity_on_operator_basis():
 
 def test_teleport_trial_builds_only_its_input_state(monkeypatch):
     import coherlab.checks as checks
+    import coherlab.linalg as linalg
     import coherlab.protocols as protocols
     import coherlab.states as states
 
@@ -125,16 +126,18 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    post_init = DensityMatrix.__post_init__
+    density_stack = linalg._density_stack
 
-    def counted_post_init(self):
-        calls["density"] += 1
-        post_init(self)
+    def counted_density_stack(mats, dims):
+        # every state validated, one at a time or as a stack
+        calls["density"] += len(mats)
+        return density_stack(mats, dims)
 
     monkeypatch.setattr(protocols, "bell_states", counted_bell(protocols.bell_states))
     monkeypatch.setattr(states, "bell_states", counted_bell(states.bell_states))
-    monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
-    assert checks.teleport_fidelity(np.random.default_rng(7)) >= 1 - 1e-9
+    monkeypatch.setattr(linalg, "_density_stack", counted_density_stack)
+    monkeypatch.setattr(protocols, "_density_stack", counted_density_stack)
+    assert checks.teleport_fidelity([np.random.default_rng(7)])[0] >= 1 - 1e-9
     assert calls == {"bell": 0, "density": 1}
 
     # n inputs: one validation each, and the five rounds of the script
@@ -149,7 +152,7 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
         return apply_local_(*args, **kwargs)
 
     monkeypatch.setattr(channels, "apply_local", counted_apply_local)
-    assert checks.teleport_fidelity(np.random.default_rng(7), 20) >= 1 - 1e-9
+    assert (checks.teleport_fidelity([np.random.default_rng(7)] * 20) >= 1 - 1e-9).all()
     assert calls == {"bell": 0, "density": 20, "apply_local": 5}
 
 
@@ -158,9 +161,9 @@ def test_stacked_teleport_trial_equals_single_draws():
 
     for seed in range(50):
         stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stacked = checks.teleport_fidelity(stacked_rng, 20)
-        single = min(checks.teleport_fidelity(single_rng) for _ in range(20))
-        assert stacked == single
+        stacked = checks.teleport_fidelity([stacked_rng] * 20)
+        single = np.concatenate([checks.teleport_fidelity([single_rng]) for _ in range(20)])
+        assert stacked.tobytes() == single.tobytes()
         assert stacked_rng.integers(2**63) == single_rng.integers(2**63)
 
 
