@@ -100,16 +100,52 @@ def _freeze_ops(ops, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _grams(ops: np.ndarray) -> np.ndarray:
-    """K_l' K_l for each operator of an (n, out, in) stack."""
-    return ops.conj().transpose(0, 2, 1) @ ops
+    """K_l' K_l for each operator of a (..., out, in) stack."""
+    return ops.conj().swapaxes(-1, -2) @ ops
 
 
-def _check_complete(gram: np.ndarray) -> None:
-    residual = np.abs(gram - np.eye(len(gram))).max()
-    if not residual <= COMPLETENESS_TOL:
-        raise IncompleteChannelError(
-            f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}"
-        )
+def _channel_error(error: type, k: int, m: int, message: str) -> Exception:
+    """The error for channel k of a stack of m: the message, prefixed with
+    k when the stack holds more than one channel."""
+    return error((f"channel {k}: " if m > 1 else "") + message)
+
+
+def _check_complete(grams: np.ndarray) -> None:
+    """Completeness of each channel of a stack, from its (m, d, d) Gram
+    sums; a failure names the first incomplete channel."""
+    residuals = np.abs(grams - np.eye(grams.shape[-1]))
+    if residuals.max(initial=0.0) <= COMPLETENESS_TOL:
+        return
+    for k, residual in enumerate(residuals.max(axis=(1, 2)).tolist()):
+        if not residual <= COMPLETENESS_TOL:
+            raise _channel_error(IncompleteChannelError, k, len(grams),
+                                 f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}")
+
+
+def _kraus_stack(ops, shape: tuple[int, int]) -> np.ndarray:
+    """The m channels of an (m, n, out, in) stack of Kraus operators as one
+    read-only complex array, each channel checked as ``KrausChannel``
+    checks its operators: the operator ``shape``, at least one operator,
+    finite entries, and completeness.  A failure raises the error a single
+    channel gets, its message prefixed with ``channel k: `` in a stack of
+    more than one, k being the first channel that fails."""
+    m = len(ops)
+    try:
+        stack = np.array(ops, dtype=complex)
+    except ValueError:  # the channels' operators do not form one array
+        stack = None
+    if (stack is None or stack.ndim != 4 or stack.shape[1] == 0 or stack.shape[2:] != shape
+            or not np.isfinite(stack).all()):
+        # find the first channel whose operators fail on their own
+        for k, family in enumerate(ops):
+            try:
+                _freeze_ops(family, shape)
+            except (DimensionMismatchError, IncompleteChannelError) as exc:
+                raise _channel_error(type(exc), k, m, str(exc)) from exc
+        raise DimensionMismatchError("stacked channels must share their operator count")
+    _check_complete(_grams(stack).sum(axis=1))
+    stack.setflags(write=False)
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,13 +162,10 @@ class KrausChannel:
     out_dims: tuple[int, ...]
 
     def __post_init__(self):
-        in_dims = tuple(int(d) for d in self.in_dims)
-        out_dims = tuple(int(d) for d in self.out_dims)
-        ops = _freeze_ops(self.ops, (math.prod(out_dims), math.prod(in_dims)))
-        _check_complete(_grams(ops).sum(axis=0))
-        object.__setattr__(self, "ops", ops)
-        object.__setattr__(self, "in_dims", in_dims)
-        object.__setattr__(self, "out_dims", out_dims)
+        in_dims = tuple(map(int, self.in_dims))
+        out_dims = tuple(map(int, self.out_dims))
+        ops = _kraus_stack((self.ops,), (math.prod(out_dims), math.prod(in_dims)))[0]
+        vars(self).update(ops=ops, in_dims=in_dims, out_dims=out_dims)
 
     @property
     def n_outcomes(self) -> int:
@@ -170,6 +203,20 @@ class KrausChannel:
         return _outcomes(apply_local(rho.mat, self.ops, before, after), dims)
 
 
+def _kraus_channels(ops, dims) -> list[KrausChannel]:
+    """The channels on ``dims`` of an (m, n, d, d) stack of operators,
+    checked as one stack by ``_kraus_stack`` and wrapped without checking
+    each again: the one way to build a ``KrausChannel`` that skips its
+    ``__post_init__``."""
+    dims = tuple(map(int, dims))
+    channels = []
+    for family in _kraus_stack(ops, (math.prod(dims),) * 2):
+        channel = object.__new__(KrausChannel)
+        vars(channel).update(ops=family, in_dims=dims, out_dims=dims)
+        channels.append(channel)
+    return channels
+
+
 @dataclass(frozen=True, eq=False)
 class ProductKrausChannel:
     """Two-party channel sum_i (A_i x B_i) rho (A_i x B_i)' with one operator
@@ -198,7 +245,7 @@ class ProductKrausChannel:
             raise DimensionMismatchError(f"{len(a_ops)} A operators but {len(b_ops)} B operators")
         # sum_i A_i'A_i (x) B_i'B_i, indexed ((a, b), (c, d))
         gram = np.einsum("nac,nbd->abcd", _grams(a_ops), _grams(b_ops))
-        _check_complete(gram.reshape(a_ops.shape[2] * b_ops.shape[2], -1))
+        _check_complete(gram.reshape(1, a_ops.shape[2] * b_ops.shape[2], -1))
         object.__setattr__(self, "a_ops", a_ops)
         object.__setattr__(self, "b_ops", b_ops)
         object.__setattr__(self, "a_in_dims", a_in)
@@ -425,6 +472,8 @@ class LocalProtocol:
         # every round before its continuations
         seen: set[int] = set()
         post_order: list[ProtocolRound] = []
+        # restricted party -> its rounds' operators, checked in one call
+        restricted = {party: [] for party in sorted(self.incoherent_parties)}
 
         def visit(node: ProtocolRound | None) -> None:
             if node is None or id(node) in seen:
@@ -435,15 +484,18 @@ class LocalProtocol:
                 raise DimensionMismatchError(
                     f"round instrument does not match party {node.party} dims"
                 )
-            if node.party in self.incoherent_parties and not instrument.is_incoherent():
-                raise IncoherenceViolationError(
-                    f"party {node.party} instrument is not incoherent in a restricted round"
-                )
+            if node.party in restricted:
+                restricted[node.party].append(instrument.ops)
             for branch in node.branches or ():
                 visit(branch)
             post_order.append(node)
 
         visit(self.root)
+        for party, ops in restricted.items():
+            if ops and not is_incoherent_operator(np.concatenate(ops)):
+                raise IncoherenceViolationError(
+                    f"party {party} instrument is not incoherent in a restricted round"
+                )
         object.__setattr__(self, "_rounds", tuple(reversed(post_order)))
 
     @property
@@ -510,7 +562,8 @@ class LocalProtocol:
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         """The protocol as a deterministic channel: the sum of the
-        unnormalized leaf states, validated once."""
+        unnormalized leaf states, computed by summing the branches that
+        reach each round before stepping it, and validated once."""
         return DensityMatrix(_outputs([self], rho.mat[None], rho.dims)[0], self.dims)
 
     def to_product(self) -> ProductKrausChannel:
@@ -534,6 +587,28 @@ class LocalProtocol:
         return ProductKrausChannel(a_ops[order], b_ops[order], self.a_dims, self.b_dims)
 
 
+def _stacked_rounds(scripts: Sequence[LocalProtocol], dims: tuple[int, ...]) -> tuple[dict, dict]:
+    """What stepping scripts of one shape (``LocalProtocol._shape``) as one
+    stack needs, once the states' ``dims`` are checked: per round of the
+    first script, the matching rounds' operators, shape (outcome, script,
+    out, in), and per party, the dimension before and after its block."""
+    first = scripts[0]
+    if dims != first.dims:
+        raise DimensionMismatchError(f"state dims {dims} != protocol dims {first.dims}")
+    if len(scripts) > 1 and any(s._shape() != first._shape() for s in scripts[1:]):
+        raise DimensionMismatchError("stacked protocol scripts must share one shape")
+    ops = {node: np.stack([s._rounds[i].instrument.ops for s in scripts], axis=1)
+           for i, node in enumerate(first._rounds)}
+    return ops, {"A": (1, math.prod(first.b_dims)), "B": (math.prod(first.a_dims), 1)}
+
+
+def _check_probabilities(totals: np.ndarray) -> None:
+    """Each input's leaf probabilities, summed, must be 1 within 1e-9."""
+    for total in totals.tolist():
+        if abs(total - 1.0) > 1e-9:
+            raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
+
+
 def _branches(scripts: Sequence[LocalProtocol], mats: np.ndarray,
               dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
     """(unnormalized post-states, probabilities, transcripts) of every leaf
@@ -545,108 +620,156 @@ def _branches(scripts: Sequence[LocalProtocol], mats: np.ndarray,
     traces, shape (leaf, input), so each round is stepped once, with one
     ``apply_local`` pairing each script's operators with its own input.
     Each input's leaf probabilities must sum to 1 within 1e-9."""
-    first = scripts[0]
-    if dims != first.dims:
-        raise DimensionMismatchError(f"state dims {dims} != protocol dims {first.dims}")
-    if len(scripts) > 1 and any(s._shape() != first._shape() for s in scripts[1:]):
-        raise DimensionMismatchError("stacked protocol scripts must share one shape")
-    # round of the first script -> the matching rounds' operators,
-    # shape (outcome, script, out, in)
-    ops = {node: np.stack([s._rounds[i].instrument.ops for s in scripts], axis=1)
-           for i, node in enumerate(first._rounds)}
-    # party -> dimension before and after its block
-    placement = {"A": (1, math.prod(first.b_dims)), "B": (math.prod(first.a_dims), 1)}
+    ops, placement = _stacked_rounds(scripts, dims)
 
     def step(values, node):
         return (apply_local(values[0], ops[node][:, None], *placement[node.party]),)
 
-    (leaves,), transcripts = first._expand((mats[None],), step)
+    (leaves,), transcripts = scripts[0]._expand((mats[None],), step)
     probs = np.trace(leaves, axis1=-2, axis2=-1).real
-    for total in probs.sum(axis=0):
-        if abs(total - 1.0) > 1e-9:
-            raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
+    _check_probabilities(probs.sum(axis=0))
     return leaves, probs, transcripts
 
 
 def _outputs(scripts: Sequence[LocalProtocol], mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """Each script of ``_branches`` as a deterministic channel on its
-    input: the (n, N, N) stack of its summed leaf states, not validated."""
-    return _branches(scripts, mats, dims)[0].sum(axis=0)
+    input: the (n, N, N) stack of its summed leaf states, not validated.
+
+    The channel is linear, so the branches that reach a round are summed
+    before it is stepped: each round is one ``apply_local`` on one matrix
+    per input, and the leaves' sum is what reaches the end.  Its traces
+    are the inputs' summed leaf probabilities, each 1 within 1e-9."""
+    ops, placement = _stacked_rounds(scripts, dims)
+    arrived = {scripts[0].root: mats}  # round or None (the end) -> summed input
+    for node in scripts[0]._rounds:
+        outs = apply_local(arrived.pop(node), ops[node], *placement[node.party])
+        for outcome, nxt in enumerate(node.branches or (None,) * len(outs)):
+            arrived[nxt] = arrived[nxt] + outs[outcome] if nxt in arrived else outs[outcome]
+    total = arrived[None]
+    _check_probabilities(np.trace(total, axis1=-2, axis2=-1).real)
+    return total
+
+
+def _incoherent_draw(rng: np.random.Generator, d: int, n: int) -> tuple[np.ndarray, ...]:
+    """One draw of an incoherent family of n operators on dimension d:
+    the (n, d) column targets, real and imaginary amplitudes.  It is drawn
+    operator by operator (permutation, then real and imaginary amplitudes),
+    so a seed keeps naming the same channel."""
+    return tuple(np.array(x) for x in zip(*(
+        (rng.permutation(d), rng.standard_normal(d), rng.standard_normal(d)) for _ in range(n)
+    )))
+
+
+def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]:
+    """One random incoherent channel per seed, drawn from
+    ``default_rng(seed)``: each Kraus operator picks an injective
+    column-target map (a permutation) with complex-Gaussian amplitudes,
+    then the family is completed.  Injective targets make M = sum_l R_l' R_l
+    diagonal, holding each column's squared norm over the family, so
+    completion K_l = R_l M^{-1/2} rescales each column by the inverse root
+    of that norm and preserves incoherence.  A family with a column of norm
+    below 1e-12 is drawn again from its generator, up to 16 attempts.  The
+    families are completed and checked as one stack."""
+    dims = tuple(map(int, dims))
+    d, n = math.prod(dims), max(1, n_kraus)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    perms, re, im = (np.array(x) for x in zip(*(_incoherent_draw(rng, d, n) for rng in rngs)))
+    colnorm2 = (re**2 + im**2).sum(axis=1)
+    for k in np.flatnonzero(colnorm2.min(axis=1) < 1e-12).tolist():
+        for _ in range(15):
+            perms[k], re[k], im[k] = _incoherent_draw(rngs[k], d, n)
+            colnorm2[k] = (re[k]**2 + im[k]**2).sum(axis=0)
+            if colnorm2[k].min() >= 1e-12:
+                break
+        else:
+            raise SingularNormalizerError("failed to draw a nonsingular incoherent family in 16 attempts")
+    ops = np.zeros((len(rngs), n, d, d), dtype=complex)
+    ops[np.arange(len(rngs))[:, None, None], np.arange(n)[:, None], perms, np.arange(d)] = (
+        (re + 1j * im) * (1.0 / np.sqrt(colnorm2))[:, None])
+    return _kraus_channels(ops, dims)
+
+
+def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
+    """One random general instrument per seed: Ginibre operators drawn
+    from ``default_rng(seed)``, the real then imaginary part of each
+    operator in turn as one draw, normalized by the inverse square root of
+    their Gram sum.  The instruments are completed and checked as one
+    stack."""
+    dims = tuple(map(int, dims))
+    d, n = math.prod(dims), max(1, n_kraus)
+    parts = np.array([np.random.default_rng(seed).standard_normal((n, 2, d, d)) for seed in seeds])
+    raws = parts[:, :, 0] + 1j * parts[:, :, 1]
+    w, v = np.linalg.eigh(_grams(raws).sum(axis=1))
+    inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))[:, None]) @ v.conj().swapaxes(-1, -2)
+    return _kraus_channels(raws @ inv_sqrt[:, None], dims)
 
 
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
-    """Random incoherent channel: each Kraus operator picks an injective
-    column-target map (a permutation) with complex-Gaussian amplitudes, then
-    the family is completed.  Injective targets make M = sum_l R_l' R_l
-    diagonal, holding each column's squared norm over the family, so
-    completion K_l = R_l M^{-1/2} rescales each column by the inverse root
-    of that norm and preserves incoherence."""
-    dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    n = max(1, n_kraus)
-    rng = np.random.default_rng(seed)
-    for _ in range(16):
-        # drawn operator by operator: permutation, then real and imaginary
-        # amplitudes, so a seed keeps naming the same channel
-        perms, re, im = (np.array(x) for x in zip(*(
-            (rng.permutation(d), rng.standard_normal(d), rng.standard_normal(d)) for _ in range(n)
-        )))
-        amps = re + 1j * im
-        colnorm2 = (re**2 + im**2).sum(axis=0)
-        if colnorm2.min() < 1e-12:
-            continue
-        ops = np.zeros((n, d, d), dtype=complex)
-        ops[np.arange(n)[:, None], perms, np.arange(d)] = amps * (1.0 / np.sqrt(colnorm2))
-        return KrausChannel(ops, dims, dims)
-    raise SingularNormalizerError("failed to draw a nonsingular incoherent family in 16 attempts")
+    """Random incoherent channel of ``n_kraus`` operators (at least one),
+    named by ``seed``: the one-seed case of ``_random_incoherent_channels``."""
+    return _random_incoherent_channels(dims, n_kraus, [seed])[0]
 
 
 def random_instrument(dims, n_kraus: int, seed) -> KrausChannel:
     """Random general instrument: Ginibre operators normalized by the
-    inverse square root of their Gram sum."""
-    dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    rng = np.random.default_rng(seed)
-    # real then imaginary part of each operator in turn, as one draw
-    parts = rng.standard_normal((max(1, n_kraus), 2, d, d))
-    raws = parts[:, 0] + 1j * parts[:, 1]
-    w, v = np.linalg.eigh(_grams(raws).sum(axis=0))
-    inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))) @ v.conj().T
-    return KrausChannel(raws @ inv_sqrt, dims, dims)
+    inverse square root of their Gram sum, the one-seed case of
+    ``_random_instruments``."""
+    return _random_instruments(dims, n_kraus, [seed])[0]
 
 
-def _random_rounds(a_dims, b_dims, rounds: int, rng: np.random.Generator,
-                   incoherent_a: bool, n_outcomes: int) -> ProtocolRound | None:
-    """One-way classically-controlled exchange: party A measures, then per
-    outcome party B applies its own instrument, then the next round."""
-    if rounds <= 0:
-        return None
-    if incoherent_a:
-        a_instr = random_incoherent_channel(a_dims, n_outcomes, rng.integers(2**63))
-    else:
-        a_instr = random_instrument(a_dims, n_outcomes, rng.integers(2**63))
-    branches = []
-    for _ in range(a_instr.n_outcomes):
-        b_instr = random_incoherent_channel(b_dims, n_outcomes, rng.integers(2**63))
-        continuation = _random_rounds(a_dims, b_dims, rounds - 1, rng, incoherent_a, n_outcomes)
-        b_branches = None if continuation is None else tuple([continuation] * b_instr.n_outcomes)
-        branches.append(ProtocolRound("B", b_instr, b_branches))
-    return ProtocolRound("A", a_instr, tuple(branches))
+def _draw_order(rounds: int, n: int) -> list[str]:
+    """The party of each instrument of a random script of ``rounds`` rounds
+    and n outcomes per instrument, in the order the script's generator
+    draws their seeds: A's, then per A outcome B's followed by that
+    outcome's continuation."""
+    order = ["A"]
+    for _ in range(n):
+        order.append("B")
+        if rounds > 1:
+            order += _draw_order(rounds - 1, n)
+    return order
+
+
+def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
+                    n_outcomes: int) -> list[LocalProtocol]:
+    """One random script per seed, a one-way classically-controlled
+    exchange: party A measures, then per outcome party B applies its own
+    instrument, and every B outcome continues to the same next round.
+
+    Each script's generator, ``default_rng(seed)``, draws one seed per
+    instrument in ``_draw_order``; each instrument is drawn from its own
+    seed.  A is incoherent (LICC) or general (LQICC), B always incoherent.
+    All the scripts' A instruments are completed and checked as one stack,
+    and all their B instruments as another."""
+    a_dims, b_dims = tuple(map(int, a_dims)), tuple(map(int, b_dims))
+    rounds, n = max(1, rounds), max(1, n_outcomes)
+    order = np.array(_draw_order(rounds, n))
+    node_seeds = np.array([np.random.default_rng(seed).integers(2**63, size=len(order))
+                           for seed in seeds])
+    random_a = _random_incoherent_channels if incoherent_a else _random_instruments
+    a_instruments = iter(random_a(a_dims, n, node_seeds[:, order == "A"].ravel()))
+    b_instruments = iter(_random_incoherent_channels(b_dims, n, node_seeds[:, order == "B"].ravel()))
+
+    def build(rounds: int) -> ProtocolRound:
+        # consumes the instruments in _draw_order
+        a_instrument = next(a_instruments)
+        branches = []
+        for _ in range(n):
+            b_instrument = next(b_instruments)
+            continuation = (build(rounds - 1),) * n if rounds > 1 else None
+            branches.append(ProtocolRound("B", b_instrument, continuation))
+        return ProtocolRound("A", a_instrument, tuple(branches))
+
+    parties = frozenset({"A", "B"} if incoherent_a else {"B"})
+    return [LocalProtocol(a_dims, b_dims, build(rounds), parties) for _ in seeds]
 
 
 def random_sqi_channel(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:
     """Random LQICC script (general instruments on A, incoherent on B, with
     one-way classical control); any such composition is SQI."""
-    rng = np.random.default_rng(seed)
-    root = _random_rounds(tuple(a_dims), tuple(b_dims), max(1, rounds), rng,
-                          incoherent_a=False, n_outcomes=n_outcomes)
-    return LocalProtocol(tuple(a_dims), tuple(b_dims), root, incoherent_parties=frozenset({"B"}))
+    return _random_scripts(a_dims, b_dims, rounds, [seed], incoherent_a=False, n_outcomes=n_outcomes)[0]
 
 
 def random_licc_protocol(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:
     """Random LICC script: both parties restricted to incoherent instruments."""
-    rng = np.random.default_rng(seed)
-    root = _random_rounds(tuple(a_dims), tuple(b_dims), max(1, rounds), rng,
-                          incoherent_a=True, n_outcomes=n_outcomes)
-    return LocalProtocol(tuple(a_dims), tuple(b_dims), root,
-                         incoherent_parties=frozenset({"A", "B"}))
+    return _random_scripts(a_dims, b_dims, rounds, [seed], incoherent_a=True, n_outcomes=n_outcomes)[0]

@@ -8,12 +8,16 @@ and the n = 1 call is one trial.  The drawn states and every state a trial
 computes are then validated, measured and applied as stacks, in batched
 calls: each state still passes all four checks of a ``DensityMatrix``
 (``linalg._density_stack``), and the values equal those of n single
-trials.  A helper that takes states takes the stack of their matrices and
-validates every state it reads.  ``coherlab suite``, ``coherlab protocol``, ``coherlab reproduce``
-and the acceptance tests all call these functions; the CLI runs any
-number of trials in consecutive stacks of at most ``MAX_STACK``
-(``stack_sizes``), so memory stays bounded.  ``SUITES`` maps each
-property-suite name to its trial and the test each value must pass.
+trials.  The random scripts and instruments of a stack are drawn as
+stacks too (``channels._random_scripts``,
+``channels._random_incoherent_channels``): each from its own seed, as a
+single trial names it, then all completed and checked in batched calls.
+A helper that takes states takes the stack of their matrices and
+validates every state it reads.  ``coherlab suite``, ``coherlab
+protocol``, ``coherlab reproduce`` and the acceptance tests all call these
+functions; the CLI runs any number of trials in consecutive stacks of at
+most ``MAX_STACK`` (``stack_sizes``), so memory stays bounded.  ``SUITES``
+maps each property-suite name to its trial and the test each value must pass.
 """
 
 from __future__ import annotations
@@ -81,7 +85,8 @@ def monotonicity_trial(rngs: Generators) -> np.ndarray:
     state of random rank."""
     draws = [(int(rng.integers(1, 5)), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
     mats = np.stack([st._random_density_mat(QUBITS, rank, seed) for rank, seed, _ in draws])
-    protocols = [ch.random_sqi_channel((2,), (2,), 1, seed) for _, _, seed in draws]
+    protocols = ch._random_scripts((2,), (2,), 1, [seed for _, _, seed in draws],
+                                   incoherent_a=False, n_outcomes=2)
     return qi_increase(mats, protocols)
 
 
@@ -169,7 +174,9 @@ def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between the marginals of the surviving party under a
     random one-round SQI channel and under its SI reduction."""
     seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    channels = [ch.random_sqi_channel((2,), (2,), 1, seed).to_product() for seed, _ in seeds]
+    scripts = ch._random_scripts((2,), (2,), 1, [seed for seed, _ in seeds],
+                                 incoherent_a=False, n_outcomes=2)
+    channels = [script.to_product() for script in scripts]
     reduced = [pr.sqi_to_si_reduce(channel) for channel in channels]
     mats = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, seed in seeds])
     _density_stack(mats, QUBITS)
@@ -180,18 +187,20 @@ def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
 def ancilla_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between a random SI channel on (A, A') x (B, B'),
     built from incoherent local instruments, with the ancillas traced out,
-    and its ancilla-free reduction.  Each input state and its extension by
-    the ancillas are built one at a time; the channels act as stacks."""
+    and its ancilla-free reduction.  The A and B instruments are drawn as
+    one stack each; each input state and its extension by the ancillas are
+    built one at a time; the channels act as stacks."""
+    seeds = [(rng.integers(2**63), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
+    a_instrs = ch._random_incoherent_channels((2, 2), 2, [a for a, _, _ in seeds])
+    b_instrs = ch._random_incoherent_channels((2, 2), 2, [b for _, b, _ in seeds])
     extended, reduced, rhos, bigs = [], [], [], []
-    for rng in rngs:
-        a_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
-        b_instr = ch.random_incoherent_channel((2, 2), 2, rng.integers(2**63))
+    for a_instr, b_instr, (_, _, rho_seed) in zip(a_instrs, b_instrs, seeds):
         # one pair per (A outcome, B outcome), in that order
         channel = ch.ProductKrausChannel(np.repeat(a_instr.ops, b_instr.n_outcomes, axis=0),
                                          np.tile(b_instr.ops, (a_instr.n_outcomes, 1, 1)), (2, 2), (2, 2))
         extended.append(channel)
         reduced.append(pr.ancilla_reduce(channel, (2, 2)))
-        rho = st.random_density(QUBITS, 4, rng.integers(2**63))
+        rho = st.random_density(QUBITS, 4, rho_seed)
         rhos.append(rho.mat)
         bigs.append(pr.extend_with_ancillas(rho, (2, 2)).mat)
     kept = _marginals(_apply(extended, np.stack(bigs)), extended[0].out_dims, {0, 2})

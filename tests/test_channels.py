@@ -673,3 +673,259 @@ def test_scripts_of_different_shapes_do_not_stack():
     with pytest.raises(DimensionMismatchError, match="pair count"):
         _product_outputs([random_sqi_channel((2,), (2,), 1, 0).to_product(),
                           random_sqi_channel((2,), (2,), 2, 1).to_product()], np.stack([rho, rho]))
+
+
+# ---------------------------------------------------------------------------
+# random scripts drawn as stacks
+
+
+def _reference_incoherent_ops(d, n, seed):
+    """A random incoherent channel's operators, drawn and completed one
+    channel at a time, as ``random_incoherent_channel`` did before random
+    channels were drawn as stacks."""
+    rng = np.random.default_rng(seed)
+    for _ in range(16):
+        perms, re, im = (np.array(x) for x in zip(*(
+            (rng.permutation(d), rng.standard_normal(d), rng.standard_normal(d)) for _ in range(n)
+        )))
+        amps = re + 1j * im
+        colnorm2 = (re**2 + im**2).sum(axis=0)
+        if colnorm2.min() < 1e-12:
+            continue
+        ops = np.zeros((n, d, d), dtype=complex)
+        ops[np.arange(n)[:, None], perms, np.arange(d)] = amps * (1.0 / np.sqrt(colnorm2))
+        return KrausChannel(ops, (d,), (d,)).ops
+    raise SingularNormalizerError("failed to draw a nonsingular incoherent family in 16 attempts")
+
+
+def _reference_instrument_ops(d, n, seed):
+    """A random general instrument's operators, one at a time, as
+    ``random_instrument`` drew them before."""
+    parts = np.random.default_rng(seed).standard_normal((n, 2, d, d))
+    raws = parts[:, 0] + 1j * parts[:, 1]
+    w, v = np.linalg.eigh((raws.conj().transpose(0, 2, 1) @ raws).sum(axis=0))
+    inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))) @ v.conj().T
+    return KrausChannel(raws @ inv_sqrt, (d,), (d,)).ops
+
+
+def _reference_script_rounds(rng, rounds, n, incoherent_a, d_a, d_b):
+    """(party, operators) of each instrument of a random script, built node
+    by node on the script's generator: A's seed and instrument, then per A
+    outcome B's seed and instrument followed by that outcome's
+    continuation."""
+    draw_a = _reference_incoherent_ops if incoherent_a else _reference_instrument_ops
+    found = [("A", draw_a(d_a, n, rng.integers(2**63)))]
+    for _ in range(n):
+        found.append(("B", _reference_incoherent_ops(d_b, n, rng.integers(2**63))))
+        if rounds > 1:
+            found += _reference_script_rounds(rng, rounds - 1, n, incoherent_a, d_a, d_b)
+    return found
+
+
+def _script_rounds(node):
+    """(party, operators) of each instrument of a random script in the
+    same order: A, then per A outcome B followed by its continuation."""
+    found = [(node.party, node.instrument.ops)]
+    for b_round in node.branches:
+        found.append((b_round.party, b_round.instrument.ops))
+        if b_round.branches is not None:
+            found += _script_rounds(b_round.branches[0])
+    return found
+
+
+SCRIPT_SHAPES = [((2,), (2,), 1, 2), ((3,), (3,), 3, 3), ((2,), (3,), 2, 3)]
+
+
+@pytest.mark.parametrize("a_dims,b_dims,rounds,n", SCRIPT_SHAPES)
+@pytest.mark.parametrize("incoherent_a", [False, True], ids=["lqicc", "licc"])
+def test_stacked_script_draws_name_the_reference_channels(a_dims, b_dims, rounds, n, incoherent_a):
+    from coherlab.channels import _random_scripts
+
+    random_script = random_licc_protocol if incoherent_a else random_sqi_channel
+    seeds = range(50)
+    references, reference_rngs = [], [np.random.default_rng(seed) for seed in seeds]
+    for rng in reference_rngs:
+        references.append(_reference_script_rounds(rng, rounds, n, incoherent_a, a_dims[0], b_dims[0]))
+    single_rngs = [np.random.default_rng(seed) for seed in seeds]
+    singles = [random_script(a_dims, b_dims, rounds, rng, n_outcomes=n) for rng in single_rngs]
+    stacked_rngs = [np.random.default_rng(seed) for seed in seeds]
+    stacked = _random_scripts(a_dims, b_dims, rounds, stacked_rngs, incoherent_a, n)
+    for reference, single, script in zip(references, singles, stacked):
+        for found in (_script_rounds(single.root), _script_rounds(script.root)):
+            assert [party for party, _ in found] == [party for party, _ in reference]
+            assert all(ops.tobytes() == ref.tobytes() for (_, ops), (_, ref) in zip(found, reference))
+        assert script.incoherent_parties == single.incoherent_parties
+    # each script's generator is left where the node-by-node build leaves it
+    for rngs in (single_rngs, stacked_rngs):
+        assert [rng.bit_generator.state for rng in rngs] == [
+            rng.bit_generator.state for rng in reference_rngs]
+
+
+def test_random_single_channels_name_the_reference_channels():
+    for seed in range(50):
+        for d, n in ((1, 2), (2, 1), (3, 3), (4, 2)):
+            assert (random_incoherent_channel((d,), n, seed).ops.tobytes()
+                    == _reference_incoherent_ops(d, n, seed).tobytes())
+            assert random_instrument((d,), n, seed).ops.tobytes() == _reference_instrument_ops(d, n, seed).tobytes()
+
+
+def test_incoherent_draw_retries_a_singular_family_on_its_own_generator(monkeypatch):
+    import coherlab.channels as channels_module
+
+    # every family's first draw comes out with all amplitudes zero; each is
+    # drawn again from its own generator, the later draws as they come
+    draw = channels_module._incoherent_draw
+    first = set()
+
+    def singular_first(rng, d, n):
+        perms, re, im = draw(rng, d, n)
+        if id(rng) not in first:
+            first.add(id(rng))
+            return perms, 0 * re, 0 * im
+        return perms, re, im
+
+    monkeypatch.setattr(channels_module, "_incoherent_draw", singular_first)
+    channels = channels_module._random_incoherent_channels((3,), 2, [4, 5, 6])
+    for seed, channel in zip((4, 5, 6), channels):
+        rng = np.random.default_rng(seed)
+        draw(rng, 3, 2)
+        perms, re, im = draw(rng, 3, 2)
+        expected = np.zeros((2, 3, 3), dtype=complex)
+        expected[np.arange(2)[:, None], perms, np.arange(3)] = (
+            (re + 1j * im) / np.sqrt((re**2 + im**2).sum(axis=0)))
+        assert np.abs(channel.ops - expected).max() <= 1e-15
+        assert channel.is_incoherent()
+
+    monkeypatch.setattr(channels_module, "_incoherent_draw",
+                        lambda rng, d, n: tuple(0 * x for x in draw(rng, d, n)))
+    with pytest.raises(SingularNormalizerError, match="16 attempts"):
+        random_incoherent_channel((3,), 2, 0)
+
+
+def _bad_family(kind):
+    ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
+    if kind == "finite":
+        ops[1, 0, 1] = np.nan
+    elif kind == "complete":
+        ops *= 0.5
+    else:
+        ops = np.stack([np.eye(3), np.zeros((3, 3))]).astype(complex)
+    return ops
+
+
+@pytest.mark.parametrize("kind,error,message", [
+    ("finite", IncompleteChannelError, "operator has a non-finite"),
+    ("complete", IncompleteChannelError, "completeness residual"),
+    ("shape", DimensionMismatchError, "Kraus operator shape (3, 3)"),
+])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_kraus_stack_names_the_first_failing_channel(kind, error, message, k):
+    from coherlab.channels import _kraus_stack
+
+    families = [random_incoherent_channel((2,), 2, seed).ops for seed in range(5)]
+    families[k] = _bad_family(kind)
+    if k < 4:
+        families[4] = _bad_family(kind)
+    with pytest.raises(error) as single:
+        KrausChannel(families[k], (2,), (2,))
+    assert str(single.value).startswith(message)
+    with pytest.raises(error) as stacked:
+        _kraus_stack(families, (2, 2))
+    assert str(stacked.value) == f"channel {k}: {single.value}"
+    with pytest.raises(error) as alone:
+        _kraus_stack([families[k]], (2, 2))
+    assert str(alone.value) == str(single.value)
+
+
+def test_kraus_stack_checks_each_channel_and_freezes_the_stack():
+    from coherlab.channels import _kraus_stack
+
+    families = [random_instrument((3,), 2, seed).ops for seed in range(4)]
+    stack = _kraus_stack(families, (3, 3))
+    assert stack.shape == (4, 2, 3, 3) and not stack.flags.writeable
+    assert stack.tobytes() == np.stack(families).tobytes()
+    with pytest.raises(DimensionMismatchError, match="operator count"):
+        _kraus_stack([families[0], families[1][:1]], (3, 3))
+
+
+def test_script_checks_each_restricted_party_in_one_call(monkeypatch):
+    import coherlab.channels as channels_module
+
+    calls = []
+    predicate = channels_module.is_incoherent_operator
+
+    def counting_predicate(ops, *args, **kwargs):
+        calls.append(len(ops))
+        return predicate(ops, *args, **kwargs)
+
+    monkeypatch.setattr(channels_module, "is_incoherent_operator", counting_predicate)
+    # 13 A and 39 B instruments of 3 operators each
+    random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3)
+    assert calls == [39 * 3]
+    calls.clear()
+    random_licc_protocol((3,), (3,), 3, 7, n_outcomes=3)
+    assert calls == [13 * 3, 39 * 3]
+
+
+# ---------------------------------------------------------------------------
+# the merged apply
+
+
+def _pruning_script():
+    """A dephases, then B applies a random incoherent instrument: on an
+    incoherent input with A in a basis state, one A outcome never fires."""
+    b_round = ProtocolRound("B", random_incoherent_channel((2,), 2, 3))
+    return LocalProtocol((2,), (2,), ProtocolRound("A", dephasing_channel((2,)), (b_round, b_round)),
+                         incoherent_parties=frozenset({"A", "B"}))
+
+
+@pytest.mark.parametrize("case", ["qutrit-3-rounds", "licc-2-rounds", "six-scripts", "pruned"])
+def test_merged_outputs_equal_the_leaf_sum(case):
+    from coherlab.channels import _branches, _outputs
+
+    if case == "six-scripts":
+        scripts = [random_sqi_channel((2,), (3,), 2, seed, n_outcomes=3) for seed in range(6)]
+        mats = np.stack([random_density((2, 3), 1 + seed, 60 + seed).mat for seed in range(6)])
+    elif case == "pruned":
+        scripts = [_pruning_script()]
+        mats = np.diag([0.0, 0.0, 0.3, 0.7]).astype(complex)[None]
+        _, probs, _ = _branches(scripts, mats, (2, 2))
+        assert (probs <= 1e-12).sum() == 2
+    else:
+        qutrit = case == "qutrit-3-rounds"
+        scripts = [random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3) if qutrit
+                   else random_licc_protocol((2,), (2,), 2, 5)]
+        mats = random_density(scripts[0].dims, math.prod(scripts[0].dims), 8).mat[None]
+    dims = scripts[0].dims
+    leaves = _branches(scripts, mats, dims)[0]
+    if case == "qutrit-3-rounds":
+        assert len(leaves) == 729
+    assert np.abs(_outputs(scripts, mats, dims) - leaves.sum(axis=0)).max() <= 1e-14
+
+
+def test_merged_apply_steps_each_round_on_one_matrix_per_input(monkeypatch):
+    import coherlab.channels as channels_module
+
+    protocol = random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3)
+    rho = random_density((3, 3), 9, 8)
+    shapes = []
+    apply_local = channels_module.apply_local
+
+    def recording_apply_local(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return apply_local(m, *args, **kwargs)
+
+    monkeypatch.setattr(channels_module, "apply_local", recording_apply_local)
+    protocol.apply(rho)
+    assert shapes == [(1, 9, 9)] * 52
+
+
+def test_merged_outputs_check_the_summed_trace():
+    from coherlab.channels import _outputs
+
+    # a trace-decreasing round, built past the completeness check
+    protocol = random_sqi_channel((2,), (2,), 1, 3)
+    leak = protocol.root.branches[0].instrument
+    vars(leak)["ops"] = leak.ops * 0.5
+    with pytest.raises(IncompleteChannelError, match="leaf probabilities sum to"):
+        _outputs([protocol], random_density((2, 2), 4, 1).mat[None], (2, 2))
