@@ -243,7 +243,15 @@ def _emit(text: str, out_path: str | None) -> None:
         except OSError as exc:
             raise ParseError(f"cannot write {out_path}: {exc}") from exc
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        _write(sys.stdout, text if text.endswith("\n") else text + "\n")
+
+
+def _write(stream, text: str) -> None:
+    """Write and flush.  Not ``click.echo``: click caches its wrapper of each
+    stream in a WeakKeyDictionary whose value, for a StringIO, is the
+    stream itself, so every redirected stdout it wrote to stays alive."""
+    stream.write(text)
+    stream.flush()
 
 
 def _run(fn):
@@ -251,10 +259,10 @@ def _run(fn):
     try:
         fn()
     except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
+        _write(sys.stderr, f"parse error: {exc}\n")
         sys.exit(EXIT_PARSE)
     except CoherlabError as exc:
-        click.echo(f"invariant violation: {exc}", err=True)
+        _write(sys.stderr, f"invariant violation: {exc}\n")
         sys.exit(EXIT_INVARIANT)
 
 

@@ -149,14 +149,15 @@ def _teleport_branches(*psis: PureState) -> tuple[np.ndarray, np.ndarray, np.nda
     then A' traced out, as ``partial_trace`` does."""
     if any(psi.dims != (2,) for psi in psis):
         raise DimensionMismatchError("teleportation input must be a single qubit")
-    vecs = np.stack([np.kron(psi.vec, _TELEPORT_PAIR.vec) for psi in psis])
+    psi_vecs = np.stack([psi.vec for psi in psis])
+    vecs = (psi_vecs[:, :, None] * _TELEPORT_PAIR.vec).reshape(len(psis), -1)
     rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
     _density_stack(rhos, _TELEPORT.dims)
     mats, probs, inputs, transcripts = _TELEPORT._leaves(rhos, _TELEPORT.dims)
     bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
     bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
-    fidelities = np.array([float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
-                           for k, bob in zip(inputs.tolist(), bobs)])
+    v = psi_vecs[inputs]
+    fidelities = (v.conj()[:, None, :] @ bobs @ v[:, :, None])[:, 0, 0].real
     return mats, probs, inputs, transcripts, fidelities
 
 
@@ -520,7 +521,16 @@ def _merge_channel() -> KrausChannel:
     return KrausChannel(tuple(ops), (3, 3), (3, 3, 3))
 
 
+def _traced_merge_channel() -> KrausChannel:
+    """The merge followed by Tr_B, (A, B) -> (A, A'): Tr_B[K rho K'] =
+    sum_b K_b rho K_b' with K_b = (1_AA' x <b|_B) K.  The merge leaves B in
+    |0>, so the 18 blocks K_b with b != 0 are exactly zero and are dropped."""
+    folded = _MERGE.ops.reshape(9, 9, 3, 9).transpose(0, 2, 1, 3).reshape(27, 9, 9)
+    return KrausChannel(folded[folded.any(axis=(1, 2))], (3, 3), (3, 3))
+
+
 _MERGE = _merge_channel()
+_MERGE_TRACED = _traced_merge_channel()
 
 
 def merging_witness() -> MergingWitnessResult:
@@ -536,9 +546,11 @@ def merging_witness() -> MergingWitnessResult:
     K_ij = |alpha_i><alpha_i| x |beta_i><j| x |0><beta_i|; since
     <j|0> = delta_j0, those with j != 0 annihilate that input, and the
     nine left are the ones applied here.  The check is that the final
-    (R, A, A') state reproduces the input with B relabeled to A'.  Each
-    operator's 243-dim (R, A, A', B) post-state has B traced out as soon
-    as it is made, so only the 81-dim sum is held and validated.
+    (R, A, A') state reproduces the input with B relabeled to A'.  The
+    trace over B is folded into the operators, K_i -> (1 x <0|_B) K_i,
+    which act (A, B) -> (A, A'); so the nine act on the 81-dim input as
+    one stack, no 243-dim (R, A, A', B) state is formed, and only the
+    81-dim sum is validated.
     """
     rho = merging_state()
     split_r_ab = Bipartition(a=(0,), b=(1, 2))
@@ -552,11 +564,7 @@ def merging_witness() -> MergingWitnessResult:
         "qi_relative_entropy", val_rb_a, {"state": "merging", "split": "RB|A"}
     )
 
-    final_raa = DensityMatrix(
-        sum(apply_local(rho.mat, op, before=9).reshape(81, 3, 81, 3).trace(axis1=1, axis2=3)
-            for op in _MERGE.ops),
-        (9, 3, 3),
-    )
+    final_raa = _MERGE_TRACED.apply(rho, at=1)
     residual = trace_norm(final_raa.mat - rho.mat)
 
     return MergingWitnessResult(

@@ -1,3 +1,6 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import os
@@ -491,19 +494,21 @@ def test_reference_rows_all_pass():
 
 def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
     # the 20 teleports are one 5-round expansion, the 9 domino inputs one
-    # pair of stacked local actions and the merge its 9 operators; only the
+    # pair of stacked local actions and the merge one stack of its 9
+    # B-traced operators, so no 243-dim post-state is made; only the
     # merging state and the merge output are validated at order 81
     import coherlab.channels as channels
     import coherlab.linalg as linalg
     import coherlab.protocols as protocols
 
-    calls = {"apply_local": 0}
     orders = []
+    local_orders = []  # the order of each apply_local result
     apply_local = linalg.apply_local
 
     def counted_apply_local(*args, **kwargs):
-        calls["apply_local"] += 1
-        return apply_local(*args, **kwargs)
+        out = apply_local(*args, **kwargs)
+        local_orders.append(out.shape[-1])
+        return out
 
     for module in (linalg, channels, protocols):
         monkeypatch.setattr(module, "apply_local", counted_apply_local)
@@ -516,7 +521,8 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     reference_rows(seed=0)
-    assert calls["apply_local"] == 16
+    assert len(local_orders) == 8
+    assert max(local_orders) <= 81
     assert orders.count(81) == 2
     assert max(orders) == 81
 
@@ -665,6 +671,61 @@ def test_out_flag_writes_file_and_stdout_does_not(runner, tmp_path, bell_file, m
     assert result.exit_code == 0
     assert out.exists()
     assert json.loads(out.read_text())["name"] == "cr"
+
+
+def _invoke_redirected(args):
+    """Run one command in this process with stdout and stderr redirected to
+    StringIOs, as an embedding caller does; (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args, prog_name="coherlab", standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_redirected_streams_are_not_kept_alive():
+    # every invocation writes to a fresh stdout and stderr; none of them may
+    # outlive its call
+    def live_string_ios_after(n):
+        for _ in range(n):
+            assert _invoke_redirected(["protocol", "discriminate", "--index", "4"])[0] == 0
+            assert _invoke_redirected(["measure", "cr", "--state", "/nonexistent.json"])[0] == 2
+        gc.collect()
+        return sum(isinstance(obj, io.StringIO) for obj in gc.get_objects())
+
+    after_10 = live_string_ios_after(10)
+    assert live_string_ios_after(200) <= after_10
+
+
+def test_redirected_streams_keep_the_exit_code_contract(tmp_path, monkeypatch):
+    import coherlab.cli as cli_module
+
+    with open(os.path.join(GOLDEN, "reproduce_json_seed0.json"), encoding="utf-8") as fh:
+        assert _invoke_redirected(["reproduce", "--format", "json", "--seed", "0"]) == (0, fh.read(), "")
+
+    code, out, err = _invoke_redirected(["measure", "cr", "--state", "/nonexistent.json"])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: cannot read /nonexistent.json") and err.endswith("\n")
+    assert err.count("\n") == 1
+
+    path = tmp_path / "nan.json"
+    path.write_text(NON_FINITE_INPUTS["measure-nan-density"][1])
+    code, out, err = _invoke_redirected(["measure", "cr", "--state", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith("invariant violation: ") and err.endswith("\n")
+    assert err.count("\n") == 1
+
+    def failing_rows(seed=0):
+        return [{"name": "forced", "value": 0.0, "expected": 1.0,
+                 "tolerance": 1e-9, "status": "fail"}]
+
+    monkeypatch.setattr(cli_module, "reference_rows", failing_rows)
+    code, out, err = _invoke_redirected(["reproduce", "--format", "csv"])
+    assert (code, err) == (4, "")
+    assert out == "name,value,expected,tolerance,status\nforced,0,1,1.0000000000000001e-09,fail\n"
 
 
 OUT_COMMANDS = {

@@ -39,6 +39,8 @@ from coherlab.protocols import (
     merging_witness,
     sqi_to_si_reduce,
     _merge_channel,
+    _teleport_branches,
+    _traced_merge_channel,
 )
 from coherlab.states import (
     bell_states,
@@ -154,6 +156,36 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
     monkeypatch.setattr(channels, "apply_local", counted_apply_local)
     assert (checks.teleport_fidelity([np.random.default_rng(7)] * 20) >= 1 - 1e-9).all()
     assert calls == {"bell": 0, "density": 20, "apply_local": 5}
+
+
+def test_teleport_branches_equal_the_kron_and_per_leaf_routes(monkeypatch):
+    # the broadcast inputs and the batched fidelities against np.kron per
+    # input and one vector-matrix-vector product per leaf, bit for bit
+    import coherlab.protocols as protocols
+
+    pair = bell_states()[0]
+    validated = []
+    density_stack = protocols._density_stack
+
+    def recorded_density_stack(mats, dims):
+        validated.append(mats)
+        return density_stack(mats, dims)
+
+    monkeypatch.setattr(protocols, "_density_stack", recorded_density_stack)
+    for n in (1, 20, 64):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            psis = [random_pure((2,), int(rng.integers(2**63))) for _ in range(n)]
+            validated.clear()
+            mats, probs, inputs, _, fidelities = _teleport_branches(*psis)
+            vecs = np.stack([np.kron(psi.vec, pair.vec) for psi in psis])
+            (rhos,) = validated
+            assert rhos.tobytes() == (vecs[:, :, None] * vecs.conj()[:, None, :]).tobytes()
+            bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
+            bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
+            reference = np.array([float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
+                                  for k, bob in zip(inputs.tolist(), bobs)])
+            assert fidelities.tobytes() == reference.tobytes()
 
 
 def test_stacked_teleport_trial_equals_single_draws():
@@ -593,10 +625,33 @@ def test_merging_simulation_channel_is_sqi_not_si():
     assert not flags.separable_incoherent
 
 
+def test_traced_merge_equals_apply_then_trace():
+    # the nine B-traced operators against the merge's 243-dim (R, A, A', B)
+    # post-states with B traced out of each
+    merge, traced = _merge_channel(), _traced_merge_channel()
+    assert traced.ops.shape == (9, 9, 9)
+    assert (traced.in_dims, traced.out_dims) == ((3, 3), (3, 3))
+    blocks = merge.ops.reshape(9, 9, 3, 9)
+    assert not blocks[:, :, 1:].any()  # the 18 dropped operators are exactly zero
+    assert np.array_equal(traced.ops, blocks[:, :, 0])
+    gram = np.einsum("kij,kil->jl", traced.ops.conj(), traced.ops)
+    assert np.abs(gram - np.eye(9)).max() <= 1e-9
+    rng = np.random.default_rng(11)
+    inputs = [merging_state()] + [random_density((9, 3, 3), 81, int(rng.integers(2**63)))
+                                  for _ in range(5)]
+    for rho in inputs:
+        reference = sum(
+            apply_local(rho.mat, op, before=9).reshape(81, 3, 81, 3).trace(axis1=1, axis2=3)
+            for op in merge.ops)
+        ours = traced.apply(rho, at=1)
+        assert ours.dims == (9, 3, 3)
+        assert np.abs(ours.mat - reference).max() <= 1e-15
+
+
 def test_merging_witness_solves_one_full_order_eigenproblem(monkeypatch):
-    # the 243-dim (R, A, A', B) post-states are traced down to (R, A, A')
-    # unvalidated; the largest eigenproblem is the 81-dim merge output or
-    # the 81-dim input
+    # the merge acts through its B-traced operators, so no 243-dim
+    # (R, A, A', B) state is formed; the largest eigenproblem is the 81-dim
+    # merge output or the 81-dim input
     orders = []
     for name in ("eigvalsh", "eigh"):
         solver = getattr(np.linalg, name)
