@@ -295,22 +295,25 @@ class ProductKrausChannel:
         return _outcomes(self._posts(self._input(rho)), self.out_dims)
 
 
+def _pair_posts(mats: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray,
+                d_a_out: int, d_b_in: int) -> np.ndarray:
+    """(A x B) M (A x B)', A acting on M and then B on the result: A's block
+    comes before B's input dimension ``d_b_in``, B's after A's output
+    dimension ``d_a_out``.  All three broadcast over their leading axes."""
+    return apply_local(apply_local(mats, a_ops, 1, d_b_in), b_ops, d_a_out, 1)
+
+
 def _product_posts(channels: Sequence[ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
-    """(A_ci x B_ci) M_c (A_ci x B_ci)' for the pairs i of each channel c,
-    shape (channel, pair, N', N'), one party at a time: every A_ci acts on
-    M_c, then B_ci on the i-th result, with B's block after A's output
-    dimension.  The channels share their dims and pair count, so each party
-    is one ``apply_local`` on the whole stack.  ``mats`` broadcasts against
-    the (channel, pair) axes: M[:, None] gives each channel its own
-    matrix."""
+    """``_pair_posts`` of each channel c's pairs on M_c, shape (channel,
+    pair, N', N').  The channels must share dims and pair count.  ``mats``
+    broadcasts against the (channel, pair) axes: M[:, None] gives each
+    channel its own matrix."""
     first = channels[0]
     for c in channels[1:]:
         if (c.in_dims, c.out_dims, c.n_outcomes) != (first.in_dims, first.out_dims, first.n_outcomes):
             raise DimensionMismatchError("stacked product channels must share dims and pair count")
-    a_ops = np.stack([c.a_ops for c in channels])
-    b_ops = np.stack([c.b_ops for c in channels])
-    d_a_out, d_b_in = math.prod(first.a_out_dims), math.prod(first.b_in_dims)
-    return apply_local(apply_local(mats, a_ops, 1, d_b_in), b_ops, d_a_out, 1)
+    return _pair_posts(mats, np.stack([c.a_ops for c in channels]), np.stack([c.b_ops for c in channels]),
+                       math.prod(first.a_out_dims), math.prod(first.b_in_dims))
 
 
 def _product_outputs(channels: Sequence[ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
@@ -429,21 +432,6 @@ class ProtocolRound:
             )
 
 
-def _merge(chunks: list) -> tuple[tuple[np.ndarray, ...], list]:
-    """One stack of values and one transcript list from the (values,
-    transcripts) chunks of branches that reach the same round."""
-    if len(chunks) == 1:
-        return chunks[0]
-    values = tuple(np.concatenate(parts) for parts in zip(*(v for v, _ in chunks)))
-    return values, [t for _, ts in chunks for t in ts]
-
-
-def _depth_first(transcripts: list) -> list[int]:
-    """Leaf indices in depth-first order: outcomes are explored in order,
-    so that is the lexicographic order of the transcripts."""
-    return sorted(range(len(transcripts)), key=transcripts.__getitem__)
-
-
 @dataclass(frozen=True, eq=False)
 class LocalProtocol:
     """Script of party-local instruments with classical-message branching.
@@ -502,30 +490,30 @@ class LocalProtocol:
     def dims(self) -> tuple[int, ...]:
         return self.a_dims + self.b_dims
 
-    def _expand(self, start: tuple[np.ndarray, ...], step) -> tuple[tuple[np.ndarray, ...], list]:
-        """Round-by-round expansion of the script: (leaf values, leaf
-        transcripts), leaves in no fixed order.
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """The script's product form: (A operators, B operators,
+        transcripts), one entry per unpruned leaf in depth-first order.  A
+        leaf's A is ``op @ prefix`` along its branch's A rounds, likewise its
+        B, and its transcript records (party, outcome) per round."""
+        leaves = []
 
-        A value is a tuple of arrays with one leading entry per branch;
-        ``start`` holds the root's one branch.  Each distinct round is
-        stepped once, on the stack of every branch that reaches it:
-        ``step(values, node)`` returns the outcome values, each array with
-        leading axes (outcome, branch).  Every branch moves on to its
-        outcome's continuation, where branches from every round that leads
-        there are stacked together.  A transcript records (party, outcome)
-        per round.
-        """
-        # round or None (leaf) -> chunks
-        arrived = {self.root: [(start, [()])]}
-        for node in self._rounds:
-            values, transcripts = _merge(arrived.pop(node))
-            outs = step(values, node)
-            for outcome in range(node.instrument.n_outcomes):
-                record = ((node.party, outcome),)
+        def walk(node: ProtocolRound | None, a: np.ndarray, b: np.ndarray, transcript: tuple) -> None:
+            if node is None:
+                leaves.append((a, b, transcript))
+                return
+            ops = node.instrument.ops @ (a if node.party == "A" else b)
+            for outcome, op in enumerate(ops):
                 nxt = None if node.branches is None else node.branches[outcome]
-                arrived.setdefault(nxt, []).append(
-                    (tuple([v[outcome] for v in outs]), [t + record for t in transcripts]))
-        return _merge(arrived[None])
+                record = transcript + ((node.party, outcome),)
+                if node.party == "A":
+                    walk(nxt, op, b, record)
+                else:
+                    walk(nxt, a, op, record)
+
+        walk(self.root, np.eye(math.prod(self.a_dims), dtype=complex),
+             np.eye(math.prod(self.b_dims), dtype=complex), ())
+        a_ops, b_ops, transcripts = zip(*leaves)
+        return np.array(a_ops), np.array(b_ops), list(transcripts)
 
     def _shape(self) -> tuple:
         """What scripts stepped as one stack must share: dims, and per
@@ -539,23 +527,26 @@ class LocalProtocol:
     def _leaves(self, mats: np.ndarray,
                 dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         """(post-states, probabilities, input indices, transcripts) of the
-        leaves of the script on each matrix of a validated (n, N, N) stack,
-        input by input and, within each input, in depth-first order.  A leaf
-        is kept when its probability is > 1e-12, the rule that prunes an
-        instrument's outcomes; a leaf's input index is its matrix's position
-        in the stack."""
-        mats, probs, transcripts = _branches([self], mats, dims)
-        order = _depth_first(transcripts)
-        probs = probs[order].T
+        leaves on each matrix of a validated (n, N, N) stack, input by input
+        and depth-first within each: every pair of ``_pairs`` acts on every
+        input in one ``_pair_posts``.  Each input's leaf probabilities must
+        sum to 1 within 1e-9; a leaf is kept when its probability is > 1e-12,
+        the rule that prunes an instrument's outcomes."""
+        if dims != self.dims:
+            raise DimensionMismatchError(f"state dims {dims} != protocol dims {self.dims}")
+        a_ops, b_ops, transcripts = self._pairs()
+        posts = _pair_posts(mats[:, None], a_ops, b_ops, math.prod(self.a_dims), math.prod(self.b_dims))
+        probs = np.trace(posts, axis1=-2, axis2=-1).real
+        _check_probabilities(probs.sum(axis=1))
         keep = probs > OUTCOME_PRUNE_TOL
         inputs, leaves = np.nonzero(keep)
-        return (mats[order].swapaxes(0, 1)[keep], probs[keep], inputs,
-                [transcripts[order[i]] for i in leaves.tolist()])
+        return posts[keep], probs[keep], inputs, [transcripts[i] for i in leaves.tolist()]
 
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
-        """Depth-first expansion of the script: one (probability, state,
-        transcript) per leaf of probability > 1e-12, the transcript
-        recording (party, outcome) per round."""
+        """The script's leaves, its product form's pairs applied to rho:
+        one (probability, state, transcript) per leaf of probability
+        > 1e-12, in depth-first order, the transcript recording (party,
+        outcome) per round."""
         mats, probs, _, transcripts = self._leaves(rho.mat[None], rho.dims)
         return [(p, DensityMatrix(m / p, self.dims), t)
                 for m, p, t in zip(mats, probs.tolist(), transcripts)]
@@ -568,23 +559,10 @@ class LocalProtocol:
 
     def to_product(self) -> ProductKrausChannel:
         """Compile the script to product-Kraus form: one (A, B) operator
-        pair per branch, each the composition of that branch's local ops,
+        pair per leaf, each the composition of that branch's local ops,
         in depth-first order."""
-
-        def step(values, node):
-            a_ops, b_ops = values
-            ops = node.instrument.ops
-            if node.party == "A":
-                a_ops, b_ops = ops[:, None] @ a_ops, b_ops[None].repeat(len(ops), axis=0)
-            else:
-                a_ops, b_ops = a_ops[None].repeat(len(ops), axis=0), ops[:, None] @ b_ops
-            return a_ops, b_ops
-
-        identities = (np.eye(math.prod(self.a_dims), dtype=complex)[None],
-                      np.eye(math.prod(self.b_dims), dtype=complex)[None])
-        (a_ops, b_ops), transcripts = self._expand(identities, step)
-        order = _depth_first(transcripts)
-        return ProductKrausChannel(a_ops[order], b_ops[order], self.a_dims, self.b_dims)
+        a_ops, b_ops, _ = self._pairs()
+        return ProductKrausChannel(a_ops, b_ops, self.a_dims, self.b_dims)
 
 
 def _stacked_rounds(scripts: Sequence[LocalProtocol], dims: tuple[int, ...]) -> tuple[dict, dict]:
@@ -609,31 +587,12 @@ def _check_probabilities(totals: np.ndarray) -> None:
             raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
 
 
-def _branches(scripts: Sequence[LocalProtocol], mats: np.ndarray,
-              dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, list]:
-    """(unnormalized post-states, probabilities, transcripts) of every leaf
-    of scripts of one shape (``LocalProtocol._shape``) on a validated
-    (n, N, N) stack of states with subsystem dims ``dims``: ``scripts[i]``
-    acts on ``mats[i]``, or a single script on every matrix.  Leaves are
-    unpruned and in no fixed order.  The inputs are one more stacked axis:
-    the states have shape (leaf, input, N, N) and the probabilities, their
-    traces, shape (leaf, input), so each round is stepped once, with one
-    ``apply_local`` pairing each script's operators with its own input.
-    Each input's leaf probabilities must sum to 1 within 1e-9."""
-    ops, placement = _stacked_rounds(scripts, dims)
-
-    def step(values, node):
-        return (apply_local(values[0], ops[node][:, None], *placement[node.party]),)
-
-    (leaves,), transcripts = scripts[0]._expand((mats[None],), step)
-    probs = np.trace(leaves, axis1=-2, axis2=-1).real
-    _check_probabilities(probs.sum(axis=0))
-    return leaves, probs, transcripts
-
-
 def _outputs(scripts: Sequence[LocalProtocol], mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Each script of ``_branches`` as a deterministic channel on its
-    input: the (n, N, N) stack of its summed leaf states, not validated.
+    """Scripts of one shape (``LocalProtocol._shape``) as deterministic
+    channels on a validated (n, N, N) stack of states with subsystem dims
+    ``dims``, ``scripts[i]`` on ``mats[i]`` or a single script on every
+    matrix: the (n, N, N) stack of each one's summed leaf states, not
+    validated.
 
     The channel is linear, so the branches that reach a round are summed
     before it is stepped: each round is one ``apply_local`` on one matrix

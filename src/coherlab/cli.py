@@ -80,6 +80,8 @@ def _complex_list(values, what: str) -> np.ndarray:
         if (not isinstance(entry, (list, tuple))) or len(entry) != 2:
             raise ParseError(f"{what}: every entry must be an [re, im] pair")
         try:
+            if any(isinstance(x, bool) for x in entry):  # float(True) is 1.0
+                raise TypeError("a JSON boolean is not a number")
             out.append(complex(float(entry[0]), float(entry[1])))
         except (TypeError, ValueError) as exc:
             raise ParseError(f"{what}: entry {entry!r} is not a pair of numbers") from exc
@@ -96,9 +98,9 @@ def _operator(values, dims_out, dims_in, what: str) -> np.ndarray:
 
 def _dims(value, what: str) -> tuple[int, ...]:
     # a JSON true is a Python int, but not a dimension
-    if not isinstance(value, list) or not all(
+    if not isinstance(value, list) or not value or not all(
             isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in value):
-        raise ParseError(f'{what} must be a list of positive integers')
+        raise ParseError(f'{what} must be a non-empty list of positive integers')
     return tuple(value)
 
 

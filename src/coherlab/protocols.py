@@ -140,9 +140,9 @@ _TELEPORT = _teleport_script()
 
 
 def _teleport_branches(*psis: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
-    """Teleport each input qubit, all of them through one stacked
-    expansion of the script: the unnormalized leaf states, their
-    probabilities, input indices and transcripts, input by input and
+    """Teleport each input qubit, every (A, B) pair of the script's product
+    form acting on the stack of all of them: the unnormalized leaf states,
+    their probabilities, input indices and transcripts, input by input and
     depth-first within each input, and Bob's fidelity with his leaf's input
     on each leaf.  The inputs psi x phi+ are the only states validated, as
     one stack; each fidelity is read from the normalized leaf with A and

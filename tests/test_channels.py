@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -662,17 +663,45 @@ def test_scripts_of_one_shape_step_as_one_stack():
 
 
 def test_scripts_of_different_shapes_do_not_stack():
-    from coherlab.channels import _branches, _product_outputs
+    from coherlab.channels import _outputs, _product_outputs
 
     rho = random_density((2, 2), 4, 0).mat
     with pytest.raises(DimensionMismatchError, match="one shape"):
-        _branches([random_sqi_channel((2,), (2,), 1, 0), random_sqi_channel((2,), (2,), 2, 1)],
-                  np.stack([rho, rho]), (2, 2))
+        _outputs([random_sqi_channel((2,), (2,), 1, 0), random_sqi_channel((2,), (2,), 2, 1)],
+                 np.stack([rho, rho]), (2, 2))
     with pytest.raises(DimensionMismatchError, match="state dims"):
-        _branches([random_sqi_channel((2,), (2,), 1, 0)], rho[None], (4,))
+        random_sqi_channel((2,), (2,), 1, 0)._leaves(rho[None], (4,))
     with pytest.raises(DimensionMismatchError, match="pair count"):
         _product_outputs([random_sqi_channel((2,), (2,), 1, 0).to_product(),
                           random_sqi_channel((2,), (2,), 2, 1).to_product()], np.stack([rho, rho]))
+
+
+@pytest.mark.parametrize("rounds", [2, 3])
+@pytest.mark.parametrize("random_script", [random_sqi_channel, random_licc_protocol],
+                         ids=["lqicc", "licc"])
+def test_run_equals_the_product_forms_instrument(random_script, rounds):
+    # random scripts alternate A and B rounds, so the depth-first order of
+    # the leaves is the lexicographic order of their outcome tuples
+    transcripts = [tuple(zip("AB" * rounds, outcomes))
+                   for outcomes in itertools.product(range(2), repeat=2 * rounds)]
+    for seed in range(4):
+        protocol = random_script((2,), (2,), rounds, seed)
+        rho = random_density((2, 2), 1 + seed, 70 + seed)
+        leaves = protocol.run(rho)
+        outcomes = protocol.to_product().apply_instrument(rho)
+        assert [t for _, _, t in leaves] == [transcripts[o.outcome] for o in outcomes]
+        for (p, state, _), o in zip(leaves, outcomes):
+            assert abs(p - o.probability) <= 1e-15
+            assert np.abs(state.mat - o.state.mat).max() <= 1e-12
+
+
+def test_run_checks_the_summed_leaf_probabilities():
+    # a trace-decreasing round, built past the completeness check
+    protocol = random_sqi_channel((2,), (2,), 1, 3)
+    leak = protocol.root.branches[0].instrument
+    vars(leak)["ops"] = leak.ops * 0.5
+    with pytest.raises(IncompleteChannelError, match="leaf probabilities sum to"):
+        protocol.run(random_density((2, 2), 4, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +910,8 @@ def _pruning_script():
 
 @pytest.mark.parametrize("case", ["qutrit-3-rounds", "licc-2-rounds", "six-scripts", "pruned"])
 def test_merged_outputs_equal_the_leaf_sum(case):
-    from coherlab.channels import _branches, _outputs
+    # the reference is the sum of the product forms' unsummed posts
+    from coherlab.channels import _outputs, _product_posts
 
     if case == "six-scripts":
         scripts = [random_sqi_channel((2,), (3,), 2, seed, n_outcomes=3) for seed in range(6)]
@@ -889,18 +919,19 @@ def test_merged_outputs_equal_the_leaf_sum(case):
     elif case == "pruned":
         scripts = [_pruning_script()]
         mats = np.diag([0.0, 0.0, 0.3, 0.7]).astype(complex)[None]
-        _, probs, _ = _branches(scripts, mats, (2, 2))
-        assert (probs <= 1e-12).sum() == 2
+        rho = DensityMatrix(mats[0], (2, 2))
+        product = scripts[0].to_product()
+        assert product.n_outcomes - len(product.apply_instrument(rho)) == 2
     else:
         qutrit = case == "qutrit-3-rounds"
         scripts = [random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3) if qutrit
                    else random_licc_protocol((2,), (2,), 2, 5)]
         mats = random_density(scripts[0].dims, math.prod(scripts[0].dims), 8).mat[None]
     dims = scripts[0].dims
-    leaves = _branches(scripts, mats, dims)[0]
+    leaves = _product_posts([script.to_product() for script in scripts], mats[:, None])
     if case == "qutrit-3-rounds":
-        assert len(leaves) == 729
-    assert np.abs(_outputs(scripts, mats, dims) - leaves.sum(axis=0)).max() <= 1e-14
+        assert leaves.shape[1] == 729
+    assert np.abs(_outputs(scripts, mats, dims) - leaves.sum(axis=1)).max() <= 1e-14
 
 
 def test_merged_apply_steps_each_round_on_one_matrix_per_input(monkeypatch):

@@ -283,6 +283,25 @@ MALFORMED_INPUTS = {
         '{"kind": "product", "in_dims": [[true], [2]], '
         '"ops": [{"a": [[1, 0]], "b": [[1, 0], [0, 0], [0, 0], [1, 0]]}]}',
     ),
+    "measure-empty-dims": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "density", "dims": [], "matrix": [[1, 0]]}',
+    ),
+    "classify-kraus-empty-in-dims": (
+        ["classify", "--channel", "{path}"], '{"kind": "kraus", "in_dims": [], "ops": [[[1, 0]]]}'
+    ),
+    "classify-product-empty-in-dims": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "product", "in_dims": [[], []], "ops": [{"a": [[1, 0]], "b": [[1, 0]]}]}',
+    ),
+    "measure-boolean-entry": (
+        ["measure", "cr", "--state", "{path}"],
+        '{"kind": "density", "dims": [2], "matrix": [[true, false], [0, 0], [0, 0], [false, 0]]}',
+    ),
+    "classify-kraus-boolean-entry": (
+        ["classify", "--channel", "{path}"],
+        '{"kind": "kraus", "in_dims": [2], "ops": [[[true, 0], [0, 0], [0, 0], [1, 0]]]}',
+    ),
     "measure-split-outside-state": (
         ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=5"], None
     ),
@@ -493,7 +512,8 @@ def test_reference_rows_all_pass():
 
 
 def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
-    # the 20 teleports are one 5-round expansion, the 9 domino inputs one
+    # the 20 teleports are one pair of stacked local actions (the script's
+    # four (A, B) pairs on every input), the 9 domino inputs one
     # pair of stacked local actions and the merge one stack of its 9
     # B-traced operators, so no 243-dim post-state is made; only the
     # merging state and the merge output are validated at order 81
@@ -521,7 +541,7 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     reference_rows(seed=0)
-    assert len(local_orders) == 8
+    assert len(local_orders) == 5
     assert max(local_orders) <= 81
     assert orders.count(81) == 2
     assert max(orders) == 81
@@ -559,6 +579,7 @@ def test_reproduce_prints_golden_bytes(runner, fmt, seed, name):
 @pytest.mark.parametrize("channel,name", [
     (domino_discrimination_channel, "domino_channel.json"),
     (lambda: random_sqi_channel((2,), (2,), 1, 7).to_product(), "sqi_channel_seed7.json"),
+    (lambda: random_sqi_channel((2,), (2,), 2, 7).to_product(), "sqi_channel_2rounds_seed7.json"),
 ])
 def test_product_channel_json_is_golden(channel, name):
     # the product channels' operators, pinned byte for byte

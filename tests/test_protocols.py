@@ -142,8 +142,8 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
     assert checks.teleport_fidelity([np.random.default_rng(7)])[0] >= 1 - 1e-9
     assert calls == {"bell": 0, "density": 1}
 
-    # n inputs: one validation each, and the five rounds of the script
-    # stepped once on the stack of all of them
+    # n inputs: one validation each, and the script's four (A, B) pairs
+    # acting on the stack of all of them, one apply_local per party
     import coherlab.channels as channels
 
     calls.update(density=0, apply_local=0)
@@ -155,7 +155,7 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
 
     monkeypatch.setattr(channels, "apply_local", counted_apply_local)
     assert (checks.teleport_fidelity([np.random.default_rng(7)] * 20) >= 1 - 1e-9).all()
-    assert calls == {"bell": 0, "density": 20, "apply_local": 5}
+    assert calls == {"bell": 0, "density": 20, "apply_local": 2}
 
 
 def test_teleport_branches_equal_the_kron_and_per_leaf_routes(monkeypatch):
