@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -62,7 +63,12 @@ def is_incoherent_operator(k, tol: float = 1e-9) -> bool:
     mat = np.asarray(k, dtype=complex)
     if mat.ndim < 2:
         raise DimensionMismatchError(f"expected a matrix or a stack of them, got shape {mat.shape}")
-    return bool(((~(np.abs(mat) <= tol)).sum(axis=-2) <= 1).all())
+    return bool(_incoherent_columns(mat, tol).all())
+
+
+def _incoherent_columns(mats: np.ndarray, tol: float) -> np.ndarray:
+    """Per column of each matrix of a stack: at most one entry of modulus > tol?"""
+    return (~(np.abs(mats) <= tol)).sum(axis=-2) <= 1
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,41 @@ def _kraus_stack(ops, shape: tuple[int, int]) -> np.ndarray:
     _check_complete(_grams(stack).sum(axis=1))
     stack.setflags(write=False)
     return stack
+
+
+def _product_stack(a_ops, b_ops, shapes) -> tuple[np.ndarray, np.ndarray]:
+    """A's and B's (m, n, out, in) operator stacks as two read-only complex
+    arrays, each channel checked as ``ProductKrausChannel`` checks it: the
+    operator ``shapes`` (A's, B's), n > 0, finite entries, as many A as B
+    operators, and completeness from one Gram sum over the stack.  The first
+    channel k that fails raises its single-channel error, prefixed with
+    ``channel k: `` when m > 1."""
+    m = len(a_ops)
+    stacks = []
+    for ops in (a_ops, b_ops):
+        try:
+            stacks.append(np.array(ops, dtype=complex))
+        except ValueError:  # the channels' operators do not form one array
+            stacks.append(None)
+    a, b = stacks
+    if (a is None or b is None or a.ndim != 4 or b.ndim != 4 or not 0 < a.shape[1] == b.shape[1]
+            or (a.shape[2:], b.shape[2:]) != tuple(shapes)
+            or not (np.isfinite(a).all() and np.isfinite(b).all())):
+        # find the first channel whose pairs fail on their own
+        for k, families in enumerate(zip(a_ops, b_ops)):
+            try:
+                n_a, n_b = (len(_freeze_ops(ops, shape)) for ops, shape in zip(families, shapes))
+                if n_a != n_b:
+                    raise DimensionMismatchError(f"{n_a} A operators but {n_b} B operators")
+            except (DimensionMismatchError, IncompleteChannelError) as exc:
+                raise _channel_error(type(exc), k, m, str(exc)) from exc
+        raise DimensionMismatchError("stacked channels must share their operator count")
+    # per channel, sum_i A_i'A_i (x) B_i'B_i indexed ((a, b), (c, d))
+    gram = np.einsum("mnac,mnbd->mabcd", _grams(a), _grams(b))
+    _check_complete(gram.reshape(m, a.shape[3] * b.shape[3], -1))
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return a, b
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,19 +280,10 @@ class ProductKrausChannel:
         b_in = tuple(int(d) for d in self.b_in_dims)
         a_out = a_in if self.a_out_dims is None else tuple(int(d) for d in self.a_out_dims)
         b_out = b_in if self.b_out_dims is None else tuple(int(d) for d in self.b_out_dims)
-        a_ops = _freeze_ops(self.a_ops, (math.prod(a_out), math.prod(a_in)))
-        b_ops = _freeze_ops(self.b_ops, (math.prod(b_out), math.prod(b_in)))
-        if len(a_ops) != len(b_ops):
-            raise DimensionMismatchError(f"{len(a_ops)} A operators but {len(b_ops)} B operators")
-        # sum_i A_i'A_i (x) B_i'B_i, indexed ((a, b), (c, d))
-        gram = np.einsum("nac,nbd->abcd", _grams(a_ops), _grams(b_ops))
-        _check_complete(gram.reshape(1, a_ops.shape[2] * b_ops.shape[2], -1))
-        object.__setattr__(self, "a_ops", a_ops)
-        object.__setattr__(self, "b_ops", b_ops)
-        object.__setattr__(self, "a_in_dims", a_in)
-        object.__setattr__(self, "b_in_dims", b_in)
-        object.__setattr__(self, "a_out_dims", a_out)
-        object.__setattr__(self, "b_out_dims", b_out)
+        shapes = ((math.prod(a_out), math.prod(a_in)), (math.prod(b_out), math.prod(b_in)))
+        a_ops, b_ops = _product_stack((self.a_ops,), (self.b_ops,), shapes)
+        vars(self).update(a_ops=a_ops[0], b_ops=b_ops[0], a_in_dims=a_in, b_in_dims=b_in,
+                          a_out_dims=a_out, b_out_dims=b_out)
 
     @property
     def pairs(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -285,10 +317,10 @@ class ProductKrausChannel:
         """The stack of (A_i x B_i) M (A_i x B_i)'.  M is one matrix of the
         input dims, or a stack of one per pair, where the i-th pair acts on
         the i-th matrix only."""
-        return _product_posts([self], mats[None])[0]
+        return _pair_posts(mats, self.a_ops, self.b_ops, math.prod(self.a_out_dims), math.prod(self.b_in_dims))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(_product_outputs([self], self._input(rho)[None])[0], self.out_dims)
+        return DensityMatrix(self._posts(self._input(rho)).sum(axis=0), self.out_dims)
 
     def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
         """Per-pair outcomes as in ``KrausChannel.apply_instrument``."""
@@ -303,23 +335,14 @@ def _pair_posts(mats: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray,
     return apply_local(apply_local(mats, a_ops, 1, d_b_in), b_ops, d_a_out, 1)
 
 
-def _product_posts(channels: Sequence[ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
-    """``_pair_posts`` of each channel c's pairs on M_c, shape (channel,
-    pair, N', N').  The channels must share dims and pair count.  ``mats``
-    broadcasts against the (channel, pair) axes: M[:, None] gives each
-    channel its own matrix."""
-    first = channels[0]
-    for c in channels[1:]:
-        if (c.in_dims, c.out_dims, c.n_outcomes) != (first.in_dims, first.out_dims, first.n_outcomes):
-            raise DimensionMismatchError("stacked product channels must share dims and pair count")
-    return _pair_posts(mats, np.stack([c.a_ops for c in channels]), np.stack([c.b_ops for c in channels]),
-                       math.prod(first.a_out_dims), math.prod(first.b_in_dims))
-
-
-def _product_outputs(channels: Sequence[ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
-    """``channels[i]`` as a deterministic channel on ``mats[i]``: the stack
-    of summed outputs, not validated."""
-    return _product_posts(channels, mats[:, None]).sum(axis=1)
+def _product_channel(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims, b_in_dims, a_out_dims,
+                     b_out_dims) -> ProductKrausChannel:
+    """A channel whose pairs ``_product_stack`` checked, not checked again:
+    the one way to build a ``ProductKrausChannel`` past ``__post_init__``."""
+    channel = object.__new__(ProductKrausChannel)
+    vars(channel).update(a_ops=a_ops, b_ops=b_ops, a_in_dims=a_in_dims, b_in_dims=b_in_dims,
+                         a_out_dims=a_out_dims, b_out_dims=b_out_dims)
+    return channel
 
 
 @dataclass(frozen=True)
@@ -353,12 +376,18 @@ class ChannelClass:
         }
 
 
+def _classify_stack(a_ops: np.ndarray, b_ops: np.ndarray, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """``classify`` on each channel of a pair of (m, n, out, in) stacks:
+    the per-channel SI and SQI flags."""
+    a_ok, b_ok = [_incoherent_columns(ops, tol).reshape(len(ops), -1).all(axis=1) for ops in (a_ops, b_ops)]
+    return a_ok & b_ok, b_ok
+
+
 def classify(ch: ProductKrausChannel, tol: float = 1e-9) -> ChannelClass:
     """Classify a product channel: SI iff both parties' operators are
     incoherent; SQI iff the B-side operators are."""
-    a_ok = is_incoherent_operator(ch.a_ops, tol)
-    b_ok = is_incoherent_operator(ch.b_ops, tol)
-    return ChannelClass(separable_incoherent=a_ok and b_ok, separable_quantum_incoherent=b_ok)
+    si, sqi = _classify_stack(ch.a_ops[None], ch.b_ops[None], tol)
+    return ChannelClass(separable_incoherent=bool(si[0]), separable_quantum_incoherent=bool(sqi[0]))
 
 
 def complete_incoherent_kraus(raw: Sequence, in_dims, out_dims=None,
@@ -490,31 +519,6 @@ class LocalProtocol:
     def dims(self) -> tuple[int, ...]:
         return self.a_dims + self.b_dims
 
-    def _pairs(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """The script's product form: (A operators, B operators,
-        transcripts), one entry per unpruned leaf in depth-first order.  A
-        leaf's A is ``op @ prefix`` along its branch's A rounds, likewise its
-        B, and its transcript records (party, outcome) per round."""
-        leaves = []
-
-        def walk(node: ProtocolRound | None, a: np.ndarray, b: np.ndarray, transcript: tuple) -> None:
-            if node is None:
-                leaves.append((a, b, transcript))
-                return
-            ops = node.instrument.ops @ (a if node.party == "A" else b)
-            for outcome, op in enumerate(ops):
-                nxt = None if node.branches is None else node.branches[outcome]
-                record = transcript + ((node.party, outcome),)
-                if node.party == "A":
-                    walk(nxt, op, b, record)
-                else:
-                    walk(nxt, a, op, record)
-
-        walk(self.root, np.eye(math.prod(self.a_dims), dtype=complex),
-             np.eye(math.prod(self.b_dims), dtype=complex), ())
-        a_ops, b_ops, transcripts = zip(*leaves)
-        return np.array(a_ops), np.array(b_ops), list(transcripts)
-
     def _shape(self) -> tuple:
         """What scripts stepped as one stack must share: dims, and per
         round its party, outcome count and continuations (as positions)."""
@@ -528,13 +532,13 @@ class LocalProtocol:
                 dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
         """(post-states, probabilities, input indices, transcripts) of the
         leaves on each matrix of a validated (n, N, N) stack, input by input
-        and depth-first within each: every pair of ``_pairs`` acts on every
+        and depth-first within each: every pair of ``_products`` acts on every
         input in one ``_pair_posts``.  Each input's leaf probabilities must
         sum to 1 within 1e-9; a leaf is kept when its probability is > 1e-12,
         the rule that prunes an instrument's outcomes."""
         if dims != self.dims:
             raise DimensionMismatchError(f"state dims {dims} != protocol dims {self.dims}")
-        a_ops, b_ops, transcripts = self._pairs()
+        a_ops, b_ops, transcripts = self._product_form
         posts = _pair_posts(mats[:, None], a_ops, b_ops, math.prod(self.a_dims), math.prod(self.b_dims))
         probs = np.trace(posts, axis1=-2, axis2=-1).real
         _check_probabilities(probs.sum(axis=1))
@@ -560,24 +564,61 @@ class LocalProtocol:
     def to_product(self) -> ProductKrausChannel:
         """Compile the script to product-Kraus form: one (A, B) operator
         pair per leaf, each the composition of that branch's local ops,
-        in depth-first order."""
-        a_ops, b_ops, _ = self._pairs()
+        in depth-first order: the one-script case of ``_products``."""
+        a_ops, b_ops, _ = self._product_form
         return ProductKrausChannel(a_ops, b_ops, self.a_dims, self.b_dims)
 
+    @cached_property
+    def _product_form(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """``_products`` of the script alone, compiled once: the script cannot change."""
+        a_ops, b_ops, transcripts = _products([self])
+        return a_ops[0], b_ops[0], transcripts
 
-def _stacked_rounds(scripts: Sequence[LocalProtocol], dims: tuple[int, ...]) -> tuple[dict, dict]:
+
+def _stacked_rounds(scripts: Sequence[LocalProtocol]) -> tuple[dict, dict]:
     """What stepping scripts of one shape (``LocalProtocol._shape``) as one
-    stack needs, once the states' ``dims`` are checked: per round of the
-    first script, the matching rounds' operators, shape (outcome, script,
-    out, in), and per party, the dimension before and after its block."""
+    stack needs: per round of the first script, the matching rounds'
+    operators, shape (outcome, script, out, in), and per party, the
+    dimension before and after its block."""
     first = scripts[0]
-    if dims != first.dims:
-        raise DimensionMismatchError(f"state dims {dims} != protocol dims {first.dims}")
-    if len(scripts) > 1 and any(s._shape() != first._shape() for s in scripts[1:]):
+    if len(scripts) > 1 and len({s._shape() for s in scripts}) > 1:
         raise DimensionMismatchError("stacked protocol scripts must share one shape")
-    ops = {node: np.stack([s._rounds[i].instrument.ops for s in scripts], axis=1)
+    ops = {node: np.array([s._rounds[i].instrument.ops for s in scripts]).swapaxes(0, 1)
            for i, node in enumerate(first._rounds)}
     return ops, {"A": (1, math.prod(first.b_dims)), "B": (math.prod(first.a_dims), 1)}
+
+
+def _products(scripts: Sequence[LocalProtocol]) -> tuple[np.ndarray, np.ndarray, list]:
+    """The product forms of scripts of one shape (``LocalProtocol._shape``)
+    as one stack: (A operators, B operators, transcripts), the operators of
+    shape (script, leaf, out, in) with one leaf per branch in depth-first
+    order, read-only and not checked.  A leaf's A is ``op @ prefix`` along
+    its branch's A rounds, each round's operators stacked over the scripts
+    as ``_stacked_rounds`` stacks them, likewise its B; its transcript,
+    shared by the scripts, records (party, outcome) per round."""
+    first = scripts[0]
+    ops, _ = _stacked_rounds(scripts)
+    leaves = []
+
+    def walk(node: ProtocolRound | None, a: np.ndarray, b: np.ndarray, transcript: tuple) -> None:
+        if node is None:
+            leaves.append((a, b, transcript))
+            return
+        for outcome, op in enumerate(ops[node] @ (a if node.party == "A" else b)):
+            nxt = None if node.branches is None else node.branches[outcome]
+            record = transcript + ((node.party, outcome),)
+            if node.party == "A":
+                walk(nxt, op, b, record)
+            else:
+                walk(nxt, a, op, record)
+
+    eyes = (np.repeat(np.eye(math.prod(d), dtype=complex)[None], len(scripts), axis=0)
+            for d in (first.a_dims, first.b_dims))
+    walk(first.root, *eyes, ())
+    a_ops, b_ops, transcripts = zip(*leaves)
+    a_ops, b_ops = (np.array(stack).swapaxes(0, 1) for stack in (a_ops, b_ops))
+    a_ops.flags.writeable = b_ops.flags.writeable = False
+    return a_ops, b_ops, list(transcripts)
 
 
 def _check_probabilities(totals: np.ndarray) -> None:
@@ -598,7 +639,9 @@ def _outputs(scripts: Sequence[LocalProtocol], mats: np.ndarray, dims: tuple[int
     before it is stepped: each round is one ``apply_local`` on one matrix
     per input, and the leaves' sum is what reaches the end.  Its traces
     are the inputs' summed leaf probabilities, each 1 within 1e-9."""
-    ops, placement = _stacked_rounds(scripts, dims)
+    if dims != scripts[0].dims:
+        raise DimensionMismatchError(f"state dims {dims} != protocol dims {scripts[0].dims}")
+    ops, placement = _stacked_rounds(scripts)
     arrived = {scripts[0].root: mats}  # round or None (the end) -> summed input
     for node in scripts[0]._rounds:
         outs = apply_local(arrived.pop(node), ops[node], *placement[node.party])

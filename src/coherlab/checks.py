@@ -34,11 +34,12 @@ from . import protocols as pr
 from . import states as st
 from .linalg import (
     DensityMatrix,
+    _density_matrices,
     _density_stack,
+    _entropies,
     _partial_traces,
     _relative_entropies,
     _trace_norms,
-    von_neumann_entropy,
 )
 
 AB = ms.Bipartition((0,), (1,))
@@ -156,10 +157,11 @@ def continuity_trial(rngs: Generators) -> np.ndarray:
     return continuity_excess(rhos, sigmas)
 
 
-def _apply(channels: Sequence[ch.ProductKrausChannel], mats: np.ndarray) -> np.ndarray:
-    """channels[i] applied to mats[i], the outputs validated as one stack."""
-    outs = ch._product_outputs(channels, mats)
-    _density_stack(outs, channels[0].out_dims)
+def _apply(a_ops: np.ndarray, b_ops: np.ndarray, mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """The channel of the i-th pair of (m, n, out, in) stacks applied to
+    mats[i], the outputs, of dims ``dims``, validated as one stack."""
+    outs = ch._pair_posts(mats[:, None], a_ops, b_ops, a_ops.shape[2], b_ops.shape[3]).sum(axis=1)
+    _density_stack(outs, dims)
     return outs
 
 
@@ -172,15 +174,18 @@ def _marginals(mats: np.ndarray, dims: tuple[int, ...], keep) -> np.ndarray:
 
 def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between the marginals of the surviving party under a
-    random one-round SQI channel and under its SI reduction."""
+    random one-round SQI channel and under its SI reduction.  The scripts
+    are compiled, checked and reduced as one stack each."""
     seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
     scripts = ch._random_scripts((2,), (2,), 1, [seed for seed, _ in seeds],
                                  incoherent_a=False, n_outcomes=2)
-    channels = [script.to_product() for script in scripts]
-    reduced = [pr.sqi_to_si_reduce(channel) for channel in channels]
+    a_ops, b_ops, _ = ch._products(scripts)
+    channels = ch._product_stack(a_ops, b_ops, ((2, 2), (2, 2)))
+    reduced = pr._sqi_to_si_stack(*channels)
     mats = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, seed in seeds])
     _density_stack(mats, QUBITS)
-    bobs = _marginals(np.concatenate([_apply(channels, mats), _apply(reduced, mats)]), QUBITS, {1})
+    outs = np.concatenate([_apply(*channels, mats, QUBITS), _apply(*reduced, mats, QUBITS)])
+    bobs = _marginals(outs, QUBITS, {1})
     return _trace_norms(bobs[:len(mats)] - bobs[len(mats):])
 
 
@@ -188,23 +193,33 @@ def ancilla_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between a random SI channel on (A, A') x (B, B'),
     built from incoherent local instruments, with the ancillas traced out,
     and its ancilla-free reduction.  The A and B instruments are drawn as
-    one stack each; each input state and its extension by the ancillas are
-    built one at a time; the channels act as stacks."""
+    one stack each, the channels are checked and reduced as one stack, and
+    the input states and their extensions by the ancillas are validated
+    as one stack each."""
     seeds = [(rng.integers(2**63), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
     a_instrs = ch._random_incoherent_channels((2, 2), 2, [a for a, _, _ in seeds])
     b_instrs = ch._random_incoherent_channels((2, 2), 2, [b for _, b, _ in seeds])
-    extended, reduced, rhos, bigs = [], [], [], []
-    for a_instr, b_instr, (_, _, rho_seed) in zip(a_instrs, b_instrs, seeds):
-        # one pair per (A outcome, B outcome), in that order
-        channel = ch.ProductKrausChannel(np.repeat(a_instr.ops, b_instr.n_outcomes, axis=0),
-                                         np.tile(b_instr.ops, (a_instr.n_outcomes, 1, 1)), (2, 2), (2, 2))
-        extended.append(channel)
-        reduced.append(pr.ancilla_reduce(channel, (2, 2)))
-        rho = st.random_density(QUBITS, 4, rho_seed)
-        rhos.append(rho.mat)
-        bigs.append(pr.extend_with_ancillas(rho, (2, 2)).mat)
-    kept = _marginals(_apply(extended, np.stack(bigs)), extended[0].out_dims, {0, 2})
-    return _trace_norms(kept - _apply(reduced, np.stack(rhos)))
+    a_ops, b_ops = (np.stack([instr.ops for instr in instrs]) for instrs in (a_instrs, b_instrs))
+    # one pair per (A outcome, B outcome), in that order
+    extended = ch._product_stack(np.repeat(a_ops, b_ops.shape[1], axis=1),
+                                 np.tile(b_ops, (1, a_ops.shape[1], 1, 1)), ((4, 4), (4, 4)))
+    reduced = pr._ancilla_stack(*extended, (2, 2), (2, 2), (2, 2))
+    rhos = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, _, seed in seeds])
+    _density_stack(rhos, QUBITS)
+    bigs = pr._extend_stack(rhos, QUBITS, (2, 2))
+    _density_stack(bigs, (2, 2, 2, 2))
+    kept = _marginals(_apply(*extended, bigs, (2, 2, 2, 2)), (2, 2, 2, 2), {0, 2})
+    return _trace_norms(kept - _apply(*reduced, rhos, QUBITS))
+
+
+def _bracket_excesses(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ...], values) -> np.ndarray:
+    """How far each value leaves its state's bracket [c_r(rho),
+    S(dephase(rho, (0,)))] (<= 0 inside it), for a validated stack; S is
+    taken from the dephased states' spectra, validated as one stack."""
+    uppers = _entropies(_density_stack(ms._dephase_stack(mats, dims, (0,)), dims))
+    lowers = ms._coherences(mats, spectra, dims)
+    return np.array([max(value - upper, lower - value)
+                     for value, upper, lower in zip(values, uppers.tolist(), lowers)])
 
 
 def assistance_excess(rho: DensityMatrix, seed: int) -> float:
@@ -212,14 +227,19 @@ def assistance_excess(rho: DensityMatrix, seed: int) -> float:
     [c_r(rho), S(dephase(rho))] (<= 0 inside it); S is taken from the
     dephased state's spectrum, apart from the optimizer's blockwise form."""
     value, _ = ms.coherence_of_assistance(rho, budget=2, seed=seed)
-    upper = von_neumann_entropy(ms.dephase(rho, (0,)))
-    return max(value - upper, ms.c_r(rho) - value)
+    return float(_bracket_excesses(rho.mat[None], rho.spectrum[None], rho.dims, [value])[0])
 
 
 def chain_trial(rngs: Generators) -> np.ndarray:
-    """``assistance_excess`` on a rank-2 qubit state, one trial at a time."""
-    return np.array([assistance_excess(st.random_density((2,), 2, rng.integers(2**63)),
-                                       int(rng.integers(2**63))) for rng in rngs])
+    """``assistance_excess`` on a rank-2 qubit state: the states are
+    validated and the bracket ends computed as stacks, and
+    ``coherence_of_assistance`` runs on each state."""
+    draws = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
+    mats = np.stack([st._random_density_mat((2,), 2, seed) for seed, _ in draws])
+    spectra = _density_stack(mats, (2,))
+    values = [ms.coherence_of_assistance(rho, budget=2, seed=int(seed))[0]
+              for rho, (_, seed) in zip(_density_matrices(mats, spectra, (2,)), draws)]
+    return _bracket_excesses(mats, spectra, (2,), values)
 
 
 def completeness_residual(channel: ch.ProductKrausChannel) -> float:

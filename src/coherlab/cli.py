@@ -522,7 +522,7 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     failures, failure_seeds = 0, []
     for n in checks.stack_sizes(trials):
-        seeds = [int(rng.integers(2**63)) for _ in range(n)]
+        seeds = rng.integers(2**63, size=n).tolist()
         failed = [s for s, ok in zip(seeds, passes([np.random.default_rng(s) for s in seeds])) if not ok]
         failures += len(failed)
         failure_seeds = (failure_seeds + failed)[:16]

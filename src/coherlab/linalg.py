@@ -188,6 +188,19 @@ class DensityMatrix:
         return DensityMatrix(np.kron(self.mat, other.mat), self.dims + other.dims)
 
 
+def _density_matrices(mats: np.ndarray, spectra: np.ndarray, dims) -> list[DensityMatrix]:
+    """The states of a stack that ``_density_stack`` validated, with the
+    spectra it returned, not validated again: the one way to build a
+    ``DensityMatrix`` past its ``__post_init__``."""
+    dims = tuple(map(int, dims))
+    mats, spectra = mats.copy(), spectra.copy()
+    mats.flags.writeable = spectra.flags.writeable = False
+    states = [object.__new__(DensityMatrix) for _ in mats]
+    for state, mat, spectrum in zip(states, mats, spectra):
+        vars(state).update(mat=mat, dims=dims, spectrum=spectrum)
+    return states
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector tagged with subsystem dimensions."""

@@ -183,12 +183,19 @@ def _dephased_entropy(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np
     return _entropies(np.linalg.eigvalsh(blocks))
 
 
+def _coherences(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ...]) -> list[float]:
+    """``c_r`` of each state of a validated (n, N, N) stack with spectra
+    ``spectra`` and subsystem dims ``dims``, the dephased entropies from one
+    call."""
+    values = _dephased_entropy(mats, dims, range(len(dims))) - _entropies(spectra)
+    return [_finalize(value, "relative entropy of coherence") for value in values.tolist()]
+
+
 def c_r(rho: DensityMatrix) -> float:
     """Relative entropy of coherence S(dephase(rho)) - S(rho); equals the
     distillable coherence.  S(dephase(rho)) is the Shannon entropy of the
     diagonal and S(rho) comes from rho's stored spectrum."""
-    dephased = _dephased_entropy(rho.mat[None], rho.dims, range(rho.n_subsystems))[0]
-    return _finalize(dephased - von_neumann_entropy(rho), "relative entropy of coherence")
+    return _coherences(rho.mat[None], rho.spectrum[None], rho.dims)[0]
 
 
 def _qi_relative_entropies(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ...],

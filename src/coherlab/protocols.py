@@ -20,6 +20,10 @@ from .channels import (
     LocalProtocol,
     ProductKrausChannel,
     ProtocolRound,
+    _channel_error,
+    _classify_stack,
+    _product_channel,
+    _product_stack,
     classify,
     is_incoherent_operator,
 )
@@ -37,8 +41,8 @@ from .linalg import (
     PureState,
     apply_local,
     partial_trace,
-    permute_subsystems,
     trace_norm,
+    _density_matrices,
     _density_stack,
 )
 from .measures import (
@@ -47,6 +51,7 @@ from .measures import (
     c_r,
     coherence_of_assistance,
     qi_relative_entropy,
+    _coherences,
     _dephased_entropy,
 )
 from .states import (
@@ -354,45 +359,82 @@ def _steering_witnesses(mats: np.ndarray, dims: tuple[int, int],
                         tol: float = STEERING_TOL) -> list[SteeringWitness | None]:
     """``find_steering_measurement`` on each state of a validated
     (n, N, N) stack of (d_A, d_B) states: the post-states at the
-    polarization vectors of the whole stack come from one ``einsum``, and
-    a witness, with its validated Bob state and that state's c_r, is built
-    for each state that has one."""
+    polarization vectors of the whole stack come from one ``einsum``, the
+    Bob states of the witnesses are validated as one stack, and their c_r
+    come from one stacked dephased-entropy call."""
     da, db = dims
     vecs = _polarization_vectors(da)
     posts = np.einsum("ka,nabcd,kc->nkbd", vecs.conj(), mats.reshape(-1, da, db, da, db), vecs)
     offdiag = np.abs(posts * (1.0 - np.eye(db))).max(axis=(2, 3))
-    witnesses = []
-    for post, off in zip(posts, offdiag):
-        k = int(np.argmax(off))
-        if off[k] <= tol:
-            witnesses.append(None)
-            continue
-        p = float(np.trace(post[k]).real)
-        bob = DensityMatrix(post[k] / p, (db,))
-        witnesses.append(SteeringWitness(
-            kraus_op=np.outer(ket(0, da), vecs[k].conj()),
-            probability=p,
-            bob_post_state=bob,
-            bob_coherence=c_r(bob),
-        ))
+    best = np.argmax(offdiag, axis=1)
+    found = np.flatnonzero(~(offdiag.max(axis=1) <= tol))
+    witnesses = [None] * len(mats)
+    if not found.size:
+        return witnesses
+    picked = posts[found, best[found]]
+    probs = np.trace(picked, axis1=1, axis2=2).real
+    bobs = picked / probs[:, None, None]
+    spectra = _density_stack(bobs, (db,))
+    for i, k, p, bob, coh in zip(found.tolist(), best[found].tolist(), probs.tolist(),
+                                 _density_matrices(bobs, spectra, (db,)), _coherences(bobs, spectra, (db,))):
+        witnesses[i] = SteeringWitness(np.outer(ket(0, da), vecs[k].conj()), p, bob, coh)
     return witnesses
+
+
+def _require(flags: np.ndarray, error: type, message: str) -> None:
+    """Raise ``error``, named as ``_product_stack`` names it, for the first false flag."""
+    if not flags.all():
+        raise _channel_error(error, int(np.argmin(flags)), len(flags), message)
+
+
+def _sqi_to_si_stack(a_ops: np.ndarray, b_ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sqi_to_si_reduce`` on each channel of checked (m, n, out, in)
+    stacks: the reductions' stacks, checked.  Each channel must be SQI and
+    its reduction SI; the first that fails is named when m > 1."""
+    m, n, d_a_out, d_a_in = a_ops.shape
+    _require(_classify_stack(a_ops, b_ops)[1], NotSQIError, "channel is not separable quantum-incoherent")
+    # [k, i, j] is |j><j| A_i of channel k: row j of A_i, every other row zero
+    pinched = (a_ops[:, :, None] * np.eye(d_a_out)[:, :, None]).reshape(m, -1, d_a_out, d_a_in)
+    reduced = _product_stack(pinched, np.repeat(b_ops, d_a_out, axis=1), (a_ops.shape[2:], b_ops.shape[2:]))
+    _require(_classify_stack(*reduced)[0], NotSIError, "pinched channel failed the SI check")
+    return reduced
 
 
 def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:
     """Turn an SQI product channel into an SI one with the same reduced
     state on Bob, by pinching Alice's output in the incoherent basis:
-    the new pairs are (|j><j| A_i, B_i) over all outcomes i and labels j."""
-    if not classify(ch).separable_quantum_incoherent:
-        raise NotSQIError("channel is not separable quantum-incoherent")
-    _, d_a_out, d_a_in = ch.a_ops.shape
-    # [i, j] is |j><j| A_i: row j of A_i, every other row zero
-    pinched = (ch.a_ops[:, None] * np.eye(d_a_out)[:, :, None]).reshape(-1, d_a_out, d_a_in)
-    reduced = ProductKrausChannel(
-        pinched, np.repeat(ch.b_ops, d_a_out, axis=0),
-        ch.a_in_dims, ch.b_in_dims, ch.a_out_dims, ch.b_out_dims,
+    the new pairs are (|j><j| A_i, B_i) over all outcomes i and labels j.
+    The one-channel case of ``_sqi_to_si_stack``."""
+    a_ops, b_ops = _sqi_to_si_stack(ch.a_ops[None], ch.b_ops[None])
+    return _product_channel(a_ops[0], b_ops[0], ch.a_in_dims, ch.b_in_dims, ch.a_out_dims, ch.b_out_dims)
+
+
+def _ancilla_stack(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims: tuple[int, ...],
+                   b_in_dims: tuple[int, ...], ancilla_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``ancilla_reduce`` on each channel of checked (m, n, out, in) stacks
+    with input dims ``a_in_dims``, ``b_in_dims``: the reductions' stacks,
+    checked.  Each channel and its reduction must be SI; the first that
+    fails is named when m > 1."""
+    _require(_classify_stack(a_ops, b_ops)[0], NotSIError, "extended channel is not separable incoherent")
+    da_anc, db_anc = (int(d) for d in ancilla_dims)
+    if len(a_in_dims) < 2 or a_in_dims[-1] != da_anc:
+        raise DimensionMismatchError("party A dims must end with the ancilla dimension")
+    if len(b_in_dims) < 2 or b_in_dims[-1] != db_anc:
+        raise DimensionMismatchError("party B dims must end with the ancilla dimension")
+    da = math.prod(a_in_dims) // da_anc
+    db = math.prod(b_in_dims) // db_anc
+    count, n = a_ops.shape[:2]
+    # [c, k, l] is (1 x <l|) A~_k (1 x |0>) of channel c, and likewise [c, k, m] on B
+    a_parts = a_ops.reshape(count, n, da, da_anc, da, da_anc)[..., 0].transpose(0, 1, 3, 2, 4)
+    b_parts = b_ops.reshape(count, n, db, db_anc, db, db_anc)[..., 0].transpose(0, 1, 3, 2, 4)
+    # one pair per (k, l, m), in that order
+    shape = (count, n, da_anc, db_anc)
+    reduced = _product_stack(
+        np.broadcast_to(a_parts[:, :, :, None], shape + (da, da)).reshape(count, -1, da, da),
+        np.broadcast_to(b_parts[:, :, None], shape + (db, db)).reshape(count, -1, db, db),
+        ((da, da), (db, db)),
     )
-    if not classify(reduced).separable_incoherent:
-        raise NotSIError("pinched channel failed the SI check")
+    _require(_classify_stack(*reduced)[0], NotSIError, "reduced channel failed the SI check")
     return reduced
 
 
@@ -403,32 +445,23 @@ def ancilla_reduce(ch_tilde: ProductKrausChannel, ancilla_dims: tuple[int, int])
     subsystem of each party, prepared in |0>.  The returned SI channel on
     A x B reproduces Tr_{A'B'}[ch_tilde(rho x |0><0| x |0><0|)] exactly,
     with operator entries A_kl = (1 x <l|) A~_k (1 x |0>) and likewise on B.
+    The one-channel case of ``_ancilla_stack``.
     """
-    if not classify(ch_tilde).separable_incoherent:
-        raise NotSIError("extended channel is not separable incoherent")
-    da_anc, db_anc = (int(d) for d in ancilla_dims)
-    if len(ch_tilde.a_in_dims) < 2 or ch_tilde.a_in_dims[-1] != da_anc:
-        raise DimensionMismatchError("party A dims must end with the ancilla dimension")
-    if len(ch_tilde.b_in_dims) < 2 or ch_tilde.b_in_dims[-1] != db_anc:
-        raise DimensionMismatchError("party B dims must end with the ancilla dimension")
-    da = math.prod(ch_tilde.a_in_dims) // da_anc
-    db = math.prod(ch_tilde.b_in_dims) // db_anc
+    a_in, b_in = ch_tilde.a_in_dims, ch_tilde.b_in_dims
+    a_ops, b_ops = _ancilla_stack(ch_tilde.a_ops[None], ch_tilde.b_ops[None], a_in, b_in, ancilla_dims)
+    return _product_channel(a_ops[0], b_ops[0], a_in[:-1], b_in[:-1], a_in[:-1], b_in[:-1])
 
-    n = ch_tilde.n_outcomes
-    # [k, l] is (1 x <l|) A~_k (1 x |0>), and likewise [k, m] on B
-    a_parts = ch_tilde.a_ops.reshape(n, da, da_anc, da, da_anc)[..., 0].transpose(0, 2, 1, 3)
-    b_parts = ch_tilde.b_ops.reshape(n, db, db_anc, db, db_anc)[..., 0].transpose(0, 2, 1, 3)
-    # one pair per (k, l, m), in that order
-    shape = (n, da_anc, db_anc)
-    reduced = ProductKrausChannel(
-        np.broadcast_to(a_parts[:, :, None], shape + (da, da)).reshape(-1, da, da),
-        np.broadcast_to(b_parts[:, None], shape + (db, db)).reshape(-1, db, db),
-        ch_tilde.a_in_dims[:-1],
-        ch_tilde.b_in_dims[:-1],
-    )
-    if not classify(reduced).separable_incoherent:
-        raise NotSIError("reduced channel failed the SI check")
-    return reduced
+
+def _extend_stack(mats: np.ndarray, dims: tuple[int, int], ancilla_dims: tuple[int, int]) -> np.ndarray:
+    """``extend_with_ancillas`` on each matrix of an (n, N, N) stack of (A,
+    B) states with subsystem dims ``dims``: the extended matrices, ordered
+    (A, A', B, B'), not validated."""
+    da_anc, db_anc = (int(d) for d in ancilla_dims)
+    zero_a, zero_b = (np.diag(np.eye(d, dtype=complex)[0]) for d in (da_anc, db_anc))  # |0><0|
+    extended = np.kron(np.kron(mats, zero_a), zero_b)
+    # (A, B, A', B') -> (A, A', B, B') on the row and on the column index
+    tensor = extended.reshape((len(mats),) + (*dims, da_anc, db_anc) * 2)
+    return tensor.transpose(0, 1, 3, 2, 4, 5, 7, 6, 8).reshape(extended.shape)
 
 
 def extend_with_ancillas(rho: DensityMatrix, ancilla_dims: tuple[int, int]) -> DensityMatrix:
@@ -437,16 +470,8 @@ def extend_with_ancillas(rho: DensityMatrix, ancilla_dims: tuple[int, int]) -> D
     if len(rho.dims) != 2:
         raise DimensionMismatchError("ancilla extension expects a bipartite (A, B) state")
     da_anc, db_anc = (int(d) for d in ancilla_dims)
-    zero_a = np.zeros((da_anc, da_anc), dtype=complex)
-    zero_a[0, 0] = 1.0
-    zero_b = np.zeros((db_anc, db_anc), dtype=complex)
-    zero_b[0, 0] = 1.0
-    extended = DensityMatrix(
-        np.kron(np.kron(rho.mat, zero_a), zero_b),
-        rho.dims + (da_anc, db_anc),
-    )
-    # (A, B, A', B') -> (A, A', B, B')
-    return permute_subsystems(extended, (0, 2, 1, 3))
+    return DensityMatrix(_extend_stack(rho.mat[None], rho.dims, ancilla_dims)[0],
+                         (rho.dims[0], da_anc, rho.dims[1], db_anc))
 
 
 def domino_discrimination_channel() -> ProductKrausChannel:

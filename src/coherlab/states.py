@@ -194,13 +194,15 @@ def _random_qi_mat(dims: tuple[int, int], seed) -> np.ndarray:
     da, db = (int(d) for d in dims)
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(db))
-    mat = np.zeros((da * db, da * db), dtype=complex)
-    for j in range(db):
-        g = _ginibre(rng, da, da)
-        block = g @ g.conj().T
-        block *= probs[j] / np.trace(block).real
-        mat[j::db, j::db] += block  # rows and columns with B label j
-    return mat
+    # per B label, the real and then the imaginary part of its Ginibre draw
+    parts = rng.standard_normal((db, 2, da, da))
+    g = parts[:, 0] + 1j * parts[:, 1]
+    blocks = g @ g.conj().swapaxes(1, 2)
+    blocks *= (probs / np.trace(blocks, axis1=1, axis2=2).real)[:, None, None]
+    mat = np.zeros((da, db, da, db), dtype=complex)
+    labels = np.arange(db)
+    mat[:, labels, :, labels] += blocks  # block j on the rows and columns with B label j
+    return mat.reshape(da * db, da * db)
 
 
 def random_qi_state(dims, seed) -> DensityMatrix:

@@ -648,7 +648,7 @@ def test_to_product_matches_protocol_action():
 
 def test_scripts_of_one_shape_step_as_one_stack():
     # scripts[i] on rhos[i]: each output is the script's own apply, bit for bit
-    from coherlab.channels import _outputs, _product_outputs
+    from coherlab.channels import _outputs, _pair_posts, _products
 
     for rounds, n_outcomes in ((1, 2), (2, 3)):
         scripts = [random_sqi_channel((2,), (3,), rounds, seed, n_outcomes=n_outcomes) for seed in range(6)]
@@ -656,24 +656,23 @@ def test_scripts_of_one_shape_step_as_one_stack():
         outs = _outputs(scripts, np.stack([rho.mat for rho in rhos]), (2, 3))
         for out, script, rho in zip(outs, scripts, rhos):
             assert out.tobytes() == script.apply(rho).mat.tobytes()
-        products = [script.to_product() for script in scripts]
-        outs = _product_outputs(products, np.stack([rho.mat for rho in rhos]))
-        for out, product, rho in zip(outs, products, rhos):
-            assert out.tobytes() == product.apply(rho).mat.tobytes()
+        a_ops, b_ops, _ = _products(scripts)
+        outs = _pair_posts(np.stack([rho.mat for rho in rhos])[:, None], a_ops, b_ops, 2, 3).sum(axis=1)
+        for out, script, rho in zip(outs, scripts, rhos):
+            assert out.tobytes() == script.to_product().apply(rho).mat.tobytes()
 
 
 def test_scripts_of_different_shapes_do_not_stack():
-    from coherlab.channels import _outputs, _product_outputs
+    from coherlab.channels import _outputs, _products
 
     rho = random_density((2, 2), 4, 0).mat
+    mixed = [random_sqi_channel((2,), (2,), 1, 0), random_sqi_channel((2,), (2,), 2, 1)]
     with pytest.raises(DimensionMismatchError, match="one shape"):
-        _outputs([random_sqi_channel((2,), (2,), 1, 0), random_sqi_channel((2,), (2,), 2, 1)],
-                 np.stack([rho, rho]), (2, 2))
+        _outputs(mixed, np.stack([rho, rho]), (2, 2))
+    with pytest.raises(DimensionMismatchError, match="one shape"):
+        _products(mixed)
     with pytest.raises(DimensionMismatchError, match="state dims"):
         random_sqi_channel((2,), (2,), 1, 0)._leaves(rho[None], (4,))
-    with pytest.raises(DimensionMismatchError, match="pair count"):
-        _product_outputs([random_sqi_channel((2,), (2,), 1, 0).to_product(),
-                          random_sqi_channel((2,), (2,), 2, 1).to_product()], np.stack([rho, rho]))
 
 
 @pytest.mark.parametrize("rounds", [2, 3])
@@ -877,6 +876,104 @@ def test_kraus_stack_checks_each_channel_and_freezes_the_stack():
         _kraus_stack([families[0], families[1][:1]], (3, 3))
 
 
+def _bad_pairs(kind, a_ops, b_ops):
+    """A copy of a product channel's (A, B) stacks on (2,) x (2,) that
+    fails one of its checks."""
+    a_ops, b_ops = a_ops.copy(), b_ops.copy()
+    if kind == "finite":
+        b_ops[1, 0, 1] = np.inf
+    elif kind == "complete":
+        a_ops *= 0.5
+    elif kind == "shape":
+        a_ops = np.zeros((len(a_ops), 3, 3), dtype=complex)
+    else:
+        a_ops = a_ops[:-1]
+    return a_ops, b_ops
+
+
+@pytest.mark.parametrize("kind,error,message", [
+    ("finite", IncompleteChannelError, "operator has a non-finite"),
+    ("complete", IncompleteChannelError, "completeness residual"),
+    ("shape", DimensionMismatchError, "Kraus operator shape (3, 3)"),
+    ("length", DimensionMismatchError, "3 A operators but 4 B operators"),
+])
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_product_stack_names_the_first_failing_channel(kind, error, message, k):
+    from coherlab.channels import _product_stack
+
+    products = [random_sqi_channel((2,), (2,), 1, seed).to_product() for seed in range(5)]
+    a_families, b_families = [p.a_ops for p in products], [p.b_ops for p in products]
+    for i in {k, 4}:
+        a_families[i], b_families[i] = _bad_pairs(kind, a_families[i], b_families[i])
+    with pytest.raises(error) as single:
+        ProductKrausChannel(a_families[k], b_families[k], (2,), (2,))
+    assert str(single.value).startswith(message)
+    with pytest.raises(error) as stacked:
+        _product_stack(a_families, b_families, ((2, 2), (2, 2)))
+    assert str(stacked.value) == f"channel {k}: {single.value}"
+    with pytest.raises(error) as alone:
+        _product_stack([a_families[k]], [b_families[k]], ((2, 2), (2, 2)))
+    assert str(alone.value) == str(single.value)
+
+
+def test_product_stack_checks_each_channel_and_freezes_the_stacks():
+    from coherlab.channels import _product_stack
+
+    products = [random_licc_protocol((2,), (3,), 2, seed).to_product() for seed in range(4)]
+    a_ops, b_ops = _product_stack([p.a_ops for p in products], [p.b_ops for p in products],
+                                  ((2, 2), (3, 3)))
+    assert a_ops.shape == (4, 16, 2, 2) and b_ops.shape == (4, 16, 3, 3)
+    assert not (a_ops.flags.writeable or b_ops.flags.writeable)
+    assert a_ops.tobytes() == np.stack([p.a_ops for p in products]).tobytes()
+    assert b_ops.tobytes() == np.stack([p.b_ops for p in products]).tobytes()
+    with pytest.raises(DimensionMismatchError, match="operator count"):
+        _product_stack([products[0].a_ops, products[1].a_ops[:4]],
+                       [products[0].b_ops, products[1].b_ops[:4]], ((2, 2), (3, 3)))
+
+
+def _reference_pairs(script):
+    """A script's product form, composed branch by branch: the (A, B)
+    operators of each leaf in depth-first order."""
+    leaves = []
+
+    def walk(node, a, b):
+        if node is None:
+            leaves.append((a, b))
+            return
+        for outcome, op in enumerate(node.instrument.ops @ (a if node.party == "A" else b)):
+            nxt = None if node.branches is None else node.branches[outcome]
+            if node.party == "A":
+                walk(nxt, op, b)
+            else:
+                walk(nxt, a, op)
+
+    walk(script.root, np.eye(math.prod(script.a_dims), dtype=complex),
+         np.eye(math.prod(script.b_dims), dtype=complex))
+    return np.array([a for a, _ in leaves]), np.array([b for _, b in leaves])
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("random_script", [random_sqi_channel, random_licc_protocol],
+                         ids=["lqicc", "licc"])
+def test_products_compile_each_script_as_its_own_product_form(random_script, rounds):
+    # one stack of 50 scripts, each channel equal byte for byte to the
+    # script's to_product and to its branch-by-branch composition
+    from coherlab.channels import _products
+
+    scripts = [random_script((2,), (3,), rounds, seed) for seed in range(50)]
+    a_stack, b_stack, transcripts = _products(scripts)
+    assert a_stack.shape == (50, 4**rounds, 2, 2) and len(transcripts) == 4**rounds
+    assert not (a_stack.flags.writeable or b_stack.flags.writeable)
+    for a_ops, b_ops, script in zip(a_stack, b_stack, scripts):
+        product = script.to_product()
+        reference = _reference_pairs(script)
+        assert a_ops.tobytes() == product.a_ops.tobytes() == reference[0].tobytes()
+        assert b_ops.tobytes() == product.b_ops.tobytes() == reference[1].tobytes()
+        # the script's product form is compiled once and reused
+        assert script._product_form[0] is script._product_form[0]
+        assert script.to_product().a_ops.tobytes() == product.a_ops.tobytes()
+
+
 def test_script_checks_each_restricted_party_in_one_call(monkeypatch):
     import coherlab.channels as channels_module
 
@@ -911,7 +1008,7 @@ def _pruning_script():
 @pytest.mark.parametrize("case", ["qutrit-3-rounds", "licc-2-rounds", "six-scripts", "pruned"])
 def test_merged_outputs_equal_the_leaf_sum(case):
     # the reference is the sum of the product forms' unsummed posts
-    from coherlab.channels import _outputs, _product_posts
+    from coherlab.channels import _outputs, _pair_posts, _products
 
     if case == "six-scripts":
         scripts = [random_sqi_channel((2,), (3,), 2, seed, n_outcomes=3) for seed in range(6)]
@@ -928,7 +1025,8 @@ def test_merged_outputs_equal_the_leaf_sum(case):
                    else random_licc_protocol((2,), (2,), 2, 5)]
         mats = random_density(scripts[0].dims, math.prod(scripts[0].dims), 8).mat[None]
     dims = scripts[0].dims
-    leaves = _product_posts([script.to_product() for script in scripts], mats[:, None])
+    a_ops, b_ops, _ = _products(scripts)
+    leaves = _pair_posts(mats[:, None], a_ops, b_ops, scripts[0].a_dims[0], scripts[0].b_dims[0])
     if case == "qutrit-3-rounds":
         assert leaves.shape[1] == 729
     assert np.abs(_outputs(scripts, mats, dims) - leaves.sum(axis=1)).max() <= 1e-14

@@ -34,6 +34,51 @@ def test_stacked_trial_reads_each_generator_in_turn():
     assert stacked.tolist() == single
 
 
+def test_reductions_stack_builds_no_channel_per_trial(monkeypatch):
+    # the 20 channels and their reductions are compiled, checked and
+    # reduced as stacks: no ProductKrausChannel or to_product per trial
+    from coherlab.channels import LocalProtocol, ProductKrausChannel
+
+    calls = []
+    for cls, name in ((ProductKrausChannel, "__post_init__"), (LocalProtocol, "to_product")):
+        original = getattr(cls, name)
+
+        def counted(self, *args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    gaps = checks.sqi_to_si_gap([np.random.default_rng(seed) for seed in range(20)])
+    assert gaps.shape == (20,) and (gaps <= 1e-9).all()
+    assert calls == []
+
+
+def test_chain_stack_equals_single_assistance_trials():
+    # the reference is the bracket of one coherence_of_assistance call per
+    # state: [c_r(rho), S(dephase(rho))]
+    from coherlab import measures as ms
+    from coherlab.linalg import von_neumann_entropy
+
+    stacked = checks.chain_trial([np.random.default_rng(seed) for seed in range(40)])
+    single = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        rho = random_density((2,), 2, rng.integers(2**63))
+        value, _ = ms.coherence_of_assistance(rho, budget=2, seed=int(rng.integers(2**63)))
+        upper = von_neumann_entropy(ms.dephase(rho, (0,)))
+        single.append(max(value - upper, ms.c_r(rho) - value))
+    assert stacked.tobytes() == np.array(single).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 20, 64])
+def test_stack_seeds_drawn_in_one_call_are_the_single_draws(n):
+    # run_suite draws a stack's trial seeds with one call: the same seeds,
+    # and the generator left in the same state, as n single draws
+    stacked_rng, single_rng = np.random.default_rng(n), np.random.default_rng(n)
+    assert stacked_rng.integers(2**63, size=n).tolist() == [int(single_rng.integers(2**63)) for _ in range(n)]
+    assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+
+
 def test_stack_sizes_are_bounded():
     assert checks.stack_sizes(1) == [1]
     assert checks.stack_sizes(checks.MAX_STACK) == [checks.MAX_STACK]

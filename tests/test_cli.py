@@ -624,20 +624,17 @@ def test_run_suite_reports_counts():
 
 def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
     import coherlab.protocols as pr
-    from coherlab.channels import ProductKrausChannel
     from coherlab.checks import SUITES
 
-    real_reduce = pr.sqi_to_si_reduce
+    real_reduce = pr._sqi_to_si_stack
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
 
-    def flipped_reduce(channel):
+    def flipped_reduce(a_ops, b_ops):
         # a wrong reduction: the true one followed by a bit flip on B
-        reduced = real_reduce(channel)
-        return ProductKrausChannel(reduced.a_ops, flip @ reduced.b_ops,
-                                   reduced.a_in_dims, reduced.b_in_dims,
-                                   reduced.a_out_dims, reduced.b_out_dims)
+        reduced_a, reduced_b = real_reduce(a_ops, b_ops)
+        return reduced_a, flip @ reduced_b
 
-    monkeypatch.setattr(pr, "sqi_to_si_reduce", flipped_reduce)
+    monkeypatch.setattr(pr, "_sqi_to_si_stack", flipped_reduce)
     result = runner.invoke(main, ["suite", "reductions", "--trials", "20", "--seed", "0"])
     assert result.exit_code == 4
     summary = json.loads(result.output)

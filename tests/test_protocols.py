@@ -9,6 +9,7 @@ from coherlab.channels import (
     classify,
     is_incoherent_operator,
     random_incoherent_channel,
+    random_licc_protocol,
     random_sqi_channel,
 )
 from coherlab.exceptions import (
@@ -395,6 +396,27 @@ def test_steering_certificate_on_near_qi_states(dims):
     assert answers[True] > 0 and answers[False] > 0
 
 
+def test_stacked_witnesses_equal_the_single_search():
+    from coherlab.protocols import _steering_witnesses
+
+    states = [random_density((2, 3), 1 + seed % 6, seed) if seed % 3 else random_qi_state((2, 3), seed)
+              for seed in range(30)]
+    stacked = _steering_witnesses(np.stack([state.mat for state in states]), (2, 3))
+    assert any(w is None for w in stacked) and any(w is not None for w in stacked)
+    for state, witness in zip(states, stacked):
+        single = find_steering_measurement(state)
+        if single is None:
+            assert witness is None
+            continue
+        bob = DensityMatrix(witness.bob_post_state.mat, (3,))
+        assert witness.kraus_op.tobytes() == single.kraus_op.tobytes()
+        assert witness.probability == single.probability
+        assert witness.bob_post_state.mat.tobytes() == single.bob_post_state.mat.tobytes()
+        assert witness.bob_post_state.spectrum.tobytes() == bob.spectrum.tobytes()
+        assert witness.bob_coherence == single.bob_coherence == c_r(bob)
+    assert _steering_witnesses(np.stack([states[0].mat]), (2, 3)) == [None]
+
+
 # ---------------------------------------------------------------------------
 # SQI -> SI reduction
 
@@ -446,6 +468,33 @@ def test_sqi_to_si_rejects_non_sqi():
     channel = ProductKrausChannel((hadamard,), (hadamard,), (2,), (2,))
     with pytest.raises(NotSQIError):
         sqi_to_si_reduce(channel)
+
+
+def test_stacked_classify_and_sqi_to_si_equal_the_single_functions():
+    from coherlab.channels import _classify_stack, _product_stack
+    from coherlab.protocols import _sqi_to_si_stack
+
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+    channels = []
+    for seed in range(9):
+        script = (random_licc_protocol if seed % 3 == 0 else random_sqi_channel)((2,), (2,), 1, seed)
+        product = script.to_product()
+        if seed % 3 == 1:  # B rotated out of the incoherent basis: not SQI
+            product = ProductKrausChannel(product.a_ops, product.b_ops @ hadamard, (2,), (2,))
+        channels.append(product)
+    a_ops, b_ops = _product_stack([c.a_ops for c in channels], [c.b_ops for c in channels],
+                                  ((2, 2), (2, 2)))
+    si, sqi = _classify_stack(a_ops, b_ops)
+    flags = [classify(c) for c in channels]
+    assert si.tolist() == [f.separable_incoherent for f in flags] == [s % 3 == 0 for s in range(9)]
+    assert sqi.tolist() == [f.separable_quantum_incoherent for f in flags] == [s % 3 != 1 for s in range(9)]
+    with pytest.raises(NotSQIError, match="^channel 1: channel is not separable quantum-incoherent$"):
+        _sqi_to_si_stack(a_ops, b_ops)
+    reduced = _sqi_to_si_stack(a_ops[sqi], b_ops[sqi])
+    for channel, a_red, b_red in zip([c for c, ok in zip(channels, sqi) if ok], *reduced):
+        single = sqi_to_si_reduce(channel)
+        assert single.a_ops.tobytes() == a_red.tobytes() and single.b_ops.tobytes() == b_red.tobytes()
+        assert (single.a_in_dims, single.b_in_dims, single.a_out_dims, single.b_out_dims) == ((2,),) * 4
 
 
 # ---------------------------------------------------------------------------
@@ -504,6 +553,24 @@ def test_ancilla_reduce_matches_extended_action():
         big = extended.apply(extend_with_ancillas(rho, (2, 2)))
         direct = partial_trace(big, {0, 2})
         assert trace_norm(direct.mat - reduced.apply(rho).mat) < 1e-9
+
+
+def test_stacked_ancilla_reduce_equals_the_single_function():
+    from coherlab.channels import _product_stack
+    from coherlab.protocols import _ancilla_stack
+
+    rng = np.random.default_rng(12)
+    channels = [random_extended_si(rng) for _ in range(5)]
+    a_ops, b_ops = _product_stack([c.a_ops for c in channels], [c.b_ops for c in channels],
+                                  ((4, 4), (4, 4)))
+    reduced = _ancilla_stack(a_ops, b_ops, (2, 2), (2, 2), (2, 2))
+    for channel, a_red, b_red in zip(channels, *reduced):
+        single = ancilla_reduce(channel, (2, 2))
+        assert single.a_ops.tobytes() == a_red.tobytes() and single.b_ops.tobytes() == b_red.tobytes()
+        assert single.in_dims == single.out_dims == (2, 2)
+    hadamard = np.kron(np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2), np.eye(2))
+    with pytest.raises(NotSIError, match="^channel 3: extended channel is not separable incoherent$"):
+        _ancilla_stack(a_ops, np.concatenate([b_ops[:3], b_ops[3:] @ hadamard]), (2, 2), (2, 2), (2, 2))
 
 
 def test_ancilla_reduce_rejects_non_si():
