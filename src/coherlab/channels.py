@@ -484,36 +484,21 @@ class LocalProtocol:
         object.__setattr__(self, "b_dims", tuple(int(d) for d in self.b_dims))
         object.__setattr__(self, "incoherent_parties", frozenset(self.incoherent_parties))
         party_dims = {"A": self.a_dims, "B": self.b_dims}
-        # continuations are shared between branches, so each round is
-        # checked once, by identity; reversed depth-first post-order puts
-        # every round before its continuations
-        seen: set[int] = set()
-        post_order: list[ProtocolRound] = []
-        # restricted party -> its rounds' operators, checked in one call
-        restricted = {party: [] for party in sorted(self.incoherent_parties)}
-
-        def visit(node: ProtocolRound | None) -> None:
-            if node is None or id(node) in seen:
-                return
-            seen.add(id(node))
+        rounds = _round_order(self.root)
+        for node in rounds:
             instrument = node.instrument
             if not instrument.in_dims == instrument.out_dims == party_dims[node.party]:
                 raise DimensionMismatchError(
                     f"round instrument does not match party {node.party} dims"
                 )
-            if node.party in restricted:
-                restricted[node.party].append(instrument.ops)
-            for branch in node.branches or ():
-                visit(branch)
-            post_order.append(node)
-
-        visit(self.root)
-        for party, ops in restricted.items():
+        # a restricted party's operators are checked in one call
+        for party in sorted(self.incoherent_parties):
+            ops = [node.instrument.ops for node in rounds if node.party == party]
             if ops and not is_incoherent_operator(np.concatenate(ops)):
                 raise IncoherenceViolationError(
                     f"party {party} instrument is not incoherent in a restricted round"
                 )
-        object.__setattr__(self, "_rounds", tuple(reversed(post_order)))
+        object.__setattr__(self, "_rounds", rounds)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -573,6 +558,38 @@ class LocalProtocol:
         """``_products`` of the script alone, compiled once: the script cannot change."""
         a_ops, b_ops, transcripts = _products([self])
         return a_ops[0], b_ops[0], transcripts
+
+
+def _round_order(root: ProtocolRound | None) -> tuple[ProtocolRound, ...]:
+    """The distinct rounds of a script, each before every round it can lead
+    to: continuations are shared between branches, so rounds are told apart
+    by identity, and reversed depth-first post-order puts every round
+    before its continuations."""
+    seen: set[int] = set()
+    post_order: list[ProtocolRound] = []
+
+    def visit(node: ProtocolRound | None) -> None:
+        if node is None or id(node) in seen:
+            return
+        seen.add(id(node))
+        for branch in node.branches or ():
+            visit(branch)
+        post_order.append(node)
+
+    visit(root)
+    return tuple(reversed(post_order))
+
+
+def _script(a_dims: tuple[int, ...], b_dims: tuple[int, ...], root: ProtocolRound,
+            incoherent_parties: frozenset[str]) -> LocalProtocol:
+    """A script whose rounds act on their party's dims and whose restricted
+    parties' instruments were checked incoherent as one stack, not checked
+    again: the one way to build a ``LocalProtocol`` past ``__post_init__``.
+    Its ``_rounds`` are ``_round_order(root)``, as there."""
+    script = object.__new__(LocalProtocol)
+    vars(script).update(a_dims=a_dims, b_dims=b_dims, root=root,
+                        incoherent_parties=incoherent_parties, _rounds=_round_order(root))
+    return script
 
 
 def _stacked_rounds(scripts: Sequence[LocalProtocol]) -> tuple[dict, dict]:
@@ -671,7 +688,8 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
     completion K_l = R_l M^{-1/2} rescales each column by the inverse root
     of that norm and preserves incoherence.  A family with a column of norm
     below 1e-12 is drawn again from its generator, up to 16 attempts.  The
-    families are completed and checked as one stack."""
+    families are completed and checked, incoherence included, as one
+    stack."""
     dims = tuple(map(int, dims))
     d, n = math.prod(dims), max(1, n_kraus)
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -688,6 +706,8 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
     ops = np.zeros((len(rngs), n, d, d), dtype=complex)
     ops[np.arange(len(rngs))[:, None, None], np.arange(n)[:, None], perms, np.arange(d)] = (
         (re + 1j * im) * (1.0 / np.sqrt(colnorm2))[:, None])
+    if not is_incoherent_operator(ops):
+        raise NotIncoherentError("drawn operator maps a basis state to a superposition")
     return _kraus_channels(ops, dims)
 
 
@@ -742,7 +762,9 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     instrument in ``_draw_order``; each instrument is drawn from its own
     seed.  A is incoherent (LICC) or general (LQICC), B always incoherent.
     All the scripts' A instruments are completed and checked as one stack,
-    and all their B instruments as another."""
+    and all their B instruments as another, each on its party's dims and
+    an incoherent party's incoherence included; so the scripts are built
+    by ``_script``, with no per-script check."""
     a_dims, b_dims = tuple(map(int, a_dims)), tuple(map(int, b_dims))
     rounds, n = max(1, rounds), max(1, n_outcomes)
     order = np.array(_draw_order(rounds, n))
@@ -763,7 +785,7 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
         return ProtocolRound("A", a_instrument, tuple(branches))
 
     parties = frozenset({"A", "B"} if incoherent_a else {"B"})
-    return [LocalProtocol(a_dims, b_dims, build(rounds), parties) for _ in seeds]
+    return [_script(a_dims, b_dims, build(rounds), parties) for _ in seeds]
 
 
 def random_sqi_channel(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:

@@ -7,8 +7,9 @@ so a trial on ``[rng] * n`` draws exactly what n trials on ``[rng]`` draw,
 and the n = 1 call is one trial.  The drawn states and every state a trial
 computes are then validated, measured and applied as stacks, in batched
 calls: each state still passes all four checks of a ``DensityMatrix``
-(``linalg._density_stack``), and the values equal those of n single
-trials.  The random scripts and instruments of a stack are drawn as
+(``linalg._density_stack``), each drawn vector the check of a
+``PureState`` (``linalg._pure_stack``), and the values equal those of n
+single trials.  The random scripts and instruments of a stack are drawn as
 stacks too (``channels._random_scripts``,
 ``channels._random_incoherent_channels``): each from its own seed, as a
 single trial names it, then all completed and checked in batched calls.
@@ -38,6 +39,7 @@ from .linalg import (
     _density_stack,
     _entropies,
     _partial_traces,
+    _pure_stack,
     _relative_entropies,
     _trace_norms,
 )
@@ -59,11 +61,13 @@ def stack_sizes(trials: int) -> list[int]:
 
 def teleport_fidelity(rngs: Generators) -> np.ndarray:
     """Worst branch fidelity of incoherent teleportation of a Haar-random
-    qubit (ideally 1), per generator; all the qubits are teleported through
-    one stacked expansion."""
-    psis = [st.random_pure((2,), rng.integers(2**63)) for rng in rngs]
-    _, _, inputs, _, fidelities = pr._teleport_branches(*psis)
-    worst = np.full(len(psis), np.inf)
+    qubit (ideally 1), per generator.  The qubits are drawn as an (n, 2)
+    stack of vectors, each as ``random_pure`` draws it, checked for unit
+    norm as one stack and teleported through one stacked expansion."""
+    vecs = st._random_pure_vecs((2,), [rng.integers(2**63) for rng in rngs])
+    _pure_stack(vecs, (2,))
+    _, _, inputs, _, fidelities = pr._teleport_branches(vecs)
+    worst = np.full(len(vecs), np.inf)
     np.minimum.at(worst, inputs, fidelities)
     return worst
 

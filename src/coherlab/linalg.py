@@ -201,6 +201,29 @@ def _density_matrices(mats: np.ndarray, spectra: np.ndarray, dims) -> list[Densi
     return states
 
 
+def _pure_stack(vecs: np.ndarray, dims) -> None:
+    """Validate an (n, N) stack of complex amplitude vectors with subsystem
+    dims ``dims``: each must have unit norm within TOL_TRACE.  A failure
+    raises InvalidStateError with the message a single state gets,
+    prefixed, in a stack of more than one state, with the index of the
+    first state that fails."""
+    if vecs.ndim != 2:
+        raise DimensionMismatchError(f"expected a stack of vectors, got shape {vecs.shape}")
+    _check_dims(dims, vecs.shape[-1])
+    # each row's squared norm from its real and imaginary parts, which an
+    # infinite entry leaves inf, not nan
+    parts = np.ascontiguousarray(vecs).view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
+    for k, norm in enumerate(norms.tolist()):
+        if not abs(norm - 1.0) <= TOL_TRACE:
+            # the norm raises no warning on nan or inf, so finiteness is
+            # tested only once the norm check has failed
+            if not np.isfinite(vecs[k]).all():
+                raise _invalid(k, len(vecs), "amplitude vector has a non-finite (nan or inf) entry")
+            raise _invalid(k, len(vecs), f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} "
+                                         f"exceeds {TOL_TRACE:.0e}")
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit-norm complex amplitude vector tagged with subsystem dimensions."""
@@ -211,15 +234,7 @@ class PureState:
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=complex).reshape(-1).copy()
         dims = _check_dims(self.dims, vec.shape[0])
-        norm = float(np.linalg.norm(vec))
-        if not abs(norm - 1.0) <= TOL_TRACE:
-            # the norm raises no warning on nan or inf, so finiteness is
-            # tested only once the norm check has failed
-            if not np.isfinite(vec).all():
-                raise InvalidStateError("amplitude vector has a non-finite (nan or inf) entry")
-            raise InvalidStateError(
-                f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
-            )
+        _pure_stack(vec[None], dims)
         vec.setflags(write=False)
         object.__setattr__(self, "vec", vec)
         object.__setattr__(self, "dims", dims)

@@ -10,6 +10,7 @@ and the single-shot state-merging witness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -57,8 +58,8 @@ from .measures import (
 from .states import (
     SIGMA_X,
     SIGMA_Z,
+    _DOMINO,
     bell_states,
-    domino_states,
     fourier_mc_basis,
     ket,
     merging_state,
@@ -144,18 +145,16 @@ _TELEPORT_PAIR = bell_states()[0]
 _TELEPORT = _teleport_script()
 
 
-def _teleport_branches(*psis: PureState) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
-    """Teleport each input qubit, every (A, B) pair of the script's product
-    form acting on the stack of all of them: the unnormalized leaf states,
-    their probabilities, input indices and transcripts, input by input and
-    depth-first within each input, and Bob's fidelity with his leaf's input
-    on each leaf.  The inputs psi x phi+ are the only states validated, as
-    one stack; each fidelity is read from the normalized leaf with A and
-    then A' traced out, as ``partial_trace`` does."""
-    if any(psi.dims != (2,) for psi in psis):
-        raise DimensionMismatchError("teleportation input must be a single qubit")
-    psi_vecs = np.stack([psi.vec for psi in psis])
-    vecs = (psi_vecs[:, :, None] * _TELEPORT_PAIR.vec).reshape(len(psis), -1)
+def _teleport_branches(psi_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
+    """Teleport each input qubit of an (n, 2) stack of unit vectors, every
+    (A, B) pair of the script's product form acting on the stack of all of
+    them: the unnormalized leaf states, their probabilities, input indices
+    and transcripts, input by input and depth-first within each input, and
+    Bob's fidelity with his leaf's input on each leaf.  The inputs
+    psi x phi+ are the only states validated, as one stack; each fidelity
+    is read from the normalized leaf with A and then A' traced out, as
+    ``partial_trace`` does."""
+    vecs = (psi_vecs[:, :, None] * _TELEPORT_PAIR.vec).reshape(len(psi_vecs), -1)
     rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
     _density_stack(rhos, _TELEPORT.dims)
     mats, probs, inputs, transcripts = _TELEPORT._leaves(rhos, _TELEPORT.dims)
@@ -175,7 +174,9 @@ def incoherent_teleport(psi: PureState) -> ProtocolResult:
     two-qubit basis; Bob's corrections are Pauli operators.  Every branch
     has probability 1/4 and leaves Bob holding the input state exactly.
     """
-    mats, probs, _, transcripts, fidelities = _teleport_branches(psi)
+    if psi.dims != (2,):
+        raise DimensionMismatchError("teleportation input must be a single qubit")
+    mats, probs, _, transcripts, fidelities = _teleport_branches(psi.vec[None])
     probs = probs.tolist()
     leaves = [(p, DensityMatrix(m / p, _TELEPORT.dims), t)
               for m, p, t in zip(mats, probs, transcripts)]
@@ -481,8 +482,7 @@ def domino_discrimination_channel() -> ProductKrausChannel:
     return _DOMINO_CHANNEL
 
 
-# The family and its channel are fixed, so they are built and certified once.
-_DOMINO = domino_states()
+# The channel of the fixed family ``states._DOMINO`` is built and certified once.
 # [i] is |i><alpha_i| on A and |i><beta_i| on B: row i holds the conjugate part
 _DOMINO_CHANNEL = ProductKrausChannel(
     np.eye(9)[:, :, None] * np.conj(_DOMINO.alpha_parts)[:, None],
@@ -516,10 +516,13 @@ def _domino_success_probabilities() -> np.ndarray:
     """p_k = Tr[(A_k x B_k) rho_k (A_k x B_k)'] for the nine domino states
     rho_k and the channel's matching pairs (A_k, B_k), in family order:
     ``discriminate_domino(k + 1)``'s success probability without its
-    outcome states.  Each rho_k is validated; the nine inputs are one
-    stack, on which each party's operators act pair by pair, A_k on the
-    k-th input only."""
-    rhos = np.stack([psi.to_density().mat for psi in _DOMINO.states])
+    outcome states.  The nine densities come from one broadcast outer
+    product of the family's vectors and are validated as one stack; each
+    party's operators then act on that stack pair by pair, A_k on the k-th
+    input only."""
+    vecs = np.array([psi.vec for psi in _DOMINO.states])
+    rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
+    _density_stack(rhos, (3, 3))
     return _DOMINO_CHANNEL._posts(rhos).trace(axis1=-2, axis2=-1).real
 
 
@@ -558,6 +561,30 @@ _MERGE = _merge_channel()
 _MERGE_TRACED = _traced_merge_channel()
 
 
+@functools.cache
+def _merge_transfer() -> np.ndarray:
+    """The traced merge as one read-only 81 x 81 map on the (A, B) block of
+    an (R, A, B) state: the natural representation T = sum_l K_l x conj(K_l)
+    of the operators that ``_MERGE_TRACED``'s constructor checked, so that
+    vec(sum_l K_l X K_l') = T vec(X) on row-major vectorizations (Watrous,
+    *The Theory of Quantum Information*, Sec. 2.2).  It is built once, on
+    first use rather than at import, so a process that never merges does
+    not hold its 0.1 MB."""
+    ops = _MERGE_TRACED.ops
+    # T[(a, b), (i, j)] = sum_l K_l[a, i] conj(K_l[b, j])
+    transfer = np.einsum("lai,lbj->abij", ops, ops.conj()).reshape(81, 81)
+    transfer.setflags(write=False)
+    return transfer
+
+
+def _traced_merge(mat: np.ndarray) -> np.ndarray:
+    """``_MERGE_TRACED.apply(rho, at=1).mat`` for the 81 x 81 matrix of an
+    (R, A, B) state with dims (9, 3, 3), not validated: the transfer matrix
+    maps every (R, R') block of (A, B) rows and columns in one product."""
+    blocks = mat.reshape(9, 9, 9, 9).transpose(1, 3, 0, 2).reshape(81, 81)  # [(i, j), (R, R')]
+    return (_merge_transfer() @ blocks).reshape(9, 9, 9, 9).transpose(2, 0, 3, 1).reshape(81, 81)
+
+
 def merging_witness() -> MergingWitnessResult:
     """Evaluate the single-shot merging witness on the flagged domino
     mixture.
@@ -573,9 +600,14 @@ def merging_witness() -> MergingWitnessResult:
     nine left are the ones applied here.  The check is that the final
     (R, A, A') state reproduces the input with B relabeled to A'.  The
     trace over B is folded into the operators, K_i -> (1 x <0|_B) K_i,
-    which act (A, B) -> (A, A'); so the nine act on the 81-dim input as
-    one stack, no 243-dim (R, A, A', B) state is formed, and only the
-    81-dim sum is validated.
+    which act (A, B) -> (A, A'), and their transfer matrix
+    (``_merge_transfer``) maps all 81 (R, R') blocks of the input with one
+    matrix product (``_traced_merge``): no 243-dim (R, A, A', B) state and
+    no stack of post-states is formed.  The output is not validated as a
+    state: its trace-norm residual r against the validated input bounds
+    its hermiticity defect by 2r, its trace defect by r and the smallest
+    eigenvalue of its Hermitian part from below by -r, and ``reproduce``
+    fails the residual above 1e-9.
     """
     rho = merging_state()
     split_r_ab = Bipartition(a=(0,), b=(1, 2))
@@ -589,8 +621,7 @@ def merging_witness() -> MergingWitnessResult:
         "qi_relative_entropy", val_rb_a, {"state": "merging", "split": "RB|A"}
     )
 
-    final_raa = _MERGE_TRACED.apply(rho, at=1)
-    residual = trace_norm(final_raa.mat - rho.mat)
+    residual = trace_norm(_traced_merge(rho.mat) - rho.mat)
 
     return MergingWitnessResult(
         qire_r_ab=report_r_ab,

@@ -115,15 +115,20 @@ def domino_states() -> DominoFamily:
     )
 
 
+# The family is fixed, so it is built and checked once.
+_DOMINO = domino_states()
+
+
 def merging_state() -> DensityMatrix:
     """Uniform mixture of the nine domino states, each flagged by an
     orthogonal pointer state on a 9-dimensional register R.
 
-    Subsystem order is (R, A, B) with dims (9, 3, 3).
+    Subsystem order is (R, A, B) with dims (9, 3, 3).  The mixture is read
+    from the domino family built once at import, and each call builds and
+    validates it anew.
     """
-    family = domino_states()
     mat = np.zeros((81, 81), dtype=complex)
-    for i, psi in enumerate(family.states):
+    for i, psi in enumerate(_DOMINO.states):
         # |i><i| x psi psi' is psi psi' on the i-th diagonal block; adding
         # it to the zeros turns its -0.0 imaginary parts into +0.0
         mat[9 * i:9 * i + 9, 9 * i:9 * i + 9] += np.outer(psi.vec, psi.vec.conj()) / 9.0
@@ -163,12 +168,24 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:
+    """The vectors of ``random_pure(dims, seed)`` for each seed, as an
+    (n, d) stack, not validated: callers that draw many validate them as
+    one stack.  Each is drawn from its own ``default_rng(seed)`` and
+    divided by its own norm (a row-wise norm of the stack rounds
+    differently)."""
+    d = math.prod(dims)
+    vecs = np.empty((len(seeds), d), dtype=complex)
+    for k, seed in enumerate(seeds):
+        v = _ginibre(np.random.default_rng(seed), d, 1).reshape(-1)
+        vecs[k] = v / np.linalg.norm(v)
+    return vecs
+
+
 def random_pure(dims, seed) -> PureState:
     """Haar-random pure state (normalized complex-Gaussian vector)."""
     dims = tuple(int(d) for d in dims)
-    rng = np.random.default_rng(seed)
-    v = _ginibre(rng, math.prod(dims), 1).reshape(-1)
-    return PureState(v / np.linalg.norm(v), dims)
+    return PureState(_random_pure_vecs(dims, [seed])[0], dims)
 
 
 def _random_density_mat(dims: tuple[int, ...], rank, seed) -> np.ndarray:

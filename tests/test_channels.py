@@ -981,16 +981,37 @@ def test_script_checks_each_restricted_party_in_one_call(monkeypatch):
     predicate = channels_module.is_incoherent_operator
 
     def counting_predicate(ops, *args, **kwargs):
-        calls.append(len(ops))
+        calls.append(math.prod(np.shape(ops)[:-2]))  # operators checked
         return predicate(ops, *args, **kwargs)
 
     monkeypatch.setattr(channels_module, "is_incoherent_operator", counting_predicate)
-    # 13 A and 39 B instruments of 3 operators each
+    # 13 A and 39 B instruments of 3 operators each; the stacked draw checks
+    # each restricted party's, and the script does not check them again
     random_sqi_channel((3,), (3,), 3, 7, n_outcomes=3)
     assert calls == [39 * 3]
     calls.clear()
     random_licc_protocol((3,), (3,), 3, 7, n_outcomes=3)
     assert calls == [13 * 3, 39 * 3]
+
+
+@pytest.mark.parametrize("incoherent_a", [False, True])
+def test_drawn_scripts_equal_scripts_built_the_checked_way(incoherent_a):
+    # _random_scripts builds its scripts past LocalProtocol.__post_init__;
+    # the same roots wrapped by the constructor give the same rounds, shape
+    # and outputs
+    from coherlab.channels import LocalProtocol, _outputs, _random_scripts
+
+    for rounds in (1, 2, 3):
+        seeds = list(range(10 * rounds, 10 * rounds + 6))
+        drawn = _random_scripts((2,), (3,), rounds, seeds, incoherent_a=incoherent_a, n_outcomes=2)
+        checked = [LocalProtocol(s.a_dims, s.b_dims, s.root, s.incoherent_parties) for s in drawn]
+        for script, reference in zip(drawn, checked):
+            assert script._rounds == reference._rounds
+            assert script._shape() == reference._shape()
+            assert (script.a_dims, script.b_dims, script.incoherent_parties) == (
+                reference.a_dims, reference.b_dims, reference.incoherent_parties)
+        mats = np.stack([random_density((2, 3), 6, seed).mat for seed in seeds])
+        assert _outputs(drawn, mats, (2, 3)).tobytes() == _outputs(checked, mats, (2, 3)).tobytes()
 
 
 # ---------------------------------------------------------------------------

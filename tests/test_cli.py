@@ -513,10 +513,10 @@ def test_reference_rows_all_pass():
 
 def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
     # the 20 teleports are one pair of stacked local actions (the script's
-    # four (A, B) pairs on every input), the 9 domino inputs one
-    # pair of stacked local actions and the merge one stack of its 9
-    # B-traced operators, so no 243-dim post-state is made; only the
-    # merging state and the merge output are validated at order 81
+    # four (A, B) pairs on every input) and the 9 domino inputs one pair of
+    # stacked local actions; the merge is one product with its 81 x 81
+    # transfer matrix, so it makes no local action and no post-state, and
+    # only the merging state is validated at order 81
     import coherlab.channels as channels
     import coherlab.linalg as linalg
     import coherlab.protocols as protocols
@@ -541,10 +541,24 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     reference_rows(seed=0)
-    assert len(local_orders) == 5
+    assert len(local_orders) == 4
     assert max(local_orders) <= 81
-    assert orders.count(81) == 2
+    assert orders.count(81) == 1
     assert max(orders) == 81
+
+
+def test_corrupted_merge_transfer_fails_reproduce(runner, monkeypatch):
+    # the merge output is not validated as a state, so a wrong transfer
+    # matrix must show in its residual row, and reproduce must exit nonzero
+    import coherlab.protocols as protocols
+
+    corrupted = protocols._merge_transfer() * (1.0 + 1e-6)
+    monkeypatch.setattr(protocols, "_merge_transfer", lambda: corrupted)
+    rows = {row["name"]: row for row in reference_rows(seed=0)}
+    assert rows["merge_simulation_residual"]["value"] > 1e-9
+    assert [name for name, row in rows.items() if row["status"] != "pass"] == ["merge_simulation_residual"]
+    result = runner.invoke(main, ["reproduce", "--format", "json"])
+    assert result.exit_code == 4
 
 
 def test_reproduce_csv_format(runner):
@@ -599,6 +613,7 @@ def test_product_channel_json_is_golden(channel, name):
     (["protocol", "discriminate", "--index", "4"], "protocol_discriminate_index4.txt"),
     (["protocol", "teleport", "--trials", "20", "--seed", "3"],
      "protocol_teleport_trials20_seed3.txt"),
+    (["protocol", "merge-witness"], "protocol_merge_witness.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, args, name):
     result = runner.invoke(main, args)

@@ -320,6 +320,25 @@ def test_pure_state_rejects_unnormalized():
         PureState(np.array([1.0, 1.0]), (2,))
 
 
+def test_pure_stack_names_the_first_failing_vector():
+    # a stack gets PureState's messages, prefixed with the index of the
+    # first vector that fails; a stack of one gets them unprefixed
+    from coherlab.linalg import _pure_stack
+
+    vecs = np.array([[1.0, 0.0], [0.6, 0.8j], [0.0, 1.0]], dtype=complex)
+    _pure_stack(vecs, (2,))
+    vecs[2] *= 2.0
+    with pytest.raises(InvalidStateError, match=r"^state 2: unit norm violated: \|norm - 1\| = 1\.000e\+00"):
+        _pure_stack(vecs, (2,))
+    with pytest.raises(InvalidStateError, match=r"^unit norm violated"):
+        _pure_stack(vecs[2:], (2,))
+    vecs[1, 0] = np.inf
+    with pytest.raises(InvalidStateError, match=r"^state 1: amplitude vector has a non-finite"):
+        _pure_stack(vecs, (2,))
+    with pytest.raises(DimensionMismatchError):
+        _pure_stack(vecs, (3,))
+
+
 def test_density_matrix_is_immutable():
     rho = random_density((2,), 2, 1)
     with pytest.raises(ValueError):

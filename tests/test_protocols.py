@@ -178,7 +178,7 @@ def test_teleport_branches_equal_the_kron_and_per_leaf_routes(monkeypatch):
             rng = np.random.default_rng(seed)
             psis = [random_pure((2,), int(rng.integers(2**63))) for _ in range(n)]
             validated.clear()
-            mats, probs, inputs, _, fidelities = _teleport_branches(*psis)
+            mats, probs, inputs, _, fidelities = _teleport_branches(np.stack([psi.vec for psi in psis]))
             vecs = np.stack([np.kron(psi.vec, pair.vec) for psi in psis])
             (rhos,) = validated
             assert rhos.tobytes() == (vecs[:, :, None] * vecs.conj()[:, None, :]).tobytes()
@@ -198,6 +198,30 @@ def test_stacked_teleport_trial_equals_single_draws():
         single = np.concatenate([checks.teleport_fidelity([single_rng]) for _ in range(20)])
         assert stacked.tobytes() == single.tobytes()
         assert stacked_rng.integers(2**63) == single_rng.integers(2**63)
+
+
+def test_stacked_teleport_draw_equals_the_random_pure_route():
+    # the (n, 2) stack against one random_pure-style draw per input
+    # (default_rng(seed), a Ginibre column, divided by its own norm), and the
+    # fidelities against teleporting those vectors, bit for bit
+    import coherlab.checks as checks
+
+    def drawn(seed):
+        rng = np.random.default_rng(seed)
+        v = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))).reshape(-1)
+        return v / np.linalg.norm(v)
+
+    for n in (1, 20, 64):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            seeds = [rng.integers(2**63) for _ in range(n)]
+            reference = np.stack([drawn(s) for s in seeds])
+            assert np.stack([random_pure((2,), s).vec for s in seeds]).tobytes() == reference.tobytes()
+            _, _, inputs, _, fidelities = _teleport_branches(reference)
+            worst = np.full(n, np.inf)
+            np.minimum.at(worst, inputs, fidelities)
+            stacked = checks.teleport_fidelity([np.random.default_rng(seed)] * n)
+            assert stacked.tobytes() == worst.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +633,7 @@ def test_domino_success_probabilities_equal_discrimination_runs():
 
 def test_discriminate_domino_builds_family_and_channel_once(monkeypatch):
     import coherlab.protocols as protocols
+    import coherlab.states as states
 
     calls = {"family": 0, "channel": 0}
 
@@ -618,7 +643,7 @@ def test_discriminate_domino_builds_family_and_channel_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(protocols, "domino_states", counted("family", protocols.domino_states))
+    monkeypatch.setattr(states, "domino_states", counted("family", states.domino_states))
     monkeypatch.setattr(protocols, "ProductKrausChannel",
                         counted("channel", protocols.ProductKrausChannel))
     discriminate_domino(3)
@@ -713,6 +738,19 @@ def test_traced_merge_equals_apply_then_trace():
         ours = traced.apply(rho, at=1)
         assert ours.dims == (9, 3, 3)
         assert np.abs(ours.mat - reference).max() <= 1e-15
+
+
+def test_transfer_route_equals_the_traced_operators():
+    # the merge through its 81 x 81 transfer matrix against the nine
+    # B-traced operators applied one by one and summed: bit for bit on the
+    # merging state, within 1e-15 on full-rank states
+    from coherlab.protocols import _MERGE_TRACED, _traced_merge
+
+    rho = merging_state()
+    assert _traced_merge(rho.mat).tobytes() == _MERGE_TRACED.apply(rho, at=1).mat.tobytes()
+    for seed in range(5):
+        rho = random_density((9, 3, 3), 81, seed)
+        assert np.abs(_traced_merge(rho.mat) - _MERGE_TRACED.apply(rho, at=1).mat).max() <= 1e-15
 
 
 def test_merging_witness_solves_one_full_order_eigenproblem(monkeypatch):
