@@ -28,6 +28,7 @@ from .exceptions import (
     SingularNormalizerError,
 )
 from .linalg import DensityMatrix, apply_local
+from .states import _generators
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -680,19 +681,20 @@ def _incoherent_draw(rng: np.random.Generator, d: int, n: int) -> tuple[np.ndarr
 
 
 def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]:
-    """One random incoherent channel per seed, drawn from
-    ``default_rng(seed)``: each Kraus operator picks an injective
+    """One random incoherent channel per seed, drawn from the stream of
+    ``default_rng(seed)`` (the stack's generators are built by one batched
+    seeding, ``states._generators``): each Kraus operator picks an injective
     column-target map (a permutation) with complex-Gaussian amplitudes,
     then the family is completed.  Injective targets make M = sum_l R_l' R_l
     diagonal, holding each column's squared norm over the family, so
     completion K_l = R_l M^{-1/2} rescales each column by the inverse root
     of that norm and preserves incoherence.  A family with a column of norm
-    below 1e-12 is drawn again from its generator, up to 16 attempts.  The
+    below 1e-12 is drawn again from its own generator, up to 16 attempts.  The
     families are completed and checked, incoherence included, as one
     stack."""
     dims = tuple(map(int, dims))
     d, n = math.prod(dims), max(1, n_kraus)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rngs = _generators(seeds)
     perms, re, im = (np.array(x) for x in zip(*(_incoherent_draw(rng, d, n) for rng in rngs)))
     colnorm2 = (re**2 + im**2).sum(axis=1)
     for k in np.flatnonzero(colnorm2.min(axis=1) < 1e-12).tolist():
@@ -713,13 +715,14 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
 
 def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
     """One random general instrument per seed: Ginibre operators drawn
-    from ``default_rng(seed)``, the real then imaginary part of each
-    operator in turn as one draw, normalized by the inverse square root of
-    their Gram sum.  The instruments are completed and checked as one
-    stack."""
+    from the stream of ``default_rng(seed)`` (the stack's generators are
+    built by one batched seeding, ``states._generators``), the real then
+    imaginary part of each operator in turn as one draw, normalized by the
+    inverse square root of their Gram sum.  The instruments are completed
+    and checked as one stack."""
     dims = tuple(map(int, dims))
     d, n = math.prod(dims), max(1, n_kraus)
-    parts = np.array([np.random.default_rng(seed).standard_normal((n, 2, d, d)) for seed in seeds])
+    parts = np.array([rng.standard_normal((n, 2, d, d)) for rng in _generators(seeds)])
     raws = parts[:, :, 0] + 1j * parts[:, :, 1]
     w, v = np.linalg.eigh(_grams(raws).sum(axis=1))
     inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))[:, None]) @ v.conj().swapaxes(-1, -2)
@@ -758,9 +761,12 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     exchange: party A measures, then per outcome party B applies its own
     instrument, and every B outcome continues to the same next round.
 
-    Each script's generator, ``default_rng(seed)``, draws one seed per
-    instrument in ``_draw_order``; each instrument is drawn from its own
-    seed.  A is incoherent (LICC) or general (LQICC), B always incoherent.
+    Each script's generator, the stream of ``default_rng(seed)``, draws one
+    seed per instrument in ``_draw_order``; each instrument is drawn from
+    its own seed.  The scripts' generators, and then all their instruments'
+    generators, are built by one batched seeding each
+    (``states._generators``).  A is incoherent (LICC) or general (LQICC),
+    B always incoherent.
     All the scripts' A instruments are completed and checked as one stack,
     and all their B instruments as another, each on its party's dims and
     an incoherent party's incoherence included; so the scripts are built
@@ -768,8 +774,7 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     a_dims, b_dims = tuple(map(int, a_dims)), tuple(map(int, b_dims))
     rounds, n = max(1, rounds), max(1, n_outcomes)
     order = np.array(_draw_order(rounds, n))
-    node_seeds = np.array([np.random.default_rng(seed).integers(2**63, size=len(order))
-                           for seed in seeds])
+    node_seeds = np.array([rng.integers(2**63, size=len(order)) for rng in _generators(seeds)])
     random_a = _random_incoherent_channels if incoherent_a else _random_instruments
     a_instruments = iter(random_a(a_dims, n, node_seeds[:, order == "A"].ravel()))
     b_instruments = iter(_random_incoherent_channels(b_dims, n, node_seeds[:, order == "B"].ravel()))

@@ -9,10 +9,12 @@ computes are then validated, measured and applied as stacks, in batched
 calls: each state still passes all four checks of a ``DensityMatrix``
 (``linalg._density_stack``), each drawn vector the check of a
 ``PureState`` (``linalg._pure_stack``), and the values equal those of n
-single trials.  The random scripts and instruments of a stack are drawn as
-stacks too (``channels._random_scripts``,
-``channels._random_incoherent_channels``): each from its own seed, as a
-single trial names it, then all completed and checked in batched calls.
+single trials.  The random states, scripts and instruments of a stack are
+drawn as stacks too (``states._random_density_mats``,
+``channels._random_scripts``, ``channels._random_incoherent_channels``):
+each from its own seed, as a single trial names it, on generators built by
+one batched seeding (``states._generators``), then all completed and
+checked in batched calls.
 A helper that takes states takes the stack of their matrices and
 validates every state it reads.  ``coherlab suite``, ``coherlab
 protocol``, ``coherlab reproduce`` and the acceptance tests all call these
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -89,7 +92,7 @@ def monotonicity_trial(rngs: Generators) -> np.ndarray:
     """``qi_increase`` under a random one-round SQI channel, on a two-qubit
     state of random rank."""
     draws = [(int(rng.integers(1, 5)), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    mats = np.stack([st._random_density_mat(QUBITS, rank, seed) for rank, seed, _ in draws])
+    mats = st._random_density_mats(QUBITS, [rank for rank, _, _ in draws], [seed for _, seed, _ in draws])
     protocols = ch._random_scripts((2,), (2,), 1, [seed for _, _, seed in draws],
                                    incoherent_a=False, n_outcomes=2)
     return qi_increase(mats, protocols)
@@ -112,8 +115,11 @@ def steering_verdict_ok(rngs: Generators) -> np.ndarray:
     QI is not searched."""
     draws = [(rng.random() < 0.5, rng.integers(2**63)) for rng in rngs]
     full = np.array([is_full for is_full, _ in draws], dtype=bool)
-    mats = np.stack([st._random_density_mat(QUBITS, 4, seed) if is_full
-                     else st._random_qi_mat(QUBITS, seed) for is_full, seed in draws])
+    # both kinds of state drawn from generators built as one stack
+    state_rngs = st._generators([seed for _, seed in draws])
+    mats = np.empty((len(draws), 4, 4), dtype=complex)
+    mats[full] = st._random_density_mats(QUBITS, 4, list(compress(state_rngs, full)))
+    mats[~full] = st._random_qi_mats(QUBITS, list(compress(state_rngs, ~full)))
     # the full-rank states are validated by far_from_qi, the QI states here
     searched = ~full
     searched[full] = far_from_qi(mats[full])
@@ -129,10 +135,12 @@ def closed_form_gap(rngs: Generators) -> np.ndarray:
     stacked by the dims they draw; each stack's states and their
     dephasings are validated as one stack each."""
     draws = [((int(rng.integers(2, 4)), int(rng.integers(2, 4))), rng.integers(2**63)) for rng in rngs]
+    # the states of every dims are drawn from generators built as one stack
+    state_rngs = st._generators([seed for _, seed in draws])
     gaps = np.empty(len(draws))
     for dims in sorted({d for d, _ in draws}):
         group = [i for i, (d, _) in enumerate(draws) if d == dims]
-        mats = np.stack([st._random_density_mat(dims, math.prod(dims), draws[i][1]) for i in group])
+        mats = st._random_density_mats(dims, math.prod(dims), [state_rngs[i] for i in group])
         spectra = _density_stack(mats, dims)
         dephased = ms._dephase_stack(mats, dims, (1,))
         _density_stack(dephased, dims)
@@ -156,9 +164,8 @@ def continuity_excess(rho_mats: np.ndarray, sigma_mats: np.ndarray) -> np.ndarra
 def continuity_trial(rngs: Generators) -> np.ndarray:
     """``continuity_excess`` on two full-rank two-qubit states."""
     seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    rhos = np.stack([st._random_density_mat(QUBITS, 4, seed) for seed, _ in seeds])
-    sigmas = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, seed in seeds])
-    return continuity_excess(rhos, sigmas)
+    mats = st._random_density_mats(QUBITS, 4, [rho for rho, _ in seeds] + [sigma for _, sigma in seeds])
+    return continuity_excess(*np.split(mats, 2))
 
 
 def _apply(a_ops: np.ndarray, b_ops: np.ndarray, mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
@@ -186,7 +193,7 @@ def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     a_ops, b_ops, _ = ch._products(scripts)
     channels = ch._product_stack(a_ops, b_ops, ((2, 2), (2, 2)))
     reduced = pr._sqi_to_si_stack(*channels)
-    mats = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, seed in seeds])
+    mats = st._random_density_mats(QUBITS, 4, [seed for _, seed in seeds])
     _density_stack(mats, QUBITS)
     outs = np.concatenate([_apply(*channels, mats, QUBITS), _apply(*reduced, mats, QUBITS)])
     bobs = _marginals(outs, QUBITS, {1})
@@ -208,7 +215,7 @@ def ancilla_gap(rngs: Generators) -> np.ndarray:
     extended = ch._product_stack(np.repeat(a_ops, b_ops.shape[1], axis=1),
                                  np.tile(b_ops, (1, a_ops.shape[1], 1, 1)), ((4, 4), (4, 4)))
     reduced = pr._ancilla_stack(*extended, (2, 2), (2, 2), (2, 2))
-    rhos = np.stack([st._random_density_mat(QUBITS, 4, seed) for _, _, seed in seeds])
+    rhos = st._random_density_mats(QUBITS, 4, [seed for _, _, seed in seeds])
     _density_stack(rhos, QUBITS)
     bigs = pr._extend_stack(rhos, QUBITS, (2, 2))
     _density_stack(bigs, (2, 2, 2, 2))
@@ -239,7 +246,7 @@ def chain_trial(rngs: Generators) -> np.ndarray:
     validated and the bracket ends computed as stacks, and
     ``coherence_of_assistance`` runs on each state."""
     draws = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    mats = np.stack([st._random_density_mat((2,), 2, seed) for seed, _ in draws])
+    mats = st._random_density_mats((2,), 2, [seed for seed, _ in draws])
     spectra = _density_stack(mats, (2,))
     values = [ms.coherence_of_assistance(rho, budget=2, seed=int(seed))[0]
               for rho, (_, seed) in zip(_density_matrices(mats, spectra, (2,)), draws)]

@@ -514,16 +514,17 @@ def _suite(name: str) -> checks.Suite:
 
 def run_suite(name: str, trials: int, seed: int) -> dict:
     """Run one property suite; returns counts and failure seeds.  Each
-    trial runs on its own ``default_rng(s)``, s drawn from
-    ``default_rng(seed)``, so a listed failure seed reruns that trial alone
-    (``replay_suite``).  The trials run in consecutive stacks of at most
-    ``checks.MAX_STACK``."""
+    trial runs on its own generator, the stream of ``default_rng(s)``, s
+    drawn from ``default_rng(seed)``, so a listed failure seed reruns that
+    trial alone (``replay_suite``).  The trials run in consecutive stacks
+    of at most ``checks.MAX_STACK``; a stack's generators are built by one
+    batched seeding (``states._generators``)."""
     passes = _suite(name)
     rng = np.random.default_rng(seed)
     failures, failure_seeds = 0, []
     for n in checks.stack_sizes(trials):
         seeds = rng.integers(2**63, size=n).tolist()
-        failed = [s for s, ok in zip(seeds, passes([np.random.default_rng(s) for s in seeds])) if not ok]
+        failed = [s for s, ok in zip(seeds, passes(st._generators(seeds))) if not ok]
         failures += len(failed)
         failure_seeds = (failure_seeds + failed)[:16]
     return {"suite": name, "trials": trials, "failures": failures,

@@ -6,6 +6,7 @@ The incoherent reference basis is always the computational basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,52 +165,180 @@ def fourier_mc_basis(d: int) -> list[PureState]:
     ]
 
 
+# SeedSequence's hash (numpy.random.bit_generator; O'Neill, "PCG",
+# HMC-CS-2014-0905, seed_seq_fe), which numpy keeps stable (NEP 19), for
+# a seed of at most two 32-bit words in the default pool of four words.
+# Each hashmix step k xors its value with _HASH_A[k] and multiplies it by
+# _HASH_A[k + 1]; output word i of generate_state uses _HASH_B[i] and
+# _HASH_B[i + 1] in the same way.
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    return np.array(consts, dtype=np.uint32)
+
+
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    words = (words ^ xors) * mults
+    return words ^ (words >> np.uint32(16))
+
+
+# Pool words 2 and 3 of such a seed hash its zero padding: fixed words.
+_POOL_PAD = _hashmix(np.zeros((2, 1), np.uint32), _HASH_A[2:4, None], _HASH_A[3:5, None])
+
+
+def _mix_constants() -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per source word of the pool, the hashmix constants it is mixed into
+    every other word with, as (4, 1) columns; the source's own row is a
+    placeholder, as ``_seed_states`` restores that word after the step."""
+    steps, k = [], 4
+    for src in range(4):
+        xors, mults = np.zeros((4, 1), np.uint32), np.ones((4, 1), np.uint32)
+        for dst in range(4):
+            if dst != src:
+                xors[dst], mults[dst] = _HASH_A[k], _HASH_A[k + 1]
+                k += 1
+        steps.append((src, xors, mults))
+    return steps
+
+
+_MIX_STEPS = _mix_constants()
+
+
+def _seed_states(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for each of a
+    uint64 array of seeds, as an (n, 4) array: the hash run once on the
+    whole stack, one pool word per row."""
+    pool = np.empty((4, len(seeds)), np.uint32)
+    pool[0] = seeds  # the low word, then the high word
+    pool[1] = seeds >> np.uint64(32)
+    pool[:2] = _hashmix(pool[:2], _HASH_A[0:2, None], _HASH_A[1:3, None])
+    pool[2:] = _POOL_PAD
+    for src, xors, mults in _MIX_STEPS:
+        keep = pool[src].copy()
+        mixed = pool * _MIX_L - _hashmix(keep, xors, mults) * _MIX_R
+        pool = mixed ^ (mixed >> np.uint32(16))
+        pool[src] = keep
+    words = _hashmix(np.concatenate((pool, pool)), _HASH_B[:8, None], _HASH_B[1:, None])
+    # uint32 word pairs, little-endian, as uint64 values
+    return np.ascontiguousarray(words.T).view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _given_state():
+    """The ``ISeedSequence`` that hands PCG64 a state computed beforehand.
+    It is built on first use, so importing coherlab imports no
+    ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a given state holds PCG64's four uint64 words only")
+            return self.words
+
+    return GivenState
+
+
+# Smallest stack of seeds whose generators are built through the batched
+# hash; it costs about as much as five ``default_rng`` calls.
+_HASH_MIN = 5
+
+
+def _generators(seeds) -> list[np.random.Generator]:
+    """The generators ``np.random.default_rng(s)`` for a sequence of seeds,
+    bit for bit: the SeedSequence hash of every integer seed in [0, 2**64)
+    is run once for the whole stack (``_seed_states``).  Any other seed (a
+    negative or larger integer, a float, a ``Generator``) goes to
+    ``default_rng`` itself, so its errors and passthrough are unchanged,
+    and so do stacks of fewer than ``_HASH_MIN`` integer seeds.  A hashed
+    generator's ``bit_generator.seed_seq`` holds only its state, so it
+    cannot ``spawn``."""
+    seeds = list(seeds)
+    hashed = [isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds]
+    if sum(hashed) < _HASH_MIN:
+        return [np.random.default_rng(s) for s in seeds]
+    states = iter(_seed_states(np.array([int(s) for s, h in zip(seeds, hashed) if h], dtype=np.uint64)))
+    given = _given_state()
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(given(next(states)))) if h else np.random.default_rng(s)
+            for s, h in zip(seeds, hashed)]
+
+
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def _pure_draw(rng: np.random.Generator, d: int) -> np.ndarray:
+    v = _ginibre(rng, d, 1).reshape(-1)
+    return v / np.linalg.norm(v)
 
 
 def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:
     """The vectors of ``random_pure(dims, seed)`` for each seed, as an
     (n, d) stack, not validated: callers that draw many validate them as
-    one stack.  Each is drawn from its own ``default_rng(seed)`` and
-    divided by its own norm (a row-wise norm of the stack rounds
-    differently)."""
+    one stack.  The seeds' generators are built by one batched seeding
+    (``_generators``); each vector is drawn from its own and divided by
+    its own norm (a row-wise norm of the stack rounds differently)."""
     d = math.prod(dims)
     vecs = np.empty((len(seeds), d), dtype=complex)
-    for k, seed in enumerate(seeds):
-        v = _ginibre(np.random.default_rng(seed), d, 1).reshape(-1)
-        vecs[k] = v / np.linalg.norm(v)
+    for k, rng in enumerate(_generators(seeds)):
+        vecs[k] = _pure_draw(rng, d)
     return vecs
 
 
 def random_pure(dims, seed) -> PureState:
     """Haar-random pure state (normalized complex-Gaussian vector)."""
     dims = tuple(int(d) for d in dims)
-    return PureState(_random_pure_vecs(dims, [seed])[0], dims)
+    return PureState(_pure_draw(np.random.default_rng(seed), math.prod(dims)), dims)
 
 
-def _random_density_mat(dims: tuple[int, ...], rank, seed) -> np.ndarray:
-    """The matrix of ``random_density(dims, rank, seed)``, not validated:
-    callers that draw many validate them as one stack."""
-    d = math.prod(dims)
+def _check_rank(rank, d: int) -> None:
     if not 1 <= rank <= d:
         raise BadRankError(f"rank {rank} invalid for total dimension {d}")
-    rng = np.random.default_rng(seed)
+
+
+def _density_draw(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
     g = _ginibre(rng, d, rank)
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
 
 
+def _random_density_mats(dims: tuple[int, ...], ranks, seeds) -> np.ndarray:
+    """The matrices of ``random_density(dims, rank, seed)`` for each seed,
+    with one rank for all or one per seed, as an (n, d, d) stack, not
+    validated: callers that draw many validate them as one stack.  The
+    seeds' generators are built by one batched seeding (``_generators``;
+    a seed may be a generator built already, which is used as it is);
+    each matrix is drawn and normalized from its own, as
+    ``random_density`` does."""
+    d = math.prod(dims)
+    ranks = np.broadcast_to(ranks, len(seeds)).tolist()
+    for rank in ranks:
+        _check_rank(rank, d)
+    mats = np.empty((len(seeds), d, d), dtype=complex)
+    for k, (rng, rank) in enumerate(zip(_generators(seeds), ranks)):
+        mats[k] = _density_draw(rng, d, rank)
+    return mats
+
+
 def random_density(dims, rank, seed) -> DensityMatrix:
     """Random mixed state G G' / Tr(G G') for a Gaussian d x rank matrix."""
     dims = tuple(int(d) for d in dims)
-    return DensityMatrix(_random_density_mat(dims, rank, seed), dims)
+    d = math.prod(dims)
+    _check_rank(rank, d)
+    return DensityMatrix(_density_draw(np.random.default_rng(seed), d, rank), dims)
 
 
-def _random_qi_mat(dims: tuple[int, int], seed) -> np.ndarray:
-    """The matrix of ``random_qi_state(dims, seed)``, not validated."""
-    da, db = (int(d) for d in dims)
-    rng = np.random.default_rng(seed)
+def _qi_draw(rng: np.random.Generator, da: int, db: int) -> np.ndarray:
     probs = rng.dirichlet(np.ones(db))
     # per B label, the real and then the imaginary part of its Ginibre draw
     parts = rng.standard_normal((db, 2, da, da))
@@ -222,11 +351,22 @@ def _random_qi_mat(dims: tuple[int, int], seed) -> np.ndarray:
     return mat.reshape(da * db, da * db)
 
 
+def _random_qi_mats(dims: tuple[int, int], seeds) -> np.ndarray:
+    """The matrices of ``random_qi_state(dims, seed)`` for each seed, as
+    an (n, d, d) stack, not validated, drawn from generators built by one
+    batched seeding (``_generators``)."""
+    da, db = (int(d) for d in dims)
+    mats = np.empty((len(seeds), da * db, da * db), dtype=complex)
+    for k, rng in enumerate(_generators(seeds)):
+        mats[k] = _qi_draw(rng, da, db)
+    return mats
+
+
 def random_qi_state(dims, seed) -> DensityMatrix:
     """Random quantum-incoherent state sum_j p_j sigma_j^A x |j><j|^B on a
     bipartite (d_A, d_B) system: arbitrary on A, diagonal on B."""
     da, db = (int(d) for d in dims)
-    return DensityMatrix(_random_qi_mat((da, db), seed), (da, db))
+    return DensityMatrix(_qi_draw(np.random.default_rng(seed), da, db), (da, db))
 
 
 def random_unitary(d: int, seed) -> np.ndarray:

@@ -830,6 +830,41 @@ def test_incoherent_draw_retries_a_singular_family_on_its_own_generator(monkeypa
         random_incoherent_channel((3,), 2, 0)
 
 
+def test_incoherent_redraw_in_a_hashed_stack_uses_its_own_generator(monkeypatch):
+    import coherlab.channels as channels_module
+
+    # in a stack of 20, the family of seed index 7 first comes out with a
+    # zero column; it is drawn again from its own generator after the other
+    # 19 generators were read, and equals what that seed gives alone
+    draw, seeds, singular = channels_module._incoherent_draw, list(range(100, 120)), 7
+
+    def zero_column_at(index):
+        calls = []
+
+        def patched(rng, d, n):
+            perms, re, im = draw(rng, d, n)
+            calls.append(rng)
+            if len(calls) - 1 == index:
+                re, im = re.copy(), im.copy()
+                re[:, 1] = im[:, 1] = 0.0
+            return perms, re, im
+        return patched, calls
+
+    patched, calls = zero_column_at(singular)
+    monkeypatch.setattr(channels_module, "_incoherent_draw", patched)
+    stacked = channels_module._random_incoherent_channels((3,), 2, seeds)
+    assert len(calls) == 21 and calls[20] is calls[singular]
+    patched, _ = zero_column_at(0)
+    monkeypatch.setattr(channels_module, "_incoherent_draw", patched)
+    alone = channels_module._random_incoherent_channels((3,), 2, [seeds[singular]])[0]
+    monkeypatch.setattr(channels_module, "_incoherent_draw", draw)
+    assert stacked[singular].ops.tobytes() == alone.ops.tobytes()
+    assert alone.ops.tobytes() != random_incoherent_channel((3,), 2, seeds[singular]).ops.tobytes()
+    for k, seed in enumerate(seeds):
+        if k != singular:
+            assert stacked[k].ops.tobytes() == random_incoherent_channel((3,), 2, seed).ops.tobytes()
+
+
 def _bad_family(kind):
     ops = np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]).astype(complex)
     if kind == "finite":

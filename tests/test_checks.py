@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from coherlab import checks
 from coherlab.cli import main, run_suite
 from coherlab.exceptions import InvalidStateError
 from coherlab.linalg import DensityMatrix, _density_stack
-from coherlab.states import random_density
+from coherlab.states import _generators, random_density
 
 # every trial of checks, the suites' and the protocols'
 TRIALS = [checks.SUITES[name].trial for name in checks.SUITES] + [checks.ancilla_gap]
@@ -25,6 +26,21 @@ def test_stacked_trial_equals_single_draws(trial):
         assert stacked.shape == (20,)
         assert stacked.tobytes() == single.tobytes()
         assert stacked_rng.integers(2**63) == single_rng.integers(2**63)
+
+
+def test_suite_stacks_at_seed_zero_give_the_golden_values():
+    # each suite's 20-trial stack of run_suite --seed 0, as float.hex; the
+    # file was captured when every trial generator came from its own
+    # default_rng call
+    with open(os.path.join(os.path.dirname(__file__), "golden", "suite_values_seed0.json"),
+              encoding="utf-8") as fh:
+        golden = json.load(fh)
+    seeds = np.random.default_rng(0).integers(2**63, size=20).tolist()
+    assert seeds == golden["trial_seeds"]
+    assert sorted(golden["values"]) == sorted(checks.SUITES)
+    for name, suite in checks.SUITES.items():
+        values = np.asarray(suite.trial(_generators(seeds)), dtype=float).tolist()
+        assert [value.hex() for value in values] == golden["values"][name], name
 
 
 def test_stacked_trial_reads_each_generator_in_turn():

@@ -622,6 +622,15 @@ def test_product_channel_commands_print_golden_bytes(runner, args, name):
         assert result.output == fh.read()
 
 
+@pytest.mark.parametrize("name", ["monotonicity", "steering", "teleport", "closed-form",
+                                  "continuity", "reductions", "chain"])
+def test_suite_replay_prints_golden_bytes(runner, name):
+    result = runner.invoke(main, ["suite", name, "--replay", "7"])
+    assert result.exit_code == 0
+    with open(os.path.join(GOLDEN, f"suite_{name}_replay7.txt"), encoding="utf-8") as fh:
+        assert result.output == fh.read()
+
+
 def test_suite_runs_clean(runner):
     for name in ("monotonicity", "steering", "closed-form", "continuity",
                  "reductions", "chain"):
@@ -802,3 +811,24 @@ def test_no_cli_path_imports_scipy():
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     assert done.stdout.strip() == "[]"
+
+
+NUMPY_RANDOM_PROBE = """
+import sys
+import {module}
+print(sorted(m for m in sys.modules if m == "numpy.random" or m.startswith("numpy.random.")))
+"""
+
+
+def test_import_loads_no_numpy_random_module():
+    """Importing coherlab loads no numpy.random module that importing numpy
+    alone does not: generators are built on first use (numpy 1.x loads
+    numpy.random with numpy itself, so the baseline is numpy's own)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(coherlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = {}
+    for module in ("numpy", "coherlab"):
+        done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_PROBE.format(module=module)], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        loaded[module] = set(json.loads(done.stdout.replace("'", '"')))
+    assert loaded["coherlab"] - loaded["numpy"] == set()

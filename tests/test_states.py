@@ -24,6 +24,7 @@ from coherlab.states import (
     random_pure,
     random_qi_state,
     random_unitary,
+    _generators,
 )
 
 
@@ -234,6 +235,60 @@ def test_generators_deterministic():
     qa = random_qi_state((2, 2), 42)
     qb = random_qi_state((2, 2), 42)
     assert np.array_equal(qa.mat, qb.mat)
+
+
+def _mixed_draw(rng):
+    """Bytes of draws that read the generator's stream in several ways."""
+    return (rng.integers(2**63, size=3).tobytes() + rng.standard_normal(5).tobytes()
+            + rng.permutation(7).tobytes() + rng.random(4).tobytes())
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+
+
+def test_generators_equal_default_rng_bit_for_bit():
+    seeds = np.random.default_rng(2024).integers(0, 2**64, size=2000, dtype=np.uint64).tolist() + EDGE_SEEDS
+    for seed, rng in zip(seeds, _generators(seeds)):
+        reference = np.random.default_rng(seed)
+        assert rng.bit_generator.state == reference.bit_generator.state, seed
+        assert _mixed_draw(rng) == _mixed_draw(reference), seed
+
+
+@pytest.mark.parametrize("kind", [int, np.int64, np.uint64], ids=lambda kind: kind.__name__)
+def test_generators_take_numpy_integer_seeds(kind):
+    top = 2**63 - 1 if kind is np.int64 else 2**64 - 1
+    seeds = [kind(seed) for seed in [s for s in EDGE_SEEDS if s <= top] + [7, 2**40 + 3]]
+    for stack in (seeds, np.array(seeds, dtype=np.int64 if kind is np.int64 else np.uint64)):
+        for seed, rng in zip(stack, _generators(stack)):
+            reference = np.random.default_rng(seed)
+            assert rng.bit_generator.state == reference.bit_generator.state, seed
+            assert _mixed_draw(rng) == _mixed_draw(reference), seed
+
+
+@pytest.mark.parametrize("other", [-1, np.int64(-3), 2**64, 2**70, 1.5, "generator"],
+                         ids=["-1", "int64(-3)", "2**64", "2**70", "1.5", "generator"])
+@pytest.mark.parametrize("n", [1, 12])
+def test_generators_pass_other_seeds_to_default_rng(other, n):
+    # a seed the batched hash does not take, alone or inside a hashed stack,
+    # raises what default_rng raises or gives what default_rng gives
+    if isinstance(other, str):
+        other = np.random.default_rng(5)
+    seeds = list(range(n))
+    seeds[n // 2] = other
+    try:
+        reference = np.random.default_rng(other)
+    except Exception as exc:  # noqa: BLE001 - the type itself is compared
+        with pytest.raises(type(exc)):
+            _generators(seeds)
+        return
+    rngs = _generators(seeds)
+    if isinstance(other, np.random.Generator):
+        assert rngs[n // 2] is other
+    else:
+        assert rngs[n // 2].bit_generator.state == reference.bit_generator.state
+    for seed, rng in zip(seeds, rngs):
+        if seed is not other:
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
 
 
 def test_random_unitary_is_unitary():
