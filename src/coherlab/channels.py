@@ -27,7 +27,7 @@ from .exceptions import (
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import DensityMatrix, apply_local
+from .linalg import DensityMatrix, _indexed, _unchecked, apply_local
 from .states import _generators
 
 __all__ = [
@@ -111,83 +111,58 @@ def _grams(ops: np.ndarray) -> np.ndarray:
     return ops.conj().swapaxes(-1, -2) @ ops
 
 
-def _channel_error(error: type, k: int, m: int, message: str) -> Exception:
-    """The error for channel k of a stack of m: the message, prefixed with
-    k when the stack holds more than one channel."""
-    return error((f"channel {k}: " if m > 1 else "") + message)
-
-
 def _check_complete(grams: np.ndarray) -> None:
     """Completeness of each channel of a stack, from its (m, d, d) Gram
-    sums; a failure names the first incomplete channel."""
+    sums; a failure names the first incomplete channel, as
+    ``linalg._indexed`` names it."""
     residuals = np.abs(grams - np.eye(grams.shape[-1]))
     if residuals.max(initial=0.0) <= COMPLETENESS_TOL:
         return
     for k, residual in enumerate(residuals.max(axis=(1, 2)).tolist()):
         if not residual <= COMPLETENESS_TOL:
-            raise _channel_error(IncompleteChannelError, k, len(grams),
-                                 f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}")
+            raise _indexed(IncompleteChannelError, "channel", k, len(grams),
+                           f"completeness residual {residual:.3e} exceeds {COMPLETENESS_TOL:.0e}")
 
 
-def _kraus_stack(ops, shape: tuple[int, int]) -> np.ndarray:
-    """The m channels of an (m, n, out, in) stack of Kraus operators as one
-    read-only complex array, each channel checked as ``KrausChannel``
-    checks its operators: the operator ``shape``, at least one operator,
-    finite entries, and completeness.  A failure raises the error a single
-    channel gets, its message prefixed with ``channel k: `` in a stack of
-    more than one, k being the first channel that fails."""
-    m = len(ops)
-    try:
-        stack = np.array(ops, dtype=complex)
-    except ValueError:  # the channels' operators do not form one array
-        stack = None
-    if (stack is None or stack.ndim != 4 or stack.shape[1] == 0 or stack.shape[2:] != shape
-            or not np.isfinite(stack).all()):
-        # find the first channel whose operators fail on their own
-        for k, family in enumerate(ops):
-            try:
-                _freeze_ops(family, shape)
-            except (DimensionMismatchError, IncompleteChannelError) as exc:
-                raise _channel_error(type(exc), k, m, str(exc)) from exc
-        raise DimensionMismatchError("stacked channels must share their operator count")
-    _check_complete(_grams(stack).sum(axis=1))
-    stack.setflags(write=False)
-    return stack
-
-
-def _product_stack(a_ops, b_ops, shapes) -> tuple[np.ndarray, np.ndarray]:
-    """A's and B's (m, n, out, in) operator stacks as two read-only complex
-    arrays, each channel checked as ``ProductKrausChannel`` checks it: the
-    operator ``shapes`` (A's, B's), n > 0, finite entries, as many A as B
-    operators, and completeness from one Gram sum over the stack.  The first
-    channel k that fails raises its single-channel error, prefixed with
-    ``channel k: `` when m > 1."""
-    m = len(a_ops)
+def _channel_stacks(parties, shapes) -> tuple[np.ndarray, ...]:
+    """The m channels given as one (m, n, out, in) operator stack per party
+    (one party for Kraus channels, A's and B's for product channels), as
+    read-only complex arrays, each channel checked as ``KrausChannel`` or
+    ``ProductKrausChannel`` checks it: each party's operator shape in
+    ``shapes``, n > 0, finite entries, as many operators on every party,
+    and completeness from one Gram sum over the stack.  The first channel
+    k that fails raises the error ``_freeze_ops`` gives it alone, named as
+    ``linalg._indexed`` names it."""
+    m = len(parties[0])
     stacks = []
-    for ops in (a_ops, b_ops):
+    for ops in parties:
         try:
             stacks.append(np.array(ops, dtype=complex))
         except ValueError:  # the channels' operators do not form one array
             stacks.append(None)
-    a, b = stacks
-    if (a is None or b is None or a.ndim != 4 or b.ndim != 4 or not 0 < a.shape[1] == b.shape[1]
-            or (a.shape[2:], b.shape[2:]) != tuple(shapes)
-            or not (np.isfinite(a).all() and np.isfinite(b).all())):
-        # find the first channel whose pairs fail on their own
-        for k, families in enumerate(zip(a_ops, b_ops)):
+    if not all(s is not None and s.ndim == 4 and s.shape[2:] == shape and s.shape[1] > 0
+               and s.shape[:2] == stacks[0].shape[:2] and np.isfinite(s).all()
+               for s, shape in zip(stacks, shapes)):
+        # find the first channel whose operators fail on their own
+        for k, families in enumerate(zip(*parties)):
             try:
-                n_a, n_b = (len(_freeze_ops(ops, shape)) for ops, shape in zip(families, shapes))
-                if n_a != n_b:
-                    raise DimensionMismatchError(f"{n_a} A operators but {n_b} B operators")
+                n = [len(_freeze_ops(ops, shape)) for ops, shape in zip(families, shapes)]
+                if n[0] != n[-1]:
+                    raise DimensionMismatchError(f"{n[0]} A operators but {n[-1]} B operators")
             except (DimensionMismatchError, IncompleteChannelError) as exc:
-                raise _channel_error(type(exc), k, m, str(exc)) from exc
+                raise _indexed(type(exc), "channel", k, m, str(exc)) from exc
         raise DimensionMismatchError("stacked channels must share their operator count")
-    # per channel, sum_i A_i'A_i (x) B_i'B_i indexed ((a, b), (c, d))
-    gram = np.einsum("mnac,mnbd->mabcd", _grams(a), _grams(b))
-    _check_complete(gram.reshape(m, a.shape[3] * b.shape[3], -1))
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return a, b
+    grams = [_grams(s) for s in stacks]
+    if len(grams) == 1:
+        gram = grams[0].sum(axis=1)
+    else:
+        # per channel, sum_i A_i'A_i (x) B_i'B_i indexed ((a, b), (c, d))
+        a, b = grams
+        gram = np.einsum("mnac,mnbd->mabcd", a, b).reshape(m, a.shape[-1] * b.shape[-1], -1)
+    _check_complete(gram)
+    for s in stacks:
+        s.setflags(write=False)
+    return tuple(stacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,6 +172,8 @@ class KrausChannel:
     ``ops`` is stored as one read-only (n, prod(out_dims), prod(in_dims))
     array, which iterates, indexes and has len() like a sequence of the
     operators; completeness requires || sum_l K_l' K_l - 1 ||_max <= 1e-9.
+    The operators are checked as a stack of one channel by
+    ``_channel_stacks``.
     """
 
     ops: np.ndarray
@@ -206,8 +183,8 @@ class KrausChannel:
     def __post_init__(self):
         in_dims = tuple(map(int, self.in_dims))
         out_dims = tuple(map(int, self.out_dims))
-        ops = _kraus_stack((self.ops,), (math.prod(out_dims), math.prod(in_dims)))[0]
-        vars(self).update(ops=ops, in_dims=in_dims, out_dims=out_dims)
+        ops, = _channel_stacks([(self.ops,)], [(math.prod(out_dims), math.prod(in_dims))])
+        vars(self).update(ops=ops[0], in_dims=in_dims, out_dims=out_dims)
 
     @property
     def n_outcomes(self) -> int:
@@ -245,20 +222,6 @@ class KrausChannel:
         return _outcomes(apply_local(rho.mat, self.ops, before, after), dims)
 
 
-def _kraus_channels(ops, dims) -> list[KrausChannel]:
-    """The channels on ``dims`` of an (m, n, d, d) stack of operators,
-    checked as one stack by ``_kraus_stack`` and wrapped without checking
-    each again: the one way to build a ``KrausChannel`` that skips its
-    ``__post_init__``."""
-    dims = tuple(map(int, dims))
-    channels = []
-    for family in _kraus_stack(ops, (math.prod(dims),) * 2):
-        channel = object.__new__(KrausChannel)
-        vars(channel).update(ops=family, in_dims=dims, out_dims=dims)
-        channels.append(channel)
-    return channels
-
-
 @dataclass(frozen=True, eq=False)
 class ProductKrausChannel:
     """Two-party channel sum_i (A_i x B_i) rho (A_i x B_i)' with one operator
@@ -266,7 +229,8 @@ class ProductKrausChannel:
 
     Built from the two parties' stacks ``a_ops`` and ``b_ops``, the i-th
     entries forming the i-th pair; each is stored as one read-only
-    (n, out, in) array.  ``pairs`` is the derived view of the (A_i, B_i).
+    (n, out, in) array, checked as a stack of one channel by
+    ``_channel_stacks``.  ``pairs`` is the derived view of the (A_i, B_i).
     """
 
     a_ops: np.ndarray
@@ -282,7 +246,7 @@ class ProductKrausChannel:
         a_out = a_in if self.a_out_dims is None else tuple(int(d) for d in self.a_out_dims)
         b_out = b_in if self.b_out_dims is None else tuple(int(d) for d in self.b_out_dims)
         shapes = ((math.prod(a_out), math.prod(a_in)), (math.prod(b_out), math.prod(b_in)))
-        a_ops, b_ops = _product_stack((self.a_ops,), (self.b_ops,), shapes)
+        a_ops, b_ops = _channel_stacks([(self.a_ops,), (self.b_ops,)], shapes)
         vars(self).update(a_ops=a_ops[0], b_ops=b_ops[0], a_in_dims=a_in, b_in_dims=b_in,
                           a_out_dims=a_out, b_out_dims=b_out)
 
@@ -334,16 +298,6 @@ def _pair_posts(mats: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray,
     comes before B's input dimension ``d_b_in``, B's after A's output
     dimension ``d_a_out``.  All three broadcast over their leading axes."""
     return apply_local(apply_local(mats, a_ops, 1, d_b_in), b_ops, d_a_out, 1)
-
-
-def _product_channel(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims, b_in_dims, a_out_dims,
-                     b_out_dims) -> ProductKrausChannel:
-    """A channel whose pairs ``_product_stack`` checked, not checked again:
-    the one way to build a ``ProductKrausChannel`` past ``__post_init__``."""
-    channel = object.__new__(ProductKrausChannel)
-    vars(channel).update(a_ops=a_ops, b_ops=b_ops, a_in_dims=a_in_dims, b_in_dims=b_in_dims,
-                         a_out_dims=a_out_dims, b_out_dims=b_out_dims)
-    return channel
 
 
 @dataclass(frozen=True)
@@ -581,18 +535,6 @@ def _round_order(root: ProtocolRound | None) -> tuple[ProtocolRound, ...]:
     return tuple(reversed(post_order))
 
 
-def _script(a_dims: tuple[int, ...], b_dims: tuple[int, ...], root: ProtocolRound,
-            incoherent_parties: frozenset[str]) -> LocalProtocol:
-    """A script whose rounds act on their party's dims and whose restricted
-    parties' instruments were checked incoherent as one stack, not checked
-    again: the one way to build a ``LocalProtocol`` past ``__post_init__``.
-    Its ``_rounds`` are ``_round_order(root)``, as there."""
-    script = object.__new__(LocalProtocol)
-    vars(script).update(a_dims=a_dims, b_dims=b_dims, root=root,
-                        incoherent_parties=incoherent_parties, _rounds=_round_order(root))
-    return script
-
-
 def _stacked_rounds(scripts: Sequence[LocalProtocol]) -> tuple[dict, dict]:
     """What stepping scripts of one shape (``LocalProtocol._shape``) as one
     stack needs: per round of the first script, the matching rounds'
@@ -690,8 +632,8 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
     completion K_l = R_l M^{-1/2} rescales each column by the inverse root
     of that norm and preserves incoherence.  A family with a column of norm
     below 1e-12 is drawn again from its own generator, up to 16 attempts.  The
-    families are completed and checked, incoherence included, as one
-    stack."""
+    families are completed and checked incoherent as one stack, then
+    checked by ``_channel_stacks`` and wrapped by ``linalg._unchecked``."""
     dims = tuple(map(int, dims))
     d, n = math.prod(dims), max(1, n_kraus)
     rngs = _generators(seeds)
@@ -710,7 +652,8 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
         (re + 1j * im) * (1.0 / np.sqrt(colnorm2))[:, None])
     if not is_incoherent_operator(ops):
         raise NotIncoherentError("drawn operator maps a basis state to a superposition")
-    return _kraus_channels(ops, dims)
+    ops, = _channel_stacks([ops], [(d, d)])
+    return [_unchecked(KrausChannel, ops=family, in_dims=dims, out_dims=dims) for family in ops]
 
 
 def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
@@ -719,14 +662,16 @@ def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
     built by one batched seeding, ``states._generators``), the real then
     imaginary part of each operator in turn as one draw, normalized by the
     inverse square root of their Gram sum.  The instruments are completed
-    and checked as one stack."""
+    as one stack, checked by ``_channel_stacks`` and wrapped by
+    ``linalg._unchecked``."""
     dims = tuple(map(int, dims))
     d, n = math.prod(dims), max(1, n_kraus)
     parts = np.array([rng.standard_normal((n, 2, d, d)) for rng in _generators(seeds)])
     raws = parts[:, :, 0] + 1j * parts[:, :, 1]
     w, v = np.linalg.eigh(_grams(raws).sum(axis=1))
     inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))[:, None]) @ v.conj().swapaxes(-1, -2)
-    return _kraus_channels(raws @ inv_sqrt[:, None], dims)
+    ops, = _channel_stacks([raws @ inv_sqrt[:, None]], [(d, d)])
+    return [_unchecked(KrausChannel, ops=family, in_dims=dims, out_dims=dims) for family in ops]
 
 
 def random_incoherent_channel(dims, n_kraus: int, seed) -> KrausChannel:
@@ -769,8 +714,8 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     B always incoherent.
     All the scripts' A instruments are completed and checked as one stack,
     and all their B instruments as another, each on its party's dims and
-    an incoherent party's incoherence included; so the scripts are built
-    by ``_script``, with no per-script check."""
+    an incoherent party's incoherence included; so the scripts are
+    wrapped by ``linalg._unchecked``, with no per-script check."""
     a_dims, b_dims = tuple(map(int, a_dims)), tuple(map(int, b_dims))
     rounds, n = max(1, rounds), max(1, n_outcomes)
     order = np.array(_draw_order(rounds, n))
@@ -790,7 +735,9 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
         return ProtocolRound("A", a_instrument, tuple(branches))
 
     parties = frozenset({"A", "B"} if incoherent_a else {"B"})
-    return [_script(a_dims, b_dims, build(rounds), parties) for _ in seeds]
+    roots = [build(rounds) for _ in seeds]
+    return [_unchecked(LocalProtocol, a_dims=a_dims, b_dims=b_dims, root=root, incoherent_parties=parties,
+                       _rounds=_round_order(root)) for root in roots]
 
 
 def random_sqi_channel(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:

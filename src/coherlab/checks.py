@@ -191,7 +191,7 @@ def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     scripts = ch._random_scripts((2,), (2,), 1, [seed for seed, _ in seeds],
                                  incoherent_a=False, n_outcomes=2)
     a_ops, b_ops, _ = ch._products(scripts)
-    channels = ch._product_stack(a_ops, b_ops, ((2, 2), (2, 2)))
+    channels = ch._channel_stacks([a_ops, b_ops], [(2, 2), (2, 2)])
     reduced = pr._sqi_to_si_stack(*channels)
     mats = st._random_density_mats(QUBITS, 4, [seed for _, seed in seeds])
     _density_stack(mats, QUBITS)
@@ -212,8 +212,8 @@ def ancilla_gap(rngs: Generators) -> np.ndarray:
     b_instrs = ch._random_incoherent_channels((2, 2), 2, [b for _, b, _ in seeds])
     a_ops, b_ops = (np.stack([instr.ops for instr in instrs]) for instrs in (a_instrs, b_instrs))
     # one pair per (A outcome, B outcome), in that order
-    extended = ch._product_stack(np.repeat(a_ops, b_ops.shape[1], axis=1),
-                                 np.tile(b_ops, (1, a_ops.shape[1], 1, 1)), ((4, 4), (4, 4)))
+    extended = ch._channel_stacks([np.repeat(a_ops, b_ops.shape[1], axis=1),
+                                   np.tile(b_ops, (1, a_ops.shape[1], 1, 1))], [(4, 4), (4, 4)])
     reduced = pr._ancilla_stack(*extended, (2, 2), (2, 2), (2, 2))
     rhos = st._random_density_mats(QUBITS, 4, [seed for _, _, seed in seeds])
     _density_stack(rhos, QUBITS)

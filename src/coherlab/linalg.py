@@ -110,10 +110,20 @@ def trace_norm(m) -> float:
     return float(_trace_norms(_to_square(m)[None])[0])
 
 
-def _invalid(k: int, n: int, message: str) -> InvalidStateError:
-    """The error for state k of a stack of n: the message, prefixed with k
-    when the stack holds more than one state."""
-    return InvalidStateError((f"state {k}: " if n > 1 else "") + message)
+def _indexed(error: type, noun: str, k: int, n: int, message: str) -> Exception:
+    """``error`` for item k of a stack of n that a stacked check rejected:
+    the message a single item gets, prefixed with ``{noun} k: `` when the
+    stack holds more than one item."""
+    return error((f"{noun} {k}: " if n > 1 else "") + message)
+
+
+def _unchecked(cls: type, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, past its ``__post_init__``: the one way to wrap values that a
+    stacked check has validated already."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 def _density_stack(mats: np.ndarray, dims) -> np.ndarray:
@@ -131,22 +141,24 @@ def _density_stack(mats: np.ndarray, dims) -> np.ndarray:
     n = len(mats)
     if not np.isfinite(mats).all():
         k = int(np.argmin(np.isfinite(mats).reshape(n, -1).all(axis=1)))
-        raise _invalid(k, n, "matrix has a non-finite (nan or inf) entry")
+        raise _indexed(InvalidStateError, "state", k, n, "matrix has a non-finite (nan or inf) entry")
     asym = np.abs(mats - mats.conj().swapaxes(1, 2)).max(axis=(1, 2))
     for k, r in enumerate(asym.tolist()):
         if not r <= TOL_HERM:
-            raise _invalid(k, n, f"hermiticity violated: max |M - M'| = {r:.3e} exceeds {TOL_HERM:.0e}")
+            raise _indexed(InvalidStateError, "state", k, n,
+                           f"hermiticity violated: max |M - M'| = {r:.3e} exceeds {TOL_HERM:.0e}")
     for k, tr in enumerate(mats.trace(axis1=1, axis2=2).tolist()):
         if not abs(tr - 1.0) <= TOL_TRACE:
-            raise _invalid(k, n, f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} "
-                                 f"exceeds {TOL_TRACE:.0e}")
+            raise _indexed(InvalidStateError, "state", k, n,
+                           f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} exceeds {TOL_TRACE:.0e}")
     try:
         spectra = np.linalg.eigvalsh(mats)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     for k, w_min in enumerate(spectra[:, 0].tolist()):
         if not w_min >= -TOL_PSD:
-            raise _invalid(k, n, f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}")
+            raise _indexed(InvalidStateError, "state", k, n,
+                           f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}")
     return spectra
 
 
@@ -190,23 +202,20 @@ class DensityMatrix:
 
 def _density_matrices(mats: np.ndarray, spectra: np.ndarray, dims) -> list[DensityMatrix]:
     """The states of a stack that ``_density_stack`` validated, with the
-    spectra it returned, not validated again: the one way to build a
-    ``DensityMatrix`` past its ``__post_init__``."""
+    spectra it returned, copied read-only and wrapped by ``_unchecked``,
+    not validated again."""
     dims = tuple(map(int, dims))
     mats, spectra = mats.copy(), spectra.copy()
     mats.flags.writeable = spectra.flags.writeable = False
-    states = [object.__new__(DensityMatrix) for _ in mats]
-    for state, mat, spectrum in zip(states, mats, spectra):
-        vars(state).update(mat=mat, dims=dims, spectrum=spectrum)
-    return states
+    return [_unchecked(DensityMatrix, mat=mat, dims=dims, spectrum=spectrum)
+            for mat, spectrum in zip(mats, spectra)]
 
 
 def _pure_stack(vecs: np.ndarray, dims) -> None:
     """Validate an (n, N) stack of complex amplitude vectors with subsystem
     dims ``dims``: each must have unit norm within TOL_TRACE.  A failure
-    raises InvalidStateError with the message a single state gets,
-    prefixed, in a stack of more than one state, with the index of the
-    first state that fails."""
+    raises InvalidStateError for the first state that fails, named as
+    ``_indexed`` names it."""
     if vecs.ndim != 2:
         raise DimensionMismatchError(f"expected a stack of vectors, got shape {vecs.shape}")
     _check_dims(dims, vecs.shape[-1])
@@ -219,9 +228,10 @@ def _pure_stack(vecs: np.ndarray, dims) -> None:
             # the norm raises no warning on nan or inf, so finiteness is
             # tested only once the norm check has failed
             if not np.isfinite(vecs[k]).all():
-                raise _invalid(k, len(vecs), "amplitude vector has a non-finite (nan or inf) entry")
-            raise _invalid(k, len(vecs), f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} "
-                                         f"exceeds {TOL_TRACE:.0e}")
+                message = "amplitude vector has a non-finite (nan or inf) entry"
+            else:
+                message = f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
+            raise _indexed(InvalidStateError, "state", k, len(vecs), message)
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,7 +351,9 @@ def _entropy_from_eigs(w: np.ndarray) -> float:
     w = w[w > 0.0]
     if w.size == 0:
         return 0.0
-    return float(-(w * np.log2(w)).sum())
+    # 0 - sum, not -sum: the sum of a pure spectrum is +0.0, whose negation
+    # would be reported as -0.0
+    return 0.0 - float((w * np.log2(w)).sum())
 
 
 def _entropies(spectra: np.ndarray) -> np.ndarray:
@@ -359,7 +371,7 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
     w = np.minimum(np.fmax(spectra.real.reshape(len(spectra), -1), 0.0), 1.0)
     keep = w > 0.0
     # a dropped entry is 0, and log2(0 + 1) = 0; a kept one is w + 0 = w
-    values = -(w * np.log2(w + ~keep)).sum(axis=1)
+    values = 0.0 - (w * np.log2(w + ~keep)).sum(axis=1)
     if not keep.all():
         exact = keep.any(axis=1) if w.shape[1] < 8 else keep.all(axis=1)
         for i in np.nonzero(~exact)[0]:

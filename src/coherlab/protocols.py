@@ -21,10 +21,8 @@ from .channels import (
     LocalProtocol,
     ProductKrausChannel,
     ProtocolRound,
-    _channel_error,
+    _channel_stacks,
     _classify_stack,
-    _product_channel,
-    _product_stack,
     classify,
     is_incoherent_operator,
 )
@@ -45,6 +43,8 @@ from .linalg import (
     trace_norm,
     _density_matrices,
     _density_stack,
+    _indexed,
+    _unchecked,
 )
 from .measures import (
     Bipartition,
@@ -382,22 +382,23 @@ def _steering_witnesses(mats: np.ndarray, dims: tuple[int, int],
     return witnesses
 
 
-def _require(flags: np.ndarray, error: type, message: str) -> None:
-    """Raise ``error``, named as ``_product_stack`` names it, for the first false flag."""
-    if not flags.all():
-        raise _channel_error(error, int(np.argmin(flags)), len(flags), message)
-
-
 def _sqi_to_si_stack(a_ops: np.ndarray, b_ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sqi_to_si_reduce`` on each channel of checked (m, n, out, in)
-    stacks: the reductions' stacks, checked.  Each channel must be SQI and
-    its reduction SI; the first that fails is named when m > 1."""
+    stacks: the reductions' stacks, checked by ``_channel_stacks``.  Each
+    channel must be SQI and its reduction SI; the first that fails is
+    named as ``linalg._indexed`` names it."""
     m, n, d_a_out, d_a_in = a_ops.shape
-    _require(_classify_stack(a_ops, b_ops)[1], NotSQIError, "channel is not separable quantum-incoherent")
+    sqi = _classify_stack(a_ops, b_ops)[1]
+    if not sqi.all():
+        raise _indexed(NotSQIError, "channel", int(np.argmin(sqi)), m,
+                       "channel is not separable quantum-incoherent")
     # [k, i, j] is |j><j| A_i of channel k: row j of A_i, every other row zero
     pinched = (a_ops[:, :, None] * np.eye(d_a_out)[:, :, None]).reshape(m, -1, d_a_out, d_a_in)
-    reduced = _product_stack(pinched, np.repeat(b_ops, d_a_out, axis=1), (a_ops.shape[2:], b_ops.shape[2:]))
-    _require(_classify_stack(*reduced)[0], NotSIError, "pinched channel failed the SI check")
+    reduced = _channel_stacks([pinched, np.repeat(b_ops, d_a_out, axis=1)],
+                              [a_ops.shape[2:], b_ops.shape[2:]])
+    si = _classify_stack(*reduced)[0]
+    if not si.all():
+        raise _indexed(NotSIError, "channel", int(np.argmin(si)), m, "pinched channel failed the SI check")
     return reduced
 
 
@@ -407,16 +408,21 @@ def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:
     the new pairs are (|j><j| A_i, B_i) over all outcomes i and labels j.
     The one-channel case of ``_sqi_to_si_stack``."""
     a_ops, b_ops = _sqi_to_si_stack(ch.a_ops[None], ch.b_ops[None])
-    return _product_channel(a_ops[0], b_ops[0], ch.a_in_dims, ch.b_in_dims, ch.a_out_dims, ch.b_out_dims)
+    return _unchecked(ProductKrausChannel, a_ops=a_ops[0], b_ops=b_ops[0], a_in_dims=ch.a_in_dims,
+                      b_in_dims=ch.b_in_dims, a_out_dims=ch.a_out_dims, b_out_dims=ch.b_out_dims)
 
 
 def _ancilla_stack(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims: tuple[int, ...],
                    b_in_dims: tuple[int, ...], ancilla_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """``ancilla_reduce`` on each channel of checked (m, n, out, in) stacks
     with input dims ``a_in_dims``, ``b_in_dims``: the reductions' stacks,
-    checked.  Each channel and its reduction must be SI; the first that
-    fails is named when m > 1."""
-    _require(_classify_stack(a_ops, b_ops)[0], NotSIError, "extended channel is not separable incoherent")
+    checked by ``_channel_stacks``.  Each channel and its reduction must
+    be SI; the first that fails is named as ``linalg._indexed`` names it."""
+    count, n = a_ops.shape[:2]
+    si = _classify_stack(a_ops, b_ops)[0]
+    if not si.all():
+        raise _indexed(NotSIError, "channel", int(np.argmin(si)), count,
+                       "extended channel is not separable incoherent")
     da_anc, db_anc = (int(d) for d in ancilla_dims)
     if len(a_in_dims) < 2 or a_in_dims[-1] != da_anc:
         raise DimensionMismatchError("party A dims must end with the ancilla dimension")
@@ -424,18 +430,19 @@ def _ancilla_stack(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims: tuple[int, .
         raise DimensionMismatchError("party B dims must end with the ancilla dimension")
     da = math.prod(a_in_dims) // da_anc
     db = math.prod(b_in_dims) // db_anc
-    count, n = a_ops.shape[:2]
     # [c, k, l] is (1 x <l|) A~_k (1 x |0>) of channel c, and likewise [c, k, m] on B
     a_parts = a_ops.reshape(count, n, da, da_anc, da, da_anc)[..., 0].transpose(0, 1, 3, 2, 4)
     b_parts = b_ops.reshape(count, n, db, db_anc, db, db_anc)[..., 0].transpose(0, 1, 3, 2, 4)
     # one pair per (k, l, m), in that order
     shape = (count, n, da_anc, db_anc)
-    reduced = _product_stack(
+    reduced = _channel_stacks([
         np.broadcast_to(a_parts[:, :, :, None], shape + (da, da)).reshape(count, -1, da, da),
         np.broadcast_to(b_parts[:, :, None], shape + (db, db)).reshape(count, -1, db, db),
-        ((da, da), (db, db)),
-    )
-    _require(_classify_stack(*reduced)[0], NotSIError, "reduced channel failed the SI check")
+    ], [(da, da), (db, db)])
+    si = _classify_stack(*reduced)[0]
+    if not si.all():
+        raise _indexed(NotSIError, "channel", int(np.argmin(si)), count,
+                       "reduced channel failed the SI check")
     return reduced
 
 
@@ -450,7 +457,8 @@ def ancilla_reduce(ch_tilde: ProductKrausChannel, ancilla_dims: tuple[int, int])
     """
     a_in, b_in = ch_tilde.a_in_dims, ch_tilde.b_in_dims
     a_ops, b_ops = _ancilla_stack(ch_tilde.a_ops[None], ch_tilde.b_ops[None], a_in, b_in, ancilla_dims)
-    return _product_channel(a_ops[0], b_ops[0], a_in[:-1], b_in[:-1], a_in[:-1], b_in[:-1])
+    return _unchecked(ProductKrausChannel, a_ops=a_ops[0], b_ops=b_ops[0], a_in_dims=a_in[:-1],
+                      b_in_dims=b_in[:-1], a_out_dims=a_in[:-1], b_out_dims=b_in[:-1])
 
 
 def _extend_stack(mats: np.ndarray, dims: tuple[int, int], ancilla_dims: tuple[int, int]) -> np.ndarray:

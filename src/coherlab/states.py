@@ -277,28 +277,26 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def _pure_draw(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = _ginibre(rng, d, 1).reshape(-1)
-    return v / np.linalg.norm(v)
-
-
 def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:
-    """The vectors of ``random_pure(dims, seed)`` for each seed, as an
-    (n, d) stack, not validated: callers that draw many validate them as
-    one stack.  The seeds' generators are built by one batched seeding
-    (``_generators``); each vector is drawn from its own and divided by
-    its own norm (a row-wise norm of the stack rounds differently)."""
+    """One Haar-random unit vector on ``dims`` per seed, as an (n, d)
+    stack, not validated: callers that draw many validate them as one
+    stack.  The seeds' generators are built by one batched seeding
+    (``_generators``); each vector is a complex-Gaussian draw from its own,
+    divided by its own norm (a row-wise norm of the stack rounds
+    differently)."""
     d = math.prod(dims)
     vecs = np.empty((len(seeds), d), dtype=complex)
     for k, rng in enumerate(_generators(seeds)):
-        vecs[k] = _pure_draw(rng, d)
+        v = _ginibre(rng, d, 1).reshape(-1)
+        vecs[k] = v / np.linalg.norm(v)
     return vecs
 
 
 def random_pure(dims, seed) -> PureState:
-    """Haar-random pure state (normalized complex-Gaussian vector)."""
+    """Haar-random pure state (normalized complex-Gaussian vector), the
+    one-seed case of ``_random_pure_vecs``."""
     dims = tuple(int(d) for d in dims)
-    return PureState(_pure_draw(np.random.default_rng(seed), math.prod(dims)), dims)
+    return PureState(_random_pure_vecs(dims, [seed])[0], dims)
 
 
 def _check_rank(rank, d: int) -> None:
@@ -306,67 +304,57 @@ def _check_rank(rank, d: int) -> None:
         raise BadRankError(f"rank {rank} invalid for total dimension {d}")
 
 
-def _density_draw(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
-    g = _ginibre(rng, d, rank)
-    mat = g @ g.conj().T
-    return mat / np.trace(mat).real
-
-
 def _random_density_mats(dims: tuple[int, ...], ranks, seeds) -> np.ndarray:
-    """The matrices of ``random_density(dims, rank, seed)`` for each seed,
-    with one rank for all or one per seed, as an (n, d, d) stack, not
-    validated: callers that draw many validate them as one stack.  The
-    seeds' generators are built by one batched seeding (``_generators``;
-    a seed may be a generator built already, which is used as it is);
-    each matrix is drawn and normalized from its own, as
-    ``random_density`` does."""
+    """One random mixed state G G' / Tr(G G') on ``dims`` per seed, G a
+    Gaussian d x rank matrix, with one rank for all or one per seed, as an
+    (n, d, d) stack, not validated: callers that draw many validate them
+    as one stack.  The seeds' generators are built by one batched seeding
+    (``_generators``; a seed may be a generator built already, which is
+    used as it is); each matrix is drawn from its own and normalized by
+    its own trace."""
     d = math.prod(dims)
     ranks = np.broadcast_to(ranks, len(seeds)).tolist()
     for rank in ranks:
         _check_rank(rank, d)
     mats = np.empty((len(seeds), d, d), dtype=complex)
     for k, (rng, rank) in enumerate(zip(_generators(seeds), ranks)):
-        mats[k] = _density_draw(rng, d, rank)
+        g = _ginibre(rng, d, rank)
+        mat = g @ g.conj().T
+        mats[k] = mat / np.trace(mat).real
     return mats
 
 
 def random_density(dims, rank, seed) -> DensityMatrix:
-    """Random mixed state G G' / Tr(G G') for a Gaussian d x rank matrix."""
+    """Random mixed state G G' / Tr(G G') for a Gaussian d x rank matrix,
+    the one-seed case of ``_random_density_mats``."""
     dims = tuple(int(d) for d in dims)
-    d = math.prod(dims)
-    _check_rank(rank, d)
-    return DensityMatrix(_density_draw(np.random.default_rng(seed), d, rank), dims)
-
-
-def _qi_draw(rng: np.random.Generator, da: int, db: int) -> np.ndarray:
-    probs = rng.dirichlet(np.ones(db))
-    # per B label, the real and then the imaginary part of its Ginibre draw
-    parts = rng.standard_normal((db, 2, da, da))
-    g = parts[:, 0] + 1j * parts[:, 1]
-    blocks = g @ g.conj().swapaxes(1, 2)
-    blocks *= (probs / np.trace(blocks, axis1=1, axis2=2).real)[:, None, None]
-    mat = np.zeros((da, db, da, db), dtype=complex)
-    labels = np.arange(db)
-    mat[:, labels, :, labels] += blocks  # block j on the rows and columns with B label j
-    return mat.reshape(da * db, da * db)
+    return DensityMatrix(_random_density_mats(dims, rank, [seed])[0], dims)
 
 
 def _random_qi_mats(dims: tuple[int, int], seeds) -> np.ndarray:
-    """The matrices of ``random_qi_state(dims, seed)`` for each seed, as
-    an (n, d, d) stack, not validated, drawn from generators built by one
-    batched seeding (``_generators``)."""
+    """One random quantum-incoherent state (as ``random_qi_state``
+    describes it) per seed, as an (n, d, d) stack, not validated, drawn
+    from generators built by one batched seeding (``_generators``)."""
     da, db = (int(d) for d in dims)
-    mats = np.empty((len(seeds), da * db, da * db), dtype=complex)
+    mats = np.zeros((len(seeds), da, db, da, db), dtype=complex)
+    labels = np.arange(db)
     for k, rng in enumerate(_generators(seeds)):
-        mats[k] = _qi_draw(rng, da, db)
-    return mats
+        probs = rng.dirichlet(np.ones(db))
+        # per B label, the real and then the imaginary part of its Ginibre draw
+        parts = rng.standard_normal((db, 2, da, da))
+        g = parts[:, 0] + 1j * parts[:, 1]
+        blocks = g @ g.conj().swapaxes(1, 2)
+        blocks *= (probs / np.trace(blocks, axis1=1, axis2=2).real)[:, None, None]
+        mats[k][:, labels, :, labels] += blocks  # block j on the rows and columns with B label j
+    return mats.reshape(len(seeds), da * db, da * db)
 
 
 def random_qi_state(dims, seed) -> DensityMatrix:
     """Random quantum-incoherent state sum_j p_j sigma_j^A x |j><j|^B on a
-    bipartite (d_A, d_B) system: arbitrary on A, diagonal on B."""
+    bipartite (d_A, d_B) system: arbitrary on A, diagonal on B; the
+    one-seed case of ``_random_qi_mats``."""
     da, db = (int(d) for d in dims)
-    return DensityMatrix(_qi_draw(np.random.default_rng(seed), da, db), (da, db))
+    return DensityMatrix(_random_qi_mats((da, db), [seed])[0], (da, db))
 
 
 def random_unitary(d: int, seed) -> np.ndarray:

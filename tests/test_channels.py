@@ -883,7 +883,7 @@ def _bad_family(kind):
 ])
 @pytest.mark.parametrize("k", [0, 2, 4])
 def test_kraus_stack_names_the_first_failing_channel(kind, error, message, k):
-    from coherlab.channels import _kraus_stack
+    from coherlab.channels import _channel_stacks
 
     families = [random_incoherent_channel((2,), 2, seed).ops for seed in range(5)]
     families[k] = _bad_family(kind)
@@ -893,22 +893,22 @@ def test_kraus_stack_names_the_first_failing_channel(kind, error, message, k):
         KrausChannel(families[k], (2,), (2,))
     assert str(single.value).startswith(message)
     with pytest.raises(error) as stacked:
-        _kraus_stack(families, (2, 2))
+        _channel_stacks([families], [(2, 2)])
     assert str(stacked.value) == f"channel {k}: {single.value}"
     with pytest.raises(error) as alone:
-        _kraus_stack([families[k]], (2, 2))
+        _channel_stacks([[families[k]]], [(2, 2)])
     assert str(alone.value) == str(single.value)
 
 
 def test_kraus_stack_checks_each_channel_and_freezes_the_stack():
-    from coherlab.channels import _kraus_stack
+    from coherlab.channels import _channel_stacks
 
     families = [random_instrument((3,), 2, seed).ops for seed in range(4)]
-    stack = _kraus_stack(families, (3, 3))
+    stack, = _channel_stacks([families], [(3, 3)])
     assert stack.shape == (4, 2, 3, 3) and not stack.flags.writeable
     assert stack.tobytes() == np.stack(families).tobytes()
     with pytest.raises(DimensionMismatchError, match="operator count"):
-        _kraus_stack([families[0], families[1][:1]], (3, 3))
+        _channel_stacks([[families[0], families[1][:1]]], [(3, 3)])
 
 
 def _bad_pairs(kind, a_ops, b_ops):
@@ -934,7 +934,7 @@ def _bad_pairs(kind, a_ops, b_ops):
 ])
 @pytest.mark.parametrize("k", [0, 2, 4])
 def test_product_stack_names_the_first_failing_channel(kind, error, message, k):
-    from coherlab.channels import _product_stack
+    from coherlab.channels import _channel_stacks
 
     products = [random_sqi_channel((2,), (2,), 1, seed).to_product() for seed in range(5)]
     a_families, b_families = [p.a_ops for p in products], [p.b_ops for p in products]
@@ -944,26 +944,39 @@ def test_product_stack_names_the_first_failing_channel(kind, error, message, k):
         ProductKrausChannel(a_families[k], b_families[k], (2,), (2,))
     assert str(single.value).startswith(message)
     with pytest.raises(error) as stacked:
-        _product_stack(a_families, b_families, ((2, 2), (2, 2)))
+        _channel_stacks([a_families, b_families], [(2, 2), (2, 2)])
     assert str(stacked.value) == f"channel {k}: {single.value}"
     with pytest.raises(error) as alone:
-        _product_stack([a_families[k]], [b_families[k]], ((2, 2), (2, 2)))
+        _channel_stacks([[a_families[k]], [b_families[k]]], [(2, 2), (2, 2)])
     assert str(alone.value) == str(single.value)
 
 
 def test_product_stack_checks_each_channel_and_freezes_the_stacks():
-    from coherlab.channels import _product_stack
+    from coherlab.channels import _channel_stacks
 
     products = [random_licc_protocol((2,), (3,), 2, seed).to_product() for seed in range(4)]
-    a_ops, b_ops = _product_stack([p.a_ops for p in products], [p.b_ops for p in products],
-                                  ((2, 2), (3, 3)))
+    a_ops, b_ops = _channel_stacks([[p.a_ops for p in products], [p.b_ops for p in products]],
+                                   [(2, 2), (3, 3)])
     assert a_ops.shape == (4, 16, 2, 2) and b_ops.shape == (4, 16, 3, 3)
     assert not (a_ops.flags.writeable or b_ops.flags.writeable)
     assert a_ops.tobytes() == np.stack([p.a_ops for p in products]).tobytes()
     assert b_ops.tobytes() == np.stack([p.b_ops for p in products]).tobytes()
     with pytest.raises(DimensionMismatchError, match="operator count"):
-        _product_stack([products[0].a_ops, products[1].a_ops[:4]],
-                       [products[0].b_ops, products[1].b_ops[:4]], ((2, 2), (3, 3)))
+        _channel_stacks([[products[0].a_ops, products[1].a_ops[:4]],
+                         [products[0].b_ops, products[1].b_ops[:4]]], [(2, 2), (3, 3)])
+
+
+def test_channel_stacks_name_the_first_channel_whichever_party_fails():
+    # channel 0 fails on B (a non-finite entry) and channel 1 on A (its
+    # shape): channel 0 is named, as checking the channels in order names it
+    from coherlab.channels import _channel_stacks
+
+    products = [random_sqi_channel((2,), (2,), 1, seed).to_product() for seed in range(2)]
+    a_families, b_families = [p.a_ops for p in products], [p.b_ops for p in products]
+    a_families[0], b_families[0] = _bad_pairs("finite", a_families[0], b_families[0])
+    a_families[1], b_families[1] = _bad_pairs("shape", a_families[1], b_families[1])
+    with pytest.raises(IncompleteChannelError, match=r"^channel 0: operator has a non-finite"):
+        _channel_stacks([a_families, b_families], [(2, 2), (2, 2)])
 
 
 def _reference_pairs(script):

@@ -27,7 +27,7 @@ from coherlab.cli import (
     state_from_json,
     state_to_json,
 )
-from coherlab.channels import random_sqi_channel
+from coherlab.channels import dephasing_channel, random_sqi_channel
 from coherlab.protocols import domino_discrimination_channel
 from coherlab.states import bell_states, random_density, random_pure
 
@@ -366,6 +366,27 @@ def test_non_finite_input_exits_3(runner, tmp_path, args, content):
     assert "non-finite" in result.output
 
 
+def test_incomplete_kraus_channel_exits_3(runner, tmp_path):
+    path = tmp_path / "half.json"
+    path.write_text('{"kind": "kraus", "in_dims": [2], "ops": [[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]}')
+    result = runner.invoke(main, ["classify", "--channel", str(path)])
+    assert result.exit_code == 3
+    assert result.output == "invariant violation: completeness residual 7.500e-01 exceeds 1e-09\n"
+
+
+@pytest.mark.parametrize("args, key", [
+    (["measure", "entropy", "--state", "{path}"], "value"),
+    (["protocol", "distill-pure", "--builtin", "domino:1"], "bob_dephased_entropy"),
+])
+def test_zero_entropy_prints_positive_zero(runner, tmp_path, args, key):
+    # a pure state's entropy sum is +0.0; its negation once printed as -0.0
+    path = tmp_path / "one.json"
+    path.write_text('{"kind": "density", "dims": [1], "matrix": [[1, 0]]}')
+    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    assert result.exit_code == 0
+    assert f'"{key}": 0.0' in result.output and "-0.0" not in result.output
+
+
 # Flag values outside their range: click rejects each as a usage error.
 QUTRIT = state_to_json(random_density((3,), 3, 0))
 BAD_FLAGS = {
@@ -594,6 +615,7 @@ def test_reproduce_prints_golden_bytes(runner, fmt, seed, name):
     (domino_discrimination_channel, "domino_channel.json"),
     (lambda: random_sqi_channel((2,), (2,), 1, 7).to_product(), "sqi_channel_seed7.json"),
     (lambda: random_sqi_channel((2,), (2,), 2, 7).to_product(), "sqi_channel_2rounds_seed7.json"),
+    (lambda: dephasing_channel((2,)), "kraus_dephasing_qubit.json"),
 ])
 def test_product_channel_json_is_golden(channel, name):
     # the product channels' operators, pinned byte for byte
@@ -614,6 +636,8 @@ def test_product_channel_json_is_golden(channel, name):
     (["protocol", "teleport", "--trials", "20", "--seed", "3"],
      "protocol_teleport_trials20_seed3.txt"),
     (["protocol", "merge-witness"], "protocol_merge_witness.txt"),
+    (["classify", "--channel", os.path.join(GOLDEN, "kraus_dephasing_qubit.json")],
+     "classify_kraus_dephasing_qubit.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, args, name):
     result = runner.invoke(main, args)

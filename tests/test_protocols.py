@@ -495,7 +495,7 @@ def test_sqi_to_si_rejects_non_sqi():
 
 
 def test_stacked_classify_and_sqi_to_si_equal_the_single_functions():
-    from coherlab.channels import _classify_stack, _product_stack
+    from coherlab.channels import _channel_stacks, _classify_stack
     from coherlab.protocols import _sqi_to_si_stack
 
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -506,8 +506,8 @@ def test_stacked_classify_and_sqi_to_si_equal_the_single_functions():
         if seed % 3 == 1:  # B rotated out of the incoherent basis: not SQI
             product = ProductKrausChannel(product.a_ops, product.b_ops @ hadamard, (2,), (2,))
         channels.append(product)
-    a_ops, b_ops = _product_stack([c.a_ops for c in channels], [c.b_ops for c in channels],
-                                  ((2, 2), (2, 2)))
+    a_ops, b_ops = _channel_stacks([[c.a_ops for c in channels], [c.b_ops for c in channels]],
+                                   [(2, 2), (2, 2)])
     si, sqi = _classify_stack(a_ops, b_ops)
     flags = [classify(c) for c in channels]
     assert si.tolist() == [f.separable_incoherent for f in flags] == [s % 3 == 0 for s in range(9)]
@@ -580,13 +580,13 @@ def test_ancilla_reduce_matches_extended_action():
 
 
 def test_stacked_ancilla_reduce_equals_the_single_function():
-    from coherlab.channels import _product_stack
+    from coherlab.channels import _channel_stacks
     from coherlab.protocols import _ancilla_stack
 
     rng = np.random.default_rng(12)
     channels = [random_extended_si(rng) for _ in range(5)]
-    a_ops, b_ops = _product_stack([c.a_ops for c in channels], [c.b_ops for c in channels],
-                                  ((4, 4), (4, 4)))
+    a_ops, b_ops = _channel_stacks([[c.a_ops for c in channels], [c.b_ops for c in channels]],
+                                   [(4, 4), (4, 4)])
     reduced = _ancilla_stack(a_ops, b_ops, (2, 2), (2, 2), (2, 2))
     for channel, a_red, b_red in zip(channels, *reduced):
         single = ancilla_reduce(channel, (2, 2))

@@ -237,6 +237,16 @@ def test_generators_deterministic():
     assert np.array_equal(qa.mat, qb.mat)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda seed: random_pure((2, 3), seed).vec,
+    lambda seed: random_density((2, 3), 4, seed).mat,
+    lambda seed: random_qi_state((2, 3), seed).mat,
+], ids=["pure", "density", "qi"])
+def test_random_states_draw_from_a_generator_given_as_the_seed(draw):
+    # default_rng passes a Generator through, so it names the same state
+    assert draw(np.random.default_rng(11)).tobytes() == draw(11).tobytes()
+
+
 def _mixed_draw(rng):
     """Bytes of draws that read the generator's stream in several ways."""
     return (rng.integers(2**63, size=3).tobytes() + rng.standard_normal(5).tobytes()

@@ -9,9 +9,11 @@ Each RESULT.json is a file that ``perfbench/run.py --trace 0`` wrote, named
 ``perfbench/results/<workload>-seed<S>-trace0.json``.  One record per file
 is appended to ``BENCH_<workload>.json`` at the repository root: the
 measured revision ``REV`` (a tree with uncommitted changes is named by its
-parent with ``-dirty``), the seed, the seconds, the operations attempted and
-failed, the end-to-end metrics that ``BENCHMARK.json`` declares, and the
-environment.  The per-operation latencies are left out.
+parent with ``-dirty``), the seed, the seconds requested, the timed seconds
+(``attempted / ops_per_s``, the sum of the operation latencies: a run that
+used up its inputs stops before the seconds requested), the operations
+attempted and failed, the end-to-end metrics that ``BENCHMARK.json``
+declares, and the environment.  The per-operation latencies are left out.
 
 ``--tier1`` instead runs the Tier-1 test command of ``ROADMAP.md`` once,
 ``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`` from
@@ -48,6 +50,7 @@ def record(result: dict, commit: str, end_to_end: list[str]) -> dict:
         "commit": commit,
         "seed": env["seed"],
         "seconds": env["seconds"],
+        "timed_seconds": attempted / metrics["ops_per_s"]["value"],
         "attempted": attempted,
         "failed": round(metrics["fail_ratio"]["value"] * attempted),
         "metrics": {name: metrics[name]["value"] for name in end_to_end},
