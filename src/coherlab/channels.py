@@ -27,7 +27,7 @@ from .exceptions import (
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import DensityMatrix, _indexed, _unchecked, apply_local
+from .linalg import DensityMatrix, _basis_rows, _indexed, _unchecked, _validate_subsystems, apply_local
 from .states import _generators
 
 __all__ = [
@@ -278,26 +278,22 @@ class ProductKrausChannel:
             )
         return rho.mat
 
-    def _posts(self, mats: np.ndarray) -> np.ndarray:
-        """The stack of (A_i x B_i) M (A_i x B_i)'.  M is one matrix of the
-        input dims, or a stack of one per pair, where the i-th pair acts on
-        the i-th matrix only."""
-        return _pair_posts(mats, self.a_ops, self.b_ops, math.prod(self.a_out_dims), math.prod(self.b_in_dims))
-
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        return DensityMatrix(self._posts(self._input(rho)).sum(axis=0), self.out_dims)
+        posts = _pair_posts(self._input(rho), self.a_ops, self.b_ops)
+        return DensityMatrix(posts.sum(axis=0), self.out_dims)
 
     def apply_instrument(self, rho: DensityMatrix) -> list[InstrumentOutcome]:
         """Per-pair outcomes as in ``KrausChannel.apply_instrument``."""
-        return _outcomes(self._posts(self._input(rho)), self.out_dims)
+        return _outcomes(_pair_posts(self._input(rho), self.a_ops, self.b_ops), self.out_dims)
 
 
-def _pair_posts(mats: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray,
-                d_a_out: int, d_b_in: int) -> np.ndarray:
+def _pair_posts(mats: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray) -> np.ndarray:
     """(A x B) M (A x B)', A acting on M and then B on the result: A's block
-    comes before B's input dimension ``d_b_in``, B's after A's output
-    dimension ``d_a_out``.  All three broadcast over their leading axes."""
-    return apply_local(apply_local(mats, a_ops, 1, d_b_in), b_ops, d_a_out, 1)
+    comes before B's input dimension, B's after A's output dimension, each
+    read from its operators' shape.  All three broadcast over their leading
+    axes, so M may be one matrix or a stack of one per pair, the i-th pair
+    acting on the i-th matrix only."""
+    return apply_local(apply_local(mats, a_ops, 1, b_ops.shape[-1]), b_ops, a_ops.shape[-2], 1)
 
 
 @dataclass(frozen=True)
@@ -382,17 +378,14 @@ def identity_channel(dims) -> KrausChannel:
 
 def dephasing_channel(dims, subsystems=None) -> KrausChannel:
     """Pinching channel that projects onto the incoherent basis of the
-    selected subsystems (all of them by default)."""
+    selected subsystems (all of them by default), checked as ``dephase``
+    checks them; the empty selection is the one-operator identity channel."""
     dims = tuple(int(d) for d in dims)
     n = len(dims)
-    idx = tuple(range(n)) if subsystems is None else tuple(sorted(set(subsystems)))
-    total = math.prod(dims)
-    grid = np.unravel_index(np.arange(total), dims)
-    # row-major label of each basis state on the selected subsystems; one
-    # projector per label, in label order
-    labels = np.ravel_multi_index([grid[s] for s in idx], [dims[s] for s in idx])
-    ops = np.zeros((math.prod(dims[s] for s in idx), total, total), dtype=complex)
-    ops[labels, np.arange(total), np.arange(total)] = 1.0
+    idx = tuple(range(n)) if subsystems is None else _validate_subsystems(subsystems, n, allow_empty=True)
+    rows = _basis_rows(dims, idx)  # projector s, in label order, is 1 on rows[s]
+    ops = np.zeros((len(rows), rows.size, rows.size), dtype=complex)
+    ops[np.arange(len(rows))[:, None], rows, rows] = 1.0
     return KrausChannel(ops, dims, dims)
 
 
@@ -479,7 +472,7 @@ class LocalProtocol:
         if dims != self.dims:
             raise DimensionMismatchError(f"state dims {dims} != protocol dims {self.dims}")
         a_ops, b_ops, transcripts = self._product_form
-        posts = _pair_posts(mats[:, None], a_ops, b_ops, math.prod(self.a_dims), math.prod(self.b_dims))
+        posts = _pair_posts(mats[:, None], a_ops, b_ops)
         probs = np.trace(posts, axis1=-2, axis2=-1).real
         _check_probabilities(probs.sum(axis=1))
         keep = probs > OUTCOME_PRUNE_TOL

@@ -171,7 +171,7 @@ def continuity_trial(rngs: Generators) -> np.ndarray:
 def _apply(a_ops: np.ndarray, b_ops: np.ndarray, mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     """The channel of the i-th pair of (m, n, out, in) stacks applied to
     mats[i], the outputs, of dims ``dims``, validated as one stack."""
-    outs = ch._pair_posts(mats[:, None], a_ops, b_ops, a_ops.shape[2], b_ops.shape[3]).sum(axis=1)
+    outs = ch._pair_posts(mats[:, None], a_ops, b_ops).sum(axis=1)
     _density_stack(outs, dims)
     return outs
 

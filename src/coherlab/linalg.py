@@ -274,6 +274,18 @@ def _validate_subsystems(indices, n: int, allow_empty: bool = False) -> tuple[in
     return idx
 
 
+def _basis_rows(dims: tuple[int, ...], subsystems: tuple[int, ...], rest=None) -> np.ndarray:
+    """The table rows[s, r]: the row of the basis state with row-major label
+    s on the ordered ``subsystems`` and label r on ``rest`` (by default the
+    other subsystems, in order), for subsystem dims ``dims``.  The
+    subsystems must be checked already, as ``_validate_subsystems`` checks
+    them."""
+    if rest is None:
+        rest = tuple(i for i in range(len(dims)) if i not in subsystems)
+    rows = np.arange(math.prod(dims)).reshape(dims).transpose(tuple(subsystems) + tuple(rest))
+    return rows.reshape(math.prod(dims[i] for i in subsystems), -1)
+
+
 def _partial_traces(mats: np.ndarray, dims: tuple[int, ...], keep) -> tuple[np.ndarray, tuple[int, ...]]:
     """Trace every subsystem not in ``keep`` out of each matrix of an
     (n, N, N) stack with subsystem dims ``dims``: the reduced stack and its

@@ -27,9 +27,9 @@ from .linalg import (
     DensityMatrix,
     PureState,
     partial_trace,
-    permute_subsystems,
     trace_norm,
     von_neumann_entropy,
+    _basis_rows,
     _entropies,
     _validate_subsystems,
 )
@@ -66,7 +66,8 @@ ASSIST_MAX_DIM = 16
 @dataclass(frozen=True)
 class Bipartition:
     """A|B split of the subsystems: the B side is the incoherent-restricted
-    party.  The two sides must be disjoint and exhaustive; B is non-empty."""
+    party.  No subsystem may be listed twice, on one side or on both, and the
+    sides must be exhaustive; B is non-empty."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
@@ -76,8 +77,8 @@ class Bipartition:
         object.__setattr__(self, "b", tuple(int(i) for i in self.b))
         if not self.b:
             raise BadSubsystemError("B side of a bipartition must be non-empty")
-        if set(self.a) & set(self.b):
-            raise BadSubsystemError("bipartition sides overlap")
+        if len(set(self.a) | set(self.b)) < len(self.a) + len(self.b):
+            raise BadSubsystemError(f"bipartition {self.a}|{self.b} lists a subsystem twice")
 
     def validate(self, n_subsystems: int) -> None:
         if set(self.a) | set(self.b) != set(range(n_subsystems)):
@@ -145,12 +146,10 @@ def binary_entropy(t: float) -> float:
 def _dephase_stack(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np.ndarray:
     """Each matrix of an (n, N, N) stack with subsystem dims ``dims``, its
     off-diagonal elements in the basis of the selected subsystems zeroed."""
-    idx = _validate_subsystems(subsystems, len(dims), allow_empty=True)
-    size = math.prod(dims)
-    multi = np.array(np.unravel_index(np.arange(size), dims))
-    mask = np.ones((size, size), dtype=bool)
-    for s in idx:
-        mask &= multi[s][:, None] == multi[s][None, :]
+    rows = _basis_rows(dims, _validate_subsystems(subsystems, len(dims), allow_empty=True))
+    # one block per basis label of the selection, its rows and columns rows[s]
+    mask = np.zeros(mats.shape[-2:], dtype=bool)
+    mask[rows[:, :, None], rows[:, None, :]] = True
     return np.where(mask, mats, 0.0)
 
 
@@ -172,14 +171,10 @@ def _dephased_entropy(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np
     the blocks' spectra; the blocks of the whole stack go through one
     batched eigvalsh.  With S every subsystem the blocks are the diagonal
     entries and the entropy is their Shannon entropy."""
-    idx = _validate_subsystems(subsystems, len(dims))
-    rest = tuple(i for i in range(len(dims)) if i not in idx)
-    # labels[s, r]: row of rho holding S-label s and rest-label r.
-    labels = np.arange(math.prod(dims)).reshape(dims).transpose(idx + rest)
-    labels = labels.reshape(math.prod(dims[i] for i in idx), -1)
-    if labels.shape[1] == 1:
+    rows = _basis_rows(dims, _validate_subsystems(subsystems, len(dims)))
+    if rows.shape[1] == 1:
         return _entropies(np.diagonal(mats, axis1=1, axis2=2))
-    blocks = mats[:, labels[:, :, None], labels[:, None, :]]
+    blocks = mats[:, rows[:, :, None], rows[:, None, :]]
     return _entropies(np.linalg.eigvalsh(blocks))
 
 
@@ -367,13 +362,10 @@ def qi_relative_entropy_oracle(
     split.validate(rho.n_subsystems)
     if rho.dim > ORACLE_MAX_DIM:
         raise DimensionTooLargeError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {rho.dim}")
-    da = math.prod(rho.dims[i] for i in split.a) if split.a else 1
-    db = math.prod(rho.dims[i] for i in split.b)
-    # Work in (A-block, B-block) order; permute rho once if needed.
-    order = tuple(split.a) + tuple(split.b)
-    if order != tuple(range(rho.n_subsystems)):
-        rho = permute_subsystems(rho, order)
-    rho_blocks = np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db))
+    # rho's A-block for each B label, both sides' labels in the split's order
+    rows = _basis_rows(rho.dims, split.b, split.a)
+    rho_blocks = rho.mat[rows[:, :, None], rows[:, None, :]]
+    db, da = rows.shape
     # S(rho||sigma) = -S(rho) - Tr[rho log2 sigma]; only the second term
     # depends on sigma.
     neg_entropy = -von_neumann_entropy(rho)

@@ -23,6 +23,7 @@ from .channels import (
     ProtocolRound,
     _channel_stacks,
     _classify_stack,
+    _pair_posts,
     classify,
     is_incoherent_operator,
 )
@@ -44,6 +45,7 @@ from .linalg import (
     _density_matrices,
     _density_stack,
     _indexed,
+    _partial_traces,
     _unchecked,
 )
 from .measures import (
@@ -119,8 +121,7 @@ def _teleport_script() -> LocalProtocol:
     """The LICC teleportation script on (A', A, B): Alice's four operators
     |00><phi_i|, incoherent in her two-qubit basis, then Bob's Pauli
     correction for each outcome."""
-    zero2 = np.kron(ket(0, 2), ket(0, 2))
-    alice_ops = tuple(np.outer(zero2, phi.vec.conj()) for phi in bell_states())
+    alice_ops = tuple(np.outer(ket(0, 4), phi.vec.conj()) for phi in bell_states())
     alice = KrausChannel(alice_ops, (2, 2), (2, 2))
     corrections = (
         np.eye(2, dtype=complex),
@@ -152,14 +153,13 @@ def _teleport_branches(psi_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     and transcripts, input by input and depth-first within each input, and
     Bob's fidelity with his leaf's input on each leaf.  The inputs
     psi x phi+ are the only states validated, as one stack; each fidelity
-    is read from the normalized leaf with A and then A' traced out, as
-    ``partial_trace`` does."""
+    is read from the normalized leaf with A and A' traced out by
+    ``linalg._partial_traces``."""
     vecs = (psi_vecs[:, :, None] * _TELEPORT_PAIR.vec).reshape(len(psi_vecs), -1)
     rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
     _density_stack(rhos, _TELEPORT.dims)
     mats, probs, inputs, transcripts = _TELEPORT._leaves(rhos, _TELEPORT.dims)
-    bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
-    bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
+    bobs, _ = _partial_traces(mats / probs[:, None, None], _TELEPORT.dims, {2})
     v = psi_vecs[inputs]
     fidelities = (v.conj()[:, None, :] @ bobs @ v[:, :, None])[:, 0, 0].real
     return mats, probs, inputs, transcripts, fidelities
@@ -465,12 +465,11 @@ def _extend_stack(mats: np.ndarray, dims: tuple[int, int], ancilla_dims: tuple[i
     """``extend_with_ancillas`` on each matrix of an (n, N, N) stack of (A,
     B) states with subsystem dims ``dims``: the extended matrices, ordered
     (A, A', B, B'), not validated."""
-    da_anc, db_anc = (int(d) for d in ancilla_dims)
-    zero_a, zero_b = (np.diag(np.eye(d, dtype=complex)[0]) for d in (da_anc, db_anc))  # |0><0|
-    extended = np.kron(np.kron(mats, zero_a), zero_b)
-    # (A, B, A', B') -> (A, A', B, B') on the row and on the column index
-    tensor = extended.reshape((len(mats),) + (*dims, da_anc, db_anc) * 2)
-    return tensor.transpose(0, 1, 3, 2, 4, 5, 7, 6, 8).reshape(extended.shape)
+    (da, db), (da_anc, db_anc) = dims, (int(d) for d in ancilla_dims)
+    extended = np.zeros((len(mats),) + (da, da_anc, db, db_anc) * 2, dtype=complex)
+    # each matrix on the rows and columns whose ancillas are both |0>
+    extended[:, :, 0, :, 0, :, 0, :, 0] = mats.reshape(len(mats), da, db, da, db)
+    return extended.reshape(len(mats), da * da_anc * db * db_anc, -1)
 
 
 def extend_with_ancillas(rho: DensityMatrix, ancilla_dims: tuple[int, int]) -> DensityMatrix:
@@ -531,7 +530,8 @@ def _domino_success_probabilities() -> np.ndarray:
     vecs = np.array([psi.vec for psi in _DOMINO.states])
     rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
     _density_stack(rhos, (3, 3))
-    return _DOMINO_CHANNEL._posts(rhos).trace(axis1=-2, axis2=-1).real
+    posts = _pair_posts(rhos, _DOMINO_CHANNEL.a_ops, _DOMINO_CHANNEL.b_ops)
+    return posts.trace(axis1=-2, axis2=-1).real
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,6 +21,7 @@ from coherlab.channels import (
     random_sqi_channel,
 )
 from coherlab.exceptions import (
+    BadSubsystemError,
     DimensionMismatchError,
     IncoherenceViolationError,
     IncompleteChannelError,
@@ -28,7 +29,7 @@ from coherlab.exceptions import (
     SingularNormalizerError,
 )
 from coherlab.linalg import DensityMatrix
-from coherlab.measures import Bipartition, qi_relative_entropy
+from coherlab.measures import Bipartition, dephase, qi_relative_entropy
 from coherlab.states import (
     SIGMA_X,
     SIGMA_Y,
@@ -129,6 +130,28 @@ def test_dephasing_channel_on_second_subsystem():
     rho = random_density((2, 3), 6, 2)
     mask = np.kron(np.ones((2, 2)), np.eye(3))
     assert np.abs(channel.apply(rho).mat - rho.mat * mask).max() < 1e-12
+
+
+def test_dephasing_channel_rejects_bad_subsystems():
+    # checked as dephase checks them, not wrapped round or left to numpy
+    for subsystems in ((-1,), (5,), (0, 2)):
+        with pytest.raises(BadSubsystemError):
+            dephasing_channel((2, 2), subsystems)
+        with pytest.raises(BadSubsystemError):
+            dephase(random_density((2, 2), 4, 0), subsystems)
+    identity = dephasing_channel((2, 2), ())
+    assert identity.n_outcomes == 1 and np.array_equal(identity.ops[0], np.eye(4))
+
+
+def test_dephasing_channel_equals_dephase_on_every_selection():
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+        rho = random_density(dims, math.prod(dims), int(rng.integers(2**63)))
+        for k in range(len(dims) + 1):
+            for subsystems in itertools.combinations(range(len(dims)), k):
+                out = dephasing_channel(dims, subsystems).apply(rho)
+                assert np.array_equal(out.mat, dephase(rho, subsystems).mat), (dims, subsystems)
 
 
 def test_instrument_on_bell_measured_pure_state():
@@ -657,7 +680,7 @@ def test_scripts_of_one_shape_step_as_one_stack():
         for out, script, rho in zip(outs, scripts, rhos):
             assert out.tobytes() == script.apply(rho).mat.tobytes()
         a_ops, b_ops, _ = _products(scripts)
-        outs = _pair_posts(np.stack([rho.mat for rho in rhos])[:, None], a_ops, b_ops, 2, 3).sum(axis=1)
+        outs = _pair_posts(np.stack([rho.mat for rho in rhos])[:, None], a_ops, b_ops).sum(axis=1)
         for out, script, rho in zip(outs, scripts, rhos):
             assert out.tobytes() == script.to_product().apply(rho).mat.tobytes()
 
@@ -1095,7 +1118,7 @@ def test_merged_outputs_equal_the_leaf_sum(case):
         mats = random_density(scripts[0].dims, math.prod(scripts[0].dims), 8).mat[None]
     dims = scripts[0].dims
     a_ops, b_ops, _ = _products(scripts)
-    leaves = _pair_posts(mats[:, None], a_ops, b_ops, scripts[0].a_dims[0], scripts[0].b_dims[0])
+    leaves = _pair_posts(mats[:, None], a_ops, b_ops)
     if case == "qutrit-3-rounds":
         assert leaves.shape[1] == 729
     assert np.abs(_outputs(scripts, mats, dims) - leaves.sum(axis=1)).max() <= 1e-14

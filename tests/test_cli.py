@@ -308,6 +308,9 @@ MALFORMED_INPUTS = {
     "measure-discord-empty-a-side": (
         ["measure", "discord", "--builtin", "bell", "--split", "B=0,1"], None
     ),
+    "measure-split-repeats-a-subsystem": (
+        ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=1,1"], None
+    ),
     "teleport-with-builtin": (["protocol", "teleport", "--builtin", "bell"], None),
     "discriminate-with-builtin": (["protocol", "discriminate", "--builtin", "domino:1"], None),
     "merge-witness-with-missing-state": (
@@ -638,6 +641,20 @@ def test_product_channel_json_is_golden(channel, name):
     (["protocol", "merge-witness"], "protocol_merge_witness.txt"),
     (["classify", "--channel", os.path.join(GOLDEN, "kraus_dephasing_qubit.json")],
      "classify_kraus_dephasing_qubit.txt"),
+    # commands whose dephasing, placement or oracle layout moved into linalg
+    (["measure", "cr", "--builtin", "merging"], "measure_cr_merging.txt"),
+    (["measure", "entropy", "--builtin", "merging"], "measure_entropy_merging.txt"),
+    (["measure", "qire", "--builtin", "merging", "--split", "A=0;B=1,2"],
+     "measure_qire_merging_a0_b12.txt"),
+    (["measure", "discord", "--builtin", "merging", "--split", "A=0;B=1,2"],
+     "measure_discord_merging_a0_b12.txt"),
+    (["measure", "mutual-info", "--builtin", "merging", "--split", "A=0;B=1,2"],
+     "measure_mutual_info_merging_a0_b12.txt"),
+    (["measure", "qire", "--builtin", "merging", "--split", "A=0,2;B=1"],
+     "measure_qire_merging_a02_b1.txt"),
+    (["measure", "assistance", "--builtin", "psi2"], "measure_assistance_psi2.txt"),
+    (["protocol", "steer", "--seed", "0"], "protocol_steer_seed0.txt"),
+    (["protocol", "distill-mc", "--seed", "0"], "protocol_distill_mc_seed0.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, args, name):
     result = runner.invoke(main, args)

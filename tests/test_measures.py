@@ -75,6 +75,15 @@ def test_bipartition_validation():
         Bipartition((0,), (1,)).validate(3)
 
 
+def test_bipartition_rejects_a_repeated_subsystem():
+    # a repeat would be dropped by the closed forms, which read sets
+    for a, b in (((0,), (1, 1)), ((0, 0), (1,)), ((), (0, 0))):
+        with pytest.raises(BadSubsystemError, match="twice"):
+            Bipartition(a, b)
+    with pytest.raises(BadSubsystemError, match="twice"):
+        Bipartition.parse("A=0;B=1,1")
+
+
 def test_measure_report_clamps_rounding():
     report = MeasureReport("cr", -5e-10, {})
     assert report.value == 0.0
@@ -315,6 +324,29 @@ def test_oracle_agreement_band_at_every_rank(dims):
         closed = qi_relative_entropy(rho, AB)
         oracle = qi_relative_entropy_oracle(rho, AB, starts=8, seed=1)
         assert -1e-4 <= oracle - closed <= 1e-2
+
+
+def test_oracle_reads_the_a_blocks_in_the_split_order(monkeypatch):
+    # against permuting rho to (A, B) order and reading its B-diagonal
+    # blocks; S(rho) is the unpermuted state's
+    from coherlab.linalg import permute_subsystems
+
+    seen = []
+    minimize = measures.minimize
+
+    def recorded_minimize(fun, x0, args=(), **kwargs):
+        seen.append(args)
+        return minimize(fun, x0, args, **kwargs)
+
+    monkeypatch.setattr(measures, "minimize", recorded_minimize)
+    rho = random_density((2, 3, 2), 5, 17)
+    qi_relative_entropy_oracle(rho, Bipartition((2, 0), (1,)), starts=2, seed=0)
+    (rho_blocks, neg_entropy), = seen
+    permuted = permute_subsystems(rho, (2, 0, 1))
+    reference = np.einsum("ajbj->jab", permuted.mat.reshape(4, 3, 4, 3))
+    assert rho_blocks.shape == (3, 4, 4)
+    assert rho_blocks.tobytes() == np.ascontiguousarray(reference).tobytes()
+    assert neg_entropy == -von_neumann_entropy(rho)
 
 
 def test_oracle_does_not_stop_after_a_halved_step():

@@ -39,6 +39,7 @@ from coherlab.protocols import (
     incoherent_teleport,
     merging_witness,
     sqi_to_si_reduce,
+    _extend_stack,
     _merge_channel,
     _teleport_branches,
     _traced_merge_channel,
@@ -577,6 +578,19 @@ def test_ancilla_reduce_matches_extended_action():
         big = extended.apply(extend_with_ancillas(rho, (2, 2)))
         direct = partial_trace(big, {0, 2})
         assert trace_norm(direct.mat - reduced.apply(rho).mat) < 1e-9
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("ancilla_dims", [(2, 2), (3, 2)])
+def test_extend_stack_equals_the_kron_route(dims, ancilla_dims):
+    # against rho x |0><0| x |0><0| reordered (A, B, A', B') -> (A, A', B, B')
+    da_anc, db_anc = ancilla_dims
+    mats = np.stack([random_density(dims, 3, seed).mat for seed in range(4)])
+    zero_a, zero_b = (np.diag(np.eye(d, dtype=complex)[0]) for d in ancilla_dims)
+    extended = np.kron(np.kron(mats, zero_a), zero_b)
+    tensor = extended.reshape((len(mats),) + (*dims, da_anc, db_anc) * 2)
+    reference = tensor.transpose(0, 1, 3, 2, 4, 5, 7, 6, 8).reshape(extended.shape)
+    assert np.array_equal(_extend_stack(mats, dims, ancilla_dims), reference)
 
 
 def test_stacked_ancilla_reduce_equals_the_single_function():
