@@ -27,7 +27,8 @@ from .exceptions import (
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import DensityMatrix, _basis_rows, _indexed, _unchecked, _validate_subsystems, apply_local
+from .linalg import (DensityMatrix, _basis_rows, _indexed, _subsystem_dims, _unchecked, _validate_subsystems,
+                     apply_local)
 from .states import _generators
 
 __all__ = [
@@ -181,8 +182,8 @@ class KrausChannel:
     out_dims: tuple[int, ...]
 
     def __post_init__(self):
-        in_dims = tuple(map(int, self.in_dims))
-        out_dims = tuple(map(int, self.out_dims))
+        in_dims = _subsystem_dims(self.in_dims)
+        out_dims = _subsystem_dims(self.out_dims)
         ops, = _channel_stacks([(self.ops,)], [(math.prod(out_dims), math.prod(in_dims))])
         vars(self).update(ops=ops[0], in_dims=in_dims, out_dims=out_dims)
 
@@ -241,10 +242,10 @@ class ProductKrausChannel:
     b_out_dims: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        a_in = tuple(int(d) for d in self.a_in_dims)
-        b_in = tuple(int(d) for d in self.b_in_dims)
-        a_out = a_in if self.a_out_dims is None else tuple(int(d) for d in self.a_out_dims)
-        b_out = b_in if self.b_out_dims is None else tuple(int(d) for d in self.b_out_dims)
+        a_in = _subsystem_dims(self.a_in_dims)
+        b_in = _subsystem_dims(self.b_in_dims)
+        a_out = a_in if self.a_out_dims is None else _subsystem_dims(self.a_out_dims)
+        b_out = b_in if self.b_out_dims is None else _subsystem_dims(self.b_out_dims)
         shapes = ((math.prod(a_out), math.prod(a_in)), (math.prod(b_out), math.prod(b_in)))
         a_ops, b_ops = _channel_stacks([(self.a_ops,), (self.b_ops,)], shapes)
         vars(self).update(a_ops=a_ops[0], b_ops=b_ops[0], a_in_dims=a_in, b_in_dims=b_in,
@@ -352,8 +353,8 @@ def complete_incoherent_kraus(raw: Sequence, in_dims, out_dims=None,
     still complete but may fail the incoherence predicate, which is checked
     and reported.
     """
-    in_dims = tuple(int(d) for d in in_dims)
-    out_dims = in_dims if out_dims is None else tuple(int(d) for d in out_dims)
+    in_dims = _subsystem_dims(in_dims)
+    out_dims = in_dims if out_dims is None else _subsystem_dims(out_dims)
     mats = _freeze_ops(raw, (math.prod(out_dims), math.prod(in_dims)))
     if not is_incoherent_operator(mats, tol):
         raise NotIncoherentError("input operator maps a basis state to a superposition")
@@ -372,7 +373,7 @@ def complete_incoherent_kraus(raw: Sequence, in_dims, out_dims=None,
 
 
 def identity_channel(dims) -> KrausChannel:
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     return KrausChannel((np.eye(math.prod(dims), dtype=complex),), dims, dims)
 
 
@@ -380,7 +381,7 @@ def dephasing_channel(dims, subsystems=None) -> KrausChannel:
     """Pinching channel that projects onto the incoherent basis of the
     selected subsystems (all of them by default), checked as ``dephase``
     checks them; the empty selection is the one-operator identity channel."""
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     n = len(dims)
     idx = tuple(range(n)) if subsystems is None else _validate_subsystems(subsystems, n, allow_empty=True)
     rows = _basis_rows(dims, idx)  # projector s, in label order, is 1 on rows[s]
@@ -428,8 +429,8 @@ class LocalProtocol:
     _rounds: tuple[ProtocolRound, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a_dims", tuple(int(d) for d in self.a_dims))
-        object.__setattr__(self, "b_dims", tuple(int(d) for d in self.b_dims))
+        object.__setattr__(self, "a_dims", _subsystem_dims(self.a_dims))
+        object.__setattr__(self, "b_dims", _subsystem_dims(self.b_dims))
         object.__setattr__(self, "incoherent_parties", frozenset(self.incoherent_parties))
         party_dims = {"A": self.a_dims, "B": self.b_dims}
         rounds = _round_order(self.root)
@@ -627,7 +628,7 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
     below 1e-12 is drawn again from its own generator, up to 16 attempts.  The
     families are completed and checked incoherent as one stack, then
     checked by ``_channel_stacks`` and wrapped by ``linalg._unchecked``."""
-    dims = tuple(map(int, dims))
+    dims = _subsystem_dims(dims)
     d, n = math.prod(dims), max(1, n_kraus)
     rngs = _generators(seeds)
     perms, re, im = (np.array(x) for x in zip(*(_incoherent_draw(rng, d, n) for rng in rngs)))
@@ -657,7 +658,7 @@ def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
     inverse square root of their Gram sum.  The instruments are completed
     as one stack, checked by ``_channel_stacks`` and wrapped by
     ``linalg._unchecked``."""
-    dims = tuple(map(int, dims))
+    dims = _subsystem_dims(dims)
     d, n = math.prod(dims), max(1, n_kraus)
     parts = np.array([rng.standard_normal((n, 2, d, d)) for rng in _generators(seeds)])
     raws = parts[:, :, 0] + 1j * parts[:, :, 1]
@@ -709,7 +710,7 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     and all their B instruments as another, each on its party's dims and
     an incoherent party's incoherence included; so the scripts are
     wrapped by ``linalg._unchecked``, with no per-script check."""
-    a_dims, b_dims = tuple(map(int, a_dims)), tuple(map(int, b_dims))
+    a_dims, b_dims = _subsystem_dims(a_dims), _subsystem_dims(b_dims)
     rounds, n = max(1, rounds), max(1, n_outcomes)
     order = np.array(_draw_order(rounds, n))
     node_seeds = np.array([rng.integers(2**63, size=len(order)) for rng in _generators(seeds)])

@@ -37,7 +37,6 @@ from . import measures as ms
 from . import protocols as pr
 from . import states as st
 from .linalg import (
-    DensityMatrix,
     _density_matrices,
     _density_stack,
     _entropies,
@@ -233,17 +232,10 @@ def _bracket_excesses(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ..
                      for value, upper, lower in zip(values, uppers.tolist(), lowers)])
 
 
-def assistance_excess(rho: DensityMatrix, seed: int) -> float:
-    """How far the coherence of assistance (budget 2) leaves the bracket
-    [c_r(rho), S(dephase(rho))] (<= 0 inside it); S is taken from the
-    dephased state's spectrum, apart from the optimizer's blockwise form."""
-    value, _ = ms.coherence_of_assistance(rho, budget=2, seed=seed)
-    return float(_bracket_excesses(rho.mat[None], rho.spectrum[None], rho.dims, [value])[0])
-
-
 def chain_trial(rngs: Generators) -> np.ndarray:
-    """``assistance_excess`` on a rank-2 qubit state: the states are
-    validated and the bracket ends computed as stacks, and
+    """How far the coherence of assistance (budget 2) of a rank-2 qubit
+    state leaves the bracket [c_r(rho), S(dephase(rho))] (<= 0 inside it):
+    the states are validated and the bracket ends computed as stacks, and
     ``coherence_of_assistance`` runs on each state."""
     draws = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
     mats = st._random_density_mats((2,), 2, [seed for seed, _ in draws])

@@ -62,10 +62,18 @@ def _to_square(m) -> np.ndarray:
     return mat
 
 
-def _check_dims(dims, total: int) -> tuple[int, ...]:
+def _subsystem_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a non-empty tuple of positive ints: the one check of
+    subsystem dimensions that every state, channel and script constructor
+    makes."""
     dims = tuple(map(int, dims))
     if not dims or min(dims) < 1:
         raise BadSubsystemError(f"invalid subsystem dimensions {dims}")
+    return dims
+
+
+def _check_dims(dims, total: int) -> tuple[int, ...]:
+    dims = _subsystem_dims(dims)
     if math.prod(dims) != total:
         raise DimensionMismatchError(
             f"subsystem dimensions {dims} do not multiply to matrix order {total}"

@@ -88,7 +88,8 @@ class Bipartition:
 
     @classmethod
     def parse(cls, spec: str) -> "Bipartition":
-        """Parse a split spec such as ``"A=0;B=1,2"`` (A may be empty)."""
+        """Parse a split spec such as ``"A=0;B=1,2"`` (A may be empty, and
+        each side may be named once)."""
         sides: dict[str, tuple[int, ...]] = {}
         for part in spec.split(";"):
             part = part.strip()
@@ -98,6 +99,8 @@ class Bipartition:
             name = name.strip().upper()
             if name not in ("A", "B"):
                 raise BadSubsystemError(f"unknown side {name!r} in split spec {spec!r}")
+            if name in sides:
+                raise BadSubsystemError(f"split spec {spec!r} names side {name} twice")
             try:
                 indices = tuple(int(v) for v in values.split(",") if v.strip() != "")
             except ValueError as exc:

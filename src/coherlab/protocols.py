@@ -51,7 +51,6 @@ from .linalg import (
 from .measures import (
     Bipartition,
     MeasureReport,
-    c_r,
     coherence_of_assistance,
     qi_relative_entropy,
     _coherences,
@@ -188,10 +187,6 @@ def incoherent_teleport(psi: PureState) -> ProtocolResult:
     return ProtocolResult(tuple(leaves), metrics, details={"protocol": _TELEPORT})
 
 
-def _ensemble_average(ensemble) -> np.ndarray:
-    return sum(p * np.outer(s.vec, s.vec.conj()) for p, s in ensemble)
-
-
 def assisted_distill_pure(
     psi: PureState,
     ensemble: list[tuple[float, PureState]] | None = None,
@@ -204,61 +199,56 @@ def assisted_distill_pure(
     ensemble (default: the one found by ``coherence_of_assistance`` on
     Bob's marginal), measures Alice with the incoherent operators
     K_i = |i><e_i| and reports the average post-measurement coherence on
-    Bob's side, which equals the ensemble's average coherence.
+    Bob's side, which equals the ensemble's average coherence.  Bob's
+    outcome states, and the ensemble's members, are each validated and
+    measured as one stack.
     """
     if len(psi.dims) != 2:
         raise DimensionMismatchError("assisted distillation needs a bipartite pure state")
     da, db = psi.dims
-    rho_b = partial_trace(psi.to_density(), {1})
+    rho = psi.to_density()
+    rho_b = partial_trace(rho, {1})
     if ensemble is None:
         _, ensemble = coherence_of_assistance(rho_b, budget=budget, seed=seed)
-    gap = np.abs(_ensemble_average(ensemble) - rho_b.mat).max()
+    probs = np.array([p for p, _ in ensemble])
+    members = np.array([st.vec for _, st in ensemble])
+    gap = np.abs(np.einsum("i,ia,ib->ab", probs, members, members.conj()) - rho_b.mat).max()
     if gap > 1e-8:
         raise EnsembleMismatchError(
             f"ensemble average deviates from Bob's state by {gap:.3e} > 1e-8"
         )
 
     # Schmidt data: psi_ab = sum_k u_k s_k vh_kb.
-    m = psi.vec.reshape(da, db)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    u, s, vh = np.linalg.svd(psi.vec.reshape(da, db), full_matrices=False)
     keep = s > 1e-12
     u, s, vh = u[:, keep], s[keep], vh[keep, :]
-    lam = s**2
-    r = lam.size
 
     # Transition matrix from the Schmidt ensemble to the supplied one;
     # exact ensembles give an isometry, which we enforce by polar correction.
-    probs = np.array([p for p, _ in ensemble])
-    members = np.array([st.vec for _, st in ensemble])
     w = (np.sqrt(probs)[:, None] * (members @ vh.conj().T)) / s[None, :]
-    gram = w.conj().T @ w
-    gw, vw = np.linalg.eigh(gram)
+    gw, vw = np.linalg.eigh(w.conj().T @ w)
     w = w @ (vw / np.sqrt(np.maximum(gw, 1e-30))) @ vw.conj().T
 
-    n = len(ensemble)
-    alice_vectors = [u @ w[i, :].conj() for i in range(n)]
-    # Complete with the orthogonal complement of the Schmidt span (those
-    # outcomes never fire on psi).
-    alice_vectors += list(np.linalg.qr(u, mode="complete")[0][:, r:].T)
-    n_out = len(alice_vectors)
-    ops = tuple(
-        np.outer(ket(i, n_out), vec.conj()) for i, vec in enumerate(alice_vectors)
-    )
-    instrument = KrausChannel(ops, (da,), (n_out,))
+    # Alice's vectors e_i = u w_i^* as rows, completed with the orthogonal
+    # complement of the Schmidt span (those outcomes never fire on psi).
+    vecs = np.concatenate([w.conj() @ u.T, np.linalg.qr(u, mode="complete")[0][:, s.size:].T])
+    n_out = len(vecs)
+    # [i] is |i><e_i|: row i holds the conjugate vector
+    instrument = KrausChannel(np.eye(n_out)[:, :, None] * vecs.conj()[:, None], (da,), (n_out,))
     if not instrument.is_incoherent():
         raise InvalidStateError("distillation instrument must be incoherent")
 
-    outcomes = instrument.apply_instrument(psi.to_density(), at=0)
-    leaves = [(o.probability, o.state, (("A", o.outcome),)) for o in outcomes]
-    total = sum(p for p, _, _ in leaves)
-    leaves = [(p / total, st, t) for p, st, t in leaves]
+    outcomes = instrument.apply_instrument(rho, at=0)
+    total = sum(o.probability for o in outcomes)
+    leaves = [(o.probability / total, o.state, (("A", o.outcome),)) for o in outcomes]
 
-    bob_cohs = [c_r(partial_trace(state, {1})) for _, state, _ in leaves]
-    average = float(sum(p * coh for (p, _, _), coh in zip(leaves, bob_cohs)))
-    supplied_average = float(sum(p * c_r(st.to_density()) for p, st in ensemble))
+    bobs, _ = _partial_traces(np.array([st.mat for _, st, _ in leaves]), (n_out, db), {1})
+    bob_cohs = _coherences(bobs, _density_stack(bobs, (db,)), (db,))
+    mats = members[:, :, None] * members.conj()[:, None]
+    member_cohs = _coherences(mats, _density_stack(mats, (db,)), (db,))
     metrics = {
-        "average_coherence": average,
-        "supplied_ensemble_average": supplied_average,
+        "average_coherence": float(sum(p * coh for (p, _, _), coh in zip(leaves, bob_cohs))),
+        "supplied_ensemble_average": float(sum(p * coh for (p, _), coh in zip(ensemble, member_cohs))),
         "bob_dephased_entropy": float(
             _dephased_entropy(rho_b.mat[None], rho_b.dims, range(rho_b.n_subsystems))[0]),
     }
@@ -272,7 +262,8 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
     Alice measures in a mutually orthogonal maximally coherent basis
     (composed with U' when supplied); every outcome leaves Bob with
     coherence S(dephase_B(rho)) - S(rho), and the diagonal unitary mapping
-    each outcome to the canonical coefficient state is recorded.
+    each outcome to the canonical coefficient state is recorded.  Bob's
+    outcome states are validated and measured as one stack.
     """
     if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
         raise NotMaximallyCorrelatedError("state must live on a (d, d) system")
@@ -281,44 +272,40 @@ def assisted_distill_mc(rho: DensityMatrix, u: np.ndarray | None = None) -> Prot
     if u is not None:
         u = np.asarray(u, dtype=complex)
         mat = apply_local(mat, u.conj().T, after=d)
-    # Coefficients on the |ii> subspace must reproduce the state.
-    block = np.ix_(np.arange(d) * (d + 1), np.arange(d) * (d + 1))  # rows and columns |ii>
-    rebuilt = np.zeros_like(mat)
-    rebuilt[block] = mat[block]
-    residual = trace_norm(mat - rebuilt)
+    # Coefficients on the |ii> subspace must reproduce the state: what is
+    # left with their block zeroed is the leakage.
+    ii = np.arange(d) * (d + 1)  # rows and columns |ii>
+    leak = mat.copy()
+    leak[np.ix_(ii, ii)] = 0.0
+    residual = trace_norm(leak)
     if residual > 1e-9:
         raise NotMaximallyCorrelatedError(
             f"state leaks off the diagonal subspace by {residual:.3e} > 1e-9"
         )
 
-    basis = fourier_mc_basis(d)
+    basis = np.array([psi.vec for psi in fourier_mc_basis(d)])
     target = qi_relative_entropy(rho, Bipartition((0,), (1,)))
-    ops = []
-    for j, psi_j in enumerate(basis):
-        op = np.outer(ket(j, d), psi_j.vec.conj())
-        if u is not None:
-            op = op @ u.conj().T
-        ops.append(op)
-    instrument = KrausChannel(tuple(ops), (d,), (d,))
+    # [j] is |j><psi_j|, composed with U' when supplied
+    ops = np.eye(d)[:, :, None] * basis.conj()[:, None]
+    if u is not None:
+        ops = ops @ u.conj().T
+    instrument = KrausChannel(ops, (d,), (d,))
 
-    leaves = []
-    unitaries = []
-    coherences = []
-    for o in instrument.apply_instrument(rho, at=0):
-        coherences.append(c_r(partial_trace(o.state, {1})))
-        phases = np.angle(basis[o.outcome].vec * math.sqrt(d))
-        unitaries.append(np.diag(np.exp(1j * phases)))
-        leaves.append((o.probability, o.state, (("A", o.outcome),)))
+    outcomes = instrument.apply_instrument(rho, at=0)
+    bobs, _ = _partial_traces(np.array([o.state.mat for o in outcomes]), rho.dims, {1})
+    coherences = np.array(_coherences(bobs, _density_stack(bobs, (d,)), (d,)))
+    phases = np.angle(basis[[o.outcome for o in outcomes]] * math.sqrt(d))
     metrics = {
         "target_coherence": target,
-        "min_outcome_coherence": min(coherences),
-        "max_outcome_coherence": max(coherences),
-        "max_deviation": max(abs(c - target) for c in coherences),
+        "min_outcome_coherence": float(coherences.min()),
+        "max_outcome_coherence": float(coherences.max()),
+        "max_deviation": float(np.abs(coherences - target).max()),
     }
     return ProtocolResult(
-        tuple(leaves),
+        tuple((o.probability, o.state, (("A", o.outcome),)) for o in outcomes),
         metrics,
-        details={"incoherent_unitaries": unitaries, "instrument": instrument},
+        details={"incoherent_unitaries": list(np.eye(d) * np.exp(1j * phases)[:, None]),
+                 "instrument": instrument},
     )
 
 

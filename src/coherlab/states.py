@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadDimensionError, BadRankError, InvalidCoefficientsError, InvalidStateError
-from .linalg import DensityMatrix, PureState
+from .linalg import DensityMatrix, PureState, _subsystem_dims
 
 __all__ = [
     "SIGMA_X",
@@ -295,7 +295,7 @@ def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:
 def random_pure(dims, seed) -> PureState:
     """Haar-random pure state (normalized complex-Gaussian vector), the
     one-seed case of ``_random_pure_vecs``."""
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     return PureState(_random_pure_vecs(dims, [seed])[0], dims)
 
 
@@ -327,7 +327,7 @@ def _random_density_mats(dims: tuple[int, ...], ranks, seeds) -> np.ndarray:
 def random_density(dims, rank, seed) -> DensityMatrix:
     """Random mixed state G G' / Tr(G G') for a Gaussian d x rank matrix,
     the one-seed case of ``_random_density_mats``."""
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     return DensityMatrix(_random_density_mats(dims, rank, [seed])[0], dims)
 
 
@@ -353,7 +353,7 @@ def random_qi_state(dims, seed) -> DensityMatrix:
     """Random quantum-incoherent state sum_j p_j sigma_j^A x |j><j|^B on a
     bipartite (d_A, d_B) system: arbitrary on A, diagonal on B; the
     one-seed case of ``_random_qi_mats``."""
-    da, db = (int(d) for d in dims)
+    da, db = _subsystem_dims(dims)
     return DensityMatrix(_random_qi_mats((da, db), [seed])[0], (da, db))
 
 

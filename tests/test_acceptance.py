@@ -10,6 +10,7 @@ from coherlab.channels import classify, is_incoherent_operator, random_sqi_chann
 from coherlab.linalg import partial_trace, von_neumann_entropy
 from coherlab.measures import (
     Bipartition,
+    coherence_of_assistance,
     dephase,
     qi_relative_entropy,
     qi_relative_entropy_oracle,
@@ -152,7 +153,8 @@ def test_acceptance_inequality_chain_spot_checks():
     rng = np.random.default_rng(7)
     for _ in range(100):
         rho = random_density((2,), int(rng.integers(1, 3)), int(rng.integers(2**63)))
-        assert checks.assistance_excess(rho, int(rng.integers(2**31))) <= 1e-9
+        value, _ = coherence_of_assistance(rho, budget=2, seed=int(rng.integers(2**31)))
+        assert checks._bracket_excesses(rho.mat[None], rho.spectrum[None], rho.dims, [value])[0] <= 1e-9
         bipartite = random_density((2, 2), int(rng.integers(1, 5)), int(rng.integers(2**63)))
         assert qi_relative_entropy(bipartite, AB) >= 0.0
     for _ in range(50):

@@ -143,6 +143,35 @@ def test_dephasing_channel_rejects_bad_subsystems():
     assert identity.n_outcomes == 1 and np.array_equal(identity.ops[0], np.eye(4))
 
 
+# every public constructor that takes subsystem dims, given the dims to test
+DIMS_CONSTRUCTORS = {
+    "DensityMatrix": lambda dims: DensityMatrix(np.eye(1), dims),
+    "KrausChannel": lambda dims: KrausChannel((np.eye(2),), dims, dims),
+    "ProductKrausChannel-a": lambda dims: ProductKrausChannel(np.eye(2)[None], np.eye(2)[None], dims, (2,)),
+    "ProductKrausChannel-b-out": lambda dims: ProductKrausChannel(
+        np.eye(2)[None], np.eye(2)[None], (2,), (2,), None, dims),
+    "LocalProtocol": lambda dims: LocalProtocol(dims, (2,), None),
+    "identity_channel": identity_channel,
+    "dephasing_channel": dephasing_channel,
+    "complete_incoherent_kraus": lambda dims: complete_incoherent_kraus((np.eye(2),), (2,), dims),
+    "random_incoherent_channel": lambda dims: random_incoherent_channel(dims, 2, 1),
+    "random_instrument": lambda dims: random_instrument(dims, 2, 1),
+    "random_sqi_channel": lambda dims: random_sqi_channel(dims, (2,), 1, 1),
+    "random_licc_protocol": lambda dims: random_licc_protocol((2,), dims, 1, 1),
+    "random_pure": lambda dims: random_pure(dims, 1),
+    "random_density": lambda dims: random_density(dims, 1, 1),
+    "random_qi_state": lambda dims: random_qi_state(dims, 1),
+}
+
+
+@pytest.mark.parametrize("dims", [(2, 0), (-2,)])
+@pytest.mark.parametrize("build", DIMS_CONSTRUCTORS.values(), ids=DIMS_CONSTRUCTORS.keys())
+def test_constructors_reject_non_positive_dims(build, dims):
+    # one check, linalg's, not a 0x0 operator or a raw numpy error
+    with pytest.raises(BadSubsystemError, match="invalid subsystem dimensions"):
+        build(dims)
+
+
 def test_dephasing_channel_equals_dephase_on_every_selection():
     rng = np.random.default_rng(3)
     for _ in range(12):

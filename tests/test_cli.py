@@ -311,6 +311,9 @@ MALFORMED_INPUTS = {
     "measure-split-repeats-a-subsystem": (
         ["measure", "qire", "--builtin", "bell", "--split", "A=0;B=1,1"], None
     ),
+    "measure-split-repeats-a-side": (
+        ["measure", "qire", "--builtin", "bell", "--split", "A=1;A=0;B=1"], None
+    ),
     "teleport-with-builtin": (["protocol", "teleport", "--builtin", "bell"], None),
     "discriminate-with-builtin": (["protocol", "discriminate", "--builtin", "domino:1"], None),
     "merge-witness-with-missing-state": (
@@ -655,6 +658,10 @@ def test_product_channel_json_is_golden(channel, name):
     (["measure", "assistance", "--builtin", "psi2"], "measure_assistance_psi2.txt"),
     (["protocol", "steer", "--seed", "0"], "protocol_steer_seed0.txt"),
     (["protocol", "distill-mc", "--seed", "0"], "protocol_distill_mc_seed0.txt"),
+    # the distillation protocols, whose outcomes are measured as stacks
+    (["protocol", "distill-pure", "--seed", "0"], "protocol_distill_pure_seed0.txt"),
+    (["protocol", "distill-pure", "--builtin", "bell"], "protocol_distill_pure_bell.txt"),
+    (["protocol", "distill-mc", "--builtin", "bell"], "protocol_distill_mc_bell.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, args, name):
     result = runner.invoke(main, args)

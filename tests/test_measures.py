@@ -84,6 +84,13 @@ def test_bipartition_rejects_a_repeated_subsystem():
         Bipartition.parse("A=0;B=1,1")
 
 
+def test_bipartition_parse_rejects_a_repeated_side():
+    # a later part would otherwise replace the earlier one without a word
+    for spec in ("A=1;A=0;B=1", "B=0;B=1", "A=0;B=1;B=1"):
+        with pytest.raises(BadSubsystemError, match="names side [AB] twice"):
+            Bipartition.parse(spec)
+
+
 def test_measure_report_clamps_rounding():
     report = MeasureReport("cr", -5e-10, {})
     assert report.value == 0.0

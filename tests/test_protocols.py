@@ -27,7 +27,7 @@ from coherlab.linalg import (
     trace_norm,
     von_neumann_entropy,
 )
-from coherlab.measures import Bipartition, c_r, dephase
+from coherlab.measures import Bipartition, c_r, coherence_of_assistance, dephase
 from coherlab.protocols import (
     ancilla_reduce,
     assisted_distill_mc,
@@ -47,6 +47,7 @@ from coherlab.protocols import (
 from coherlab.states import (
     bell_states,
     domino_states,
+    fourier_mc_basis,
     ket,
     maximally_coherent,
     maximally_correlated,
@@ -54,6 +55,7 @@ from coherlab.states import (
     random_density,
     random_pure,
     random_qi_state,
+    random_unitary,
 )
 
 AB = Bipartition((0,), (1,))
@@ -279,6 +281,53 @@ def test_distill_pure_rejects_wrong_ensemble():
         assisted_distill_pure(bell, ensemble=bad)
 
 
+def _alice_ops_reference(psi, ensemble):
+    """Alice's operators |i><e_i| built row by row: e_i = u w_i^* from the
+    Schmidt data and the polar-corrected transition matrix, then the
+    orthogonal complement of the Schmidt span."""
+    da, db = psi.dims
+    u, s, vh = np.linalg.svd(psi.vec.reshape(da, db), full_matrices=False)
+    keep = s > 1e-12
+    u, s, vh = u[:, keep], s[keep], vh[keep, :]
+    probs = np.array([p for p, _ in ensemble])
+    members = np.array([st.vec for _, st in ensemble])
+    w = (np.sqrt(probs)[:, None] * (members @ vh.conj().T)) / s[None, :]
+    gw, vw = np.linalg.eigh(w.conj().T @ w)
+    w = w @ (vw / np.sqrt(np.maximum(gw, 1e-30))) @ vw.conj().T
+    rows = [u @ w[i, :].conj() for i in range(len(ensemble))]
+    rows += list(np.linalg.qr(u, mode="complete")[0][:, s.size:].T)
+    return np.array([np.outer(ket(i, len(rows)), vec.conj()) for i, vec in enumerate(rows)])
+
+
+PURE_CASES = [(dims, seed) for dims in ((2, 2), (3, 2), (2, 3), (3, 3)) for seed in range(3)]
+
+
+@pytest.mark.parametrize("dims, seed", PURE_CASES)
+def test_distill_pure_alice_ops_match_row_by_row_reference(dims, seed):
+    psi = random_pure(dims, 40 + seed)
+    _, ensemble = coherence_of_assistance(partial_trace(psi.to_density(), {1}), budget=4, seed=seed)
+    ops = assisted_distill_pure(psi, ensemble=ensemble).details["instrument"].ops
+    reference = _alice_ops_reference(psi, ensemble)
+    assert ops.shape == reference.shape
+    assert np.abs(ops - reference).max() <= 1e-15
+
+
+def test_distill_pure_alice_ops_complete_a_rank_deficient_schmidt_span():
+    psi = PureState(np.kron([1, 0, 0], np.array([1, 1]) / math.sqrt(2)), (3, 2))
+    ensemble = [(1.0, PureState(np.array([1, 1]) / math.sqrt(2), (2,)))]
+    ops = assisted_distill_pure(psi, ensemble=ensemble).details["instrument"].ops
+    assert np.abs(ops - _alice_ops_reference(psi, ensemble)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("dims, seed", PURE_CASES)
+def test_distill_pure_bob_coherences_match_per_leaf_c_r(dims, seed):
+    # the stacked coherences, summed as before, give the per-leaf average bit for bit
+    result = assisted_distill_pure(random_pure(dims, 40 + seed), budget=4, seed=seed)
+    per_leaf = [c_r(partial_trace(state, {1})) for _, state, _ in result.outcomes]
+    average = float(sum(p * coh for (p, _, _), coh in zip(result.outcomes, per_leaf)))
+    assert result.metrics["average_coherence"] == average
+
+
 # ---------------------------------------------------------------------------
 # assisted distillation, maximally correlated states
 
@@ -324,14 +373,52 @@ def test_distill_mc_incoherent_unitaries_map_outcomes_to_coeffs():
 
 
 def test_distill_mc_with_local_unitary_twist():
-    from coherlab.states import random_unitary
-
     coeffs = random_density((3,), 3, 8)
     rho = maximally_correlated(coeffs.mat)
     u = random_unitary(3, 4)
     twisted = DensityMatrix(np.kron(u, np.eye(3)) @ rho.mat @ np.kron(u, np.eye(3)).conj().T, (3, 3))
     result = assisted_distill_mc(twisted, u=u)
     assert result.metrics["max_deviation"] < 1e-9
+
+
+def _mc_ops_reference(d, u=None):
+    """Alice's operators |j><psi_j|, then U', built one outcome at a time."""
+    ops = []
+    for j, psi_j in enumerate(fourier_mc_basis(d)):
+        op = np.outer(ket(j, d), psi_j.vec.conj())
+        if u is not None:
+            op = op @ u.conj().T
+        ops.append(op)
+    return np.array(ops)
+
+
+def _mc_state(d, seed, twist):
+    rho = maximally_correlated(random_density((d,), d, seed).mat)
+    if not twist:
+        return rho, None
+    u = random_unitary(d, seed)
+    return DensityMatrix(apply_local(rho.mat, u, after=d), (d, d)), u
+
+
+MC_CASES = [(d, twist) for d in (2, 3, 4) for twist in (False, True)]
+
+
+@pytest.mark.parametrize("d, twist", MC_CASES)
+def test_distill_mc_instrument_matches_per_outcome_reference(d, twist):
+    rho, u = _mc_state(d, 60 + d, twist)
+    ops = assisted_distill_mc(rho, u=u).details["instrument"].ops
+    assert np.array_equal(ops, _mc_ops_reference(d, u))
+
+
+@pytest.mark.parametrize("d, twist", MC_CASES)
+def test_distill_mc_bob_coherences_match_per_leaf_c_r(d, twist):
+    rho, u = _mc_state(d, 60 + d, twist)
+    result = assisted_distill_mc(rho, u=u)
+    per_leaf = [c_r(partial_trace(state, {1})) for _, state, _ in result.outcomes]
+    target = result.metrics["target_coherence"]
+    assert result.metrics["min_outcome_coherence"] == min(per_leaf)
+    assert result.metrics["max_outcome_coherence"] == max(per_leaf)
+    assert result.metrics["max_deviation"] == max(abs(c - target) for c in per_leaf)
 
 
 def test_distill_mc_rejects_generic_state():
