@@ -28,6 +28,7 @@ from .channels import (
     is_incoherent_operator,
 )
 from .exceptions import (
+    BadSubsystemError,
     DimensionMismatchError,
     EnsembleMismatchError,
     IncompleteChannelError,
@@ -46,6 +47,7 @@ from .linalg import (
     _density_stack,
     _indexed,
     _partial_traces,
+    _subsystem_dims,
     _unchecked,
 )
 from .measures import (
@@ -210,6 +212,10 @@ def assisted_distill_pure(
     rho_b = partial_trace(rho, {1})
     if ensemble is None:
         _, ensemble = coherence_of_assistance(rho_b, budget=budget, seed=seed)
+    if not ensemble:
+        raise EnsembleMismatchError("the supplied ensemble is empty")
+    if not all(isinstance(st, PureState) and st.dims == (db,) for _, st in ensemble):
+        raise DimensionMismatchError(f"ensemble members must be pure states on Bob's dims ({db},)")
     probs = np.array([p for p, _ in ensemble])
     members = np.array([st.vec for _, st in ensemble])
     gap = np.abs(np.einsum("i,ia,ib->ab", probs, members, members.conj()) - rho_b.mat).max()
@@ -369,23 +375,27 @@ def _steering_witnesses(mats: np.ndarray, dims: tuple[int, int],
     return witnesses
 
 
+def _require_class(stacks, flag: int, error: type, message: str) -> None:
+    """Classify checked (m, n, out, in) stacks of A and B operators and
+    raise ``error`` naming the first channel, as ``linalg._indexed`` names
+    it, whose class flag is False: flag 0 is SI and 1 is SQI."""
+    ok = _classify_stack(*stacks)[flag]
+    if not ok.all():
+        raise _indexed(error, "channel", int(np.argmin(ok)), len(ok), message)
+
+
 def _sqi_to_si_stack(a_ops: np.ndarray, b_ops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sqi_to_si_reduce`` on each channel of checked (m, n, out, in)
     stacks: the reductions' stacks, checked by ``_channel_stacks``.  Each
     channel must be SQI and its reduction SI; the first that fails is
     named as ``linalg._indexed`` names it."""
     m, n, d_a_out, d_a_in = a_ops.shape
-    sqi = _classify_stack(a_ops, b_ops)[1]
-    if not sqi.all():
-        raise _indexed(NotSQIError, "channel", int(np.argmin(sqi)), m,
-                       "channel is not separable quantum-incoherent")
+    _require_class((a_ops, b_ops), 1, NotSQIError, "channel is not separable quantum-incoherent")
     # [k, i, j] is |j><j| A_i of channel k: row j of A_i, every other row zero
     pinched = (a_ops[:, :, None] * np.eye(d_a_out)[:, :, None]).reshape(m, -1, d_a_out, d_a_in)
     reduced = _channel_stacks([pinched, np.repeat(b_ops, d_a_out, axis=1)],
                               [a_ops.shape[2:], b_ops.shape[2:]])
-    si = _classify_stack(*reduced)[0]
-    if not si.all():
-        raise _indexed(NotSIError, "channel", int(np.argmin(si)), m, "pinched channel failed the SI check")
+    _require_class(reduced, 0, NotSIError, "pinched channel failed the SI check")
     return reduced
 
 
@@ -399,18 +409,24 @@ def sqi_to_si_reduce(ch: ProductKrausChannel) -> ProductKrausChannel:
                       b_in_dims=ch.b_in_dims, a_out_dims=ch.a_out_dims, b_out_dims=ch.b_out_dims)
 
 
+def _ancilla_pair(ancilla_dims) -> tuple[int, int]:
+    """``ancilla_dims`` checked as a pair of positive ints, one per party."""
+    ancilla_dims = _subsystem_dims(ancilla_dims)
+    if len(ancilla_dims) != 2:
+        raise BadSubsystemError(f"ancilla dimensions must be one per party, got {ancilla_dims}")
+    return ancilla_dims
+
+
 def _ancilla_stack(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims: tuple[int, ...],
                    b_in_dims: tuple[int, ...], ancilla_dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """``ancilla_reduce`` on each channel of checked (m, n, out, in) stacks
-    with input dims ``a_in_dims``, ``b_in_dims``: the reductions' stacks,
-    checked by ``_channel_stacks``.  Each channel and its reduction must
-    be SI; the first that fails is named as ``linalg._indexed`` names it."""
+    with input dims ``a_in_dims``, ``b_in_dims`` and a pair of ancilla
+    dims checked by ``_ancilla_pair``: the reductions' stacks, checked by
+    ``_channel_stacks``.  Each channel and its reduction must be SI; the
+    first that fails is named as ``linalg._indexed`` names it."""
     count, n = a_ops.shape[:2]
-    si = _classify_stack(a_ops, b_ops)[0]
-    if not si.all():
-        raise _indexed(NotSIError, "channel", int(np.argmin(si)), count,
-                       "extended channel is not separable incoherent")
-    da_anc, db_anc = (int(d) for d in ancilla_dims)
+    _require_class((a_ops, b_ops), 0, NotSIError, "extended channel is not separable incoherent")
+    da_anc, db_anc = ancilla_dims
     if len(a_in_dims) < 2 or a_in_dims[-1] != da_anc:
         raise DimensionMismatchError("party A dims must end with the ancilla dimension")
     if len(b_in_dims) < 2 or b_in_dims[-1] != db_anc:
@@ -426,10 +442,7 @@ def _ancilla_stack(a_ops: np.ndarray, b_ops: np.ndarray, a_in_dims: tuple[int, .
         np.broadcast_to(a_parts[:, :, :, None], shape + (da, da)).reshape(count, -1, da, da),
         np.broadcast_to(b_parts[:, :, None], shape + (db, db)).reshape(count, -1, db, db),
     ], [(da, da), (db, db)])
-    si = _classify_stack(*reduced)[0]
-    if not si.all():
-        raise _indexed(NotSIError, "channel", int(np.argmin(si)), count,
-                       "reduced channel failed the SI check")
+    _require_class(reduced, 0, NotSIError, "reduced channel failed the SI check")
     return reduced
 
 
@@ -443,16 +456,18 @@ def ancilla_reduce(ch_tilde: ProductKrausChannel, ancilla_dims: tuple[int, int])
     The one-channel case of ``_ancilla_stack``.
     """
     a_in, b_in = ch_tilde.a_in_dims, ch_tilde.b_in_dims
-    a_ops, b_ops = _ancilla_stack(ch_tilde.a_ops[None], ch_tilde.b_ops[None], a_in, b_in, ancilla_dims)
+    a_ops, b_ops = _ancilla_stack(ch_tilde.a_ops[None], ch_tilde.b_ops[None], a_in, b_in,
+                                  _ancilla_pair(ancilla_dims))
     return _unchecked(ProductKrausChannel, a_ops=a_ops[0], b_ops=b_ops[0], a_in_dims=a_in[:-1],
                       b_in_dims=b_in[:-1], a_out_dims=a_in[:-1], b_out_dims=b_in[:-1])
 
 
 def _extend_stack(mats: np.ndarray, dims: tuple[int, int], ancilla_dims: tuple[int, int]) -> np.ndarray:
     """``extend_with_ancillas`` on each matrix of an (n, N, N) stack of (A,
-    B) states with subsystem dims ``dims``: the extended matrices, ordered
+    B) states with subsystem dims ``dims`` and a pair of ancilla dims
+    checked by ``_ancilla_pair``: the extended matrices, ordered
     (A, A', B, B'), not validated."""
-    (da, db), (da_anc, db_anc) = dims, (int(d) for d in ancilla_dims)
+    (da, db), (da_anc, db_anc) = dims, ancilla_dims
     extended = np.zeros((len(mats),) + (da, da_anc, db, db_anc) * 2, dtype=complex)
     # each matrix on the rows and columns whose ancillas are both |0>
     extended[:, :, 0, :, 0, :, 0, :, 0] = mats.reshape(len(mats), da, db, da, db)
@@ -464,7 +479,7 @@ def extend_with_ancillas(rho: DensityMatrix, ancilla_dims: tuple[int, int]) -> D
     result as (A, A', B, B')."""
     if len(rho.dims) != 2:
         raise DimensionMismatchError("ancilla extension expects a bipartite (A, B) state")
-    da_anc, db_anc = (int(d) for d in ancilla_dims)
+    da_anc, db_anc = ancilla_dims = _ancilla_pair(ancilla_dims)
     return DensityMatrix(_extend_stack(rho.mat[None], rho.dims, ancilla_dims)[0],
                          (rho.dims[0], da_anc, rho.dims[1], db_anc))
 
@@ -533,27 +548,12 @@ class MergingWitnessResult:
     merge_residual: float
 
 
-def _merge_channel() -> KrausChannel:
-    """The explicit SQI merge on Alice's and Bob's shares (A, B) -> (A, A', B):
-    K_i = |alpha_i><alpha_i| x |beta_i>_A' x |0><beta_i|, one operator per
-    domino state, complete because sum_i P_alpha_i x P_beta_i = 1."""
-    ops = []
-    for alpha, beta in zip(_DOMINO.alpha_parts, _DOMINO.beta_parts):
-        store = np.kron(beta[:, None], np.outer(ket(0, 3), beta.conj()))
-        ops.append(np.kron(np.outer(alpha, alpha.conj()), store))
-    return KrausChannel(tuple(ops), (3, 3), (3, 3, 3))
-
-
-def _traced_merge_channel() -> KrausChannel:
-    """The merge followed by Tr_B, (A, B) -> (A, A'): Tr_B[K rho K'] =
-    sum_b K_b rho K_b' with K_b = (1_AA' x <b|_B) K.  The merge leaves B in
-    |0>, so the 18 blocks K_b with b != 0 are exactly zero and are dropped."""
-    folded = _MERGE.ops.reshape(9, 9, 3, 9).transpose(0, 2, 1, 3).reshape(27, 9, 9)
-    return KrausChannel(folded[folded.any(axis=(1, 2))], (3, 3), (3, 3))
-
-
-_MERGE = _merge_channel()
-_MERGE_TRACED = _traced_merge_channel()
+# The SQI merge K_i = |alpha_i><alpha_i| x |beta_i>_A' x |0><beta_i|_B,
+# (A, B) -> (A, A', B), leaves B in |0>; with B traced out, K_i is
+# |alpha_i beta_i><alpha_i beta_i| read as (A, B) -> (A, A'): the projector
+# onto the i-th domino state, complete because the family is orthonormal.
+_MERGE_TRACED = KrausChannel(np.array([np.outer(psi.vec, psi.vec.conj()) for psi in _DOMINO.states]),
+                             (3, 3), (3, 3))
 
 
 @functools.cache
@@ -586,16 +586,13 @@ def merging_witness() -> MergingWitnessResult:
 
     Computes the QI relative entropy for the R|AB and RB|A splits (8/9 and
     4/9), asserts the first exceeds the second, and simulates the explicit
-    SQI merge that moves Bob's share into Alice's new register A'.  The
-    merge acts on (A, B) of the (R, A, B) input and outputs (A, A', B) with
-    the nine operators of ``_merge_channel``.  Written on an (R, A, A', B)
-    input with A' in |0>, the merge has the 27 operators
-    K_ij = |alpha_i><alpha_i| x |beta_i><j| x |0><beta_i|; since
-    <j|0> = delta_j0, those with j != 0 annihilate that input, and the
-    nine left are the ones applied here.  The check is that the final
-    (R, A, A') state reproduces the input with B relabeled to A'.  The
-    trace over B is folded into the operators, K_i -> (1 x <0|_B) K_i,
-    which act (A, B) -> (A, A'), and their transfer matrix
+    SQI merge that moves Bob's share into Alice's new register A'.  On
+    (A, A', B) with A' in |0>, the merge acts through the operators
+    K_i = |alpha_i><alpha_i| x |beta_i><0|_A' x |0><beta_i|_B, and it
+    leaves B in |0>.  With B traced out, K_i is the projector
+    |psi_i><psi_i| onto the i-th domino state, read as (A, B) -> (A, A')
+    (``_MERGE_TRACED``), so the final (R, A, A') state must reproduce the
+    input with B relabeled to A'.  The projectors' transfer matrix
     (``_merge_transfer``) maps all 81 (R, R') blocks of the input with one
     matrix product (``_traced_merge``): no 243-dim (R, A, A', B) state and
     no stack of post-states is formed.  The output is not validated as a

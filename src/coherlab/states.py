@@ -85,9 +85,9 @@ class DominoFamily:
         gap = np.abs(vecs.conj() @ vecs.T - np.eye(9)).max()
         if gap > 1e-12:
             raise InvalidStateError(f"domino states not orthonormal: Gram gap {gap:.3e}")
-        for vec, a, b in zip(vecs, self.alpha_parts, self.beta_parts):
-            if np.abs(np.outer(a, b).ravel() - vec).max() > 1e-12:
-                raise InvalidStateError("domino state is not the product of its local factors")
+        products = np.array(self.alpha_parts)[:, :, None] * np.array(self.beta_parts)[:, None, :]
+        if np.abs(products.reshape(9, -1) - vecs).max() > 1e-12:
+            raise InvalidStateError("domino state is not the product of its local factors")
 
 
 def domino_states() -> DominoFamily:
@@ -128,12 +128,12 @@ def merging_state() -> DensityMatrix:
     from the domino family built once at import, and each call builds and
     validates it anew.
     """
-    mat = np.zeros((81, 81), dtype=complex)
-    for i, psi in enumerate(_DOMINO.states):
-        # |i><i| x psi psi' is psi psi' on the i-th diagonal block; adding
-        # it to the zeros turns its -0.0 imaginary parts into +0.0
-        mat[9 * i:9 * i + 9, 9 * i:9 * i + 9] += np.outer(psi.vec, psi.vec.conj()) / 9.0
-    return DensityMatrix(mat, (9, 3, 3))
+    vecs = np.array([psi.vec for psi in _DOMINO.states])
+    mat = np.zeros((9, 9, 9, 9), dtype=complex)
+    # |i><i| x psi_i psi_i' is psi_i psi_i' on the i-th diagonal block;
+    # adding it to the zeros turns its -0.0 imaginary parts into +0.0
+    mat[range(9), :, range(9)] += vecs[:, :, None] * vecs.conj()[:, None, :] / 9.0
+    return DensityMatrix(mat.reshape(81, 81), (9, 3, 3))
 
 
 def maximally_correlated(coeffs) -> DensityMatrix:

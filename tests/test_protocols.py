@@ -13,6 +13,8 @@ from coherlab.channels import (
     random_sqi_channel,
 )
 from coherlab.exceptions import (
+    BadSubsystemError,
+    DimensionMismatchError,
     EnsembleMismatchError,
     NotMaximallyCorrelatedError,
     NotSIError,
@@ -39,10 +41,9 @@ from coherlab.protocols import (
     incoherent_teleport,
     merging_witness,
     sqi_to_si_reduce,
+    _MERGE_TRACED,
     _extend_stack,
-    _merge_channel,
     _teleport_branches,
-    _traced_merge_channel,
 )
 from coherlab.states import (
     bell_states,
@@ -279,6 +280,21 @@ def test_distill_pure_rejects_wrong_ensemble():
     bad = _ensemble((1.0, [1, 0]))
     with pytest.raises(EnsembleMismatchError):
         assisted_distill_pure(bell, ensemble=bad)
+
+
+def test_distill_pure_rejects_an_empty_ensemble():
+    with pytest.raises(EnsembleMismatchError, match="empty"):
+        assisted_distill_pure(bell_states()[0], ensemble=[])
+
+
+@pytest.mark.parametrize("member", [
+    PureState([1, 0, 0], (3,)),
+    PureState([1, 0, 0, 0], (2, 2)),
+    np.array([1, 0], dtype=complex),
+], ids=["qutrit", "two-qubit", "bare-vector"])
+def test_distill_pure_rejects_members_off_bobs_dims(member):
+    with pytest.raises(DimensionMismatchError, match="Bob's dims"):
+        assisted_distill_pure(bell_states()[0], ensemble=[(1.0, member)])
 
 
 def _alice_ops_reference(psi, ensemble):
@@ -698,6 +714,16 @@ def test_stacked_ancilla_reduce_equals_the_single_function():
         _ancilla_stack(a_ops, np.concatenate([b_ops[:3], b_ops[3:] @ hadamard]), (2, 2), (2, 2), (2, 2))
 
 
+@pytest.mark.parametrize("ancilla_dims", [(0, 2), (2, 0), (-1, 2), (2,), (2, 2, 2)])
+@pytest.mark.parametrize("reduce", [True, False], ids=["ancilla_reduce", "extend_with_ancillas"])
+def test_bad_ancilla_dims_raise_bad_subsystem(reduce, ancilla_dims):
+    with pytest.raises(BadSubsystemError, match="ancilla|invalid subsystem dimensions"):
+        if reduce:
+            ancilla_reduce(random_extended_si(np.random.default_rng(0)), ancilla_dims)
+        else:
+            extend_with_ancillas(random_density((2, 2), 4, 0), ancilla_dims)
+
+
 def test_ancilla_reduce_rejects_non_si():
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     ext = ProductKrausChannel(
@@ -778,67 +804,62 @@ def test_merging_witness_values_and_verdict():
     assert result.merge_residual <= 1e-9
 
 
+def _sqi_merge_pairs():
+    """The explicit SQI merge on ((A, A'), B) as 27 product pairs
+    (|alpha_i><alpha_i| x |beta_i><j|, |0><beta_i|), one per domino state
+    i and A' label j."""
+    family = domino_states()
+    return [(np.kron(np.outer(alpha, alpha.conj()), np.outer(beta, ket(j, 3).conj())),
+             np.outer(ket(0, 3), beta.conj()))
+            for alpha, beta in zip(family.alpha_parts, family.beta_parts) for j in range(3)]
+
+
 def test_merging_simulation_channel_is_sqi_not_si():
     family = domino_states()
-    pairs = []
-    for i in range(9):
-        alpha, beta = family.alpha_parts[i], family.beta_parts[i]
-        for j in range(3):
-            a_op = np.kron(np.outer(alpha, alpha.conj()), np.outer(beta, ket(j, 3).conj()))
-            b_op = np.outer(ket(0, 3), beta.conj())
-            pairs.append((a_op, b_op))
-    channel = ProductKrausChannel(*zip(*pairs), (3, 3), (3,))
-    flags = classify(channel)
+    flags = classify(ProductKrausChannel(*zip(*_sqi_merge_pairs()), (3, 3), (3,)))
     assert flags.separable_quantum_incoherent
     assert not flags.separable_incoherent
 
-    # The nine operators merging_witness applies to (R, A, B) give the same
-    # (R, A, A', B) state as the 27 above on the input padded with A' in |0>.
-    merge = _merge_channel()
-    assert merge.n_outcomes == 9
-    padded = ProductKrausChannel(*zip(*pairs), (3, 3), (3,)).to_kraus()
-    zero3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    inputs = [merging_state()] + [random_density((9, 3, 3), 6, seed) for seed in range(5)]
-    for rho in inputs:
-        extended = permute_subsystems(DensityMatrix(np.kron(rho.mat, zero3), (9, 3, 3, 3)),
-                                      (0, 1, 3, 2))
-        ours, ref = merge.apply(rho, at=1), padded.apply(extended, at=1)
-        assert ours.dims == ref.dims == (9, 3, 3, 3)
-        assert np.abs(ours.mat - ref.mat).max() < 1e-12
-
-    # As (A -> (A, A'), B) pairs the nine operators are SQI and not SI.
+    # With B traced out the merge operators are the domino projectors
+    # P_alpha_i x P_beta_i = |psi_i><psi_i|, equal as values (their bytes
+    # differ in the signs of exact zeros).
+    assert _MERGE_TRACED.ops.shape == (9, 9, 9)
+    assert (_MERGE_TRACED.in_dims, _MERGE_TRACED.out_dims) == ((3, 3), (3, 3))
     folded = []
-    for op, alpha, beta in zip(merge.ops, family.alpha_parts, family.beta_parts):
+    for op, psi, alpha, beta in zip(_MERGE_TRACED.ops, family.states, family.alpha_parts,
+                                    family.beta_parts):
+        assert np.array_equal(op, np.kron(np.outer(alpha, alpha.conj()), np.outer(beta, beta.conj())))
+        assert np.array_equal(op, np.outer(psi.vec, psi.vec.conj()))
+        # the merge on (A -> (A, A'), B): B's output row <0| of the pair is op
         a_op = np.kron(np.outer(alpha, alpha.conj()), beta[:, None])
         b_op = np.outer(ket(0, 3), beta.conj())
-        assert np.abs(np.kron(a_op, b_op) - op).max() < 1e-15
+        assert np.abs(np.kron(a_op, b_op[:1]) - op).max() < 1e-15
         folded.append((a_op, b_op))
+
+    # As (A -> (A, A'), B) pairs the nine operators are SQI and not SI.
     flags = classify(ProductKrausChannel(*zip(*folded), (3,), (3,), (3, 3), (3,)))
     assert flags.separable_quantum_incoherent
     assert not flags.separable_incoherent
 
 
 def test_traced_merge_equals_apply_then_trace():
-    # the nine B-traced operators against the merge's 243-dim (R, A, A', B)
-    # post-states with B traced out of each
-    merge, traced = _merge_channel(), _traced_merge_channel()
-    assert traced.ops.shape == (9, 9, 9)
-    assert (traced.in_dims, traced.out_dims) == ((3, 3), (3, 3))
-    blocks = merge.ops.reshape(9, 9, 3, 9)
-    assert not blocks[:, :, 1:].any()  # the 18 dropped operators are exactly zero
-    assert np.array_equal(traced.ops, blocks[:, :, 0])
-    gram = np.einsum("kij,kil->jl", traced.ops.conj(), traced.ops)
+    # the nine domino projectors on (R, A, B) against the 27 SQI pairs on
+    # the input padded with A' in |0>, ordered (R, A, A', B), with B traced
+    # out of their 243-dim output
+    gram = np.einsum("kij,kil->jl", _MERGE_TRACED.ops.conj(), _MERGE_TRACED.ops)
     assert np.abs(gram - np.eye(9)).max() <= 1e-9
+    padded = ProductKrausChannel(*zip(*_sqi_merge_pairs()), (3, 3), (3,)).to_kraus()
+    zero3 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     rng = np.random.default_rng(11)
     inputs = [merging_state()] + [random_density((9, 3, 3), 81, int(rng.integers(2**63)))
                                   for _ in range(5)]
     for rho in inputs:
-        reference = sum(
-            apply_local(rho.mat, op, before=9).reshape(81, 3, 81, 3).trace(axis1=1, axis2=3)
-            for op in merge.ops)
-        ours = traced.apply(rho, at=1)
-        assert ours.dims == (9, 3, 3)
-        assert np.abs(ours.mat - reference).max() <= 1e-15
+        extended = permute_subsystems(DensityMatrix(np.kron(rho.mat, zero3), (9, 3, 3, 3)),
+                                      (0, 1, 3, 2))
+        reference = partial_trace(padded.apply(extended, at=1), {0, 1, 2})
+        ours = _MERGE_TRACED.apply(rho, at=1)
+        assert ours.dims == reference.dims == (9, 3, 3)
+        assert np.abs(ours.mat - reference.mat).max() <= 1e-12
 
 
 def test_transfer_route_equals_the_traced_operators():
