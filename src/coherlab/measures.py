@@ -3,10 +3,12 @@
 Dephasing maps, relative entropy of coherence, the quantum-incoherent (QI)
 relative entropy in closed form and as a small-scale minimization oracle
 (solved by the numpy L-BFGS ``minimize``), basis-dependent discord, mutual
-information, coherence of assistance, and the trace-distance continuity
-bound.  All values are in bits.  The module needs numpy only: a solver
-that needs scipy must import it inside the function that uses it, so that
-``import coherlab`` never loads scipy.
+information, coherence of assistance (in closed form where the diagonal
+has at most three nonzero entries, by the Grone-Pierce-Watkins rank bound
+on the extreme correlation matrices, and by gradient ascent above), and
+the trace-distance continuity bound.  All values are in bits.  The module
+needs numpy only: a solver that needs scipy must import it inside the
+function that uses it, so that ``import coherlab`` never loads scipy.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .linalg import (
     von_neumann_entropy,
     _basis_rows,
     _entropies,
+    _pure_stack,
+    _unchecked,
     _validate_subsystems,
 )
 
@@ -58,9 +62,15 @@ NEG_CLAMP = 1e-9
 ASSIST_MAX_ITER = 2000
 ASSIST_SLOPE_TOL = 1e-18
 ASSIST_GAP_TOL = 1e-12
-# Largest mixed state the ascent accepts for d >= 3: each step diagonalizes
-# a (d^2 x d^2) matrix, one row per outcome of the ancilla measurement.
+# Largest mixed state the ascent accepts: each step diagonalizes a
+# (d^2 x d^2) matrix, one row per outcome of the ancilla measurement.
 ASSIST_MAX_DIM = 16
+# Largest max |sum_j p_j psi_j psi_j^dagger - rho| the closed-form ensemble
+# of a state with at most three nonzero diagonal entries may leave.  The
+# walk reproduces a Hermitian positive rho to rounding, so a larger
+# residual is an internal fault, or a rho further from Hermitian positive
+# than the 1e-9 its validation allows.
+ASSIST_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -482,13 +492,105 @@ def _qubit_assistance(rho: DensityMatrix) -> list[tuple[float, PureState]]:
     return ensemble
 
 
+def _hermitian_basis(r: int) -> np.ndarray:
+    """The r^2 matrices E_aa, E_ab + E_ba and i(E_ab - E_ba) (a < b), a real
+    basis of the Hermitian (r, r) matrices, shape (r^2, r, r)."""
+    eye = np.eye(r)
+    a, b = np.triu_indices(r, 1)
+    e_ab = eye[a, :, None] * eye[b, None, :]
+    return np.concatenate([eye[:, :, None] * eye, e_ab + e_ab.swapaxes(1, 2), 1j * (e_ab - e_ab.swapaxes(1, 2))])
+
+
+_HERMITIAN_BASES = {r: _hermitian_basis(r) for r in (2, 3)}
+
+
+def _face_directions(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a unit Hermitian (r, r)
+    N with diag(F N F^dagger) = 0, per factor F of a (k, n, r) stack with
+    n <= 3 and r = 2 or 3.
+
+    F (I + tN) F^dagger keeps the diagonal of F F^dagger for every t: N
+    points along the face of the states with that diagonal.  N is the last
+    right-singular vector of the real linear map from its coordinates in
+    ``_HERMITIAN_BASES[r]`` to that diagonal, n rows against r^2 >= 4
+    unknowns, so an exact null vector exists.  Its eigenvalues straddle 0:
+    a definite N would give f_i N f_i^dagger != 0 on a nonzero row f_i of
+    F, and a multiple of the identity would give diag(F F^dagger) = 0."""
+    basis = _HERMITIAN_BASES[f.shape[-1]]
+    rows = np.einsum("kia,mab,kib->kim", f, basis, f.conj()).real
+    null = np.linalg.svd(rows)[2][:, -1]
+    return np.linalg.eigh(np.einsum("km,mab->kab", null, basis))
+
+
+def _face_walk(f: np.ndarray) -> np.ndarray:
+    """Rows phi_j, at most four, with sum_j phi_j phi_j^dagger = F F^dagger
+    and |phi_ji|^2 proportional to (F F^dagger)_ii, for the (n, n) factor F
+    of a state of n <= 3 levels, each with a positive diagonal entry.
+
+    Each step splits every node of a level, as one stack, with the
+    eigenvalues nu (span nu_max - nu_min > 0) and eigenvectors w of its
+    ``_face_directions``; it works on factors, so it never inverts a state.
+    - Rank 3 to 2 (n = 3): F F^dagger = F+ F+^dagger + F- F-^dagger with
+      F+ = F w diag(sqrt((nu - nu_min) / span)) and
+      F- = F w diag(sqrt((nu_max - nu) / span)), each with one zero column
+      dropped.  As diag(F N F^dagger) = 0, their diagonals are
+      -nu_min / span and nu_max / span times F F^dagger's: they are the two
+      ends F (I + t N) F^dagger, t = -1/nu_min and -1/nu_max, of the face,
+      weighted in the ratio of their distances to the other end.
+    - Rank 2 to 1: the members are F w_1 and F w_2, and add up to
+      F F^dagger.  diag(F N F^dagger) = 0 reads
+      nu_1 |(F w_1)_i|^2 + nu_2 |(F w_2)_i|^2 = 0, so each member's moduli
+      are proportional to the square roots of F F^dagger's diagonal."""
+    f = f[None]
+    if f.shape[-1] == 3:
+        nu, w = _face_directions(f)
+        g = f @ w
+        span = nu[:, 2:] - nu[:, :1]
+        f = np.concatenate([g[:, :, 1:] * np.sqrt((nu[:, 1:] - nu[:, :1]) / span)[:, None],
+                            g[:, :, :2] * np.sqrt((nu[:, 2:] - nu[:, :2]) / span)[:, None]])
+    if f.shape[-1] == 2:
+        f = f @ _face_directions(f)[1]
+    return f.swapaxes(1, 2).reshape(-1, f.shape[1])
+
+
+def _walk_assistance(rho: DensityMatrix, support: np.ndarray, f: np.ndarray) -> list[tuple[float, PureState]]:
+    """An ensemble of at most four members, every one with diagonal
+    diag(rho), so its average coherence is S(dephase(rho)), for a mixed rho
+    whose nonzero diagonal entries, at most three, sit at ``support``; f is
+    a square factor of rho's block on ``support``.
+
+    The members are sqrt(diag rho) times the phases of ``_face_walk``'s
+    rows, with the rows' squared norms as weights; they are validated as
+    one stack.  The ensemble's average must be rho within
+    ASSIST_RESIDUAL_TOL, or InternalConsistencyError is raised."""
+    phi = _face_walk(f)
+    weights = np.einsum("ji,ji->j", phi, phi.conj()).real
+    keep = weights > 0.0
+    phi, weights = phi[keep], weights[keep]
+    modulus = np.abs(phi)
+    psi = np.zeros((len(phi), rho.dim), dtype=complex)
+    psi[:, support] = np.sqrt(rho.mat.diagonal().real[support]) * np.divide(
+        phi, modulus, out=np.ones_like(phi), where=modulus > 0.0)
+    residual = float(np.abs((weights[:, None] * psi).T @ psi.conj() - rho.mat).max())
+    if not residual <= ASSIST_RESIDUAL_TOL:
+        raise InternalConsistencyError(
+            f"assistance ensemble misses rho by {residual:.3e} > {ASSIST_RESIDUAL_TOL:.0e}")
+    _pure_stack(psi, rho.dims)
+    psi.flags.writeable = False
+    return [(p, _unchecked(PureState, vec=vec, dims=rho.dims)) for p, vec in zip(weights.tolist(), psi)]
+
+
 def coherence_of_assistance(
     rho: DensityMatrix,
     budget: int = 64,
     seed: int = 0,
 ) -> tuple[float, list[tuple[float, PureState]]]:
     """Best average pure-state coherence over the decompositions of rho:
-    ``(value, ensemble)`` of ``_assistance``."""
+    ``(value, ensemble)`` of ``_assistance``.  Exact, S(dephase(rho)), when
+    rho's diagonal has at most three nonzero entries (every qubit and
+    qutrit): the correlation matrices of order n <= 3 have rank-one
+    extreme points only (Grone, Pierce and Watkins, Linear Algebra Appl.
+    134, 63 (1990)).  Above that a lower bound from gradient ascent."""
     value, ensemble, _ = _assistance(rho, budget, seed)
     return value, ensemble
 
@@ -502,16 +604,23 @@ def _assistance(
 
     Returns ``(value, ensemble, method)`` where the ensemble averages back
     to rho and the method says how the value was obtained: "closed-form"
-    for a pure state or a qubit, where it is exact, and "optimized" for the
-    ascent.  Every decomposition's average lies in [c_r(rho),
-    S(dephase(rho))].  For a qubit the value is exactly S(dephase(rho)),
-    from a two-member ensemble.  For d >= 3 the decomposition is found by gradient ascent over
-    a measurement basis on a purification ancilla (d^2 outcomes), so the
-    value is a certified lower bound, with upper end S(dephase(rho)).
-    ``budget`` caps the restarts, the first from the eigen-ensemble and the
-    rest from random bases drawn from ``default_rng(seed)``; they stop
-    early once the value reaches the upper end.  Mixed states above
-    ASSIST_MAX_DIM dimensions raise ``DimensionTooLargeError``.
+    where it is exact, "optimized" for the ascent.  Every decomposition's
+    average lies in [c_r(rho), S(dephase(rho))].
+    - A pure state: its only decomposition, value c_r(rho).
+    - A qubit: S(dephase(rho)), from a two-member ensemble.
+    - At most three nonzero diagonal entries (every qutrit): S(dephase(rho)),
+      from the face walk's ensemble of at most four members, each with
+      diagonal diag(rho).  Such members exist because a complex correlation
+      matrix of order n has extreme points of rank r only for r^2 <= n
+      (Grone, Pierce and Watkins, Linear Algebra Appl. 134, 63 (1990)), so
+      for n <= 3 only rank one.
+    - Otherwise (d >= 4): gradient ascent over a measurement basis on a
+      purification ancilla (d^2 outcomes), a certified lower bound with
+      upper end S(dephase(rho)).  ``budget`` caps the restarts, the first
+      from the first r columns of the d^2-point DFT matrix (r the rank)
+      and the rest from random bases drawn from ``default_rng(seed)``;
+      they stop early once the value reaches the upper end.  Mixed states
+      above ASSIST_MAX_DIM dimensions raise ``DimensionTooLargeError``.
     """
     d = rho.dim
     w, v = np.linalg.eigh(rho.mat)
@@ -526,6 +635,12 @@ def _assistance(
     upper = float(_dephased_entropy(rho.mat[None], rho.dims, range(rho.n_subsystems))[0])
     if d == 2:
         return upper, _qubit_assistance(rho), "closed-form"
+    support = np.flatnonzero(rho.mat.diagonal().real > 0.0)
+    if support.size <= 3:
+        # the top eigenpairs factor rho's block on the support: the others
+        # have eigenvalue 0
+        f = v[support, -support.size:] * np.sqrt(w[-support.size:])
+        return upper, _walk_assistance(rho, support, f), "closed-form"
     if d > ASSIST_MAX_DIM:
         raise DimensionTooLargeError(f"assistance search limited to dimension {ASSIST_MAX_DIM}, got {d}")
     # Columns of W are the sub-normalized eigenbranch vectors; member j of
@@ -536,7 +651,10 @@ def _assistance(
     best_val, best_v = -1.0, None
     for trial in range(max(1, budget)):
         if trial == 0:
-            v0 = np.eye(m, r, dtype=complex)
+            # not the eigen-ensemble, a stationary point at value 0 on a
+            # diagonal rho: the DFT columns spread every eigenvector over
+            # all members
+            v0 = np.exp(-2j * math.pi * np.outer(np.arange(m), np.arange(r)) / m) / math.sqrt(m)
         else:
             v0 = np.linalg.qr(rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r)))[0]
         value, v_opt = _assistance_ascent(w_mat, v0, upper)

@@ -85,6 +85,8 @@ class DominoFamily:
         gap = np.abs(vecs.conj() @ vecs.T - np.eye(9)).max()
         if gap > 1e-12:
             raise InvalidStateError(f"domino states not orthonormal: Gram gap {gap:.3e}")
+        if any(np.shape(part) != (3,) for part in (*self.alpha_parts, *self.beta_parts)):
+            raise InvalidStateError("domino local factors must be vectors of 3 entries")
         products = np.array(self.alpha_parts)[:, :, None] * np.array(self.beta_parts)[:, None, :]
         if np.abs(products.reshape(9, -1) - vecs).max() > 1e-12:
             raise InvalidStateError("domino state is not the product of its local factors")

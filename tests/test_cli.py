@@ -137,12 +137,15 @@ def test_measure_assistance_labels_exact_routes_closed_form(runner, tmp_path):
     assert json.loads(result.output)["method"] == "closed-form"
 
 
-def test_measure_assistance_labels_the_qutrit_ascent_optimized(runner, tmp_path):
-    path = tmp_path / "qutrit.json"
-    path.write_text(state_to_json(random_density((3,), 3, 0)))
-    result = runner.invoke(main, ["measure", "assistance", "--state", str(path), "--budget", "1"])
-    assert result.exit_code == 0
-    assert json.loads(result.output)["method"] == "optimized"
+def test_measure_assistance_labels_qutrit_closed_form_and_d4_ascent_optimized(runner, tmp_path):
+    # a qutrit's value is S of the dephased state, from the face walk; a
+    # mixed state with four nonzero diagonal entries goes to the ascent
+    for dims, label in (((3,), "closed-form"), ((4,), "optimized")):
+        path = tmp_path / "state.json"
+        path.write_text(state_to_json(random_density(dims, dims[0], 0)))
+        result = runner.invoke(main, ["measure", "assistance", "--state", str(path), "--budget", "1"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["method"] == label
 
 
 def test_measure_assistance_on_large_mixed_state_exits_3(runner):
@@ -677,6 +680,25 @@ def test_suite_replay_prints_golden_bytes(runner, name):
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, f"suite_{name}_replay7.txt"), encoding="utf-8") as fh:
         assert result.output == fh.read()
+
+
+def test_qutrit_assistance_golden_is_the_dephased_entropy(runner, monkeypatch):
+    # the golden names its state file relative to the repository root, as
+    # the CI step runs it
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    state_file = "tests/golden/qutrit_rank3_seed0.json"
+    with open(os.path.join(GOLDEN, "measure_assistance_qutrit_rank3_seed0.txt"), encoding="utf-8") as fh:
+        golden = fh.read()
+    result = runner.invoke(main, ["measure", "assistance", "--state", state_file])
+    assert result.exit_code == 0
+    assert result.output == golden
+    with open(state_file, encoding="utf-8") as fh:
+        rho = state_from_json(fh.read())
+    assert np.linalg.matrix_rank(rho.mat) == 3
+    diag = rho.mat.diagonal().real
+    payload = json.loads(golden)
+    assert payload["method"] == "closed-form"
+    assert abs(payload["value"] + float((diag * np.log2(diag)).sum())) <= 1e-15
 
 
 def test_suite_runs_clean(runner):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coherlab import measures
-from coherlab.exceptions import BadSubsystemError, DimensionTooLargeError
+from coherlab.exceptions import BadSubsystemError, DimensionTooLargeError, InternalConsistencyError
 from coherlab.linalg import (
     DensityMatrix,
     PureState,
@@ -562,16 +562,78 @@ def _qubit_cases():
     return cases
 
 
+def _exact_assistance(rho):
+    """The closed-form ensemble of rho, checked: the value is S(dephase(rho)),
+    every member has diagonal diag(rho) and the members average to rho, all
+    within 1e-12."""
+    value, ensemble, method = measures._assistance(rho, 1, 0)
+    diag = np.diag(rho.mat).real
+    assert method == "closed-form"
+    assert abs(value - _shannon(diag)) <= 1e-12
+    for _, member in ensemble:
+        assert np.abs(np.abs(member.vec) ** 2 - diag).max() <= 1e-12
+    avg = sum(p * np.outer(s.vec, s.vec.conj()) for p, s in ensemble)
+    assert np.abs(avg - rho.mat).max() <= 1e-12
+    return ensemble
+
+
 def test_assistance_qubit_closed_form_is_ground_truth():
     for rho in _qubit_cases():
-        value, ensemble = coherence_of_assistance(rho, budget=1, seed=0)
-        diag = np.diag(rho.mat).real
+        assert len(_exact_assistance(rho)) == 2
+
+
+def test_assistance_qutrit_face_walk_is_ground_truth():
+    # 500 seeded qutrits of each rank that is mixed
+    for rank in (2, 3):
+        for seed in range(500):
+            assert len(_exact_assistance(random_density((3,), rank, 1000 * rank + seed))) <= 4
+
+
+def _embedded_qutrit():
+    """A rank-3 state on (2, 2) whose diagonal entry 2 is zero."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[np.ix_([0, 1, 3], [0, 1, 3])] = random_density((3,), 3, 77).mat
+    return DensityMatrix(mat, (2, 2))
+
+
+def _near_pure_qutrit():
+    psi = random_pure((3,), 5).vec
+    eps = 1e-10
+    return DensityMatrix((1 - eps) * np.outer(psi, psi.conj()) + eps * np.eye(3) / 3, (3,))
+
+
+FACE_WALK_EDGES = {
+    "maximally-mixed": lambda: DensityMatrix(np.eye(3) / 3, (3,)),
+    # rank 2: the Gram matrix of three real unit vectors 120 degrees apart
+    "120-degrees": lambda: DensityMatrix((1.5 * np.eye(3) - 0.5 * np.ones((3, 3))) / 3, (3,)),
+    "zero-diagonal-entry": lambda: DensityMatrix(np.diag([0.5, 0.5, 0.0]), (3,)),
+    "near-pure": _near_pure_qutrit,
+    "2x2-zero-diagonal-entry": _embedded_qutrit,
+}
+
+
+@pytest.mark.parametrize("make", FACE_WALK_EDGES.values(), ids=FACE_WALK_EDGES.keys())
+def test_assistance_face_walk_edge_cases(make):
+    assert len(_exact_assistance(make())) <= 4
+
+
+def test_assistance_face_walk_checks_its_ensemble_against_rho():
+    # within the 1e-9 positivity tolerance a zero diagonal entry can sit
+    # beside an off-diagonal 1e-5; members with diagonal diag(rho) cannot
+    # reproduce it, and the check says so instead of returning S(dephase)
+    mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
+    mat[0, 2] = mat[2, 0] = 1e-5
+    with pytest.raises(InternalConsistencyError, match="misses rho by 1.000e-05"):
+        measures._assistance(DensityMatrix(mat, (3,)), 1, 0)
+
+
+def test_assistance_ascent_leaves_a_diagonal_state_at_its_upper_end():
+    # on a diagonal state the eigen-ensemble start is a stationary point of
+    # the ascent at value 0; the first restart must start elsewhere
+    for diag, dims in (([0.25] * 4, (4,)), ([0.1, 0.2, 0.3, 0.4], (2, 2))):
+        value, _, method = measures._assistance(DensityMatrix(np.diag(diag), dims), 1, 0)
+        assert method == "optimized"
         assert abs(value - _shannon(diag)) <= 1e-12
-        assert len(ensemble) == 2
-        for _, member in ensemble:
-            assert np.abs(np.abs(member.vec) ** 2 - diag).max() <= 1e-12
-        avg = sum(p * np.outer(s.vec, s.vec.conj()) for p, s in ensemble)
-        assert np.abs(avg - rho.mat).max() <= 1e-12
 
 
 @pytest.mark.parametrize("dims,rank", [((3,), 3), ((3,), 2), ((2, 2), 4)])

@@ -93,6 +93,16 @@ def test_domino_family_rejects_wrong_local_factors():
         DominoFamily(family.states, family.alpha_parts, tuple(betas))
 
 
+def test_domino_family_rejects_a_local_factor_of_the_wrong_shape():
+    family = domino_states()
+    alphas = (family.alpha_parts[0][:2],) + family.alpha_parts[1:]
+    with pytest.raises(InvalidStateError, match="3 entries"):
+        DominoFamily(family.states, alphas, family.beta_parts)
+    betas = family.beta_parts[:8] + (np.outer(family.beta_parts[8], family.beta_parts[8]),)
+    with pytest.raises(InvalidStateError, match="3 entries"):
+        DominoFamily(family.states, family.alpha_parts, betas)
+
+
 def test_merging_state_entropy():
     rho = merging_state()
     assert rho.dims == (9, 3, 3)
