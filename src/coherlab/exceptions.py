@@ -74,7 +74,9 @@ class NotSIError(CoherlabError):
 
 
 class DimensionTooLargeError(CoherlabError):
-    """Input exceeds the size limit of a desk-scale oracle."""
+    """Input exceeds the size limit of a routine whose cost grows steeply
+    with the dimension: the QI oracle (``ORACLE_MAX_DIM``) or the
+    coherence-of-assistance ascent (``ASSIST_MAX_DIM``)."""
 
 
 class InternalConsistencyError(CoherlabError):

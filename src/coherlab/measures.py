@@ -2,7 +2,8 @@
 
 Dephasing maps, relative entropy of coherence, the quantum-incoherent (QI)
 relative entropy in closed form and as a small-scale minimization oracle
-(solved by the numpy L-BFGS ``minimize``), basis-dependent discord, mutual
+(a convex search over the QI Gibbs states, whose gradient is sigma - rho,
+solved by the numpy L-BFGS ``minimize``), basis-dependent discord, mutual
 information, coherence of assistance (in closed form where the diagonal
 has at most three nonzero entries, by the Grone-Pierce-Watkins rank bound
 on the extreme correlation matrices, and by gradient ascent above), and
@@ -13,6 +14,7 @@ function that uses it, so that ``import coherlab`` never loads scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -130,7 +132,8 @@ def _finalize(value: float, what: str) -> float:
 @dataclass(frozen=True)
 class MeasureReport:
     """A named scalar result together with the inputs that produced it and
-    how it was obtained ("closed-form" | "optimized" | "oracle")."""
+    how it was obtained ("closed-form" | "optimized").  The QI oracle makes
+    no report: it returns a bare float, an upper bound on the closed form."""
 
     name: str
     value: float
@@ -223,20 +226,25 @@ def qi_relative_entropy(rho: DensityMatrix, split: Bipartition) -> float:
     return float(_qi_relative_entropies(rho.mat[None], rho.spectrum[None], rho.dims, split)[0])
 
 
-# Floor on the eigenvalues of the oracle's sigma, so the objective stays
-# finite where a block is rank-deficient.
-ORACLE_EIG_FLOOR = 1e-12
+@functools.cache
+def _hermitian_basis(r: int) -> np.ndarray:
+    """The r^2 matrices E_aa, E_ab + E_ba and i(E_ab - E_ba) (a < b), a real
+    basis of the Hermitian (r, r) matrices, shape (r^2, r, r).  Built once
+    per r and read-only."""
+    eye = np.eye(r)
+    a, b = np.triu_indices(r, 1)
+    e_ab = eye[a, :, None] * eye[b, None, :]
+    basis = np.concatenate([eye[:, :, None] * eye, e_ab + e_ab.swapaxes(1, 2), 1j * (e_ab - e_ab.swapaxes(1, 2))])
+    basis.flags.writeable = False
+    return basis
+
+
 # Largest state the oracle accepts.
 ORACLE_MAX_DIM = 16
-# Value the objective gives a start whose value or gradient is not finite;
-# that start's gradient slice is zero.
-ORACLE_BAD_VALUE = 1e6
 # L-BFGS run of the oracle, with scipy's L-BFGS-B defaults: iteration cap,
-# curvature pairs kept, and the stops on the relative decrease of the value
-# and on max |gradient|.
+# curvature pairs kept, and the stop on max |gradient|.
 ORACLE_MAX_ITER = 200
 ORACLE_HISTORY = 10
-ORACLE_FTOL = 2.220446049250313e-09
 ORACLE_GTOL = 1e-5
 
 
@@ -247,7 +255,7 @@ class MinimizeResult(NamedTuple):
     nfev: int
 
 
-def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, ftol=ORACLE_FTOL, gtol=ORACLE_GTOL) -> MinimizeResult:
+def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, gtol=ORACLE_GTOL) -> MinimizeResult:
     """Unconstrained L-BFGS on ``fun(x, *args) -> (value, gradient)``.
 
     The direction comes from the two-loop recursion over the last
@@ -255,10 +263,9 @@ def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, ftol=ORACLE_FTOL, gtol=O
     scaled by s.y / y.y of the newest pair; a pair with s.y <= 1e-10 y.y is
     not kept.  Each step starts at length 1 (1 / max|g| on the first) and
     is halved until the Armijo condition f(x + t d) <= f(x) + 1e-4 t g.d
-    holds.  Stops once max|g| <= ``gtol``, once a step Armijo did not halve
-    lowers the value by at most ``ftol`` relative to max(|f|, |f_new|, 1),
-    after ``maxiter`` iterations, or when no step lowers the value.  The
-    value never rises above fun(x0)."""
+    holds, which a value that is not finite never meets.  Stops once
+    max|g| <= ``gtol``, after ``maxiter`` iterations, or when no step
+    lowers the value.  The value never rises above fun(x0)."""
     x = np.array(x0, dtype=float)
     f, g = fun(x, *args)
     nit, nfev, pairs = 0, 1, []
@@ -288,74 +295,52 @@ def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, ftol=ORACLE_FTOL, gtol=O
         if s @ y > 1e-10 * (y @ y):
             pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-ORACLE_HISTORY:]
         nit += 1
-        done = step == 1.0 and f - f_new <= ftol * max(abs(f), abs(f_new), 1.0)
         x, f, g = x_new, f_new, g_new
-        if done:
-            break
     return MinimizeResult(x, f, nit, nfev)
 
 
-def _qi_oracle_values(x: np.ndarray, rho_blocks: np.ndarray, neg_entropy: float) -> tuple[np.ndarray, tuple]:
-    """S(rho||sigma_s) in bits for each start s, for the QI states
-    sigma_s = sum_j p_j G_j / tr(G_j) (x) |j><j| on (A, B) block order.
+def _qi_oracle_values(x: np.ndarray, c: np.ndarray, neg_entropy: float,
+                      basis: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """S(rho||sigma_s) in bits for each start s, for the QI Gibbs states
+    sigma_s = sum_j exp(H_j) (x) |j><j| / Z, Z = sum_k Tr exp(H_k), on
+    (A, B) block order.
 
-    x holds the starts' parameter vectors back to back.  Per start,
-    p = softmax of its first db entries; G_j = g_j g_j^dagger, with g_j read
-    from the rest as da*da real parts followed by da*da imaginary parts, per
-    B label j.  rho_blocks[j] is rho's A-block for B label j and neg_entropy
-    is -S(rho).  sigma's eigenvalues are floored at ORACLE_EIG_FLOOR.
+    x holds the starts' coordinates back to back: per start and B label j,
+    H_j = sum_k x_jk E_k, with E_k the rows of ``basis``, the
+    (da^2, da^2) flattened ``_hermitian_basis(da)``.  c[j, k] = Tr[rho_j E_k]
+    holds the coordinates of rho's A-block rho_j, and neg_entropy is
+    -S(rho).  Since Tr[rho log sigma] = x.c - log Z, the value is
+    -S(rho) - (x.c - log Z) / ln 2, with log Z taken after shifting by the
+    largest eigenvalue, so every finite x has a finite value.
 
-    Returns the values, shape (starts,), and the pieces of each sigma_s
-    that ``_qi_oracle_objective`` differentiates."""
-    db, da, _ = rho_blocks.shape
-    x = x.reshape(-1, db + 2 * db * da * da)
-    logits = x[:, :db] - x[:, :db].max(axis=1, keepdims=True)
-    p = np.exp(logits)
-    p /= p.sum(axis=1, keepdims=True)
-    raw = x[:, db:].reshape(-1, db, 2, da, da)
-    g = raw[:, :, 0] + 1j * raw[:, :, 1]
-    b, vecs = np.linalg.eigh(g @ g.conj().swapaxes(-1, -2))
-    t = b.sum(axis=-1)
-    scale = np.divide(p, t, out=np.zeros_like(p), where=t > 0.0)  # an all-zero g_j gives sigma_j = 0
-    s = scale[..., None] * b
-    s_floor = np.maximum(s, ORACLE_EIG_FLOOR)
-    rho_rot = vecs.conj().swapaxes(-1, -2) @ rho_blocks @ vecs
-    values = neg_entropy - (np.diagonal(rho_rot, axis1=-2, axis2=-1).real * np.log2(s_floor)).sum(axis=(1, 2))
-    return values, (p, g, b, vecs, t, scale, s, s_floor, rho_rot)
+    Returns the values, shape (starts,), and each sigma_j's eigenvectors
+    and eigenvalues, shapes (starts, db, da, da) and (starts, db, da)."""
+    db, n = c.shape
+    da = math.isqrt(n)
+    x = x.reshape(-1, db * n)
+    w, vecs = np.linalg.eigh((x.reshape(-1, db, n) @ basis).reshape(-1, db, da, da))
+    shift = w.max(axis=(1, 2))
+    weights = np.exp(w - shift[:, None, None])
+    z = weights.sum(axis=(1, 2))
+    values = neg_entropy - (x @ c.ravel() - shift - np.log(z)) / math.log(2.0)
+    return values, (vecs, weights / z[:, None, None])
 
 
-def _qi_oracle_objective(x: np.ndarray, rho_blocks: np.ndarray, neg_entropy: float) -> tuple[float, np.ndarray]:
+def _qi_oracle_objective(x: np.ndarray, c: np.ndarray, neg_entropy: float,
+                         basis: np.ndarray) -> tuple[float, np.ndarray]:
     """The sum over starts of S(rho||sigma_s) (see ``_qi_oracle_values``)
     and its gradient in x.  The sum is separable, so its gradient is the
-    starts' own gradients back to back.  A start whose value or gradient is
-    not finite contributes ORACLE_BAD_VALUE and a zero gradient slice.
+    starts' own gradients back to back.
 
-    sigma is block diagonal, so Tr[rho log2 sigma] = sum_j Tr[rho_j f(sigma_j)]
-    with f = log2 of the floored eigenvalues.  Its derivative is
-    Tr[Gamma_j d sigma_j], Gamma_j = V (L o V^dagger rho_j V) V^dagger, where
-    V diagonalizes sigma_j and L holds the first divided differences of f at
-    its eigenvalues (Daleckii-Krein)."""
-    values, (p, g, b, vecs, t, scale, s, s_floor, rho_rot) = _qi_oracle_values(x, rho_blocks, neg_entropy)
-    da = rho_blocks.shape[1]
-    # Divided differences (f(s_k) - f(s_l)) / (s_k - s_l), and f'(s_k) where s_k = s_l.
-    num = np.log1p((s_floor[..., :, None] - s_floor[..., None, :]) / s_floor[..., None, :]) / math.log(2.0)
-    gap = s[..., :, None] - s[..., None, :]
-    deriv = np.where(s > ORACLE_EIG_FLOOR, 1.0 / (s_floor * math.log(2.0)), 0.0)
-    dd = np.divide(num, gap, out=np.repeat(deriv[..., None], da, axis=-1), where=gap != 0.0)
-    gamma_rot = dd * rho_rot
-    # a_j = Tr[Gamma_j G_j] / t_j is the derivative of block j's term in p_j.
-    a = np.divide(np.einsum("sjkk,sjk->sj", gamma_rot, b).real, t, out=np.zeros_like(t), where=t > 0.0)
-    gamma = vecs @ gamma_rot @ vecs.conj().swapaxes(-1, -2)
-    gamma -= a[..., None, None] * np.eye(da)
-    grad_g = 2.0 * scale[..., None, None] * (gamma @ g)
-    grad = np.concatenate([
-        -p * (a - (p * a).sum(axis=1, keepdims=True)),
-        -np.stack([grad_g.real, grad_g.imag], axis=2).reshape(len(values), -1),
-    ], axis=1)
-    bad = ~(np.isfinite(values) & np.isfinite(grad).all(axis=1))
-    values[bad] = ORACLE_BAD_VALUE
-    grad[bad] = 0.0
-    return float(values.sum()), grad.ravel()
+    Each term is -S(rho) + (log Z - x.c) / ln 2: x.c is linear, and
+    log Z = log sum_j Tr exp(H_j) is convex in the H_j, so the sum is
+    convex in x.  The derivative of log Z in x_jk is Tr[sigma_j E_k], so
+    the gradient is (Tr[sigma_j E_k] - c[j, k]) / ln 2, the coordinates of
+    sigma - rho."""
+    values, (vecs, p) = _qi_oracle_values(x, c, neg_entropy, basis)
+    sigma = (vecs * p[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    coords = (sigma.reshape(-1, *c.shape) @ basis.conj().T).real
+    return float(values.sum()), ((coords - c) / math.log(2.0)).ravel()
 
 
 def qi_relative_entropy_oracle(
@@ -364,27 +349,29 @@ def qi_relative_entropy_oracle(
     starts: int = 32,
     seed: int = 0,
 ) -> float:
-    """Desk-scale check of the closed form: minimize S(rho||sigma) over a
-    parameterized family of quantum-incoherent sigma from ``starts`` random
-    starts, drawn from ``default_rng(seed)``.  The starts are solved as one
-    stacked problem, by a single numpy L-BFGS run (``minimize``) on the sum
-    of their values with the analytic gradient of ``_qi_oracle_objective``,
-    and the result is the smallest start's value at the end of that run, an
-    upper bound on the closed form.  Only intended to validate
-    ``qi_relative_entropy``."""
+    """Desk-scale check of the closed form: minimize S(rho||sigma) over the
+    quantum-incoherent Gibbs states of ``_qi_oracle_values`` from
+    ``starts`` random starts, drawn from ``default_rng(seed)``.  The starts
+    are solved as one stacked problem, by a single numpy L-BFGS run
+    (``minimize``) on the sum of their values with the gradient sigma - rho
+    of ``_qi_oracle_objective``.  That sum is convex, so every start heads
+    for the same minimum, and the result is the smallest start's value at
+    the end of the run, an upper bound on the closed form.  Only intended to
+    validate ``qi_relative_entropy``."""
     split.validate(rho.n_subsystems)
     if rho.dim > ORACLE_MAX_DIM:
         raise DimensionTooLargeError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {rho.dim}")
     # rho's A-block for each B label, both sides' labels in the split's order
     rows = _basis_rows(rho.dims, split.b, split.a)
-    rho_blocks = rho.mat[rows[:, :, None], rows[:, None, :]]
     db, da = rows.shape
+    basis = _hermitian_basis(da).reshape(da * da, da * da)
+    c = (rho.mat[rows[:, :, None], rows[:, None, :]].reshape(db, da * da) @ basis.conj().T).real
     # S(rho||sigma) = -S(rho) - Tr[rho log2 sigma]; only the second term
     # depends on sigma.
     neg_entropy = -von_neumann_entropy(rho)
-    x0 = np.random.default_rng(seed).standard_normal((max(1, starts), db + db * 2 * da * da))
-    res = minimize(_qi_oracle_objective, x0.ravel(), args=(rho_blocks, neg_entropy))
-    return float(_qi_oracle_values(res.x, rho_blocks, neg_entropy)[0].min())
+    x0 = np.random.default_rng(seed).standard_normal((max(1, starts), db * da * da))
+    res = minimize(_qi_oracle_objective, x0.ravel(), args=(c, neg_entropy, basis))
+    return float(_qi_oracle_values(res.x, c, neg_entropy, basis)[0].min())
 
 
 def _marginals(rho: DensityMatrix, split: Bipartition) -> tuple[DensityMatrix, DensityMatrix]:
@@ -492,18 +479,6 @@ def _qubit_assistance(rho: DensityMatrix) -> list[tuple[float, PureState]]:
     return ensemble
 
 
-def _hermitian_basis(r: int) -> np.ndarray:
-    """The r^2 matrices E_aa, E_ab + E_ba and i(E_ab - E_ba) (a < b), a real
-    basis of the Hermitian (r, r) matrices, shape (r^2, r, r)."""
-    eye = np.eye(r)
-    a, b = np.triu_indices(r, 1)
-    e_ab = eye[a, :, None] * eye[b, None, :]
-    return np.concatenate([eye[:, :, None] * eye, e_ab + e_ab.swapaxes(1, 2), 1j * (e_ab - e_ab.swapaxes(1, 2))])
-
-
-_HERMITIAN_BASES = {r: _hermitian_basis(r) for r in (2, 3)}
-
-
 def _face_directions(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a unit Hermitian (r, r)
     N with diag(F N F^dagger) = 0, per factor F of a (k, n, r) stack with
@@ -512,11 +487,11 @@ def _face_directions(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     F (I + tN) F^dagger keeps the diagonal of F F^dagger for every t: N
     points along the face of the states with that diagonal.  N is the last
     right-singular vector of the real linear map from its coordinates in
-    ``_HERMITIAN_BASES[r]`` to that diagonal, n rows against r^2 >= 4
+    ``_hermitian_basis(r)`` to that diagonal, n rows against r^2 >= 4
     unknowns, so an exact null vector exists.  Its eigenvalues straddle 0:
     a definite N would give f_i N f_i^dagger != 0 on a nonzero row f_i of
     F, and a multiple of the identity would give diag(F F^dagger) = 0."""
-    basis = _HERMITIAN_BASES[f.shape[-1]]
+    basis = _hermitian_basis(f.shape[-1])
     rows = np.einsum("kia,mab,kib->kim", f, basis, f.conj()).real
     null = np.linalg.svd(rows)[2][:, -1]
     return np.linalg.eigh(np.einsum("km,mab->kab", null, basis))

@@ -16,7 +16,6 @@ from coherlab.linalg import (
 from coherlab.measures import (
     Bipartition,
     MeasureReport,
-    ORACLE_BAD_VALUE,
     ORACLE_MAX_ITER,
     basis_dependent_discord,
     binary_entropy,
@@ -28,6 +27,7 @@ from coherlab.measures import (
     qi_relative_entropy,
     qi_relative_entropy_oracle,
     _assistance_objective,
+    _hermitian_basis,
     _qi_oracle_objective,
     _qi_oracle_values,
 )
@@ -334,8 +334,9 @@ def test_oracle_agreement_band_at_every_rank(dims):
 
 
 def test_oracle_reads_the_a_blocks_in_the_split_order(monkeypatch):
-    # against permuting rho to (A, B) order and reading its B-diagonal
-    # blocks; S(rho) is the unpermuted state's
+    # against permuting rho to (A, B) order, reading its B-diagonal blocks
+    # and taking their coordinates Tr[rho_j E_k]; S(rho) is the unpermuted
+    # state's
     from coherlab.linalg import permute_subsystems
 
     seen = []
@@ -348,18 +349,19 @@ def test_oracle_reads_the_a_blocks_in_the_split_order(monkeypatch):
     monkeypatch.setattr(measures, "minimize", recorded_minimize)
     rho = random_density((2, 3, 2), 5, 17)
     qi_relative_entropy_oracle(rho, Bipartition((2, 0), (1,)), starts=2, seed=0)
-    (rho_blocks, neg_entropy), = seen
+    (c, neg_entropy, basis), = seen
     permuted = permute_subsystems(rho, (2, 0, 1))
     reference = np.einsum("ajbj->jab", permuted.mat.reshape(4, 3, 4, 3))
-    assert rho_blocks.shape == (3, 4, 4)
-    assert rho_blocks.tobytes() == np.ascontiguousarray(reference).tobytes()
+    assert c.shape == (3, 16)
+    assert np.array_equal(c, block_coordinates(reference))
+    assert np.array_equal(basis, _hermitian_basis(4).reshape(16, 16))
     assert neg_entropy == -von_neumann_entropy(rho)
 
 
 def test_oracle_does_not_stop_after_a_halved_step():
-    # on this rank-1 state the last step of the solve was halved four times
-    # and lowered the value by less than ftol; stopping there left the
-    # oracle 3.3e-6 above the closed form
+    # on this rank-1 state the minimum lies at infinity; a stop on a small
+    # relative decrease of the value ended the search 9.97e-9 above the
+    # closed form, and the stop on the gradient alone ends it 2.8e-10 above
     rho = random_density((2, 3), 1, 772680123)
     oracle = qi_relative_entropy_oracle(rho, AB, starts=32, seed=445)
     assert -1e-4 <= oracle - qi_relative_entropy(rho, AB) <= 1e-8
@@ -371,38 +373,102 @@ def central_difference_gradient(f, x, h=1e-6):
     return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
 
 
+def block_coordinates(blocks):
+    """Tr[rho_j E_k] for each (da, da) block rho_j and each matrix E_k of
+    the Hermitian basis, shape (db, da^2)."""
+    da = blocks.shape[-1]
+    return np.einsum("jab,kba->jk", blocks, _hermitian_basis(da)).real
+
+
 def oracle_inputs(rho, da, db):
-    """rho's A-blocks per B label and -S(rho), as the oracle passes them."""
-    return np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db)), -von_neumann_entropy(rho)
+    """The coordinates of rho's A-blocks per B label, -S(rho) and the
+    flattened Hermitian basis, as the oracle passes them."""
+    blocks = np.einsum("ajbj->jab", rho.mat.reshape(da, db, da, db))
+    return block_coordinates(blocks), -von_neumann_entropy(rho), _hermitian_basis(da).reshape(da * da, da * da)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
 def test_oracle_gradient_matches_central_differences(dims):
     """The stacked objective's gradient matches central differences of the
     summed value, and each start's slice is that start's gradient alone.
-    The middle start has an all-zero g_1, so sigma_1 = 0."""
+    The middle start has entries of +-30, so its H_j have eigenvalues of
+    +-50 to +-100: sigma is nearly pure, and log Z is mostly the shift by
+    the largest eigenvalue."""
     da, db = dims
-    n_params = db + 2 * db * da * da
+    n_params = db * da * da
     rng = np.random.default_rng(11)
     for rank in (da * db, 2):
         rho = random_density(dims, rank, int(rng.integers(2**31)))
-        blocks, neg_entropy = oracle_inputs(rho, da, db)
+        args = oracle_inputs(rho, da, db)
         for _ in range(3):
             x = rng.standard_normal((3, n_params))
-            x[1, db + 2 * da * da:db + 4 * da * da] = 0.0  # g_1 of the middle start
-            _, grad = _qi_oracle_objective(x.ravel(), blocks, neg_entropy)
-            numeric = central_difference_gradient(
-                lambda y: _qi_oracle_objective(y, blocks, neg_entropy)[0], x.ravel())
+            x[1] = 30.0 * np.sign(x[1])
+            _, grad = _qi_oracle_objective(x.ravel(), *args)
+            numeric = central_difference_gradient(lambda y: _qi_oracle_objective(y, *args)[0], x.ravel())
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
             for start, grad_start in zip(x, grad.reshape(3, n_params)):
-                assert np.array_equal(grad_start, _qi_oracle_objective(start, blocks, neg_entropy)[1])
+                assert np.array_equal(grad_start, _qi_oracle_objective(start, *args)[1])
+
+
+def test_oracle_objective_is_finite_at_large_coordinates():
+    """Entries of +-1e3 put the H_j's eigenvalues in the thousands, where
+    exp overflows without the shift: the value and the gradient stay
+    finite, and each start's value and gradient slice are that start's
+    alone."""
+    da, db = 2, 2
+    n_params = db * da * da
+    args = oracle_inputs(random_density((da, db), 3, 2), da, db)
+    x = np.random.default_rng(3).standard_normal((3, n_params))
+    x[1] = 1e3 * np.sign(x[1])
+    values = _qi_oracle_values(x.ravel(), *args)[0]
+    value, grad = _qi_oracle_objective(x.ravel(), *args)
+    assert np.isfinite(values).all() and np.isfinite(value) and np.isfinite(grad).all()
+    grad = grad.reshape(3, n_params)
+    for s in range(3):
+        assert values[s] == _qi_oracle_values(x[s], *args)[0][0]
+        assert np.array_equal(grad[s], _qi_oracle_objective(x[s], *args)[1])
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_oracle_objective_is_convex(dims):
+    """On random segments [a, b] of coordinates, f((a + b) / 2) is at most
+    (f(a) + f(b)) / 2: log Z is a log-sum-exp of the H_j's eigenvalues and
+    x.c is linear."""
+    da, db = dims
+    rng = np.random.default_rng(21)
+    for rank in (1, 2, da * db):
+        args = oracle_inputs(random_density(dims, rank, int(rng.integers(2**31))), da, db)
+        for scale in (0.1, 1.0, 10.0):
+            a, b = scale * rng.standard_normal((2, 16, db * da * da))
+            f_a, f_b, f_mid = (_qi_oracle_values(x.ravel(), *args)[0] for x in (a, b, (a + b) / 2.0))
+            assert (f_mid <= (f_a + f_b) / 2.0 + 1e-12).all()
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_oracle_converges_from_every_start(monkeypatch, dims):
+    """The summed objective is convex, so on a full-rank state, where the
+    minimum is attained, every start ends at the closed form, not only the
+    best one."""
+    ends = []
+    solver = measures.minimize
+
+    def recording_minimize(fun, x0, args=(), **kwargs):
+        res = solver(fun, x0, args, **kwargs)
+        ends.append(_qi_oracle_values(res.x, *args)[0])
+        return res
+
+    monkeypatch.setattr(measures, "minimize", recording_minimize)
+    for seed in range(10):
+        rho = random_density(dims, dims[0] * dims[1], seed)
+        qi_relative_entropy_oracle(rho, AB, starts=8, seed=seed)
+        assert np.abs(ends[-1] - qi_relative_entropy(rho, AB)).max() <= 1e-7
 
 
 @pytest.mark.parametrize("starts", [1, 8, 32])
 def test_oracle_solves_its_starts_in_one_minimize_call(monkeypatch, starts):
     """One L-BFGS run per oracle call, from the starts drawn one after
-    another from default_rng(seed), and the result is the best start's
-    value where that run ends."""
+    another from default_rng(seed), db * da^2 coordinates each, and the
+    result is the best start's value where that run ends."""
     runs = []
     solver = measures.minimize
 
@@ -418,10 +484,9 @@ def test_oracle_solves_its_starts_in_one_minimize_call(monkeypatch, starts):
     assert len(runs) == 1
     x0, x_end = runs[0]
     rng = np.random.default_rng(9)
-    n_params = db + 2 * db * da * da
+    n_params = db * da * da
     assert np.array_equal(x0, np.concatenate([rng.standard_normal(n_params) for _ in range(starts)]))
-    blocks, neg_entropy = oracle_inputs(rho, da, db)
-    assert value == _qi_oracle_values(x_end, blocks, neg_entropy)[0].min()
+    assert value == _qi_oracle_values(x_end, *oracle_inputs(rho, da, db))[0].min()
 
 
 def random_quadratic(n, seed):
@@ -443,7 +508,7 @@ def random_quadratic(n, seed):
 def test_minimize_reaches_the_minimizer_of_a_convex_quadratic(n):
     for seed in range(5):
         fun, m = random_quadratic(n, seed)
-        res = measures.minimize(fun, np.zeros(n), ftol=0.0, gtol=1e-10)
+        res = measures.minimize(fun, np.zeros(n), gtol=1e-10)
         assert np.abs(res.x - m).max() <= 1e-8
         assert res.fun == fun(res.x)[0]
 
@@ -456,34 +521,13 @@ def test_minimize_respects_maxiter_and_never_rises_above_the_start():
         assert res.nit <= maxiter
         assert res.fun <= fun(x0)[0]
     da, db = 3, 2
-    rho = random_density((da, db), 2, 6)
-    blocks, neg_entropy = oracle_inputs(rho, da, db)
+    args = oracle_inputs(random_density((da, db), 2, 6), da, db)
     for seed in range(10):
-        x0 = np.random.default_rng(seed).standard_normal(8 * (db + 2 * db * da * da))
-        res = measures.minimize(_qi_oracle_objective, x0, args=(blocks, neg_entropy))
+        x0 = np.random.default_rng(seed).standard_normal(8 * db * da * da)
+        res = measures.minimize(_qi_oracle_objective, x0, args=args)
         assert res.nit <= ORACLE_MAX_ITER
         assert res.nfev >= res.nit + 1
-        assert res.fun <= _qi_oracle_objective(x0, blocks, neg_entropy)[0]
-
-
-def test_oracle_guard_is_per_start():
-    """A start whose value is not finite adds ORACLE_BAD_VALUE and a zero
-    gradient slice; the other starts keep their values and gradients."""
-    da, db = 2, 2
-    n_params = db + 2 * db * da * da
-    rho = random_density((da, db), 3, 2)
-    blocks, neg_entropy = oracle_inputs(rho, da, db)
-    x = np.random.default_rng(3).standard_normal((3, n_params))
-    x[1, db:] = 1e200  # G_j = g_j g_j^dagger overflows
-    with np.errstate(all="ignore"):
-        assert not np.isfinite(_qi_oracle_values(x[1], blocks, neg_entropy)[0]).any()
-        value, grad = _qi_oracle_objective(x.ravel(), blocks, neg_entropy)
-    alone = [_qi_oracle_objective(x[s], blocks, neg_entropy) for s in (0, 2)]
-    assert value == pytest.approx(alone[0][0] + ORACLE_BAD_VALUE + alone[1][0], rel=1e-15)
-    grad = grad.reshape(3, n_params)
-    assert np.array_equal(grad[0], alone[0][1])
-    assert not grad[1].any()
-    assert np.array_equal(grad[2], alone[1][1])
+        assert res.fun <= _qi_oracle_objective(x0, *args)[0]
 
 
 # ---------------------------------------------------------------------------
