@@ -37,7 +37,6 @@ from . import measures as ms
 from . import protocols as pr
 from . import states as st
 from .linalg import (
-    _density_matrices,
     _density_stack,
     _entropies,
     _partial_traces,
@@ -235,13 +234,12 @@ def _bracket_excesses(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ..
 def chain_trial(rngs: Generators) -> np.ndarray:
     """How far the coherence of assistance (budget 2) of a rank-2 qubit
     state leaves the bracket [c_r(rho), S(dephase(rho))] (<= 0 inside it):
-    the states are validated and the bracket ends computed as stacks, and
-    ``coherence_of_assistance`` runs on each state."""
+    the states are validated, and the values and bracket ends computed, as
+    stacks; each state's solver seed is drawn from its own generator."""
     draws = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
     mats = st._random_density_mats((2,), 2, [seed for seed, _ in draws])
     spectra = _density_stack(mats, (2,))
-    values = [ms.coherence_of_assistance(rho, budget=2, seed=int(seed))[0]
-              for rho, (_, seed) in zip(_density_matrices(mats, spectra, (2,)), draws)]
+    values = ms._assistances(mats, spectra, (2,), 2, [int(seed) for _, seed in draws])[0]
     return _bracket_excesses(mats, spectra, (2,), values)
 
 

@@ -322,7 +322,7 @@ def measure(measure_name, state_path, builtin, split_spec, seed, budget, out_pat
         elif measure_name == "entropy":
             value = von_neumann_entropy(state)
         else:
-            value, _, method = ms._assistance(state, budget, seed)
+            (value,), _, (method,) = ms._assistances(state.mat[None], state.spectrum[None], state.dims, budget, [seed])
             inputs["seed"] = seed
             inputs["budget"] = budget
         report = ms.MeasureReport(measure_name, value, inputs, method)

@@ -4,12 +4,14 @@ Dephasing maps, relative entropy of coherence, the quantum-incoherent (QI)
 relative entropy in closed form and as a small-scale minimization oracle
 (a convex search over the QI Gibbs states, whose gradient is sigma - rho,
 solved by the numpy L-BFGS ``minimize``), basis-dependent discord, mutual
-information, coherence of assistance (in closed form where the diagonal
-has at most three nonzero entries, by the Grone-Pierce-Watkins rank bound
-on the extreme correlation matrices, and by gradient ascent above), and
-the trace-distance continuity bound.  All values are in bits.  The module
-needs numpy only: a solver that needs scipy must import it inside the
-function that uses it, so that ``import coherlab`` never loads scipy.
+information, coherence of assistance on stacks of states (in closed form
+where the diagonal has at most three nonzero entries, qubits included, by
+one face walk per support size that the Grone-Pierce-Watkins rank bound
+on the extreme correlation matrices justifies, and by gradient ascent
+above), and the trace-distance continuity bound.  All values are in bits.
+The module needs numpy only: a solver that needs scipy must import it
+inside the function that uses it, so that ``import coherlab`` never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -35,6 +38,7 @@ from .linalg import (
     von_neumann_entropy,
     _basis_rows,
     _entropies,
+    _indexed,
     _pure_stack,
     _unchecked,
     _validate_subsystems,
@@ -458,27 +462,6 @@ def _assistance_ascent(w_mat: np.ndarray, v: np.ndarray, target: float) -> tuple
     return value, v
 
 
-def _qubit_assistance(rho: DensityMatrix) -> list[tuple[float, PureState]]:
-    """The two-member ensemble of a mixed qubit whose members both have
-    diagonal diag(rho), so its average coherence is S(dephase(rho)).
-
-    A pure state with diagonal (p0, p1) has off-diagonal sqrt(p0 p1) u for a
-    phase u.  The members' off-diagonals c +- i (c/|c|) sqrt(p0 p1 - |c|^2)
-    average to rho's off-diagonal c; on the Bloch sphere they are the ends
-    of the chord through rho perpendicular to its radius, on the circle at
-    rho's height."""
-    p0, p1 = rho.mat[0, 0].real, rho.mat[1, 1].real
-    c = rho.mat[0, 1]
-    norm = math.sqrt(p0 * p1)
-    g = min(abs(c) / norm, 1.0)
-    direction = c / abs(c) if c != 0 else 1.0
-    ensemble = []
-    for sign in (1.0, -1.0):
-        u = direction * complex(g, sign * math.sqrt(1.0 - g * g))
-        ensemble.append((0.5, PureState(np.array([math.sqrt(p0), math.sqrt(p1) * np.conj(u)]), rho.dims)))
-    return ensemble
-
-
 def _face_directions(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a unit Hermitian (r, r)
     N with diag(F N F^dagger) = 0, per factor F of a (k, n, r) stack with
@@ -498,9 +481,10 @@ def _face_directions(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _face_walk(f: np.ndarray) -> np.ndarray:
-    """Rows phi_j, at most four, with sum_j phi_j phi_j^dagger = F F^dagger
-    and |phi_ji|^2 proportional to (F F^dagger)_ii, for the (n, n) factor F
-    of a state of n <= 3 levels, each with a positive diagonal entry.
+    """Rows phi_j, (k, 4, n) for n = 3, (k, 2, n) for n = 2 and F for n = 1,
+    with sum_j phi_j phi_j^dagger = F F^dagger and |phi_ji|^2 proportional
+    to (F F^dagger)_ii, for each (n, n) factor F of a (k, n, n) stack of
+    states of n <= 3 levels, each with a positive diagonal entry.
 
     Each step splits every node of a level, as one stack, with the
     eigenvalues nu (span nu_max - nu_min > 0) and eigenvectors w of its
@@ -516,8 +500,8 @@ def _face_walk(f: np.ndarray) -> np.ndarray:
       F F^dagger.  diag(F N F^dagger) = 0 reads
       nu_1 |(F w_1)_i|^2 + nu_2 |(F w_2)_i|^2 = 0, so each member's moduli
       are proportional to the square roots of F F^dagger's diagonal."""
-    f = f[None]
-    if f.shape[-1] == 3:
+    k, n = f.shape[:2]
+    if n == 3:
         nu, w = _face_directions(f)
         g = f @ w
         span = nu[:, 2:] - nu[:, :1]
@@ -525,102 +509,120 @@ def _face_walk(f: np.ndarray) -> np.ndarray:
                             g[:, :, :2] * np.sqrt((nu[:, 2:] - nu[:, :2]) / span)[:, None]])
     if f.shape[-1] == 2:
         f = f @ _face_directions(f)[1]
-    return f.swapaxes(1, 2).reshape(-1, f.shape[1])
+    # every F+, then every F- for n = 3: each state's members, F+'s first
+    return f.reshape(-1, k, n, f.shape[-1]).transpose(1, 0, 3, 2).reshape(k, -1, n)
 
 
-def _walk_assistance(rho: DensityMatrix, support: np.ndarray, f: np.ndarray) -> list[tuple[float, PureState]]:
-    """An ensemble of at most four members, every one with diagonal
-    diag(rho), so its average coherence is S(dephase(rho)), for a mixed rho
-    whose nonzero diagonal entries, at most three, sit at ``support``; f is
-    a square factor of rho's block on ``support``.
-
-    The members are sqrt(diag rho) times the phases of ``_face_walk``'s
-    rows, with the rows' squared norms as weights; they are validated as
-    one stack.  The ensemble's average must be rho within
-    ASSIST_RESIDUAL_TOL, or InternalConsistencyError is raised."""
-    phi = _face_walk(f)
-    weights = np.einsum("ji,ji->j", phi, phi.conj()).real
-    keep = weights > 0.0
-    phi, weights = phi[keep], weights[keep]
-    modulus = np.abs(phi)
-    psi = np.zeros((len(phi), rho.dim), dtype=complex)
-    psi[:, support] = np.sqrt(rho.mat.diagonal().real[support]) * np.divide(
-        phi, modulus, out=np.ones_like(phi), where=modulus > 0.0)
-    residual = float(np.abs((weights[:, None] * psi).T @ psi.conj() - rho.mat).max())
-    if not residual <= ASSIST_RESIDUAL_TOL:
-        raise InternalConsistencyError(
-            f"assistance ensemble misses rho by {residual:.3e} > {ASSIST_RESIDUAL_TOL:.0e}")
-    _pure_stack(psi, rho.dims)
-    psi.flags.writeable = False
-    return [(p, _unchecked(PureState, vec=vec, dims=rho.dims)) for p, vec in zip(weights.tolist(), psi)]
-
-
-def coherence_of_assistance(
-    rho: DensityMatrix,
-    budget: int = 64,
-    seed: int = 0,
-) -> tuple[float, list[tuple[float, PureState]]]:
+def coherence_of_assistance(rho: DensityMatrix, budget: int = 64,
+                            seed: int = 0) -> tuple[float, list[tuple[float, PureState]]]:
     """Best average pure-state coherence over the decompositions of rho:
-    ``(value, ensemble)`` of ``_assistance``.  Exact, S(dephase(rho)), when
-    rho's diagonal has at most three nonzero entries (every qubit and
-    qutrit): the correlation matrices of order n <= 3 have rank-one
-    extreme points only (Grone, Pierce and Watkins, Linear Algebra Appl.
-    134, 63 (1990)).  Above that a lower bound from gradient ascent."""
-    value, ensemble, _ = _assistance(rho, budget, seed)
-    return value, ensemble
+    ``(value, ensemble)``, the one-state case of ``_assistances``.  Exact,
+    S(dephase(rho)), when rho's diagonal has at most three nonzero entries
+    (every qubit and qutrit); above that a lower bound from gradient ascent."""
+    values, ensembles, _ = _assistances(rho.mat[None], rho.spectrum[None], rho.dims, budget, [seed])
+    return values[0], ensembles[0]
 
 
-def _assistance(
-    rho: DensityMatrix,
-    budget: int,
-    seed: int,
-) -> tuple[float, list[tuple[float, PureState]], str]:
-    """Best average pure-state coherence over the decompositions of rho.
-
-    Returns ``(value, ensemble, method)`` where the ensemble averages back
-    to rho and the method says how the value was obtained: "closed-form"
-    where it is exact, "optimized" for the ascent.  Every decomposition's
-    average lies in [c_r(rho), S(dephase(rho))].
+def _assistances(mats: np.ndarray, spectra: np.ndarray, dims: tuple[int, ...], budget: int,
+                 seeds) -> tuple[list[float], list[list[tuple[float, PureState]]], list[str]]:
+    """``(values, ensembles, methods)`` of the best average pure-state
+    coherence over the decompositions of each state of a validated (k, d, d)
+    stack with spectra ``spectra``: each ensemble averages back to its
+    state, and each method is "closed-form" where the value is exact,
+    "optimized" for the ascent.  Every value lies in [c_r(rho),
+    S(dephase(rho))].  The stack takes one eigh; the states of one route
+    take their members' validation as one stack.
     - A pure state: its only decomposition, value c_r(rho).
-    - A qubit: S(dephase(rho)), from a two-member ensemble.
-    - At most three nonzero diagonal entries (every qutrit): S(dephase(rho)),
-      from the face walk's ensemble of at most four members, each with
-      diagonal diag(rho).  Such members exist because a complex correlation
-      matrix of order n has extreme points of rank r only for r^2 <= n
-      (Grone, Pierce and Watkins, Linear Algebra Appl. 134, 63 (1990)), so
-      for n <= 3 only rank one.
-    - Otherwise (d >= 4): gradient ascent over a measurement basis on a
-      purification ancilla (d^2 outcomes), a certified lower bound with
-      upper end S(dephase(rho)).  ``budget`` caps the restarts, the first
-      from the first r columns of the d^2-point DFT matrix (r the rank)
-      and the rest from random bases drawn from ``default_rng(seed)``;
-      they stop early once the value reaches the upper end.  Mixed states
-      above ASSIST_MAX_DIM dimensions raise ``DimensionTooLargeError``.
-    """
-    d = rho.dim
-    w, v = np.linalg.eigh(rho.mat)
-    w = np.clip(w.real, 0.0, None)
-    keep = w > 1e-14
-    lam, vecs = w[keep], v[:, keep]
-    r = lam.size
-    # Pure state: the only decomposition is the state itself.
-    if r <= 1:
-        psi = PureState(vecs[:, 0], rho.dims)
-        return c_r(rho), [(1.0, psi)], "closed-form"
-    upper = float(_dephased_entropy(rho.mat[None], rho.dims, range(rho.n_subsystems))[0])
-    if d == 2:
-        return upper, _qubit_assistance(rho), "closed-form"
-    support = np.flatnonzero(rho.mat.diagonal().real > 0.0)
-    if support.size <= 3:
-        # the top eigenpairs factor rho's block on the support: the others
-        # have eigenvalue 0
-        f = v[support, -support.size:] * np.sqrt(w[-support.size:])
-        return upper, _walk_assistance(rho, support, f), "closed-form"
-    if d > ASSIST_MAX_DIM:
-        raise DimensionTooLargeError(f"assistance search limited to dimension {ASSIST_MAX_DIM}, got {d}")
-    # Columns of W are the sub-normalized eigenbranch vectors; member j of
-    # the ensemble for the isometry V is sum_k V[j, k] W[:, k].
-    w_mat = vecs * np.sqrt(lam)
+    - At most three nonzero diagonal entries (every qubit and qutrit):
+      S(dephase(rho)), from one face walk per support size n.  Each member
+      is sqrt(diag rho) times the phases of a ``_face_walk`` row, weighted by
+      the row's squared norm, so it has diagonal diag(rho).  Such ensembles
+      exist as a complex correlation matrix of order n has extreme points of
+      rank r only for r^2 <= n (Grone, Pierce and Watkins, Linear Algebra
+      Appl. 134, 63 (1990)).  An ensemble must average back to its state
+      within ASSIST_RESIDUAL_TOL, or InternalConsistencyError names the
+      first state it misses.
+    - Otherwise (d >= 4): per state, gradient ascent over a measurement
+      basis on a purification ancilla (d^2 outcomes), a certified lower
+      bound with upper end S(dephase(rho)).  ``budget`` caps the restarts,
+      the first from the first r columns of the d^2-point DFT matrix (r the
+      rank), the rest from random bases drawn from ``default_rng(seeds[i])``;
+      they stop once the value reaches the upper end.  Mixed states above
+      ASSIST_MAX_DIM dimensions raise ``DimensionTooLargeError``."""
+    k, d = mats.shape[:2]
+    w, v = np.linalg.eigh(mats)
+    w = np.maximum(w, 0.0)
+    diag = mats.diagonal(axis1=1, axis2=2).real
+    # S(dephase(rho)), the Shannon entropy of the diagonal
+    values = _entropies(diag).tolist()
+    ensembles = [None] * k
+    # each state's support size, 0 for a pure state (no second eigenvalue
+    # above 1e-14): it picks the route
+    on = diag > 0.0
+    sizes = np.where(w[:, :-1].max(axis=1, initial=0.0) > 1e-14, on.sum(axis=1), 0)
+    for n in sorted(set(sizes.tolist())):
+        idx = np.flatnonzero(sizes == n)
+        sel = slice(None) if idx.size == k else idx
+        if n == 0:
+            # Pure state: the only decomposition is the state itself.
+            for i, value in zip(idx.tolist(), _coherences(mats[sel], spectra[sel], dims)):
+                values[i] = value
+            group = _ensembles(np.ones((idx.size, 1)), v[sel][:, :, -1][:, None], dims)
+        elif n <= 3:
+            # the top n eigenpairs factor each state's block on its support:
+            # the others have eigenvalue 0; a support of every level is
+            # sliced, a smaller one gathered
+            rows = on[sel]
+            f = v[sel] if n == d else v[sel][rows].reshape(-1, n, d)
+            phi = _face_walk(f[:, :, -n:] * np.sqrt(w[sel, None, -n:]))
+            p = np.einsum("kji,kji->kj", phi, phi.conj()).real
+            modulus = np.abs(phi)
+            # each member is sqrt(diag rho) times the phases of its row
+            phases = np.divide(phi, modulus, out=np.ones_like(phi), where=modulus > 0.0)
+            if n == d:
+                psi = np.sqrt(diag[sel])[:, None] * phases
+            else:
+                psi = np.zeros(phi.shape[:2] + (d,), dtype=complex)
+                psi.swapaxes(1, 2)[rows] = (np.sqrt(diag[sel][rows])[:, None]
+                                            * phases.swapaxes(1, 2).reshape(-1, phi.shape[1]))
+            residuals = np.abs((p[:, :, None] * psi).swapaxes(1, 2) @ psi.conj() - mats[sel]).max(axis=(1, 2))
+            for i, residual in zip(idx.tolist(), residuals.tolist()):
+                if not residual <= ASSIST_RESIDUAL_TOL:
+                    raise _indexed(InternalConsistencyError, "state", i, k,
+                                   f"assistance ensemble misses rho by {residual:.3e} > {ASSIST_RESIDUAL_TOL:.0e}")
+            group = _ensembles(p, psi, dims)
+        else:
+            if d > ASSIST_MAX_DIM:
+                raise DimensionTooLargeError(f"assistance search limited to dimension {ASSIST_MAX_DIM}, got {d}")
+            group = []
+            for i in idx.tolist():
+                keep = w[i] > 1e-14
+                values[i], p, psi = _assistance_search(v[i][:, keep] * np.sqrt(w[i][keep]), values[i],
+                                                       budget, seeds[i])
+                group += _ensembles(p[None], psi[None], dims)
+        for i, ensemble in zip(idx.tolist(), group):
+            ensembles[i] = ensemble
+    return values, ensembles, ["optimized" if n > 3 else "closed-form" for n in sizes.tolist()]
+
+
+def _ensembles(p: np.ndarray, psi: np.ndarray, dims: tuple[int, ...]) -> list[list[tuple[float, PureState]]]:
+    """The ensembles of a (k, m) stack of weights ``p`` and the (k, m, N)
+    stack ``psi`` of their members, each member of weight 0 left out; the
+    kept ones are validated as one stack and stored C-contiguous, read-only."""
+    keep = p > 0.0
+    psi = np.ascontiguousarray(psi)
+    _pure_stack(psi[keep], dims)
+    psi.flags.writeable = False
+    return [[(q, _unchecked(PureState, vec=vec, dims=dims)) for q, vec in compress(zip(qs, vecs), kept)]
+            for qs, vecs, kept in zip(p.tolist(), psi, keep.tolist())]
+
+
+def _assistance_search(w_mat: np.ndarray, upper: float, budget: int,
+                       seed: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """``(value, weights, members)`` of the best of ``budget`` restarts of
+    ``_assistance_ascent`` on the (d, r) eigenbranch vectors W: member j is
+    sum_k V[j, k] W[:, k], normalized, unless its weight is at most 1e-12."""
+    d, r = w_mat.shape
     m = d * d
     rng = np.random.default_rng(seed)
     best_val, best_v = -1.0, None
@@ -637,13 +639,10 @@ def _assistance(
             best_val, best_v = value, v_opt
         if best_val >= upper - ASSIST_GAP_TOL:
             break
-    phi = w_mat @ best_v.T
-    ensemble = []
-    for j in range(phi.shape[1]):
-        p = float(np.linalg.norm(phi[:, j]) ** 2)
-        if p > 1e-12:
-            ensemble.append((p, PureState(phi[:, j] / math.sqrt(p), rho.dims)))
-    return best_val, ensemble, "optimized"
+    phi = best_v @ w_mat.T
+    p = np.einsum("ji,ji->j", phi, phi.conj()).real
+    keep = p > 1e-12
+    return best_val, p[keep], phi[keep] / np.sqrt(p[keep])[:, None]
 
 
 def continuity_bound(rho: DensityMatrix, sigma: DensityMatrix, split: Bipartition | None = None) -> float:

@@ -217,9 +217,11 @@ def assisted_distill_pure(
     if not all(isinstance(st, PureState) and st.dims == (db,) for _, st in ensemble):
         raise DimensionMismatchError(f"ensemble members must be pure states on Bob's dims ({db},)")
     probs = np.array([p for p, _ in ensemble])
+    if not (np.isfinite(probs) & (probs >= 0.0)).all():
+        raise EnsembleMismatchError("ensemble weights must be finite and non-negative")
     members = np.array([st.vec for _, st in ensemble])
     gap = np.abs(np.einsum("i,ia,ib->ab", probs, members, members.conj()) - rho_b.mat).max()
-    if gap > 1e-8:
+    if not gap <= 1e-8:
         raise EnsembleMismatchError(
             f"ensemble average deviates from Bob's state by {gap:.3e} > 1e-8"
         )

@@ -665,8 +665,14 @@ def test_product_channel_json_is_golden(channel, name):
     (["protocol", "distill-pure", "--seed", "0"], "protocol_distill_pure_seed0.txt"),
     (["protocol", "distill-pure", "--builtin", "bell"], "protocol_distill_pure_bell.txt"),
     (["protocol", "distill-mc", "--builtin", "bell"], "protocol_distill_mc_bell.txt"),
+    # a mixed qubit: its value is S of the dephased state on every exact route
+    (["measure", "assistance", "--state", "tests/golden/qubit_rank2_seed0.json"],
+     "measure_assistance_qubit_rank2_seed0.txt"),
 ])
-def test_product_channel_commands_print_golden_bytes(runner, args, name):
+def test_product_channel_commands_print_golden_bytes(runner, monkeypatch, args, name):
+    # state files are named relative to the repository root, as the CI step
+    # runs them
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     result = runner.invoke(main, args)
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:

@@ -8,6 +8,7 @@ from coherlab.exceptions import BadSubsystemError, DimensionTooLargeError, Inter
 from coherlab.linalg import (
     DensityMatrix,
     PureState,
+    _density_stack,
     partial_trace,
     relative_entropy,
     trace_norm,
@@ -610,7 +611,7 @@ def _exact_assistance(rho):
     """The closed-form ensemble of rho, checked: the value is S(dephase(rho)),
     every member has diagonal diag(rho) and the members average to rho, all
     within 1e-12."""
-    value, ensemble, method = measures._assistance(rho, 1, 0)
+    (value,), (ensemble,), (method,) = measures._assistances(rho.mat[None], rho.spectrum[None], rho.dims, 1, [0])
     diag = np.diag(rho.mat).real
     assert method == "closed-form"
     assert abs(value - _shannon(diag)) <= 1e-12
@@ -668,14 +669,68 @@ def test_assistance_face_walk_checks_its_ensemble_against_rho():
     mat = np.diag([0.5, 0.5, 0.0]).astype(complex)
     mat[0, 2] = mat[2, 0] = 1e-5
     with pytest.raises(InternalConsistencyError, match="misses rho by 1.000e-05"):
-        measures._assistance(DensityMatrix(mat, (3,)), 1, 0)
+        coherence_of_assistance(DensityMatrix(mat, (3,)), budget=1)
+    # in a stack the check names the state it rejects
+    mats = np.stack([random_density((3,), 3, 0).mat, mat])
+    with pytest.raises(InternalConsistencyError, match=r"^state 1: assistance ensemble misses rho by 1\.000e-05"):
+        measures._assistances(mats, _density_stack(mats, (3,)), (3,), 1, [0, 0])
+
+
+def test_assistance_single_level_support_of_rank_two_is_closed_form():
+    # within the 1e-9 positivity tolerance a state with one nonzero diagonal
+    # entry can have rank 2; it takes the walk, value S(dephase(rho)) = 0 and
+    # the one member |0>, not c_r, whose S(rho) would leave it below -1e-9
+    mat = np.zeros((3, 3), dtype=complex)
+    mat[0, 0] = 1.0
+    mat[1, 2] = mat[2, 1] = 5e-10
+    value, ensemble = coherence_of_assistance(DensityMatrix(mat, (3,)), budget=1)
+    assert value == 0.0 and len(ensemble) == 1
+    assert np.abs(ensemble[0][1].vec - [1, 0, 0]).max() <= 1e-12
+
+
+def _support_02_qutrit():
+    """A rank-2 qutrit whose diagonal entry 1 is zero."""
+    mat = np.zeros((3, 3), dtype=complex)
+    mat[np.ix_([0, 2], [0, 2])] = random_density((2,), 2, 88).mat
+    return DensityMatrix(mat, (3,))
+
+
+# stacks of states, each stack on one dims: qubits; qutrits with supports of
+# two levels (two different supports) and of three; and a (2, 2) stack with
+# one face-walk state, one pure state and one state for the ascent
+ASSISTANCE_STACKS = {
+    "qubits": _qubit_cases,
+    "qutrit-supports": lambda: [FACE_WALK_EDGES["zero-diagonal-entry"](), _support_02_qutrit()]
+    + [random_density((3,), rank, 1000 * rank + seed) for rank in (2, 3) for seed in range(3)],
+    "2x2-routes": lambda: [_embedded_qutrit(), random_density((2, 2), 1, 3), random_density((2, 2), 4, 5)],
+}
+
+
+@pytest.mark.parametrize("make", ASSISTANCE_STACKS.values(), ids=ASSISTANCE_STACKS.keys())
+def test_assistance_stack_equals_one_state_calls(make):
+    # values, methods, weights and member bytes, bit for bit
+    rhos = make()
+    seeds = list(range(100, 100 + len(rhos)))
+    mats = np.stack([rho.mat for rho in rhos])
+    stacked = measures._assistances(mats, _density_stack(mats, rhos[0].dims), rhos[0].dims, 1, seeds)
+    for rho, seed, value, ensemble, method in zip(rhos, seeds, *stacked):
+        (single_value,), (single,), (single_method,) = measures._assistances(
+            rho.mat[None], rho.spectrum[None], rho.dims, 1, [seed])
+        assert np.array(value).tobytes() == np.array(single_value).tobytes()
+        assert method == single_method
+        assert np.array([p for p, _ in ensemble]).tobytes() == np.array([p for p, _ in single]).tobytes()
+        assert np.array([s.vec for _, s in ensemble]).tobytes() == np.array([s.vec for _, s in single]).tobytes()
+        if method == "closed-form" and np.linalg.matrix_rank(rho.mat, tol=1e-14) > 1:
+            _exact_assistance(rho)
+    assert stacked[2].count("optimized") == (1 if rhos[0].dims == (2, 2) else 0)
 
 
 def test_assistance_ascent_leaves_a_diagonal_state_at_its_upper_end():
     # on a diagonal state the eigen-ensemble start is a stationary point of
     # the ascent at value 0; the first restart must start elsewhere
     for diag, dims in (([0.25] * 4, (4,)), ([0.1, 0.2, 0.3, 0.4], (2, 2))):
-        value, _, method = measures._assistance(DensityMatrix(np.diag(diag), dims), 1, 0)
+        rho = DensityMatrix(np.diag(diag), dims)
+        (value,), _, (method,) = measures._assistances(rho.mat[None], rho.spectrum[None], dims, 1, [0])
         assert method == "optimized"
         assert abs(value - _shannon(diag)) <= 1e-12
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,19 @@ def test_distill_pure_rejects_wrong_ensemble():
     bad = _ensemble((1.0, [1, 0]))
     with pytest.raises(EnsembleMismatchError):
         assisted_distill_pure(bell, ensemble=bad)
+
+
+@pytest.mark.parametrize("pairs", [
+    # a nan weight fails every comparison, so a gap test "gap > tol" passes it
+    ((math.nan, [1, 0]), (0.5, [0, 1])),
+    # negative weights whose average still matches Bob's state
+    ((1.0, [1, 0]), (1.0, [0, 1]), (-0.5, [1, 0]), (-0.5, [0, 1])),
+], ids=["nan-weight", "negative-weights"])
+def test_distill_pure_rejects_bad_weights_before_any_arithmetic(pairs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnsembleMismatchError, match="finite and non-negative"):
+            assisted_distill_pure(bell_states()[0], ensemble=_ensemble(*pairs))
 
 
 def test_distill_pure_rejects_an_empty_ensemble():
