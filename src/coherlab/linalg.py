@@ -134,15 +134,24 @@ def _unchecked(cls: type, **fields):
     return obj
 
 
-def _density_stack(mats: np.ndarray, dims) -> np.ndarray:
+def _density_stack(mats: np.ndarray, dims, blocks=None, spectra=None) -> np.ndarray:
     """Validate an (n, N, N) stack of density matrices with subsystem dims
     ``dims`` and return their spectra, ascending, shape (n, N).
 
     The checks of ``DensityMatrix`` run on the whole stack, in this order:
-    finite entries, hermiticity, unit trace and positivity (one batched
-    eigvalsh).  A failure raises InvalidStateError with the message a
-    single state gets, prefixed, in a stack of more than one state, with
-    the index of the first state that fails that check."""
+    finite entries, hermiticity, unit trace and positivity.  A failure
+    raises InvalidStateError with the message a single state gets,
+    prefixed, in a stack of more than one state, with the index of the
+    first state that fails that check.  Positivity reads the spectra, which
+    come from the structure the stack is built with, where one is named:
+    - ``spectra``: the spectra the construction fixes (``_rank_one``), used
+      as given, so no eigenproblem is solved;
+    - ``blocks``: a ``_basis_rows`` table whose row s lists the rows and
+      columns of block s.  When every entry off the blocks is exactly zero,
+      the spectra are the blocks' eigenvalues, from one batched eigvalsh,
+      sorted; otherwise the claim is dropped, so a wrong claim costs the
+      full solve and never a wrong spectrum;
+    - neither: one batched eigvalsh of the whole stack."""
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
         raise DimensionMismatchError(f"expected a stack of square matrices, got shape {mats.shape}")
     _check_dims(dims, mats.shape[-1])
@@ -159,15 +168,36 @@ def _density_stack(mats: np.ndarray, dims) -> np.ndarray:
         if not abs(tr - 1.0) <= TOL_TRACE:
             raise _indexed(InvalidStateError, "state", k, n,
                            f"unit trace violated: |Tr(M) - 1| = {abs(tr - 1.0):.3e} exceeds {TOL_TRACE:.0e}")
-    try:
-        spectra = np.linalg.eigvalsh(mats)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
+    if spectra is None:
+        try:
+            if blocks is not None:
+                parts = mats[:, blocks[:, :, None], blocks[:, None, :]]
+                # the blocks hold each in-block entry once: no nonzero entry
+                # lies off them when they hold all of the stack's
+                if np.count_nonzero(parts) == np.count_nonzero(mats):
+                    spectra = np.sort(np.linalg.eigvalsh(parts).reshape(n, -1), axis=1)
+            if spectra is None:
+                spectra = np.linalg.eigvalsh(mats)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     for k, w_min in enumerate(spectra[:, 0].tolist()):
         if not w_min >= -TOL_PSD:
             raise _indexed(InvalidStateError, "state", k, n,
                            f"positivity violated: min eigenvalue = {w_min:.3e} below -{TOL_PSD:.0e}")
     return spectra
+
+
+def _rank_one(vecs: np.ndarray, dims) -> tuple[np.ndarray, np.ndarray]:
+    """The densities psi psi' of an (n, N) stack of unit vectors psi with
+    subsystem dims ``dims``, validated by ``_density_stack``, and their
+    spectra: the one place such densities are built.  A rank-one Hermitian
+    matrix has the single nonzero eigenvalue ||psi||^2, its trace, so each
+    spectrum is (0, ..., 0, ||psi||^2), read off the diagonal, and no
+    eigenproblem is solved."""
+    mats = vecs[:, :, None] * vecs.conj()[:, None, :]
+    spectra = np.zeros(vecs.shape)
+    spectra[:, -1] = mats.trace(axis1=1, axis2=2).real
+    return mats, _density_stack(mats, dims, spectra=spectra)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +207,8 @@ class DensityMatrix:
 
     The matrix is validated on construction (hermiticity, positivity and
     trace, each within the module tolerances) and stored read-only.  The
-    positivity check's eigenvalues are kept, ascending and read-only, as
+    positivity check's eigenvalues, or the spectrum the state's structure
+    fixes (``_density_stack``), are kept, ascending and read-only, as
     ``spectrum``; the von Neumann entropy and the rho term of the relative
     entropy read them instead of solving again.
     """
@@ -221,24 +252,25 @@ def _density_matrices(mats: np.ndarray, spectra: np.ndarray, dims) -> list[Densi
 
 def _pure_stack(vecs: np.ndarray, dims) -> None:
     """Validate an (n, N) stack of complex amplitude vectors with subsystem
-    dims ``dims``: each must have unit norm within TOL_TRACE.  A failure
-    raises InvalidStateError for the first state that fails, named as
-    ``_indexed`` names it."""
+    dims ``dims``: each squared norm, the trace of the vector's density,
+    must be 1 within TOL_TRACE, so every valid vector has a valid density
+    (``_rank_one``).  A failure raises InvalidStateError for the first
+    state that fails, named as ``_indexed`` names it."""
     if vecs.ndim != 2:
         raise DimensionMismatchError(f"expected a stack of vectors, got shape {vecs.shape}")
     _check_dims(dims, vecs.shape[-1])
     # each row's squared norm from its real and imaginary parts, which an
     # infinite entry leaves inf, not nan
     parts = np.ascontiguousarray(vecs).view(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-    for k, norm in enumerate(norms.tolist()):
-        if not abs(norm - 1.0) <= TOL_TRACE:
-            # the norm raises no warning on nan or inf, so finiteness is
+    squares = np.einsum("ij,ij->i", parts, parts)
+    for k, square in enumerate(squares.tolist()):
+        if not abs(square - 1.0) <= TOL_TRACE:
+            # the sum raises no warning on nan or inf, so finiteness is
             # tested only once the norm check has failed
             if not np.isfinite(vecs[k]).all():
                 message = "amplitude vector has a non-finite (nan or inf) entry"
             else:
-                message = f"unit norm violated: |norm - 1| = {abs(norm - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
+                message = f"unit norm violated: |norm^2 - 1| = {abs(square - 1.0):.3e} exceeds {TOL_TRACE:.0e}"
             raise _indexed(InvalidStateError, "state", k, len(vecs), message)
 
 
@@ -262,7 +294,9 @@ class PureState:
         return self.vec.shape[0]
 
     def to_density(self) -> DensityMatrix:
-        return DensityMatrix(np.outer(self.vec, self.vec.conj()), self.dims)
+        """|psi><psi|, built and validated by ``_rank_one``."""
+        mats, spectra = _rank_one(self.vec[None], self.dims)
+        return _density_matrices(mats, spectra, self.dims)[0]
 
     def tensor(self, other: "PureState") -> "PureState":
         return PureState(np.kron(self.vec, other.vec), self.dims + other.dims)

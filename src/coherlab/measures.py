@@ -37,6 +37,8 @@ from .linalg import (
     trace_norm,
     von_neumann_entropy,
     _basis_rows,
+    _density_matrices,
+    _density_stack,
     _entropies,
     _indexed,
     _pure_stack,
@@ -176,10 +178,15 @@ def _dephase_stack(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np.nd
 def dephase(rho: DensityMatrix, subsystems) -> DensityMatrix:
     """Zero every off-diagonal element in the incoherent basis of the
     selected subsystems.  Empty selection is the identity map; the full
-    selection is total dephasing.  Trace-preserving and idempotent."""
-    if not _validate_subsystems(subsystems, rho.n_subsystems, allow_empty=True):
+    selection is total dephasing.  Trace-preserving and idempotent.  The
+    result is block-diagonal over the selection's basis labels, so its
+    validation solves those blocks (``linalg._density_stack``)."""
+    selected = _validate_subsystems(subsystems, rho.n_subsystems, allow_empty=True)
+    if not selected:
         return rho
-    return DensityMatrix(_dephase_stack(rho.mat[None], rho.dims, subsystems)[0], rho.dims)
+    mats = _dephase_stack(rho.mat[None], rho.dims, selected)
+    spectra = _density_stack(mats, rho.dims, _basis_rows(rho.dims, selected))
+    return _density_matrices(mats, spectra, rho.dims)[0]
 
 
 def _dephased_entropy(mats: np.ndarray, dims: tuple[int, ...], subsystems) -> np.ndarray:
@@ -257,10 +264,11 @@ class MinimizeResult(NamedTuple):
     fun: float
     nit: int
     nfev: int
+    extra: tuple = ()
 
 
 def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, gtol=ORACLE_GTOL) -> MinimizeResult:
-    """Unconstrained L-BFGS on ``fun(x, *args) -> (value, gradient)``.
+    """Unconstrained L-BFGS on ``fun(x, *args) -> (value, gradient, *extra)``.
 
     The direction comes from the two-loop recursion over the last
     ORACLE_HISTORY curvature pairs (s, y), with the initial inverse Hessian
@@ -269,9 +277,11 @@ def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, gtol=ORACLE_GTOL) -> Min
     is halved until the Armijo condition f(x + t d) <= f(x) + 1e-4 t g.d
     holds, which a value that is not finite never meets.  Stops once
     max|g| <= ``gtol``, after ``maxiter`` iterations, or when no step
-    lowers the value.  The value never rises above fun(x0)."""
+    lowers the value.  The value never rises above fun(x0).  Any items
+    ``fun`` returns past the gradient come back, for the point returned,
+    as ``extra``, so no caller evaluates that point again."""
     x = np.array(x0, dtype=float)
-    f, g = fun(x, *args)
+    f, g, *extra = fun(x, *args)
     nit, nfev, pairs = 0, 1, []
     while nit < maxiter and np.abs(g).max() > gtol:
         q, alphas = g.copy(), []
@@ -288,19 +298,19 @@ def minimize(fun, x0, args=(), maxiter=ORACLE_MAX_ITER, gtol=ORACLE_GTOL) -> Min
         slope, step = -(g @ q), 1.0
         while True:
             x_new = x - step * q
-            f_new, g_new = fun(x_new, *args)
+            f_new, g_new, *extra_new = fun(x_new, *args)
             nfev += 1
             if f_new <= f + 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-20:
-                return MinimizeResult(x, f, nit, nfev)
+                return MinimizeResult(x, f, nit, nfev, tuple(extra))
         s, y = x_new - x, g_new - g
         if s @ y > 1e-10 * (y @ y):
             pairs = (pairs + [(s, y, 1.0 / (s @ y))])[-ORACLE_HISTORY:]
         nit += 1
-        x, f, g = x_new, f_new, g_new
-    return MinimizeResult(x, f, nit, nfev)
+        x, f, g, extra = x_new, f_new, g_new, extra_new
+    return MinimizeResult(x, f, nit, nfev, tuple(extra))
 
 
 def _qi_oracle_values(x: np.ndarray, c: np.ndarray, neg_entropy: float,
@@ -331,10 +341,11 @@ def _qi_oracle_values(x: np.ndarray, c: np.ndarray, neg_entropy: float,
 
 
 def _qi_oracle_objective(x: np.ndarray, c: np.ndarray, neg_entropy: float,
-                         basis: np.ndarray) -> tuple[float, np.ndarray]:
-    """The sum over starts of S(rho||sigma_s) (see ``_qi_oracle_values``)
-    and its gradient in x.  The sum is separable, so its gradient is the
-    starts' own gradients back to back.
+                         basis: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The sum over starts of S(rho||sigma_s) (see ``_qi_oracle_values``),
+    its gradient in x, and the starts' values, the item past the gradient
+    that ``minimize`` hands back for its last point.  The sum is separable,
+    so its gradient is the starts' own gradients back to back.
 
     Each term is -S(rho) + (log Z - x.c) / ln 2: x.c is linear, and
     log Z = log sum_j Tr exp(H_j) is convex in the H_j, so the sum is
@@ -344,7 +355,7 @@ def _qi_oracle_objective(x: np.ndarray, c: np.ndarray, neg_entropy: float,
     values, (vecs, p) = _qi_oracle_values(x, c, neg_entropy, basis)
     sigma = (vecs * p[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     coords = (sigma.reshape(-1, *c.shape) @ basis.conj().T).real
-    return float(values.sum()), ((coords - c) / math.log(2.0)).ravel()
+    return float(values.sum()), ((coords - c) / math.log(2.0)).ravel(), values
 
 
 def qi_relative_entropy_oracle(
@@ -360,8 +371,8 @@ def qi_relative_entropy_oracle(
     (``minimize``) on the sum of their values with the gradient sigma - rho
     of ``_qi_oracle_objective``.  That sum is convex, so every start heads
     for the same minimum, and the result is the smallest start's value at
-    the end of the run, an upper bound on the closed form.  Only intended to
-    validate ``qi_relative_entropy``."""
+    the end of the run, as the run evaluated it, an upper bound on the
+    closed form.  Only intended to validate ``qi_relative_entropy``."""
     split.validate(rho.n_subsystems)
     if rho.dim > ORACLE_MAX_DIM:
         raise DimensionTooLargeError(f"oracle limited to dimension {ORACLE_MAX_DIM}, got {rho.dim}")
@@ -375,7 +386,7 @@ def qi_relative_entropy_oracle(
     neg_entropy = -von_neumann_entropy(rho)
     x0 = np.random.default_rng(seed).standard_normal((max(1, starts), db * da * da))
     res = minimize(_qi_oracle_objective, x0.ravel(), args=(c, neg_entropy, basis))
-    return float(_qi_oracle_values(res.x, c, neg_entropy, basis)[0].min())
+    return float(res.extra[0].min())
 
 
 def _marginals(rho: DensityMatrix, split: Bipartition) -> tuple[DensityMatrix, DensityMatrix]:

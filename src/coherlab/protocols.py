@@ -32,6 +32,7 @@ from .exceptions import (
     DimensionMismatchError,
     EnsembleMismatchError,
     IncompleteChannelError,
+    InternalConsistencyError,
     InvalidStateError,
     NotMaximallyCorrelatedError,
     NotSIError,
@@ -47,7 +48,9 @@ from .linalg import (
     _density_stack,
     _indexed,
     _partial_traces,
+    _rank_one,
     _subsystem_dims,
+    _trace_norms,
     _unchecked,
 )
 from .measures import (
@@ -153,12 +156,11 @@ def _teleport_branches(psi_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     them: the unnormalized leaf states, their probabilities, input indices
     and transcripts, input by input and depth-first within each input, and
     Bob's fidelity with his leaf's input on each leaf.  The inputs
-    psi x phi+ are the only states validated, as one stack; each fidelity
-    is read from the normalized leaf with A and A' traced out by
-    ``linalg._partial_traces``."""
+    psi x phi+ are the only states validated, as one rank-one stack
+    (``linalg._rank_one``, no eigensolve); each fidelity is read from the
+    normalized leaf with A and A' traced out by ``linalg._partial_traces``."""
     vecs = (psi_vecs[:, :, None] * _TELEPORT_PAIR.vec).reshape(len(psi_vecs), -1)
-    rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
-    _density_stack(rhos, _TELEPORT.dims)
+    rhos, _ = _rank_one(vecs, _TELEPORT.dims)
     mats, probs, inputs, transcripts = _TELEPORT._leaves(rhos, _TELEPORT.dims)
     bobs, _ = _partial_traces(mats / probs[:, None, None], _TELEPORT.dims, {2})
     v = psi_vecs[inputs]
@@ -527,13 +529,11 @@ def _domino_success_probabilities() -> np.ndarray:
     """p_k = Tr[(A_k x B_k) rho_k (A_k x B_k)'] for the nine domino states
     rho_k and the channel's matching pairs (A_k, B_k), in family order:
     ``discriminate_domino(k + 1)``'s success probability without its
-    outcome states.  The nine densities come from one broadcast outer
-    product of the family's vectors and are validated as one stack; each
-    party's operators then act on that stack pair by pair, A_k on the k-th
-    input only."""
-    vecs = np.array([psi.vec for psi in _DOMINO.states])
-    rhos = vecs[:, :, None] * vecs.conj()[:, None, :]
-    _density_stack(rhos, (3, 3))
+    outcome states.  The nine densities are built and validated as one
+    rank-one stack (``linalg._rank_one``, no eigensolve); each party's
+    operators then act on that stack pair by pair, A_k on the k-th input
+    only."""
+    rhos, _ = _rank_one(np.array([psi.vec for psi in _DOMINO.states]), (3, 3))
     posts = _pair_posts(rhos, _DOMINO_CHANNEL.a_ops, _DOMINO_CHANNEL.b_ops)
     return posts.trace(axis1=-2, axis2=-1).real
 
@@ -560,7 +560,7 @@ _MERGE_TRACED = KrausChannel(np.array([np.outer(psi.vec, psi.vec.conj()) for psi
 
 @functools.cache
 def _merge_transfer() -> np.ndarray:
-    """The traced merge as one read-only 81 x 81 map on the (A, B) block of
+    """The traced merge as one read-only 81 x 81 map on an (A, B) block of
     an (R, A, B) state: the natural representation T = sum_l K_l x conj(K_l)
     of the operators that ``_MERGE_TRACED``'s constructor checked, so that
     vec(sum_l K_l X K_l') = T vec(X) on row-major vectorizations (Watrous,
@@ -574,12 +574,13 @@ def _merge_transfer() -> np.ndarray:
     return transfer
 
 
-def _traced_merge(mat: np.ndarray) -> np.ndarray:
-    """``_MERGE_TRACED.apply(rho, at=1).mat`` for the 81 x 81 matrix of an
-    (R, A, B) state with dims (9, 3, 3), not validated: the transfer matrix
-    maps every (R, R') block of (A, B) rows and columns in one product."""
-    blocks = mat.reshape(9, 9, 9, 9).transpose(1, 3, 0, 2).reshape(81, 81)  # [(i, j), (R, R')]
-    return (_merge_transfer() @ blocks).reshape(9, 9, 9, 9).transpose(2, 0, 3, 1).reshape(81, 81)
+def _traced_merge(blocks: np.ndarray) -> np.ndarray:
+    """``_MERGE_TRACED`` applied to each (A, B) block of an (m, 9, 9)
+    stack, such as the (R, R') blocks of an (R, A, B) state with dims
+    (9, 3, 3), not validated: the transfer matrix maps the m blocks, as
+    columns, in one product."""
+    m = len(blocks)
+    return (_merge_transfer() @ blocks.reshape(m, 81).T).T.reshape(m, 9, 9)
 
 
 def merging_witness() -> MergingWitnessResult:
@@ -594,14 +595,21 @@ def merging_witness() -> MergingWitnessResult:
     leaves B in |0>.  With B traced out, K_i is the projector
     |psi_i><psi_i| onto the i-th domino state, read as (A, B) -> (A, A')
     (``_MERGE_TRACED``), so the final (R, A, A') state must reproduce the
-    input with B relabeled to A'.  The projectors' transfer matrix
-    (``_merge_transfer``) maps all 81 (R, R') blocks of the input with one
-    matrix product (``_traced_merge``): no 243-dim (R, A, A', B) state and
-    no stack of post-states is formed.  The output is not validated as a
-    state: its trace-norm residual r against the validated input bounds
-    its hermiticity defect by 2r, its trace defect by r and the smallest
-    eigenvalue of its Hermitian part from below by -r, and ``reproduce``
-    fails the residual above 1e-9.
+    input with B relabeled to A'.  The merge acts on (A, B) alone, and
+    linearly, so it maps each (R, R') block of the input on its own.  The
+    input's off-diagonal R blocks are exactly zero (``merging_state``
+    builds only the diagonal ones; a nonzero entry off them is an internal
+    fault), so the output's and the residual's are zero too: the residual
+    is block-diagonal over R, and its trace norm r is the sum of the trace
+    norms of its nine (R, R) blocks.  Only those nine blocks go through the
+    projectors' transfer matrix (``_merge_transfer``), in one product
+    (``_traced_merge``): no 243-dim (R, A, A', B) state, no stack of
+    post-states and no 81 x 81 SVD is formed.  The output is not validated
+    as a state: r against the validated input bounds its hermiticity
+    defect by 2r, its trace defect by r and the smallest eigenvalue of its
+    Hermitian part from below by -r, as it would for the full residual,
+    which has the same trace norm, and ``reproduce`` fails the residual
+    above 1e-9.
     """
     rho = merging_state()
     split_r_ab = Bipartition(a=(0,), b=(1, 2))
@@ -615,7 +623,10 @@ def merging_witness() -> MergingWitnessResult:
         "qi_relative_entropy", val_rb_a, {"state": "merging", "split": "RB|A"}
     )
 
-    residual = trace_norm(_traced_merge(rho.mat) - rho.mat)
+    diag = rho.mat.reshape(9, 9, 9, 9)[range(9), :, range(9)]  # the (R, R) blocks
+    if np.count_nonzero(diag) != np.count_nonzero(rho.mat):
+        raise InternalConsistencyError("merging state has a nonzero entry off its R blocks")
+    residual = _trace_norms(_traced_merge(diag) - diag).sum()
 
     return MergingWitnessResult(
         qire_r_ab=report_r_ab,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import BadDimensionError, BadRankError, InvalidCoefficientsError, InvalidStateError
-from .linalg import DensityMatrix, PureState, _subsystem_dims
+from .linalg import DensityMatrix, PureState, _basis_rows, _density_matrices, _density_stack, _subsystem_dims
 
 __all__ = [
     "SIGMA_X",
@@ -128,14 +128,17 @@ def merging_state() -> DensityMatrix:
 
     Subsystem order is (R, A, B) with dims (9, 3, 3).  The mixture is read
     from the domino family built once at import, and each call builds and
-    validates it anew.
+    validates it anew.  It is block-diagonal over R, so its validation
+    solves the nine 9 x 9 (R, R) blocks, not the 81 x 81 matrix
+    (``linalg._density_stack``); their sorted eigenvalues are its spectrum.
     """
     vecs = np.array([psi.vec for psi in _DOMINO.states])
     mat = np.zeros((9, 9, 9, 9), dtype=complex)
     # |i><i| x psi_i psi_i' is psi_i psi_i' on the i-th diagonal block;
     # adding it to the zeros turns its -0.0 imaginary parts into +0.0
     mat[range(9), :, range(9)] += vecs[:, :, None] * vecs.conj()[:, None, :] / 9.0
-    return DensityMatrix(mat.reshape(81, 81), (9, 3, 3))
+    mats, dims = mat.reshape(1, 81, 81), (9, 3, 3)
+    return _density_matrices(mats, _density_stack(mats, dims, _basis_rows(dims, (0,))), dims)[0]
 
 
 def maximally_correlated(coeffs) -> DensityMatrix:
@@ -276,7 +279,10 @@ def _generators(seeds) -> list[np.random.Generator]:
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """A (rows, cols) complex Gaussian matrix: the real parts, then the
+    imaginary parts, from one draw."""
+    real, imag = rng.standard_normal((2, rows, cols))
+    return real + 1j * imag
 
 
 def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:

@@ -545,8 +545,10 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
     # the 20 teleports are one pair of stacked local actions (the script's
     # four (A, B) pairs on every input) and the 9 domino inputs one pair of
     # stacked local actions; the merge is one product with its 81 x 81
-    # transfer matrix, so it makes no local action and no post-state, and
-    # only the merging state is validated at order 81
+    # transfer matrix, so it makes no local action and no post-state.  The
+    # rank-one inputs take no eigensolve and the merging state is solved on
+    # its nine R blocks, so no solve has order 81: the largest is the RB|A
+    # split's 27-dim (R, B) blocks
     import coherlab.channels as channels
     import coherlab.linalg as linalg
     import coherlab.protocols as protocols
@@ -573,8 +575,8 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
     reference_rows(seed=0)
     assert len(local_orders) == 4
     assert max(local_orders) <= 81
-    assert orders.count(81) == 1
-    assert max(orders) == 81
+    assert 81 not in orders
+    assert max(orders) == 27
 
 
 def test_corrupted_merge_transfer_fails_reproduce(runner, monkeypatch):
@@ -668,6 +670,10 @@ def test_product_channel_json_is_golden(channel, name):
     # a mixed qubit: its value is S of the dephased state on every exact route
     (["measure", "assistance", "--state", "tests/golden/qubit_rank2_seed0.json"],
      "measure_assistance_qubit_rank2_seed0.txt"),
+    # pure states, whose densities take the spectrum their rank fixes
+    (["measure", "cr", "--builtin", "psi2"], "measure_cr_psi2.txt"),
+    (["measure", "qire", "--builtin", "bell", "--split", "A=0;B=1"], "measure_qire_bell_a0_b1.txt"),
+    (["measure", "entropy", "--builtin", "domino:4"], "measure_entropy_domino4.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, monkeypatch, args, name):
     # state files are named relative to the repository root, as the CI step

@@ -328,7 +328,7 @@ def test_pure_stack_names_the_first_failing_vector():
     vecs = np.array([[1.0, 0.0], [0.6, 0.8j], [0.0, 1.0]], dtype=complex)
     _pure_stack(vecs, (2,))
     vecs[2] *= 2.0
-    with pytest.raises(InvalidStateError, match=r"^state 2: unit norm violated: \|norm - 1\| = 1\.000e\+00"):
+    with pytest.raises(InvalidStateError, match=r"^state 2: unit norm violated: \|norm\^2 - 1\| = 3\.000e\+00"):
         _pure_stack(vecs, (2,))
     with pytest.raises(InvalidStateError, match=r"^unit norm violated"):
         _pure_stack(vecs[2:], (2,))
@@ -353,6 +353,129 @@ def test_density_matrix_keeps_validation_spectrum():
             rho.spectrum[0] = 0.0
     with pytest.raises(TypeError):
         DensityMatrix(rho.mat, rho.dims, spectrum=rho.spectrum)
+
+
+def test_pure_state_checks_the_squared_norm():
+    # the density of a pure state has trace ||v||^2, so the norm check
+    # reads the squared norm: 1 + 8e-10 has |norm - 1| within TOL_TRACE
+    # but a trace 1.6e-9 away from 1, and is rejected
+    with pytest.raises(InvalidStateError, match=r"^unit norm violated: \|norm\^2 - 1\| = 1\.600e-09"):
+        PureState(np.array([1 + 8e-10, 0.0]), (2,))
+    psi = PureState(np.array([1 + 4e-10, 0.0]), (2,))
+    rho = psi.to_density()
+    assert np.array_equal(rho.mat, np.outer(psi.vec, psi.vec.conj()))
+    assert rho.spectrum.tolist() == [0.0, (1 + 4e-10) ** 2]
+
+
+@pytest.mark.parametrize("dims", [(2,), (2, 2), (3, 3)])
+def test_rank_one_spectra_match_the_full_solve(dims):
+    # psi psi' gets the spectrum (0, ..., 0, ||psi||^2) without an
+    # eigensolve, within 1e-15 of eigvalsh, for a stack and for to_density
+    from coherlab.linalg import _density_stack, _rank_one
+    from coherlab.states import _random_pure_vecs
+
+    vecs = _random_pure_vecs(dims, list(range(40)))
+    mats, spectra = _rank_one(vecs, dims)
+    assert mats.tobytes() == (vecs[:, :, None] * vecs.conj()[:, None, :]).tobytes()
+    assert not spectra[:, :-1].any()
+    full = _density_stack(mats, dims)
+    assert np.abs(spectra - full).max() <= 1e-15
+    for vec, spectrum in zip(vecs[:5], spectra):
+        rho = PureState(vec, dims).to_density()
+        assert rho.mat.tobytes() == np.outer(vec, vec.conj()).tobytes()
+        assert rho.spectrum.tobytes() == spectrum.tobytes()
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 1.0
+
+
+def test_rank_one_stack_keeps_the_cheap_checks():
+    # a vector that is not a unit vector gives a density that fails the
+    # trace check, as the full route fails it
+    from coherlab.linalg import _rank_one
+
+    vecs = np.array([[1.0, 0.0], [1.0, 1.0]], dtype=complex)
+    with pytest.raises(InvalidStateError, match=r"^state 1: unit trace violated"):
+        _rank_one(vecs, (2,))
+
+
+def test_block_spectrum_of_the_merging_state_is_the_full_solve():
+    # the nine R blocks, solved as one stack and sorted, give the bytes of
+    # the 81 x 81 eigvalsh
+    from coherlab.states import merging_state
+
+    rho = merging_state()
+    assert rho.spectrum.tobytes() == np.linalg.eigvalsh(rho.mat).tobytes()
+
+
+def test_dephased_state_takes_its_block_spectrum(monkeypatch):
+    # dephase leaves the state block-diagonal over the dephased labels:
+    # its validation solves those blocks only, and their sorted spectrum
+    # matches the full solve
+    from coherlab.measures import dephase
+
+    rho = random_density((3, 2, 3), 18, 5)
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for subsystems, order in (((0,), 6), ((1, 2), 3), ((0, 1, 2), 1)):
+        solves.clear()
+        dephased = dephase(rho, subsystems)
+        assert solves == [(1, 18 // order, order, order)]
+        assert np.all(np.diff(dephased.spectrum) >= 0.0)
+        assert np.abs(dephased.spectrum - eigvalsh(dephased.mat)).max() <= 1e-15
+
+
+def test_block_claim_with_an_entry_off_the_blocks_takes_the_full_solve(monkeypatch):
+    # a block table is a claim: an entry off the blocks, however small,
+    # drops it, and the spectrum is the full solve's
+    from coherlab.linalg import _basis_rows, _density_stack
+    from coherlab.measures import _dephase_stack
+
+    blocks = _basis_rows((3, 3), (0,))
+    mat = _dephase_stack(random_density((3, 3), 4, 8).mat[None], (3, 3), (0,))[0]
+    mat[0, 3] = mat[3, 0] = 1e-300
+    solves = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        solves.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    spectra = _density_stack(mat[None], (3, 3), blocks)
+    assert solves == [(1, 9, 9)]
+    assert spectra.tobytes() == eigvalsh(mat[None]).tobytes()
+    mat[0, 3] = mat[3, 0] = 0.0
+    solves.clear()
+    _density_stack(mat[None], (3, 3), blocks)
+    assert solves == [(1, 3, 3, 3)]
+
+
+def test_block_route_keeps_every_error_message():
+    # nan, non-Hermitian, bad-trace and negative-block stacks fail with a
+    # block table exactly as without one
+    from coherlab.linalg import _basis_rows, _density_stack
+
+    blocks = _basis_rows((2, 2), (1,))
+    good = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    nan, asym, heavy, negative = (good.copy() for _ in range(4))
+    nan[1, 1] = np.nan
+    asym[0, 2] = 0.1  # inside the blocks over subsystem 1's labels
+    heavy[0, 0] = 1.4
+    negative[0, 2] = negative[2, 0] = 0.5  # the block of label 0 is [[0.4, 0.5], [0.5, 0.2]]
+    for bad, pattern in ((nan, r"^state 1: matrix has a non-finite"),
+                         (asym, r"^state 1: hermiticity violated: max \|M - M'\| = 1\.000e-01"),
+                         (heavy, r"^state 1: unit trace violated: \|Tr\(M\) - 1\| = 1\.000e\+00"),
+                         (negative, r"^state 1: positivity violated: min eigenvalue = -2\.099e-01")):
+        stack = np.stack([good, bad])
+        for table in (None, blocks):
+            with pytest.raises(InvalidStateError, match=pattern):
+                _density_stack(stack, (2, 2), table)
 
 
 def test_measures_do_no_full_order_eigensolve(monkeypatch):

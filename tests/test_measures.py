@@ -404,7 +404,7 @@ def test_oracle_gradient_matches_central_differences(dims):
         for _ in range(3):
             x = rng.standard_normal((3, n_params))
             x[1] = 30.0 * np.sign(x[1])
-            _, grad = _qi_oracle_objective(x.ravel(), *args)
+            _, grad, _ = _qi_oracle_objective(x.ravel(), *args)
             numeric = central_difference_gradient(lambda y: _qi_oracle_objective(y, *args)[0], x.ravel())
             assert np.linalg.norm(grad - numeric) <= 1e-6 * np.linalg.norm(numeric)
             for start, grad_start in zip(x, grad.reshape(3, n_params)):
@@ -422,7 +422,8 @@ def test_oracle_objective_is_finite_at_large_coordinates():
     x = np.random.default_rng(3).standard_normal((3, n_params))
     x[1] = 1e3 * np.sign(x[1])
     values = _qi_oracle_values(x.ravel(), *args)[0]
-    value, grad = _qi_oracle_objective(x.ravel(), *args)
+    value, grad, start_values = _qi_oracle_objective(x.ravel(), *args)
+    assert np.array_equal(start_values, values)
     assert np.isfinite(values).all() and np.isfinite(value) and np.isfinite(grad).all()
     grad = grad.reshape(3, n_params)
     for s in range(3):
@@ -488,6 +489,35 @@ def test_oracle_solves_its_starts_in_one_minimize_call(monkeypatch, starts):
     n_params = db * da * da
     assert np.array_equal(x0, np.concatenate([rng.standard_normal(n_params) for _ in range(starts)]))
     assert value == _qi_oracle_values(x_end, *oracle_inputs(rho, da, db))[0].min()
+
+
+def test_oracle_reads_its_value_from_the_run(monkeypatch):
+    """The oracle's value is the starts' values that the L-BFGS run
+    computed at its last accepted point: it evaluates no point after the
+    run, so the run's evaluations are all there are."""
+    evaluations, runs = [], []
+    values, solver = measures._qi_oracle_values, measures.minimize
+
+    def counted_values(*args, **kwargs):
+        evaluations.append(args[0].copy())
+        return values(*args, **kwargs)
+
+    def recording_minimize(fun, x0, *args, **kwargs):
+        res = solver(fun, x0, *args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(measures, "_qi_oracle_values", counted_values)
+    monkeypatch.setattr(measures, "minimize", recording_minimize)
+    for seed in range(3):
+        rho = random_density((2, 3), 3, seed)
+        evaluations.clear()
+        value = qi_relative_entropy_oracle(rho, AB, starts=4, seed=seed)
+        res = runs[-1]
+        assert len(evaluations) == res.nfev
+        assert any(np.array_equal(x, res.x) for x in evaluations)
+        assert value == values(res.x, *oracle_inputs(rho, 2, 3))[0].min()
+        assert value == res.extra[0].min()
 
 
 def random_quadratic(n, seed):

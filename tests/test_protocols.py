@@ -17,6 +17,7 @@ from coherlab.exceptions import (
     BadSubsystemError,
     DimensionMismatchError,
     EnsembleMismatchError,
+    InternalConsistencyError,
     NotMaximallyCorrelatedError,
     NotSIError,
     NotSQIError,
@@ -126,7 +127,7 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
     import coherlab.protocols as protocols
     import coherlab.states as states
 
-    calls = {"bell": 0, "density": 0}
+    calls = {"bell": 0, "density": 0, "eig": 0}
 
     def counted_bell(fn):
         def wrapper(*args, **kwargs):
@@ -136,17 +137,27 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
 
     density_stack = linalg._density_stack
 
-    def counted_density_stack(mats, dims):
+    def counted_density_stack(mats, dims, *args, **kwargs):
         # every state validated, one at a time or as a stack
         calls["density"] += len(mats)
-        return density_stack(mats, dims)
+        return density_stack(mats, dims, *args, **kwargs)
 
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            calls["eig"] += 1
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     monkeypatch.setattr(protocols, "bell_states", counted_bell(protocols.bell_states))
     monkeypatch.setattr(states, "bell_states", counted_bell(states.bell_states))
     monkeypatch.setattr(linalg, "_density_stack", counted_density_stack)
     monkeypatch.setattr(protocols, "_density_stack", counted_density_stack)
     assert checks.teleport_fidelity([np.random.default_rng(7)])[0] >= 1 - 1e-9
-    assert calls == {"bell": 0, "density": 1}
+    # the input is rank one: validated with the spectrum its structure
+    # fixes, so no eigenproblem is solved
+    assert calls == {"bell": 0, "density": 1, "eig": 0}
 
     # n inputs: one validation each, and the script's four (A, B) pairs
     # acting on the stack of all of them, one apply_local per party
@@ -161,23 +172,25 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
 
     monkeypatch.setattr(channels, "apply_local", counted_apply_local)
     assert (checks.teleport_fidelity([np.random.default_rng(7)] * 20) >= 1 - 1e-9).all()
-    assert calls == {"bell": 0, "density": 20, "apply_local": 2}
+    assert calls == {"bell": 0, "density": 20, "eig": 0, "apply_local": 2}
 
 
 def test_teleport_branches_equal_the_kron_and_per_leaf_routes(monkeypatch):
     # the broadcast inputs and the batched fidelities against np.kron per
-    # input and one vector-matrix-vector product per leaf, bit for bit
-    import coherlab.protocols as protocols
+    # input and one vector-matrix-vector product per leaf, bit for bit; the
+    # inputs are validated with their rank-one spectra (0, 0, ..., Tr),
+    # which the full solve matches within 1e-15
+    import coherlab.linalg as linalg
 
     pair = bell_states()[0]
     validated = []
-    density_stack = protocols._density_stack
+    density_stack = linalg._density_stack
 
-    def recorded_density_stack(mats, dims):
-        validated.append(mats)
-        return density_stack(mats, dims)
+    def recorded_density_stack(mats, dims, *args, **kwargs):
+        validated.append((mats, kwargs["spectra"]))
+        return density_stack(mats, dims, *args, **kwargs)
 
-    monkeypatch.setattr(protocols, "_density_stack", recorded_density_stack)
+    monkeypatch.setattr(linalg, "_density_stack", recorded_density_stack)
     for n in (1, 20, 64):
         for seed in range(50):
             rng = np.random.default_rng(seed)
@@ -185,8 +198,10 @@ def test_teleport_branches_equal_the_kron_and_per_leaf_routes(monkeypatch):
             validated.clear()
             mats, probs, inputs, _, fidelities = _teleport_branches(np.stack([psi.vec for psi in psis]))
             vecs = np.stack([np.kron(psi.vec, pair.vec) for psi in psis])
-            (rhos,) = validated
+            ((rhos, spectra),) = validated
             assert rhos.tobytes() == (vecs[:, :, None] * vecs.conj()[:, None, :]).tobytes()
+            assert not spectra[:, :-1].any()
+            assert np.abs(spectra - np.linalg.eigvalsh(rhos)).max() <= 1e-15
             bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
             bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
             reference = np.array([float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
@@ -818,6 +833,18 @@ def test_merging_witness_values_and_verdict():
     assert result.merge_residual <= 1e-9
 
 
+def test_merging_witness_rejects_an_entry_off_the_r_blocks(monkeypatch):
+    # the residual is read on the nine (R, R) blocks only, which is the
+    # full residual's trace norm only while every entry off them is zero
+    import coherlab.protocols as protocols
+
+    mat = merging_state().mat.copy()
+    mat[0, 9] = mat[9, 0] = 1e-12
+    monkeypatch.setattr(protocols, "merging_state", lambda: DensityMatrix(mat, (9, 3, 3)))
+    with pytest.raises(InternalConsistencyError, match="off its R blocks"):
+        merging_witness()
+
+
 def _sqi_merge_pairs():
     """The explicit SQI merge on ((A, A'), B) as 27 product pairs
     (|alpha_i><alpha_i| x |beta_i><j|, |0><beta_i|), one per domino state
@@ -877,30 +904,43 @@ def test_traced_merge_equals_apply_then_trace():
 
 
 def test_transfer_route_equals_the_traced_operators():
-    # the merge through its 81 x 81 transfer matrix against the nine
-    # B-traced operators applied one by one and summed: bit for bit on the
-    # merging state, within 1e-15 on full-rank states
+    # the merge through its 81 x 81 transfer matrix, on all 81 (R, R')
+    # blocks, against the nine B-traced operators applied one by one and
+    # summed: bit for bit on the merging state, within 1e-15 on full-rank
+    # states; the nine (R, R) blocks alone map as they do among all 81
     from coherlab.protocols import _MERGE_TRACED, _traced_merge
 
+    def merged(mat):
+        blocks = mat.reshape(9, 9, 9, 9).transpose(0, 2, 1, 3).reshape(81, 9, 9)
+        return _traced_merge(blocks).reshape(9, 9, 9, 9).transpose(0, 2, 1, 3).reshape(81, 81)
+
     rho = merging_state()
-    assert _traced_merge(rho.mat).tobytes() == _MERGE_TRACED.apply(rho, at=1).mat.tobytes()
+    assert merged(rho.mat).tobytes() == _MERGE_TRACED.apply(rho, at=1).mat.tobytes()
+    diag = rho.mat.reshape(9, 9, 9, 9)[range(9), :, range(9)]
+    out = merged(rho.mat).reshape(9, 9, 9, 9)[range(9), :, range(9)]
+    assert _traced_merge(diag).tobytes() == out.tobytes()
     for seed in range(5):
         rho = random_density((9, 3, 3), 81, seed)
-        assert np.abs(_traced_merge(rho.mat) - _MERGE_TRACED.apply(rho, at=1).mat).max() <= 1e-15
+        assert np.abs(merged(rho.mat) - _MERGE_TRACED.apply(rho, at=1).mat).max() <= 1e-15
 
 
-def test_merging_witness_solves_one_full_order_eigenproblem(monkeypatch):
+def test_merging_witness_solves_no_full_order_eigenproblem(monkeypatch):
     # the merge acts through its B-traced operators, so no 243-dim
-    # (R, A, A', B) state is formed; the largest eigenproblem is the 81-dim
-    # merge output or the 81-dim input
+    # (R, A, A', B) state is formed; the 81-dim input is solved on its nine
+    # R blocks and the residual on its nine (R, R) blocks, so the largest
+    # eigenproblem is the RB|A split's 27-dim (R, B) blocks and the one SVD has
+    # order 9
     orders = []
-    for name in ("eigvalsh", "eigh"):
+    for name in ("eigvalsh", "eigh", "svd"):
         solver = getattr(np.linalg, name)
 
-        def counted(a, *args, _solver=solver, **kwargs):
-            orders.append(np.shape(a)[-1])
+        def counted(a, *args, _name=name, _solver=solver, **kwargs):
+            orders.append((_name, np.shape(a)[-1]))
             return _solver(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     merging_witness()
-    assert max(orders) == 81
+    # the input's nine R blocks, the R|AB split's nine R blocks (one per
+    # (A, B) label), the RB|A split's three (R, B) blocks and the
+    # residual's nine (R, R) blocks
+    assert sorted(orders) == [("eigvalsh", 9), ("eigvalsh", 9), ("eigvalsh", 27), ("svd", 9)]

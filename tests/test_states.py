@@ -123,8 +123,9 @@ def test_merging_state_qire_value():
 
 
 def test_merging_state_matches_kron_definition(monkeypatch):
-    # sum_i |i><i| x psi_i psi_i' / 9 by kron, byte for byte, with the
-    # 81-dim state validated once
+    # sum_i |i><i| x psi_i psi_i' / 9 by kron, byte for byte, validated
+    # once without the DensityMatrix constructor: its nine 9-dim R blocks
+    # are solved as one stack, and no full-order eigenproblem is solved
     family = domino_states()
     expected = np.zeros((81, 81), dtype=complex)
     for i, psi in enumerate(family.states):
@@ -138,8 +139,18 @@ def test_merging_state_matches_kron_definition(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted_post_init)
+    solves = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            solves.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     assert merging_state().mat.tobytes() == expected.tobytes()
-    assert orders == [81]
+    assert orders == []
+    assert solves == [(1, 9, 9, 9)]
 
 
 def test_maximally_correlated_bell_case():
@@ -233,6 +244,21 @@ def test_random_qi_state_matches_kron_definition(dims):
             block *= probs[j] / np.trace(block).real
             expected += np.kron(block, np.diag(np.eye(db)[j]))
         assert random_qi_state(dims, seed).mat.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4, 1), (4, 4), (9, 3), (2, 2)])
+def test_ginibre_draws_in_one_call_what_two_calls_draw(shape):
+    # one (2, rows, cols) draw holds the real parts and then the imaginary
+    # parts: the values of two (rows, cols) draws, bit for bit, with the
+    # generator left at the same point of its stream
+    from coherlab.states import _ginibre
+
+    for seed in (0, 7, 2**63 - 1):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference.standard_normal(shape) + 1j * reference.standard_normal(shape)
+        assert _ginibre(rng, *shape).tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
 
 
 def test_generators_deterministic():
