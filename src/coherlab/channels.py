@@ -297,6 +297,19 @@ def _pair_posts(mats: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray) -> np.nd
     return apply_local(apply_local(mats, a_ops, 1, b_ops.shape[-1]), b_ops, a_ops.shape[-2], 1)
 
 
+def _pair_vectors(vecs: np.ndarray, a_ops: np.ndarray, b_ops: np.ndarray) -> np.ndarray:
+    """(A x B) psi, the pure-input case of ``_pair_posts``: psi reshaped to
+    (A's input, B's input), each read from its operators' shape, is the
+    matrix Psi, and (A x B) psi is A Psi B^T read row-major, so no
+    density is formed.  All three broadcast over their leading axes, so
+    psi may be one vector, a stack of them against every pair
+    (``vecs[:, None]``), or one per pair, the i-th pair acting on the i-th
+    vector only."""
+    psi = vecs.reshape(*vecs.shape[:-1], a_ops.shape[-1], b_ops.shape[-1])
+    out = a_ops @ psi @ b_ops.swapaxes(-1, -2)
+    return out.reshape(*out.shape[:-2], -1)
+
+
 @dataclass(frozen=True)
 class ChannelClass:
     """Classification flags for a product-Kraus channel.  The hierarchy
@@ -467,18 +480,13 @@ class LocalProtocol:
         """(post-states, probabilities, input indices, transcripts) of the
         leaves on each matrix of a validated (n, N, N) stack, input by input
         and depth-first within each: every pair of ``_products`` acts on every
-        input in one ``_pair_posts``.  Each input's leaf probabilities must
-        sum to 1 within 1e-9; a leaf is kept when its probability is > 1e-12,
-        the rule that prunes an instrument's outcomes."""
+        input in one ``_pair_posts``, and the leaves are checked and pruned
+        by ``_kept_leaves``."""
         if dims != self.dims:
             raise DimensionMismatchError(f"state dims {dims} != protocol dims {self.dims}")
         a_ops, b_ops, transcripts = self._product_form
         posts = _pair_posts(mats[:, None], a_ops, b_ops)
-        probs = np.trace(posts, axis1=-2, axis2=-1).real
-        _check_probabilities(probs.sum(axis=1))
-        keep = probs > OUTCOME_PRUNE_TOL
-        inputs, leaves = np.nonzero(keep)
-        return posts[keep], probs[keep], inputs, [transcripts[i] for i in leaves.tolist()]
+        return _kept_leaves(posts, np.trace(posts, axis1=-2, axis2=-1).real, transcripts)
 
     def run(self, rho: DensityMatrix) -> list[tuple[float, DensityMatrix, tuple]]:
         """The script's leaves, its product form's pairs applied to rho:
@@ -580,6 +588,19 @@ def _check_probabilities(totals: np.ndarray) -> None:
     for total in totals.tolist():
         if abs(total - 1.0) > 1e-9:
             raise IncompleteChannelError(f"leaf probabilities sum to {total}, not 1")
+
+
+def _kept_leaves(outs: np.ndarray, probs: np.ndarray,
+                 transcripts: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """(outputs, probabilities, input indices, transcripts) of the leaves
+    kept from (n, leaf, ...) outputs of a product form on n inputs, with
+    their (n, leaf) probabilities and the form's transcripts: each input's
+    probabilities must sum to 1 within 1e-9, and a leaf is kept when its
+    probability is > 1e-12, the rule that prunes an instrument's outcomes."""
+    _check_probabilities(probs.sum(axis=1))
+    keep = probs > OUTCOME_PRUNE_TOL
+    inputs, leaves = np.nonzero(keep)
+    return outs[keep], probs[keep], inputs, [transcripts[i] for i in leaves.tolist()]
 
 
 def _outputs(scripts: Sequence[LocalProtocol], mats: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:

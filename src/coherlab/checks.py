@@ -7,14 +7,17 @@ so a trial on ``[rng] * n`` draws exactly what n trials on ``[rng]`` draw,
 and the n = 1 call is one trial.  The drawn states and every state a trial
 computes are then validated, measured and applied as stacks, in batched
 calls: each state still passes all four checks of a ``DensityMatrix``
-(``linalg._density_stack``), each drawn vector the check of a
-``PureState`` (``linalg._pure_stack``), and the values equal those of n
-single trials.  The random states, scripts and instruments of a stack are
-drawn as stacks too (``states._random_density_mats``,
-``channels._random_scripts``, ``channels._random_incoherent_channels``):
-each from its own seed, as a single trial names it, on generators built by
-one batched seeding (``states._generators``), then all completed and
-checked in batched calls.
+(``linalg._density_stack``), and each vector, drawn or a pure input kept
+as a vector (teleportation's psi x phi+, which crosses its channel as a
+vector and never becomes a density), the unit-norm check of a
+``PureState`` (``linalg._pure_stack``), which passes exactly when its
+density would; the values equal those of n single trials.  The random
+states, scripts and instruments of a stack are drawn as stacks too
+(``states._random_density_mats``, ``channels._random_scripts``,
+``channels._random_incoherent_channels``): each from its own seed, as a
+single trial names it, on generators built by one batched seeding
+(``states._generators``), then all completed and checked in batched
+calls.
 A helper that takes states takes the stack of their matrices and
 validates every state it reads.  ``coherlab suite``, ``coherlab
 protocol``, ``coherlab reproduce`` and the acceptance tests all call these
@@ -40,7 +43,6 @@ from .linalg import (
     _density_stack,
     _entropies,
     _partial_traces,
-    _pure_stack,
     _relative_entropies,
     _trace_norms,
 )
@@ -63,10 +65,11 @@ def stack_sizes(trials: int) -> list[int]:
 def teleport_fidelity(rngs: Generators) -> np.ndarray:
     """Worst branch fidelity of incoherent teleportation of a Haar-random
     qubit (ideally 1), per generator.  The qubits are drawn as an (n, 2)
-    stack of vectors, each as ``random_pure`` draws it, checked for unit
-    norm as one stack and teleported through one stacked expansion."""
+    stack of vectors, each as ``random_pure`` draws it, and teleported as
+    vectors through one stacked expansion (``protocols._teleport_branches``),
+    which validates only the n inputs psi x phi+, as one
+    ``linalg._pure_stack``, and solves no eigenproblem."""
     vecs = st._random_pure_vecs((2,), [rng.integers(2**63) for rng in rngs])
-    _pure_stack(vecs, (2,))
     _, _, inputs, _, fidelities = pr._teleport_branches(vecs)
     worst = np.full(len(vecs), np.inf)
     np.minimum.at(worst, inputs, fidelities)
@@ -245,8 +248,11 @@ def chain_trial(rngs: Generators) -> np.ndarray:
 
 def completeness_residual(channel: ch.ProductKrausChannel) -> float:
     """max |sum_i A_i'A_i (x) B_i'B_i - 1| of a product channel, recomputed
-    outside its constructor."""
-    gram = sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in channel.pairs)
+    outside its constructor: the pairs' Grams A_i'A_i and B_i'B_i as two
+    stacks, and their Kronecker products summed over i in one ``einsum``,
+    indexed ((a, b), (c, d)), with no per-pair ``np.kron``."""
+    a, b = ch._grams(channel.a_ops), ch._grams(channel.b_ops)
+    gram = np.einsum("nac,nbd->abcd", a, b).reshape(a.shape[-1] * b.shape[-1], -1)
     return float(np.abs(gram - np.eye(len(gram))).max())
 
 

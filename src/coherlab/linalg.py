@@ -250,6 +250,13 @@ def _density_matrices(mats: np.ndarray, spectra: np.ndarray, dims) -> list[Densi
             for mat, spectrum in zip(mats, spectra)]
 
 
+def _squared_norms(vecs: np.ndarray) -> np.ndarray:
+    """||v||^2 of each vector of a (..., N) complex stack, from its real and
+    imaginary parts, which an infinite entry leaves inf, not nan."""
+    parts = np.ascontiguousarray(vecs).view(np.float64)
+    return np.einsum("...j,...j->...", parts, parts)
+
+
 def _pure_stack(vecs: np.ndarray, dims) -> None:
     """Validate an (n, N) stack of complex amplitude vectors with subsystem
     dims ``dims``: each squared norm, the trace of the vector's density,
@@ -259,11 +266,7 @@ def _pure_stack(vecs: np.ndarray, dims) -> None:
     if vecs.ndim != 2:
         raise DimensionMismatchError(f"expected a stack of vectors, got shape {vecs.shape}")
     _check_dims(dims, vecs.shape[-1])
-    # each row's squared norm from its real and imaginary parts, which an
-    # infinite entry leaves inf, not nan
-    parts = np.ascontiguousarray(vecs).view(np.float64)
-    squares = np.einsum("ij,ij->i", parts, parts)
-    for k, square in enumerate(squares.tolist()):
+    for k, square in enumerate(_squared_norms(vecs).tolist()):
         if not abs(square - 1.0) <= TOL_TRACE:
             # the sum raises no warning on nan or inf, so finiteness is
             # tested only once the norm check has failed

@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
+    OUTCOME_PRUNE_TOL,
     KrausChannel,
     LocalProtocol,
     ProductKrausChannel,
     ProtocolRound,
     _channel_stacks,
     _classify_stack,
-    _pair_posts,
+    _kept_leaves,
+    _pair_vectors,
     classify,
     is_incoherent_operator,
 )
@@ -48,7 +50,9 @@ from .linalg import (
     _density_stack,
     _indexed,
     _partial_traces,
+    _pure_stack,
     _rank_one,
+    _squared_norms,
     _subsystem_dims,
     _trace_norms,
     _unchecked,
@@ -153,19 +157,24 @@ _TELEPORT = _teleport_script()
 def _teleport_branches(psi_vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list, np.ndarray]:
     """Teleport each input qubit of an (n, 2) stack of unit vectors, every
     (A, B) pair of the script's product form acting on the stack of all of
-    them: the unnormalized leaf states, their probabilities, input indices
-    and transcripts, input by input and depth-first within each input, and
-    Bob's fidelity with his leaf's input on each leaf.  The inputs
-    psi x phi+ are the only states validated, as one rank-one stack
-    (``linalg._rank_one``, no eigensolve); each fidelity is read from the
-    normalized leaf with A and A' traced out by ``linalg._partial_traces``."""
+    them as vectors (``channels._pair_vectors``): the unnormalized leaf
+    vectors w, their probabilities ||w||^2, input indices and transcripts,
+    input by input and depth-first within each input, and Bob's fidelity
+    with his leaf's input on each leaf.  The inputs psi x phi+ are the only
+    states validated, as one ``linalg._pure_stack``: no density is formed
+    and no eigenproblem solved.  Each input's probabilities must sum to 1
+    within 1e-9 and a leaf is kept when its probability is > 1e-12, as in
+    ``LocalProtocol._leaves``.  With w read as the (A'A, B) matrix of
+    rows W_i, Bob's state is sum_i W_i W_i' / p, so his fidelity with psi
+    is sum_i |<psi|W_i>|^2 / p."""
     vecs = (psi_vecs[:, :, None] * _TELEPORT_PAIR.vec).reshape(len(psi_vecs), -1)
-    rhos, _ = _rank_one(vecs, _TELEPORT.dims)
-    mats, probs, inputs, transcripts = _TELEPORT._leaves(rhos, _TELEPORT.dims)
-    bobs, _ = _partial_traces(mats / probs[:, None, None], _TELEPORT.dims, {2})
-    v = psi_vecs[inputs]
-    fidelities = (v.conj()[:, None, :] @ bobs @ v[:, :, None])[:, 0, 0].real
-    return mats, probs, inputs, transcripts, fidelities
+    _pure_stack(vecs, _TELEPORT.dims)
+    a_ops, b_ops, transcripts = _TELEPORT._product_form
+    leaves = _pair_vectors(vecs[:, None], a_ops, b_ops)
+    leaves, probs, inputs, transcripts = _kept_leaves(leaves, _squared_norms(leaves), transcripts)
+    overlaps = leaves.reshape(len(leaves), 4, 2) @ psi_vecs[inputs].conj()[:, :, None]
+    fidelities = _squared_norms(overlaps[:, :, 0]) / probs
+    return leaves, probs, inputs, transcripts, fidelities
 
 
 def incoherent_teleport(psi: PureState) -> ProtocolResult:
@@ -176,13 +185,16 @@ def incoherent_teleport(psi: PureState) -> ProtocolResult:
     pair.  Alice's four Kraus operators |00><phi_i| are incoherent in her
     two-qubit basis; Bob's corrections are Pauli operators.  Every branch
     has probability 1/4 and leaves Bob holding the input state exactly.
+    The leaves come from ``_teleport_branches`` as vectors w; each leaf
+    state is the rank-one density of w / sqrt(p) (``linalg._rank_one``),
+    so no eigenproblem is solved.
     """
     if psi.dims != (2,):
         raise DimensionMismatchError("teleportation input must be a single qubit")
-    mats, probs, _, transcripts, fidelities = _teleport_branches(psi.vec[None])
+    vecs, probs, _, transcripts, fidelities = _teleport_branches(psi.vec[None])
+    mats, spectra = _rank_one(vecs / np.sqrt(probs)[:, None], _TELEPORT.dims)
     probs = probs.tolist()
-    leaves = [(p, DensityMatrix(m / p, _TELEPORT.dims), t)
-              for m, p, t in zip(mats, probs, transcripts)]
+    leaves = list(zip(probs, _density_matrices(mats, spectra, _TELEPORT.dims), transcripts))
     metrics = {
         "min_fidelity": float(fidelities.min()),
         "mean_fidelity": float(np.mean(fidelities)),
@@ -254,8 +266,7 @@ def assisted_distill_pure(
 
     bobs, _ = _partial_traces(np.array([st.mat for _, st, _ in leaves]), (n_out, db), {1})
     bob_cohs = _coherences(bobs, _density_stack(bobs, (db,)), (db,))
-    mats = members[:, :, None] * members.conj()[:, None]
-    member_cohs = _coherences(mats, _density_stack(mats, (db,)), (db,))
+    member_cohs = _coherences(*_rank_one(members, (db,)), (db,))
     metrics = {
         "average_coherence": float(sum(p * coh for (p, _, _), coh in zip(leaves, bob_cohs))),
         "supplied_ensemble_average": float(sum(p * coh for (p, _), coh in zip(ensemble, member_cohs))),
@@ -507,35 +518,47 @@ _DOMINO_CHANNEL = ProductKrausChannel(
 def discriminate_domino(input_index: int) -> ProtocolResult:
     """Run the domino discrimination channel on the chosen domino state
     (1-based index).  The matching outcome fires with probability one and
-    leaves the flag state |jj>."""
+    leaves the flag state |jj>.  The pairs act on the input as a vector
+    (``_domino_outcomes``), and each outcome that fires, with probability
+    > 1e-12, is the rank-one density of its normalized vector
+    (``linalg._rank_one``), so no eigenproblem is solved."""
     if not 1 <= input_index <= 9:
         raise DimensionMismatchError(f"input index must be 1..9, got {input_index}")
     channel = _DOMINO_CHANNEL
-    outcomes = channel.apply_instrument(_DOMINO.states[input_index - 1].to_density())
-    leaves = tuple((o.probability, o.state, (("AB", o.outcome),)) for o in outcomes)
     target = input_index - 1
-    p_correct = sum(o.probability for o in outcomes if o.outcome == target)
+    vecs, probs = _domino_outcomes(_DOMINO.states[target].vec)
+    fired = np.flatnonzero(probs > OUTCOME_PRUNE_TOL)
+    mats, spectra = _rank_one(vecs[fired] / np.sqrt(probs[fired])[:, None], channel.out_dims)
+    outcomes = list(zip(fired.tolist(), probs[fired].tolist()))
+    leaves = tuple((p, state, (("AB", k),))
+                   for (k, p), state in zip(outcomes, _density_matrices(mats, spectra, channel.out_dims)))
     flags = classify(channel)
     metrics = {
-        "success_probability": p_correct,
-        "n_outcomes_fired": float(len(outcomes)),
+        "success_probability": sum(p for k, p in outcomes if k == target),
+        "n_outcomes_fired": float(len(leaves)),
         "si": float(flags.separable_incoherent),
         "sqi": float(flags.separable_quantum_incoherent),
     }
     return ProtocolResult(leaves, metrics, details={"channel": channel})
 
 
+def _domino_outcomes(vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The domino channel's pairs (A_k, B_k) on domino input vectors psi as
+    vectors (``channels._pair_vectors``), with no density: the unnormalized
+    outcome vectors (A_k x B_k) psi and their probabilities ||.||^2.  One
+    (9,) vector meets every pair; the (9, 9) stack of the family meets its
+    matching pairs, the k-th pair acting on the k-th state only."""
+    out = _pair_vectors(vecs, _DOMINO_CHANNEL.a_ops, _DOMINO_CHANNEL.b_ops)
+    return out, _squared_norms(out)
+
+
 def _domino_success_probabilities() -> np.ndarray:
-    """p_k = Tr[(A_k x B_k) rho_k (A_k x B_k)'] for the nine domino states
-    rho_k and the channel's matching pairs (A_k, B_k), in family order:
-    ``discriminate_domino(k + 1)``'s success probability without its
-    outcome states.  The nine densities are built and validated as one
-    rank-one stack (``linalg._rank_one``, no eigensolve); each party's
-    operators then act on that stack pair by pair, A_k on the k-th input
-    only."""
-    rhos, _ = _rank_one(np.array([psi.vec for psi in _DOMINO.states]), (3, 3))
-    posts = _pair_posts(rhos, _DOMINO_CHANNEL.a_ops, _DOMINO_CHANNEL.b_ops)
-    return posts.trace(axis1=-2, axis2=-1).real
+    """p_k = ||(A_k x B_k) psi_k||^2 for the nine domino states psi_k and
+    the channel's matching pairs (A_k, B_k), in family order:
+    ``discriminate_domino(k + 1)``'s success probability, through the same
+    ``_domino_outcomes``, without its outcome states.  The states are
+    ``PureState``s, validated when the family was built."""
+    return _domino_outcomes(np.array([psi.vec for psi in _DOMINO.states]))[1]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1179,3 +1179,53 @@ def test_merged_outputs_check_the_summed_trace():
     vars(leak)["ops"] = leak.ops * 0.5
     with pytest.raises(IncompleteChannelError, match="leaf probabilities sum to"):
         _outputs([protocol], random_density((2, 2), 4, 1).mat[None], (2, 2))
+
+
+def _unit_rows(rng, n, d):
+    vecs = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def _vector_kernel_pairs():
+    # the teleport script's pairs, the domino channel's rectangular (9 x 3)
+    # pairs, and random rectangular product pairs (A 3 x 2, B 4 x 3), scaled
+    # so that every entry is O(1) or smaller
+    from coherlab.protocols import _DOMINO_CHANNEL, _TELEPORT
+
+    a_ops, b_ops, _ = _TELEPORT._product_form
+    yield pytest.param(a_ops, b_ops, id="teleport")
+    yield pytest.param(_DOMINO_CHANNEL.a_ops, _DOMINO_CHANNEL.b_ops, id="domino")
+    rng = np.random.default_rng(3)
+    for seed in range(5):
+        a, b = (rng.standard_normal((6, p, q)) + 1j * rng.standard_normal((6, p, q)) for p, q in ((3, 2), (4, 3)))
+        yield pytest.param(a / np.linalg.norm(a), b / np.linalg.norm(b), id=f"random-{seed}")
+
+
+@pytest.mark.parametrize("a_ops, b_ops", list(_vector_kernel_pairs()))
+def test_pair_vectors_equal_the_density_route(a_ops, b_ops):
+    # (A x B) psi against (A x B) psi psi' (A x B)' in both broadcast forms:
+    # every pair on every input, and pair k on input k
+    from coherlab.channels import _pair_posts, _pair_vectors
+
+    vecs = _unit_rows(np.random.default_rng(11), len(a_ops) + 3, a_ops.shape[-1] * b_ops.shape[-1])
+    rhos = vecs[:, :, None] * vecs.conj()[:, None]
+    every = _pair_vectors(vecs[:, None], a_ops, b_ops)
+    assert every.shape == (len(vecs), len(a_ops), a_ops.shape[-2] * b_ops.shape[-2])
+    outer = every[..., :, None] * every.conj()[..., None, :]
+    assert np.abs(outer - _pair_posts(rhos[:, None], a_ops, b_ops)).max() <= 1e-15
+    matching = _pair_vectors(vecs[:len(a_ops)], a_ops, b_ops)
+    outer = matching[..., :, None] * matching.conj()[..., None, :]
+    assert np.abs(outer - _pair_posts(rhos[:len(a_ops)], a_ops, b_ops)).max() <= 1e-15
+    # pair k on input k is the diagonal of every pair on every input
+    assert matching.tobytes() == every[np.arange(len(a_ops)), np.arange(len(a_ops))].tobytes()
+
+
+@pytest.mark.parametrize("a_ops, b_ops", list(_vector_kernel_pairs()))
+def test_stacked_pair_vectors_equal_single_inputs(a_ops, b_ops):
+    # a stack of n inputs against n calls on one input each, bit for bit
+    from coherlab.channels import _pair_vectors
+
+    vecs = _unit_rows(np.random.default_rng(12), 20, a_ops.shape[-1] * b_ops.shape[-1])
+    stacked = _pair_vectors(vecs[:, None], a_ops, b_ops)
+    assert stacked.tobytes() == np.stack([_pair_vectors(v, a_ops, b_ops) for v in vecs]).tobytes()
+    assert stacked.tobytes() == np.stack([_pair_vectors(v[None], a_ops, b_ops) for v in vecs]).tobytes()

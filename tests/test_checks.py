@@ -202,3 +202,48 @@ def test_density_stack_returns_the_single_spectra():
     spectra = _density_stack(mats, (3, 3))
     for mat, spectrum in zip(mats, spectra):
         assert spectrum.tobytes() == DensityMatrix(mat, (3, 3)).spectrum.tobytes()
+
+
+def _kron_residual(channel):
+    # the per-pair np.kron sum that completeness_residual replaced
+    gram = sum(np.kron(a.conj().T @ a, b.conj().T @ b) for a, b in channel.pairs)
+    return float(np.abs(gram - np.eye(len(gram))).max())
+
+
+def _random_product_channels():
+    from coherlab.channels import ProductKrausChannel, random_instrument, random_incoherent_channel
+
+    for seed in range(6):
+        a = random_instrument((2,), 3, seed)
+        b = random_incoherent_channel((3,), 2, seed + 100)
+        # one pair per (A outcome, B outcome)
+        pairs = [(x, y) for x in a.ops for y in b.ops]
+        yield ProductKrausChannel(*zip(*pairs), (2,), (3,))
+
+
+def test_completeness_residual_equals_the_kron_sum():
+    from coherlab.protocols import domino_discrimination_channel
+
+    for channel in [domino_discrimination_channel(), *_random_product_channels()]:
+        residual = checks.completeness_residual(channel)
+        assert abs(residual - _kron_residual(channel)) <= 1e-15
+        assert residual <= 1e-9
+
+
+def test_completeness_residual_sees_a_corrupted_channel():
+    # a channel wrapped past its constructor's completeness check
+    from coherlab.channels import ProductKrausChannel
+    from coherlab.linalg import _unchecked
+    from coherlab.protocols import domino_discrimination_channel
+
+    domino = domino_discrimination_channel()
+    channels = [domino, *_random_product_channels()]
+    for channel in channels:
+        corrupted = _unchecked(ProductKrausChannel, a_ops=channel.a_ops * (1.0 + 1e-6), b_ops=channel.b_ops,
+                               a_in_dims=channel.a_in_dims, b_in_dims=channel.b_in_dims,
+                               a_out_dims=channel.a_out_dims, b_out_dims=channel.b_out_dims)
+        assert checks.completeness_residual(corrupted) > 1e-9
+        assert abs(checks.completeness_residual(corrupted) - _kron_residual(corrupted)) <= 1e-15
+    dropped = _unchecked(ProductKrausChannel, a_ops=domino.a_ops[1:], b_ops=domino.b_ops[1:],
+                         a_in_dims=(3,), b_in_dims=(3,), a_out_dims=(9,), b_out_dims=(9,))
+    assert checks.completeness_residual(dropped) > 1e-9

@@ -542,28 +542,44 @@ def test_reference_rows_all_pass():
 
 
 def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
-    # the 20 teleports are one pair of stacked local actions (the script's
-    # four (A, B) pairs on every input) and the 9 domino inputs one pair of
-    # stacked local actions; the merge is one product with its 81 x 81
-    # transfer matrix, so it makes no local action and no post-state.  The
-    # rank-one inputs take no eigensolve and the merging state is solved on
-    # its nine R blocks, so no solve has order 81: the largest is the RB|A
-    # split's 27-dim (R, B) blocks
+    # the 20 teleports are the script's four (A, B) pairs on the stack of
+    # all inputs as vectors and the 9 domino inputs their matching pairs as
+    # vectors, so no local action is taken and no post-state is validated:
+    # the only states are the inputs, the 20 teleport inputs as one stack of
+    # vectors; the merge is one product with its 81 x 81 transfer matrix.
+    # The merging state is solved on its nine R blocks, so no solve has
+    # order 81: the largest is the RB|A split's 27-dim (R, B) blocks
     import coherlab.channels as channels
     import coherlab.linalg as linalg
+    import coherlab.measures as measures
     import coherlab.protocols as protocols
+    import coherlab.states as states
 
     orders = []
     local_orders = []  # the order of each apply_local result
+    validated = []  # (kind, stack shape) of each validated stack
     apply_local = linalg.apply_local
+    density_stack, pure_stack = linalg._density_stack, linalg._pure_stack
 
     def counted_apply_local(*args, **kwargs):
         out = apply_local(*args, **kwargs)
         local_orders.append(out.shape[-1])
         return out
 
+    def counted_density_stack(mats, *args, **kwargs):
+        validated.append(("density", mats.shape))
+        return density_stack(mats, *args, **kwargs)
+
+    def counted_pure_stack(vecs, *args, **kwargs):
+        validated.append(("pure", vecs.shape))
+        return pure_stack(vecs, *args, **kwargs)
+
     for module in (linalg, channels, protocols):
         monkeypatch.setattr(module, "apply_local", counted_apply_local)
+    for module in (linalg, measures, protocols, states):
+        for name, counted in (("_density_stack", counted_density_stack), ("_pure_stack", counted_pure_stack)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     for name in ("eigvalsh", "eigh"):
         solver = getattr(np.linalg, name)
 
@@ -573,10 +589,14 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     reference_rows(seed=0)
-    assert len(local_orders) == 4
-    assert max(local_orders) <= 81
+    assert local_orders == []
     assert 81 not in orders
     assert max(orders) == 27
+    # four Bell vectors, the Bell density, the merging state, |psi2> and its
+    # density, the 20 teleport inputs, the dephased Bell state
+    assert validated == [("pure", (1, 4))] * 4 + [
+        ("density", (1, 4, 4)), ("density", (1, 81, 81)), ("pure", (1, 2)), ("density", (1, 2, 2)),
+        ("pure", (20, 8)), ("density", (1, 4, 4))]
 
 
 def test_corrupted_merge_transfer_fails_reproduce(runner, monkeypatch):

@@ -122,12 +122,16 @@ def test_teleport_total_channel_is_identity_on_operator_basis():
 
 
 def test_teleport_trial_builds_only_its_input_state(monkeypatch):
+    # the inputs psi x phi+ are validated as one stack of vectors and
+    # teleported as vectors: no density is validated, no eigenproblem is
+    # solved and no local action on a matrix is taken
+    import coherlab.channels as channels
     import coherlab.checks as checks
     import coherlab.linalg as linalg
     import coherlab.protocols as protocols
     import coherlab.states as states
 
-    calls = {"bell": 0, "density": 0, "eig": 0}
+    calls = {"bell": 0, "pure": [], "density": 0, "eig": 0, "apply_local": 0}
 
     def counted_bell(fn):
         def wrapper(*args, **kwargs):
@@ -135,12 +139,20 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    density_stack = linalg._density_stack
+    pure_stack, density_stack, apply_local_ = linalg._pure_stack, linalg._density_stack, linalg.apply_local
+
+    def counted_pure_stack(vecs, dims):
+        calls["pure"].append(vecs.shape)
+        return pure_stack(vecs, dims)
 
     def counted_density_stack(mats, dims, *args, **kwargs):
         # every state validated, one at a time or as a stack
         calls["density"] += len(mats)
         return density_stack(mats, dims, *args, **kwargs)
+
+    def counted_apply_local(*args, **kwargs):
+        calls["apply_local"] += 1
+        return apply_local_(*args, **kwargs)
 
     for name in ("eigvalsh", "eigh"):
         solver = getattr(np.linalg, name)
@@ -152,61 +164,56 @@ def test_teleport_trial_builds_only_its_input_state(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     monkeypatch.setattr(protocols, "bell_states", counted_bell(protocols.bell_states))
     monkeypatch.setattr(states, "bell_states", counted_bell(states.bell_states))
-    monkeypatch.setattr(linalg, "_density_stack", counted_density_stack)
-    monkeypatch.setattr(protocols, "_density_stack", counted_density_stack)
-    assert checks.teleport_fidelity([np.random.default_rng(7)])[0] >= 1 - 1e-9
-    # the input is rank one: validated with the spectrum its structure
-    # fixes, so no eigenproblem is solved
-    assert calls == {"bell": 0, "density": 1, "eig": 0}
-
-    # n inputs: one validation each, and the script's four (A, B) pairs
-    # acting on the stack of all of them, one apply_local per party
-    import coherlab.channels as channels
-
-    calls.update(density=0, apply_local=0)
-    apply_local_ = channels.apply_local
-
-    def counted_apply_local(*args, **kwargs):
-        calls["apply_local"] += 1
-        return apply_local_(*args, **kwargs)
-
-    monkeypatch.setattr(channels, "apply_local", counted_apply_local)
-    assert (checks.teleport_fidelity([np.random.default_rng(7)] * 20) >= 1 - 1e-9).all()
-    assert calls == {"bell": 0, "density": 20, "eig": 0, "apply_local": 2}
+    for module in (linalg, protocols, checks):
+        if hasattr(module, "_pure_stack"):
+            monkeypatch.setattr(module, "_pure_stack", counted_pure_stack)
+    for module in (linalg, protocols, checks):
+        monkeypatch.setattr(module, "_density_stack", counted_density_stack)
+    for module in (linalg, channels, protocols):
+        monkeypatch.setattr(module, "apply_local", counted_apply_local)
+    for n in (1, 20):
+        calls.update(pure=[], density=0, eig=0, apply_local=0)
+        assert (checks.teleport_fidelity([np.random.default_rng(7)] * n) >= 1 - 1e-9).all()
+        assert calls == {"bell": 0, "pure": [(n, 8)], "density": 0, "eig": 0, "apply_local": 0}
 
 
-def test_teleport_branches_equal_the_kron_and_per_leaf_routes(monkeypatch):
-    # the broadcast inputs and the batched fidelities against np.kron per
-    # input and one vector-matrix-vector product per leaf, bit for bit; the
-    # inputs are validated with their rank-one spectra (0, 0, ..., Tr),
-    # which the full solve matches within 1e-15
-    import coherlab.linalg as linalg
+def test_teleport_branches_equal_the_kron_and_per_leaf_routes():
+    # the broadcast inputs and the batched leaves against np.kron per input
+    # and one A Psi B^T per leaf: leaf vectors, probabilities and
+    # fidelities bit for bit; and the fidelities within 1e-15 of the
+    # density route (psi psi' through the product form's post-states,
+    # Bob's marginal by partial trace)
+    from coherlab.channels import _pair_posts
+    from coherlab.linalg import _squared_norms
+    from coherlab.protocols import _TELEPORT
 
     pair = bell_states()[0]
-    validated = []
-    density_stack = linalg._density_stack
-
-    def recorded_density_stack(mats, dims, *args, **kwargs):
-        validated.append((mats, kwargs["spectra"]))
-        return density_stack(mats, dims, *args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_density_stack", recorded_density_stack)
+    a_ops, b_ops, transcripts = _TELEPORT._product_form
     for n in (1, 20, 64):
         for seed in range(50):
             rng = np.random.default_rng(seed)
             psis = [random_pure((2,), int(rng.integers(2**63))) for _ in range(n)]
-            validated.clear()
-            mats, probs, inputs, _, fidelities = _teleport_branches(np.stack([psi.vec for psi in psis]))
-            vecs = np.stack([np.kron(psi.vec, pair.vec) for psi in psis])
-            ((rhos, spectra),) = validated
-            assert rhos.tobytes() == (vecs[:, :, None] * vecs.conj()[:, None, :]).tobytes()
-            assert not spectra[:, :-1].any()
-            assert np.abs(spectra - np.linalg.eigvalsh(rhos)).max() <= 1e-15
-            bobs = (mats / probs[:, None, None]).reshape(-1, 2, 2, 2, 2, 2, 2)
-            bobs = np.trace(np.trace(bobs, axis1=2, axis2=5), axis1=1, axis2=3)
-            reference = np.array([float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
-                                  for k, bob in zip(inputs.tolist(), bobs)])
-            assert fidelities.tobytes() == reference.tobytes()
+            leaves, probs, inputs, leaf_transcripts, fidelities = _teleport_branches(
+                np.stack([psi.vec for psi in psis]))
+            vecs = [np.kron(psi.vec, pair.vec) for psi in psis]
+            reference = [(k, i, a @ vecs[k].reshape(4, 2) @ b.T)
+                         for k in range(n) for i, (a, b) in enumerate(zip(a_ops, b_ops))]
+            assert inputs.tolist() == [k for k, _, _ in reference]
+            assert leaf_transcripts == [transcripts[i] for _, i, _ in reference]
+            assert leaves.tobytes() == np.stack([w.reshape(-1) for _, _, w in reference]).tobytes()
+            ref_probs = np.array([_squared_norms(w.reshape(-1)) for _, _, w in reference])
+            assert probs.tobytes() == ref_probs.tobytes()
+            ref_fidelities = np.array([_squared_norms((w @ psis[k].vec.conj()[:, None])[:, 0]) / p
+                                       for (k, _, w), p in zip(reference, ref_probs.tolist())])
+            assert fidelities.tobytes() == ref_fidelities.tobytes()
+
+            rhos = np.stack([np.outer(v, v.conj()) for v in vecs])
+            posts = _pair_posts(rhos[:, None], a_ops, b_ops).reshape(-1, 8, 8)
+            bobs = (posts / np.trace(posts, axis1=1, axis2=2).real[:, None, None]).reshape(-1, 4, 2, 4, 2)
+            bobs = np.trace(bobs, axis1=1, axis2=3)
+            density_route = np.array([float(np.real(psis[k].vec.conj() @ bob @ psis[k].vec))
+                                      for k, bob in zip(inputs.tolist(), bobs)])
+            assert np.abs(fidelities - density_route).max() <= 1e-15
 
 
 def test_stacked_teleport_trial_equals_single_draws():
@@ -785,6 +792,53 @@ def test_domino_success_probabilities_equal_discrimination_runs():
     values = _domino_success_probabilities()
     assert values.tolist() == [discriminate_domino(i).metrics["success_probability"]
                                for i in range(1, 10)]
+
+
+def _count_eigensolves(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            calls.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_vector_routes_equal_the_density_routes_without_an_eigensolve(monkeypatch):
+    # incoherent_teleport's leaves against LocalProtocol.run and
+    # discriminate_domino's outcomes against apply_instrument on the input's
+    # density: the same outcomes, probabilities and states within 1e-15,
+    # with no eigenproblem solved on the vector routes
+    from coherlab.protocols import _DOMINO_CHANNEL, _TELEPORT
+
+    pair = bell_states()[0]
+    rng = np.random.default_rng(5)
+    for psi in [maximally_coherent(2), PureState(np.array([1.0, 0.0]), (2,))] + [
+            random_pure((2,), int(rng.integers(2**63))) for _ in range(5)]:
+        reference = _TELEPORT.run(psi.tensor(pair).to_density())
+        calls = _count_eigensolves(monkeypatch)
+        result = incoherent_teleport(psi)
+        assert calls == []
+        monkeypatch.undo()
+        assert [t for _, _, t in result.outcomes] == [t for _, _, t in reference]
+        for (p, state, _), (p_ref, state_ref, _) in zip(result.outcomes, reference):
+            assert abs(p - p_ref) <= 1e-15
+            assert np.abs(state.mat - state_ref.mat).max() <= 1e-15
+            assert np.abs(state.spectrum - state_ref.spectrum).max() <= 1e-15
+    for index in range(1, 10):
+        reference = _DOMINO_CHANNEL.apply_instrument(domino_states().states[index - 1].to_density())
+        calls = _count_eigensolves(monkeypatch)
+        result = discriminate_domino(index)
+        assert calls == []
+        monkeypatch.undo()
+        assert [t for _, _, t in result.outcomes] == [(("AB", o.outcome),) for o in reference]
+        for (p, state, _), o in zip(result.outcomes, reference):
+            assert abs(p - o.probability) <= 1e-15
+            assert np.abs(state.mat - o.state.mat).max() <= 1e-15
+            assert np.abs(state.spectrum - o.state.spectrum).max() <= 1e-15
 
 
 def test_discriminate_domino_builds_family_and_channel_once(monkeypatch):
