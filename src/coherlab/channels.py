@@ -522,19 +522,24 @@ def _round_order(root: ProtocolRound | None) -> tuple[ProtocolRound, ...]:
     to: continuations are shared between branches, so rounds are told apart
     by identity, and reversed depth-first post-order puts every round
     before its continuations."""
-    seen: set[int] = set()
     post_order: list[ProtocolRound] = []
-
-    def visit(node: ProtocolRound | None) -> None:
-        if node is None or id(node) in seen:
-            return
-        seen.add(id(node))
-        for branch in node.branches or ():
-            visit(branch)
-        post_order.append(node)
-
-    visit(root)
+    _post_order(root, set(), post_order)
     return tuple(reversed(post_order))
+
+
+# The recursive walks (_post_order, _walk, _script_tree) are module
+# functions, not closures: a closure that calls itself is a reference cycle,
+# which keeps every round, operator and leaf it reached alive until the
+# cyclic garbage collector runs.
+def _post_order(node: ProtocolRound | None, seen: set[int], post_order: list[ProtocolRound]) -> None:
+    """Append the rounds reachable from ``node`` and not in ``seen`` (by
+    id) to ``post_order``, each after every round it can lead to."""
+    if node is None or id(node) in seen:
+        return
+    seen.add(id(node))
+    for branch in node.branches or ():
+        _post_order(branch, seen, post_order)
+    post_order.append(node)
 
 
 def _stacked_rounds(scripts: Sequence[LocalProtocol]) -> tuple[dict, dict]:
@@ -561,26 +566,31 @@ def _products(scripts: Sequence[LocalProtocol]) -> tuple[np.ndarray, np.ndarray,
     first = scripts[0]
     ops, _ = _stacked_rounds(scripts)
     leaves = []
-
-    def walk(node: ProtocolRound | None, a: np.ndarray, b: np.ndarray, transcript: tuple) -> None:
-        if node is None:
-            leaves.append((a, b, transcript))
-            return
-        for outcome, op in enumerate(ops[node] @ (a if node.party == "A" else b)):
-            nxt = None if node.branches is None else node.branches[outcome]
-            record = transcript + ((node.party, outcome),)
-            if node.party == "A":
-                walk(nxt, op, b, record)
-            else:
-                walk(nxt, a, op, record)
-
     eyes = (np.repeat(np.eye(math.prod(d), dtype=complex)[None], len(scripts), axis=0)
             for d in (first.a_dims, first.b_dims))
-    walk(first.root, *eyes, ())
+    _walk(first.root, ops, *eyes, (), leaves)
     a_ops, b_ops, transcripts = zip(*leaves)
     a_ops, b_ops = (np.array(stack).swapaxes(0, 1) for stack in (a_ops, b_ops))
     a_ops.flags.writeable = b_ops.flags.writeable = False
     return a_ops, b_ops, list(transcripts)
+
+
+def _walk(node: ProtocolRound | None, ops: dict, a: np.ndarray, b: np.ndarray, transcript: tuple,
+          leaves: list) -> None:
+    """Append to ``leaves`` the (A, B, transcript) of every leaf below
+    ``node``, depth first, reached with the composed prefixes ``a`` and
+    ``b`` and the ``transcript`` so far; ``ops`` maps each round to its
+    stacked operators."""
+    if node is None:
+        leaves.append((a, b, transcript))
+        return
+    for outcome, op in enumerate(ops[node] @ (a if node.party == "A" else b)):
+        nxt = None if node.branches is None else node.branches[outcome]
+        record = transcript + ((node.party, outcome),)
+        if node.party == "A":
+            _walk(nxt, ops, op, b, record, leaves)
+        else:
+            _walk(nxt, ops, a, op, record, leaves)
 
 
 def _check_probabilities(totals: np.ndarray) -> None:
@@ -630,11 +640,16 @@ def _outputs(scripts: Sequence[LocalProtocol], mats: np.ndarray, dims: tuple[int
 def _incoherent_draw(rng: np.random.Generator, d: int, n: int) -> tuple[np.ndarray, ...]:
     """One draw of an incoherent family of n operators on dimension d:
     the (n, d) column targets, real and imaginary amplitudes.  It is drawn
-    operator by operator (permutation, then real and imaginary amplitudes),
-    so a seed keeps naming the same channel."""
-    return tuple(np.array(x) for x in zip(*(
-        (rng.permutation(d), rng.standard_normal(d), rng.standard_normal(d)) for _ in range(n)
-    )))
+    operator by operator, so a seed keeps naming the same channel: a
+    ``shuffle`` of its row of ``arange(d)`` (the stream of
+    ``permutation(d)``), then one ``standard_normal`` of its (2, d) slab,
+    the real then the imaginary amplitudes."""
+    perms = np.arange(d)[None].repeat(n, axis=0)
+    parts = np.empty((n, 2, d))
+    for perm, slab in zip(perms, parts):
+        rng.shuffle(perm)
+        rng.standard_normal(out=slab)
+    return perms, parts[:, 0], parts[:, 1]
 
 
 def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]:
@@ -645,14 +660,20 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
     then the family is completed.  Injective targets make M = sum_l R_l' R_l
     diagonal, holding each column's squared norm over the family, so
     completion K_l = R_l M^{-1/2} rescales each column by the inverse root
-    of that norm and preserves incoherence.  A family with a column of norm
-    below 1e-12 is drawn again from its own generator, up to 16 attempts.  The
-    families are completed and checked incoherent as one stack, then
-    checked by ``_channel_stacks`` and wrapped by ``linalg._unchecked``."""
+    of that norm and preserves incoherence.  Per seed, ``_incoherent_draw``
+    makes the generator calls and its family is stored in preallocated
+    (m, n, d) stacks of targets and amplitudes.  A family with a column of
+    norm below 1e-12 is drawn again from its own generator, up to 16
+    attempts.  The families are then completed and checked incoherent as
+    one stack, checked by ``_channel_stacks`` and wrapped by
+    ``linalg._unchecked``."""
     dims = _subsystem_dims(dims)
     d, n = math.prod(dims), max(1, n_kraus)
     rngs = _generators(seeds)
-    perms, re, im = (np.array(x) for x in zip(*(_incoherent_draw(rng, d, n) for rng in rngs)))
+    m = len(rngs)
+    perms, re, im = np.empty((m, n, d), dtype=np.intp), np.empty((m, n, d)), np.empty((m, n, d))
+    for k, rng in enumerate(rngs):
+        perms[k], re[k], im[k] = _incoherent_draw(rng, d, n)
     colnorm2 = (re**2 + im**2).sum(axis=1)
     for k in np.flatnonzero(colnorm2.min(axis=1) < 1e-12).tolist():
         for _ in range(15):
@@ -662,8 +683,8 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
                 break
         else:
             raise SingularNormalizerError("failed to draw a nonsingular incoherent family in 16 attempts")
-    ops = np.zeros((len(rngs), n, d, d), dtype=complex)
-    ops[np.arange(len(rngs))[:, None, None], np.arange(n)[:, None], perms, np.arange(d)] = (
+    ops = np.zeros((m, n, d, d), dtype=complex)
+    ops[np.arange(m)[:, None, None], np.arange(n)[:, None], perms, np.arange(d)] = (
         (re + 1j * im) * (1.0 / np.sqrt(colnorm2))[:, None])
     if not is_incoherent_operator(ops):
         raise NotIncoherentError("drawn operator maps a basis state to a superposition")
@@ -674,14 +695,18 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
 def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
     """One random general instrument per seed: Ginibre operators drawn
     from the stream of ``default_rng(seed)`` (the stack's generators are
-    built by one batched seeding, ``states._generators``), the real then
-    imaginary part of each operator in turn as one draw, normalized by the
-    inverse square root of their Gram sum.  The instruments are completed
-    as one stack, checked by ``_channel_stacks`` and wrapped by
-    ``linalg._unchecked``."""
+    built by one batched seeding, ``states._generators``).  Per seed, one
+    ``standard_normal`` fills its (n, 2, d, d) slab of a preallocated
+    stack, the real then imaginary part of each operator in turn; the
+    operators are then assembled and normalized by the inverse square root
+    of their Gram sum, completed as one stack, checked by
+    ``_channel_stacks`` and wrapped by ``linalg._unchecked``."""
     dims = _subsystem_dims(dims)
     d, n = math.prod(dims), max(1, n_kraus)
-    parts = np.array([rng.standard_normal((n, 2, d, d)) for rng in _generators(seeds)])
+    rngs = _generators(seeds)
+    parts = np.empty((len(rngs), n, 2, d, d))
+    for rng, slab in zip(rngs, parts):
+        rng.standard_normal(out=slab)
     raws = parts[:, :, 0] + 1j * parts[:, :, 1]
     w, v = np.linalg.eigh(_grams(raws).sum(axis=1))
     inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))[:, None]) @ v.conj().swapaxes(-1, -2)
@@ -724,7 +749,8 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     Each script's generator, the stream of ``default_rng(seed)``, draws one
     seed per instrument in ``_draw_order``; each instrument is drawn from
     its own seed.  The scripts' generators, and then all their instruments'
-    generators, are built by one batched seeding each
+    generators (A's and B's together, handed to the two drawers as built
+    generators), are built by one batched seeding each
     (``states._generators``).  A is incoherent (LICC) or general (LQICC),
     B always incoherent.
     All the scripts' A instruments are completed and checked as one stack,
@@ -735,24 +761,27 @@ def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
     rounds, n = max(1, rounds), max(1, n_outcomes)
     order = np.array(_draw_order(rounds, n))
     node_seeds = np.array([rng.integers(2**63, size=len(order)) for rng in _generators(seeds)])
+    # every instrument's generator, script by script in _draw_order
+    node_rngs = np.array(_generators(node_seeds.ravel()), dtype=object).reshape(node_seeds.shape)
     random_a = _random_incoherent_channels if incoherent_a else _random_instruments
-    a_instruments = iter(random_a(a_dims, n, node_seeds[:, order == "A"].ravel()))
-    b_instruments = iter(_random_incoherent_channels(b_dims, n, node_seeds[:, order == "B"].ravel()))
-
-    def build(rounds: int) -> ProtocolRound:
-        # consumes the instruments in _draw_order
-        a_instrument = next(a_instruments)
-        branches = []
-        for _ in range(n):
-            b_instrument = next(b_instruments)
-            continuation = (build(rounds - 1),) * n if rounds > 1 else None
-            branches.append(ProtocolRound("B", b_instrument, continuation))
-        return ProtocolRound("A", a_instrument, tuple(branches))
-
+    a_instruments = iter(random_a(a_dims, n, node_rngs[:, order == "A"].ravel()))
+    b_instruments = iter(_random_incoherent_channels(b_dims, n, node_rngs[:, order == "B"].ravel()))
     parties = frozenset({"A", "B"} if incoherent_a else {"B"})
-    roots = [build(rounds) for _ in seeds]
+    roots = [_script_tree(rounds, n, a_instruments, b_instruments) for _ in seeds]
     return [_unchecked(LocalProtocol, a_dims=a_dims, b_dims=b_dims, root=root, incoherent_parties=parties,
                        _rounds=_round_order(root)) for root in roots]
+
+
+def _script_tree(rounds: int, n: int, a_instruments, b_instruments) -> ProtocolRound:
+    """The rounds of one random script, consuming the instruments from
+    the two iterators in ``_draw_order``."""
+    a_instrument = next(a_instruments)
+    branches = []
+    for _ in range(n):
+        b_instrument = next(b_instruments)
+        continuation = (_script_tree(rounds - 1, n, a_instruments, b_instruments),) * n if rounds > 1 else None
+        branches.append(ProtocolRound("B", b_instrument, continuation))
+    return ProtocolRound("A", a_instrument, tuple(branches))
 
 
 def random_sqi_channel(a_dims, b_dims, rounds: int, seed, n_outcomes: int = 2) -> LocalProtocol:

@@ -16,8 +16,10 @@ states, scripts and instruments of a stack are drawn as stacks too
 (``states._random_density_mats``, ``channels._random_scripts``,
 ``channels._random_incoherent_channels``): each from its own seed, as a
 single trial names it, on generators built by one batched seeding
-(``states._generators``), then all completed and checked in batched
-calls.
+(``states._generators``) per trial stack, one for all the kinds of input
+a trial draws.  Per seed only the generator calls run, each filling that
+seed's slab of a preallocated stack; the inputs are then assembled,
+normalized, completed and checked once per stack, in batched calls.
 A helper that takes states takes the stack of their matrices and
 validates every state it reads.  ``coherlab suite``, ``coherlab
 protocol``, ``coherlab reproduce`` and the acceptance tests all call these
@@ -93,9 +95,10 @@ def monotonicity_trial(rngs: Generators) -> np.ndarray:
     """``qi_increase`` under a random one-round SQI channel, on a two-qubit
     state of random rank."""
     draws = [(int(rng.integers(1, 5)), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    mats = st._random_density_mats(QUBITS, [rank for rank, _, _ in draws], [seed for _, seed, _ in draws])
-    protocols = ch._random_scripts((2,), (2,), 1, [seed for _, _, seed in draws],
-                                   incoherent_a=False, n_outcomes=2)
+    # the states' and the scripts' generators built as one stack
+    state_rngs = st._generators([seed for _, seed, _ in draws] + [seed for _, _, seed in draws])
+    mats = st._random_density_mats(QUBITS, [rank for rank, _, _ in draws], state_rngs[:len(draws)])
+    protocols = ch._random_scripts((2,), (2,), 1, state_rngs[len(draws):], incoherent_a=False, n_outcomes=2)
     return qi_increase(mats, protocols)
 
 
@@ -189,12 +192,13 @@ def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     random one-round SQI channel and under its SI reduction.  The scripts
     are compiled, checked and reduced as one stack each."""
     seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    scripts = ch._random_scripts((2,), (2,), 1, [seed for seed, _ in seeds],
-                                 incoherent_a=False, n_outcomes=2)
+    # the scripts' and the states' generators built as one stack
+    script_rngs = st._generators([seed for seed, _ in seeds] + [seed for _, seed in seeds])
+    scripts = ch._random_scripts((2,), (2,), 1, script_rngs[:len(seeds)], incoherent_a=False, n_outcomes=2)
     a_ops, b_ops, _ = ch._products(scripts)
     channels = ch._channel_stacks([a_ops, b_ops], [(2, 2), (2, 2)])
     reduced = pr._sqi_to_si_stack(*channels)
-    mats = st._random_density_mats(QUBITS, 4, [seed for _, seed in seeds])
+    mats = st._random_density_mats(QUBITS, 4, script_rngs[len(seeds):])
     _density_stack(mats, QUBITS)
     outs = np.concatenate([_apply(*channels, mats, QUBITS), _apply(*reduced, mats, QUBITS)])
     bobs = _marginals(outs, QUBITS, {1})
@@ -209,14 +213,17 @@ def ancilla_gap(rngs: Generators) -> np.ndarray:
     the input states and their extensions by the ancillas are validated
     as one stack each."""
     seeds = [(rng.integers(2**63), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    a_instrs = ch._random_incoherent_channels((2, 2), 2, [a for a, _, _ in seeds])
-    b_instrs = ch._random_incoherent_channels((2, 2), 2, [b for _, b, _ in seeds])
+    # the A, B and state generators built as one stack
+    n = len(seeds)
+    draw_rngs = st._generators([seed for column in zip(*seeds) for seed in column])
+    a_instrs = ch._random_incoherent_channels((2, 2), 2, draw_rngs[:n])
+    b_instrs = ch._random_incoherent_channels((2, 2), 2, draw_rngs[n:2 * n])
     a_ops, b_ops = (np.stack([instr.ops for instr in instrs]) for instrs in (a_instrs, b_instrs))
     # one pair per (A outcome, B outcome), in that order
     extended = ch._channel_stacks([np.repeat(a_ops, b_ops.shape[1], axis=1),
                                    np.tile(b_ops, (1, a_ops.shape[1], 1, 1))], [(4, 4), (4, 4)])
     reduced = pr._ancilla_stack(*extended, (2, 2), (2, 2), (2, 2))
-    rhos = st._random_density_mats(QUBITS, 4, [seed for _, _, seed in seeds])
+    rhos = st._random_density_mats(QUBITS, 4, draw_rngs[2 * n:])
     _density_stack(rhos, QUBITS)
     bigs = pr._extend_stack(rhos, QUBITS, (2, 2))
     _density_stack(bigs, (2, 2, 2, 2))

@@ -445,7 +445,7 @@ def classify(channel_path, tol, out_path):
 
 def reference_rows(seed: int = 0) -> list[dict]:
     """Every built-in closed-form reference value, with tolerances."""
-    bell = st.bell_states()[0].to_density()
+    bell = pr._TELEPORT_PAIR.to_density()  # |phi+>, built once at import
     witness = pr.merging_witness()
     vecs = np.array([psi.vec for psi in pr._DOMINO.states])
     channel = pr.domino_discrimination_channel()

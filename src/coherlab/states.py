@@ -268,6 +268,8 @@ def _generators(seeds) -> list[np.random.Generator]:
     generator's ``bit_generator.seed_seq`` holds only its state, so it
     cannot ``spawn``."""
     seeds = list(seeds)
+    if len(seeds) < _HASH_MIN:
+        return [np.random.default_rng(s) for s in seeds]
     hashed = [isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds]
     if sum(hashed) < _HASH_MIN:
         return [np.random.default_rng(s) for s in seeds]
@@ -289,14 +291,18 @@ def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:
     """One Haar-random unit vector on ``dims`` per seed, as an (n, d)
     stack, not validated: callers that draw many validate them as one
     stack.  The seeds' generators are built by one batched seeding
-    (``_generators``); each vector is a complex-Gaussian draw from its own,
-    divided by its own norm (a row-wise norm of the stack rounds
-    differently)."""
+    (``_generators``).  Per seed, one ``standard_normal`` fills its
+    (2, d) slab of a preallocated stack, the real parts then the imaginary
+    parts; the vectors are then assembled once for the stack, and each is
+    divided by its own ``np.linalg.norm``, whose rounding a batched norm
+    does not always reproduce."""
     d = math.prod(dims)
-    vecs = np.empty((len(seeds), d), dtype=complex)
-    for k, rng in enumerate(_generators(seeds)):
-        v = _ginibre(rng, d, 1).reshape(-1)
-        vecs[k] = v / np.linalg.norm(v)
+    parts = np.empty((len(seeds), 2, d))
+    for rng, slab in zip(_generators(seeds), parts):
+        rng.standard_normal(out=slab)
+    vecs = parts[:, 0] + 1j * parts[:, 1]
+    for v in vecs:
+        v /= np.linalg.norm(v)
     return vecs
 
 
@@ -318,18 +324,35 @@ def _random_density_mats(dims: tuple[int, ...], ranks, seeds) -> np.ndarray:
     (n, d, d) stack, not validated: callers that draw many validate them
     as one stack.  The seeds' generators are built by one batched seeding
     (``_generators``; a seed may be a generator built already, which is
-    used as it is); each matrix is drawn from its own and normalized by
-    its own trace."""
+    used as it is, and may appear more than once).  Per seed, in seed
+    order, one ``standard_normal`` fills its (2, d, rank) slab, the real
+    then the imaginary parts of G, in a preallocated stack per rank; then,
+    per rank, G G' is formed, traced and divided once for the stack."""
     d = math.prod(dims)
-    ranks = np.broadcast_to(ranks, len(seeds)).tolist()
+    if isinstance(ranks, (int, np.integer)):
+        ranks = [ranks] * len(seeds)
+    else:
+        ranks = np.broadcast_to(ranks, len(seeds)).tolist()
     for rank in ranks:
         _check_rank(rank, d)
+    parts = {rank: np.empty((ranks.count(rank), 2, d, rank)) for rank in dict.fromkeys(ranks)}
+    slabs = {rank: iter(stack) for rank, stack in parts.items()}
+    for rng, rank in zip(_generators(seeds), ranks):
+        rng.standard_normal(out=next(slabs[rank]))
+    if len(parts) == 1:
+        return _normalized_grams(parts[ranks[0]])
     mats = np.empty((len(seeds), d, d), dtype=complex)
-    for k, (rng, rank) in enumerate(zip(_generators(seeds), ranks)):
-        g = _ginibre(rng, d, rank)
-        mat = g @ g.conj().T
-        mats[k] = mat / np.trace(mat).real
+    for rank, stack in parts.items():
+        mats[np.equal(ranks, rank)] = _normalized_grams(stack)
     return mats
+
+
+def _normalized_grams(parts: np.ndarray) -> np.ndarray:
+    """G G' / Tr(G G') for each G = real + i imag of an (n, 2, rows, cols)
+    stack of real and imaginary parts."""
+    g = parts[:, 0] + 1j * parts[:, 1]
+    grams = g @ g.conj().swapaxes(-1, -2)
+    return grams / grams.trace(axis1=1, axis2=2).real[:, None, None]
 
 
 def random_density(dims, rank, seed) -> DensityMatrix:
@@ -342,19 +365,26 @@ def random_density(dims, rank, seed) -> DensityMatrix:
 def _random_qi_mats(dims: tuple[int, int], seeds) -> np.ndarray:
     """One random quantum-incoherent state (as ``random_qi_state``
     describes it) per seed, as an (n, d, d) stack, not validated, drawn
-    from generators built by one batched seeding (``_generators``)."""
+    from generators built by one batched seeding (``_generators``).  Per
+    seed, one ``dirichlet`` gives its weights and one ``standard_normal``
+    fills its (d_B, 2, d_A, d_A) slab, per B label the real then the
+    imaginary part of that block's Ginibre matrix; the blocks are then
+    formed, normalized and placed once for the whole stack."""
     da, db = (int(d) for d in dims)
-    mats = np.zeros((len(seeds), da, db, da, db), dtype=complex)
+    n = len(seeds)
+    probs, parts = np.empty((n, db)), np.empty((n, db, 2, da, da))
+    alphas = np.ones(db)
+    for rng, p, slab in zip(_generators(seeds), probs, parts):
+        p[:] = rng.dirichlet(alphas)
+        rng.standard_normal(out=slab)
+    g = parts[:, :, 0] + 1j * parts[:, :, 1]
+    blocks = g @ g.conj().swapaxes(-1, -2)
+    blocks *= (probs / blocks.trace(axis1=-2, axis2=-1).real)[..., None, None]
+    mats = np.zeros((n, da, db, da, db), dtype=complex)
     labels = np.arange(db)
-    for k, rng in enumerate(_generators(seeds)):
-        probs = rng.dirichlet(np.ones(db))
-        # per B label, the real and then the imaginary part of its Ginibre draw
-        parts = rng.standard_normal((db, 2, da, da))
-        g = parts[:, 0] + 1j * parts[:, 1]
-        blocks = g @ g.conj().swapaxes(1, 2)
-        blocks *= (probs / np.trace(blocks, axis1=1, axis2=2).real)[:, None, None]
-        mats[k][:, labels, :, labels] += blocks  # block j on the rows and columns with B label j
-    return mats.reshape(len(seeds), da * db, da * db)
+    # block j of each state on the rows and columns with B label j
+    mats[:, :, labels, :, labels] += blocks.swapaxes(0, 1)
+    return mats.reshape(n, da * db, da * db)
 
 
 def random_qi_state(dims, seed) -> DensityMatrix:

@@ -1229,3 +1229,27 @@ def test_stacked_pair_vectors_equal_single_inputs(a_ops, b_ops):
     stacked = _pair_vectors(vecs[:, None], a_ops, b_ops)
     assert stacked.tobytes() == np.stack([_pair_vectors(v, a_ops, b_ops) for v in vecs]).tobytes()
     assert stacked.tobytes() == np.stack([_pair_vectors(v[None], a_ops, b_ops) for v in vecs]).tobytes()
+
+
+def test_script_stacks_leave_no_cyclic_garbage():
+    # drawing, compiling and running scripts frees everything by reference
+    # counting: a recursive closure would be a cycle holding every round,
+    # operator and leaf it reached until the cyclic collector runs
+    import gc
+
+    from coherlab.channels import _outputs, _products, _random_scripts
+    from coherlab.states import random_density
+
+    rho = random_density((2, 2), 4, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        for incoherent_a in (False, True):
+            scripts = _random_scripts((2,), (2,), 2, list(range(6)), incoherent_a=incoherent_a, n_outcomes=2)
+            _products(scripts)
+            _outputs(scripts, np.repeat(rho.mat[None], 6, axis=0), (2, 2))
+            scripts[0].run(rho)
+            del scripts
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

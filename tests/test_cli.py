@@ -592,9 +592,10 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
     assert local_orders == []
     assert 81 not in orders
     assert max(orders) == 27
-    # four Bell vectors, the Bell density, the merging state, |psi2> and its
-    # density, the 20 teleport inputs, the dephased Bell state
-    assert validated == [("pure", (1, 4))] * 4 + [
+    # the Bell density (|phi+> itself was built once at import), the merging
+    # state, |psi2> and its density, the 20 teleport inputs, the dephased Bell
+    # state
+    assert validated == [
         ("density", (1, 4, 4)), ("density", (1, 81, 81)), ("pure", (1, 2)), ("density", (1, 2, 2)),
         ("pure", (20, 8)), ("density", (1, 4, 4))]
 
@@ -694,6 +695,11 @@ def test_product_channel_json_is_golden(channel, name):
     (["measure", "cr", "--builtin", "psi2"], "measure_cr_psi2.txt"),
     (["measure", "qire", "--builtin", "bell", "--split", "A=0;B=1"], "measure_qire_bell_a0_b1.txt"),
     (["measure", "entropy", "--builtin", "domino:4"], "measure_entropy_domino4.txt"),
+    # 150 trials run as three stacks (64, 64, 22)
+    (["protocol", "teleport", "--trials", "150", "--seed", "3"],
+     "protocol_teleport_trials150_seed3.txt"),
+    (["protocol", "ancilla-reduce", "--trials", "150", "--seed", "3"],
+     "protocol_ancilla_reduce_trials150_seed3.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, monkeypatch, args, name):
     # state files are named relative to the repository root, as the CI step

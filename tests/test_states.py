@@ -357,3 +357,111 @@ def test_density_matrix_rejects_non_finite_entries(bad, where):
 def test_pure_state_rejects_non_finite_amplitudes(bad):
     with pytest.raises(InvalidStateError):
         PureState(np.array([bad, 1.0], dtype=complex), (2,))
+
+
+def _reference_density(rng, d, rank):
+    """One seed's G G' / Tr(G G'), drawn and normalized on its own."""
+    from coherlab.states import _ginibre
+
+    g = _ginibre(rng, d, rank)
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real
+
+
+def _reference_pure(rng, d):
+    """One seed's normalized complex-Gaussian vector, drawn on its own."""
+    from coherlab.states import _ginibre
+
+    v = _ginibre(rng, d, 1).reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (3, 3)], ids=str)
+def test_stacked_state_draws_equal_per_seed_draws(dims):
+    # the stacked draws, their per-rank grouping included, name each seed's
+    # state bit for bit as drawing it alone does; one generator repeated at
+    # different ranks is read in seed order
+    from coherlab import states as st
+
+    d = math.prod(dims)
+    seeds = list(range(300, 340))
+    ranks = [1 + (7 * k) % d for k in range(len(seeds))]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    assert st._random_density_mats(dims, ranks, seeds).tobytes() == np.array(
+        [_reference_density(rng, d, rank) for rng, rank in zip(rngs, ranks)]).tobytes()
+    rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+    stack = st._random_density_mats(dims, ranks[:6], [rng] * 6)
+    assert stack.tobytes() == np.array([_reference_density(reference, d, rank) for rank in ranks[:6]]).tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    rngs = [np.random.default_rng(s) for s in seeds]
+    assert st._random_pure_vecs(dims, seeds).tobytes() == np.array(
+        [_reference_pure(rng, d) for rng in rngs]).tobytes()
+
+
+def _draw_stacks() -> dict[str, np.ndarray]:
+    """Every stacked and one-seed random draw that the draw goldens pin, by
+    name.  The stacks hold 1, 3, 20 and 64 seeds, so both the one-by-one and
+    the batched seeding run, and two of them repeat one ``Generator``
+    object at different ranks."""
+    from coherlab import channels as ch
+    from coherlab import states as st
+
+    def script_ops(scripts):
+        a_ops, b_ops, _ = ch._products(scripts)
+        rounds = np.concatenate([node.instrument.ops.ravel() for s in scripts for node in s._rounds])
+        return np.concatenate([rounds, a_ops.ravel(), b_ops.ravel()])
+
+    seeds = {n: list(range(100, 100 + n)) for n in (1, 3, 20, 64)}
+    ranks = [1 + k % 4 for k in range(64)]
+    rng = np.random.default_rng(11)
+    repeated = [rng] * 6
+    mixed = [np.random.default_rng(12), 5, np.random.default_rng(12), 6, 7, 8, 9]
+    draws = {}
+    for n, s in seeds.items():
+        draws[f"density_mixed_ranks_2x2_n{n}"] = st._random_density_mats((2, 2), ranks[:n], s)
+        draws[f"density_full_rank_3_n{n}"] = st._random_density_mats((3,), 3, s)
+        draws[f"pure_2_n{n}"] = st._random_pure_vecs((2,), s)
+        draws[f"pure_2x3_n{n}"] = st._random_pure_vecs((2, 3), s)
+        draws[f"qi_2x2_n{n}"] = st._random_qi_mats((2, 2), s)
+        draws[f"qi_3x2_n{n}"] = st._random_qi_mats((3, 2), s)
+        for d in (2, 3):
+            for k in (2, 3):
+                draws[f"incoherent_d{d}_k{k}_n{n}"] = np.stack(
+                    [c.ops for c in ch._random_incoherent_channels((d,), k, s)])
+        draws[f"instruments_2_k2_n{n}"] = np.stack([c.ops for c in ch._random_instruments((2,), 2, s)])
+        draws[f"instruments_3_k3_n{n}"] = np.stack([c.ops for c in ch._random_instruments((3,), 3, s)])
+        draws[f"sqi_scripts_1round_n{n}"] = script_ops(
+            ch._random_scripts((2,), (2,), 1, s, incoherent_a=False, n_outcomes=2))
+        draws[f"licc_scripts_1round_n{n}"] = script_ops(
+            ch._random_scripts((2,), (2,), 1, s, incoherent_a=True, n_outcomes=2))
+    draws["density_repeated_generator"] = st._random_density_mats((2, 2), [1, 3, 2, 4, 3, 1], repeated)
+    draws["density_mixed_generators_and_seeds"] = st._random_density_mats((2, 2), [2, 4, 1, 4, 3, 2, 2], mixed)
+    draws["sqi_scripts_3rounds_qutrit_n3"] = script_ops(
+        ch._random_scripts((3,), (3,), 3, seeds[3], incoherent_a=False, n_outcomes=3))
+    draws["licc_scripts_3rounds_n20"] = script_ops(
+        ch._random_scripts((2,), (2,), 3, seeds[20], incoherent_a=True, n_outcomes=2))
+    for seed in (0, 7, 123456789):
+        draws[f"random_density_3x3_rank9_s{seed}"] = random_density((3, 3), 9, seed).mat
+        draws[f"random_density_2_rank2_s{seed}"] = random_density((2,), 2, seed).mat
+        draws[f"random_density_2x2_rank3_s{seed}"] = random_density((2, 2), 3, seed).mat
+        draws[f"random_pure_2x2_s{seed}"] = random_pure((2, 2), seed).vec
+        draws[f"random_qi_state_3x2_s{seed}"] = random_qi_state((3, 2), seed).mat
+        draws[f"random_incoherent_channel_3_k2_s{seed}"] = ch.random_incoherent_channel((3,), 2, seed).ops
+        draws[f"random_instrument_2_k3_s{seed}"] = ch.random_instrument((2,), 3, seed).ops
+        draws[f"random_sqi_channel_2rounds_s{seed}"] = script_ops([ch.random_sqi_channel((2,), (2,), 2, seed)])
+    return draws
+
+
+def test_draws_at_seed_zero_give_the_golden_bytes():
+    # SHA-256 of each draw's bytes; the file was captured before the draws
+    # were filled into preallocated stacks, so every seed still names the
+    # same state, channel and script bit for bit
+    import hashlib
+    import json
+    import os
+
+    with open(os.path.join(os.path.dirname(__file__), "golden", "draws_seed0.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    digests = {name: hashlib.sha256(np.ascontiguousarray(draw).tobytes()).hexdigest()
+               for name, draw in _draw_stacks().items()}
+    assert digests == golden
