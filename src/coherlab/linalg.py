@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -81,6 +82,19 @@ def _check_dims(dims, total: int) -> tuple[int, ...]:
     return dims
 
 
+def _hermitian(m, tol: float = TOL_HERM) -> np.ndarray:
+    """``m`` as a square complex matrix, or NonHermitianError when
+    max |M - M'| exceeds ``tol``, or is nan, as a non-finite entry makes it."""
+    mat = _to_square(m)
+    with np.errstate(invalid="ignore"):  # inf - inf is the nan that fails
+        asym = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
+    if not asym <= tol:
+        raise NonHermitianError(
+            f"matrix is not Hermitian: max |M - M'| = {asym:.3e} exceeds {tol:.0e}"
+        )
+    return mat
+
+
 def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -91,12 +105,7 @@ def eig_hermitian(m, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     Raises NonHermitianError when the symmetry check fails and
     NoConvergenceError when the underlying solver gives up.
     """
-    mat = _to_square(m)
-    asym = np.abs(mat - mat.conj().T).max() if mat.size else 0.0
-    if not asym <= tol:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max |M - M'| = {asym:.3e} exceeds {tol:.0e}"
-        )
+    mat = _hermitian(m, tol)
     try:
         w, v = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -310,8 +319,16 @@ class PureState:
         return complex(np.vdot(self.vec, other.vec))
 
 
+def _subsystem_index(i) -> int:
+    """``i`` as an int when it is a Python or numpy integer; a bool, a float
+    or anything else raises BadSubsystemError, never a truncated index."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+        raise BadSubsystemError(f"subsystem index {i!r} is not an integer")
+    return int(i)
+
+
 def _validate_subsystems(indices, n: int, allow_empty: bool = False) -> tuple[int, ...]:
-    idx = tuple(sorted({int(i) for i in indices}))
+    idx = tuple(sorted({_subsystem_index(i) for i in indices}))
     if not idx and not allow_empty:
         raise BadSubsystemError("subsystem index set must be non-empty")
     if any(i < 0 or i >= n for i in idx):
@@ -334,23 +351,41 @@ def _basis_rows(dims: tuple[int, ...], subsystems: tuple[int, ...], rest=None) -
 def _partial_traces(mats: np.ndarray, dims: tuple[int, ...], keep) -> tuple[np.ndarray, tuple[int, ...]]:
     """Trace every subsystem not in ``keep`` out of each matrix of an
     (n, N, N) stack with subsystem dims ``dims``: the reduced stack and its
-    dims, the kept subsystems in their original order."""
+    dims, the kept subsystems in their original order.
+
+    One contraction does it.  Each run of adjacent subsystems that are all
+    kept or all traced becomes one axis (a subsystem of dimension 1, which
+    either fate leaves alike, joins the run around it), and one einsum on
+    the grouped (n, *groups, *groups) view sums the diagonals of every
+    traced group at once.  Its integer labels number 1 + 2 x groups, at
+    most 1 + 2 log2 N, far inside einsum's 52."""
     keep_idx = _validate_subsystems(keep, len(dims))
-    traced = [i for i in range(len(dims)) if i not in keep_idx]
-    dims = list(dims)
-    tensor = mats.reshape([len(mats)] + dims + dims)
-    for idx in sorted(traced, reverse=True):
-        tensor = np.trace(tensor, axis1=idx + 1, axis2=idx + 1 + len(dims))
-        dims.pop(idx)
-    d = math.prod(dims)
-    return tensor.reshape(len(mats), d, d), tuple(dims)
+    sizes, kept = [], []  # the size and the fate of each run
+    for i, d in enumerate(dims):
+        if d > 1:
+            if kept and kept[-1] == (i in keep_idx):
+                sizes[-1] *= d
+            else:
+                sizes.append(d)
+                kept.append(i in keep_idx)
+    m = len(sizes)
+    rows = range(1, m + 1)
+    # a traced group's column axis carries its row label, so it is summed
+    cols = [r + m if k else r for r, k in zip(rows, kept)]
+    out = [0, *compress(rows, kept), *compress(cols, kept)]
+    reduced = np.einsum(mats.reshape(len(mats), *sizes, *sizes), [0, *rows, *cols], out)
+    kept_dims = tuple(dims[i] for i in keep_idx)
+    d = math.prod(kept_dims)
+    return reduced.reshape(len(mats), d, d), kept_dims
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every subsystem not in ``keep``.
 
-    ``keep`` is a set of subsystem indices; the result carries the kept
-    subsystems in their original order.
+    ``keep`` is a set of subsystem indices, Python or numpy integers; the
+    result carries the kept subsystems in their original order.  The one
+    contraction of ``_partial_traces`` computes it, and it is validated as
+    a ``DensityMatrix``.
     """
     mats, dims = _partial_traces(rho.mat[None], rho.dims, keep)
     return DensityMatrix(mats[0], dims)
@@ -393,7 +428,7 @@ def apply_local(m, k, before: int = 1, after: int = 1) -> np.ndarray:
 def permute_subsystems(rho: DensityMatrix, order: Sequence[int]) -> DensityMatrix:
     """Reorder subsystems so that new position k holds old subsystem order[k]."""
     n = rho.n_subsystems
-    order = tuple(int(i) for i in order)
+    order = tuple(map(_subsystem_index, order))
     if sorted(order) != list(range(n)):
         raise BadSubsystemError(f"{order} is not a permutation of 0..{n - 1}")
     tensor = rho.mat.reshape(rho.dims + rho.dims)
@@ -440,13 +475,14 @@ def von_neumann_entropy(rho) -> float:
     """Von Neumann entropy -Tr[rho log2 rho] in bits.
 
     A DensityMatrix contributes the spectrum its validation computed; a
-    plain matrix is diagonalized here.  Eigenvalues are clamped to [0, 1];
-    0 log 0 is taken as 0.
+    plain matrix must be Hermitian within TOL_HERM (NonHermitianError
+    otherwise, a non-finite entry included) and is diagonalized here.
+    Eigenvalues are clamped to [0, 1]; 0 log 0 is taken as 0.
     """
     if isinstance(rho, DensityMatrix):
         return _entropy_from_eigs(rho.spectrum)
     try:
-        w = np.linalg.eigvalsh(_to_square(rho))
+        w = np.linalg.eigvalsh(_hermitian(rho))
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     return _entropy_from_eigs(w)
@@ -488,9 +524,11 @@ def relative_entropy(rho, sigma) -> float:
     Returns ``math.inf`` when rho has more than TOL_KERNEL_MASS weight in
     the kernel of sigma (eigenvalues of sigma below TOL_PSD define the
     kernel); support violations are a signal, not an error.  The rho term
-    reads a DensityMatrix's stored spectrum.
+    reads a DensityMatrix's stored spectrum; a plain rho must be Hermitian
+    within TOL_HERM, as ``von_neumann_entropy`` requires, and is
+    diagonalized here.
     """
-    r = rho.mat if isinstance(rho, DensityMatrix) else _to_square(rho)
+    r = rho.mat if isinstance(rho, DensityMatrix) else _hermitian(rho)
     s = sigma.mat if isinstance(sigma, DensityMatrix) else _to_square(sigma)
     if r.shape != s.shape:
         raise DimensionMismatchError(f"shape mismatch {r.shape} vs {s.shape}")

@@ -42,6 +42,7 @@ from .linalg import (
     _entropies,
     _indexed,
     _pure_stack,
+    _subsystem_index,
     _unchecked,
     _validate_subsystems,
 )
@@ -91,8 +92,8 @@ class Bipartition:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(i) for i in self.a))
-        object.__setattr__(self, "b", tuple(int(i) for i in self.b))
+        object.__setattr__(self, "a", tuple(map(_subsystem_index, self.a)))
+        object.__setattr__(self, "b", tuple(map(_subsystem_index, self.b)))
         if not self.b:
             raise BadSubsystemError("B side of a bipartition must be non-empty")
         if len(set(self.a) | set(self.b)) < len(self.a) + len(self.b):
@@ -389,16 +390,13 @@ def qi_relative_entropy_oracle(
     return float(res.extra[0].min())
 
 
-def _marginals(rho: DensityMatrix, split: Bipartition) -> tuple[DensityMatrix, DensityMatrix]:
+def mutual_information(rho: DensityMatrix, split: Bipartition) -> float:
+    """I(A:B) = S(rho_A) + S(rho_B) - S(rho), each entropy from a stored
+    spectrum: both marginals are validated states."""
+    split.validate(rho.n_subsystems)
     if not split.a:
         raise BadSubsystemError("mutual information needs a non-empty A side")
-    return partial_trace(rho, split.a), partial_trace(rho, split.b)
-
-
-def mutual_information(rho: DensityMatrix, split: Bipartition) -> float:
-    """I(A:B) = S(rho_A) + S(rho_B) - S(rho)."""
-    split.validate(rho.n_subsystems)
-    rho_a, rho_b = _marginals(rho, split)
+    rho_a, rho_b = partial_trace(rho, split.a), partial_trace(rho, split.b)
     value = von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
     return _finalize(value, "mutual information")
 
@@ -407,17 +405,19 @@ def basis_dependent_discord(rho: DensityMatrix, split: Bipartition) -> float:
     """Mutual-information loss under dephasing of the B side:
     I(A:B)(rho) - I(A:B)(dephase_B(rho)).
 
-    Dephasing B leaves rho_A unchanged and dephases rho_B, so
-    I(A:B)(dephase_B(rho)) = S(rho_A) + H(diag rho_B) - S(dephase_B(rho)),
-    the last term from the A-blocks of rho; S(rho), S(rho_A) and S(rho_B)
-    come from the stored spectra."""
+    Dephasing B leaves rho_A unchanged and dephases rho_B, so S(rho_A)
+    cancels and is not computed:
+    discord = S(rho_B) - S(rho) - H(diag rho_B) + S(dephase_B(rho)).
+    S(rho_B) and S(rho) come from the stored spectra of rho and of the
+    validated rho_B, and S(dephase_B(rho)) from the A-blocks of rho."""
     split.validate(rho.n_subsystems)
-    rho_a, rho_b = _marginals(rho, split)
-    s_a = von_neumann_entropy(rho_a)
-    before = s_a + von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
-    after = (s_a + _dephased_entropy(rho_b.mat[None], rho_b.dims, range(rho_b.n_subsystems))[0]
-             - _dephased_entropy(rho.mat[None], rho.dims, split.b)[0])
-    return _finalize(before - after, "basis-dependent discord")
+    if not split.a:
+        raise BadSubsystemError("basis-dependent discord needs a non-empty A side")
+    rho_b = partial_trace(rho, split.b)
+    value = (von_neumann_entropy(rho_b) - von_neumann_entropy(rho)
+             - _dephased_entropy(rho_b.mat[None], rho_b.dims, range(rho_b.n_subsystems))[0]
+             + _dephased_entropy(rho.mat[None], rho.dims, split.b)[0])
+    return _finalize(value, "basis-dependent discord")
 
 
 def _assistance_objective(w_mat: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:

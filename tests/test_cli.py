@@ -700,6 +700,11 @@ def test_product_channel_json_is_golden(channel, name):
      "protocol_teleport_trials150_seed3.txt"),
     (["protocol", "ancilla-reduce", "--trials", "150", "--seed", "3"],
      "protocol_ancilla_reduce_trials150_seed3.txt"),
+    # a non-contiguous A side, whose marginal traces the middle subsystem
+    (["measure", "discord", "--builtin", "merging", "--split", "A=0,2;B=1"],
+     "measure_discord_merging_a02_b1.txt"),
+    (["measure", "mutual-info", "--builtin", "merging", "--split", "A=0,2;B=1"],
+     "measure_mutual_info_merging_a02_b1.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(runner, monkeypatch, args, name):
     # state files are named relative to the repository root, as the CI step

@@ -1,7 +1,10 @@
 """Kernel tests: every derived value is checked against an independent
-brute-force oracle written here, not against the implementation."""
+brute-force oracle written in the tests (``conftest.ptrace_oracle`` for
+the partial trace), not against the implementation."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,30 +29,7 @@ from coherlab.linalg import (
 )
 from coherlab.states import SIGMA_X, random_density, random_pure, random_unitary
 
-from conftest import rand_hermitian
-
-
-# ---------------------------------------------------------------------------
-# independent oracles
-
-
-def ptrace_oracle(mat, dims, keep):
-    """Brute-force index contraction over the traced subsystems."""
-    keep = sorted(keep)
-    traced = [i for i in range(len(dims)) if i not in keep]
-    kept_dims = [dims[i] for i in keep]
-    dk = math.prod(kept_dims)
-    out = np.zeros((dk, dk), dtype=complex)
-    for row in range(mat.shape[0]):
-        for col in range(mat.shape[1]):
-            mrow = np.unravel_index(row, dims)
-            mcol = np.unravel_index(col, dims)
-            if any(mrow[t] != mcol[t] for t in traced):
-                continue
-            krow = np.ravel_multi_index([mrow[i] for i in keep], kept_dims) if kept_dims else 0
-            kcol = np.ravel_multi_index([mcol[i] for i in keep], kept_dims) if kept_dims else 0
-            out[krow, kcol] += mat[row, col]
-    return out
+from conftest import ptrace_oracle, rand_hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +107,60 @@ def test_ptrace_three_party_order_preserved():
     assert np.abs(out.mat - ptrace_oracle(rho.mat, rho.dims, [0, 2])).max() < 1e-12
 
 
+def _every_keep(dims):
+    n = len(dims)
+    return [(dims, keep) for r in range(1, n + 1) for keep in itertools.combinations(range(n), r)]
+
+
+# 62 subsystems, more than einsum has labels, of which two are nontrivial
+UNIT_PADDED = ((1,) * 30 + (2,) + (1,) * 30 + (3,), (0, 31, 61))
+
+
+@pytest.mark.parametrize("dims,keep", _every_keep((2, 3, 2)) + _every_keep((2, 1, 3, 2)) + [UNIT_PADDED])
+def test_ptrace_matches_contraction_oracle_on_every_keep(dims, keep):
+    # non-contiguous keeps, keeping everything and dimensions of 1
+    rho = random_density(dims, 4, 23)
+    out = partial_trace(rho, set(keep))
+    assert out.dims == tuple(dims[i] for i in keep)
+    assert np.abs(out.mat - ptrace_oracle(rho.mat, rho.dims, keep)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims,keep", [((2, 3, 2), (1,)), ((2, 3, 2), (0, 2)), ((9, 9, 9), (0,)),
+                                       ((2, 1, 3, 2), (1, 3)), ((2, 2, 2, 2), (0, 2))])
+def test_ptrace_stack_equals_single_calls_bit_for_bit(dims, keep):
+    from coherlab.linalg import _partial_traces
+
+    mats = np.array([random_density(dims, 3, seed).mat for seed in range(5)])
+    stacked, kept_dims = _partial_traces(mats, dims, keep)
+    assert kept_dims == tuple(dims[i] for i in keep)
+    for mat, reduced in zip(mats, stacked):
+        single, _ = _partial_traces(mat[None], dims, keep)
+        assert single[0].tobytes() == reduced.tobytes()
+
+
 def test_ptrace_bad_index():
     rho = random_density((2, 2), 2, 0)
     with pytest.raises(BadSubsystemError):
         partial_trace(rho, {5})
     with pytest.raises(BadSubsystemError):
         partial_trace(rho, set())
+
+
+@pytest.mark.parametrize("index", [0.7, 1.0, True, np.float64(0.0), "1", None])
+def test_subsystem_indices_must_be_integers(index):
+    # int() would truncate 0.7 to 0 and keep, or move, subsystem 0
+    rho = random_density((2, 2), 2, 0)
+    message = rf"^subsystem index {re.escape(repr(index))} is not an integer$"
+    with pytest.raises(BadSubsystemError, match=message):
+        partial_trace(rho, [index])
+    with pytest.raises(BadSubsystemError, match=message):
+        permute_subsystems(rho, (1, index))
+
+
+def test_ptrace_takes_numpy_integers():
+    rho = random_density((2, 3), 3, 4)
+    assert partial_trace(rho, [np.int64(1)]).mat.tobytes() == partial_trace(rho, [1]).mat.tobytes()
+    assert partial_trace(rho, np.arange(1, 2, dtype=np.int32)).dims == (3,)
 
 
 @settings(max_examples=30, deadline=None)
@@ -268,6 +296,27 @@ def test_entropy_unitary_invariance():
         u = random_unitary(d, int(rng.integers(2**31)))
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T, (d,))
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-9
+
+
+@pytest.mark.parametrize("mat", [[[0.5, 0.5], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 1.0]],
+                                 [[np.inf, 0.0], [0.0, 0.0]]], ids=["non-hermitian", "nan", "inf"])
+def test_plain_matrices_must_be_hermitian(mat):
+    # a plain ndarray gets the hermiticity check of eig_hermitian, which a
+    # non-finite entry fails too
+    with pytest.raises(NonHermitianError, match="matrix is not Hermitian"):
+        von_neumann_entropy(np.array(mat))
+    with pytest.raises(NonHermitianError, match="matrix is not Hermitian"):
+        relative_entropy(np.array(mat), np.eye(2) / 2)
+
+
+def test_plain_hermitian_matrices_keep_their_values():
+    rho = random_density((3,), 3, 5)
+    assert von_neumann_entropy(rho.mat) == pytest.approx(von_neumann_entropy(rho), abs=1e-12)
+    sigma = random_density((3,), 3, 6)
+    assert relative_entropy(rho.mat, sigma) == pytest.approx(relative_entropy(rho, sigma), abs=1e-12)
+    # within TOL_HERM of Hermitian is Hermitian
+    nearly = rho.mat + np.diag([0, 1e-11j, 0])
+    assert von_neumann_entropy(nearly) == pytest.approx(von_neumann_entropy(rho), abs=1e-9)
 
 
 def test_relative_entropy_self_is_zero():

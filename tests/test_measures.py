@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from coherlab.states import (
     random_pure,
     random_qi_state,
 )
+
+from conftest import ptrace_oracle
 
 AB = Bipartition((0,), (1,))
 
@@ -83,6 +86,21 @@ def test_bipartition_rejects_a_repeated_subsystem():
             Bipartition(a, b)
     with pytest.raises(BadSubsystemError, match="twice"):
         Bipartition.parse("A=0;B=1,1")
+
+
+@pytest.mark.parametrize("bad", [0.5, True, 1.0, np.float64(2.0), "1"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_bipartition_rejects_a_non_integer_index(side, bad):
+    # int() would truncate 0.5 to 0, and True would count as subsystem 1
+    a, b = ((bad,), (1,)) if side == "a" else ((0,), (bad,))
+    with pytest.raises(BadSubsystemError, match=rf"^subsystem index {re.escape(repr(bad))} is not an integer$"):
+        Bipartition(a, b)
+
+
+def test_bipartition_takes_numpy_integers():
+    split = Bipartition((np.int64(0),), np.arange(1, 3, dtype=np.int32))
+    assert split == Bipartition((0,), (1, 2))
+    assert all(type(i) is int for i in split.a + split.b)
 
 
 def test_bipartition_parse_rejects_a_repeated_side():
@@ -191,13 +209,14 @@ def dephase_route(rho, subsystems):
 
 def discord_route(rho, split):
     """I(A:B)(rho) - I(A:B)(dephase_B(rho)), every entropy from a full
-    eigensolve of the built matrix."""
+    eigensolve of the built matrix, the marginals and the dephased state
+    from the index-loop oracles, not from the library's kernels."""
 
-    def mi(state):
-        marginals = partial_trace(state, split.a).mat, partial_trace(state, split.b).mat
-        return sum(von_neumann_entropy(m) for m in marginals) - von_neumann_entropy(state.mat)
+    def mi(mat):
+        marginals = (ptrace_oracle(mat, rho.dims, split.a), ptrace_oracle(mat, rho.dims, split.b))
+        return sum(von_neumann_entropy(m) for m in marginals) - von_neumann_entropy(mat)
 
-    return mi(rho) - mi(dephase(rho, split.b))
+    return mi(rho.mat) - mi(dephase_oracle(rho.mat, rho.dims, split.b))
 
 
 SPLITS_232 = {
@@ -217,6 +236,33 @@ def test_closed_forms_match_dephase_built_route(case, rank):
         assert abs(qi_relative_entropy(rho, split) - dephase_route(rho, split.b)) < 1e-12
         if split.a:
             assert abs(basis_dependent_discord(rho, split) - discord_route(rho, split)) < 1e-12
+
+
+def test_discord_and_mutual_information_need_an_a_side():
+    rho = random_density((2, 2), 4, 1)
+    split = Bipartition((), (0, 1))
+    with pytest.raises(BadSubsystemError, match="^basis-dependent discord needs a non-empty A side$"):
+        basis_dependent_discord(rho, split)
+    with pytest.raises(BadSubsystemError, match="^mutual information needs a non-empty A side$"):
+        mutual_information(rho, split)
+
+
+def test_discord_solves_no_eigenproblem_for_rho_a(monkeypatch):
+    # S(rho_A) cancels: the solvers see rho_B, validated, and the A-blocks
+    # of the B-dephased state, one per basis label of B, and nothing of A
+    rho = random_density((3, 9, 9), 8, 3)
+    shapes = []
+    for name in ("eigvalsh", "eigh"):
+        solver = getattr(np.linalg, name)
+
+        def counted(a, *args, _solver=solver, **kwargs):
+            shapes.append(np.shape(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    value = basis_dependent_discord(rho, Bipartition((0,), (1, 2)))
+    assert shapes == [(1, 81, 81), (1, 81, 3, 3)]
+    assert value >= 0.0
 
 
 # ---------------------------------------------------------------------------
