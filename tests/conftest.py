@@ -1,7 +1,12 @@
+import contextlib
+import io
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+
+from coherlab.cli import main
 
 
 @pytest.fixture
@@ -31,3 +36,25 @@ def ptrace_oracle(mat, dims, keep):
             kcol = np.ravel_multi_index([mcol[i] for i in keep], kept_dims) if kept_dims else 0
             out[krow, kcol] += mat[row, col]
     return out
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: Exception | None  # an exception the CLI did not handle
+
+
+def run_cli(args) -> CliResult:
+    """Run one ``coherlab`` command in this process with stdout and stderr
+    redirected to StringIOs, as an embedding caller does."""
+    out, err = io.StringIO(), io.StringIO()
+    code, exception = 0, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(list(args))
+        except SystemExit as exc:
+            code = 0 if exc.code is None else exc.code
+        except Exception as exc:
+            code, exception = 1, exc
+    return CliResult(code, out.getvalue(), err.getvalue(), exception)

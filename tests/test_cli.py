@@ -14,8 +14,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
 import coherlab
+from coherlab.checks import SUITES
 from coherlab.cli import (
     MEASURES,
+    PROTOCOLS,
     ParseError,
     builtin_state,
     canonical_json,
@@ -30,6 +32,7 @@ from coherlab.cli import (
 from coherlab.channels import dephasing_channel, random_sqi_channel
 from coherlab.protocols import domino_discrimination_channel
 from coherlab.states import bell_states, random_density, random_pure
+from conftest import run_cli
 
 
 @pytest.fixture
@@ -499,15 +502,17 @@ FUZZ = settings(derandomize=True, max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
-def _assert_contract(args, content):
+def _assert_contract(args, content=""):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(content)
-        result = CliRunner().invoke(main, [arg.format(path=path) for arg in args])
-    assert result.exit_code in (0, 2, 3, 4), (args, content, result.exception)
-    assert result.exception is None or isinstance(result.exception, SystemExit), content
-    assert "Traceback" not in result.output
+        result = run_cli([arg.format(path=path) for arg in args])
+    assert result.exception is None, (args, content, result.exception)
+    assert result.exit_code in (0, 2, 3, 4), (args, content, result.stderr)
+    if result.exit_code in (2, 3):
+        assert result.stdout == "", (args, content)
+    assert "Traceback" not in result.stdout + result.stderr
 
 
 @FUZZ
@@ -527,6 +532,56 @@ def test_fuzz_classify_exit_codes(content):
 @given(content=state_files())
 def test_fuzz_protocol_steer_exit_codes(content):
     _assert_contract(["protocol", "steer", "--state", "{path}"], content)
+
+
+# Flag values in range, out of range (negative or above 2**64) and, one
+# time in four, not integers.  Trial counts stay small: every trial is work.
+JUNK = hst.sampled_from(["x", "1.5", "", "1e3", "+3", " 4"])
+SEEDS = hst.one_of(hst.integers(-2, 99), hst.integers(-2, 99), hst.integers(-2, 99),
+                   hst.sampled_from([2**63, 2**64 - 1, 2**64, 2**70, -2**64])).map(str)
+SEEDS_OR_JUNK = hst.one_of(SEEDS, SEEDS, SEEDS, JUNK)
+TRIALS = hst.one_of(hst.integers(-2, 70), hst.integers(-2, 70), hst.integers(-2, 70)).map(str) | JUNK
+BUILTINS = hst.sampled_from(["bell", "merging", "psi2", "domino:1", "domino:9", "domino:0", "domino:x",
+                             " Bell ", "", "nope"])
+SOURCES = hst.one_of(hst.just([]), hst.just(["--state", "{path}"]), BUILTINS.map(lambda b: ["--builtin", b]),
+                     BUILTINS.map(lambda b: ["--state", "{path}", "--builtin", b]))
+
+
+@hst.composite
+def flag_lists(draw, **values):
+    """Each named flag left out or given one drawn value."""
+    args = []
+    for flag, strategy in values.items():
+        value = draw(hst.none() | strategy)
+        if value is not None:
+            args += ["--" + flag, value]
+    return args
+
+
+@FUZZ
+@given(args=flag_lists(format=hst.sampled_from(["csv", "pretty", "json", "xml", ""]), seed=SEEDS_OR_JUNK))
+def test_fuzz_reproduce_exit_codes(args):
+    _assert_contract(["reproduce"] + args)
+
+
+@FUZZ
+@given(name=hst.sampled_from([*SUITES, "nope"]),
+       args=flag_lists(trials=TRIALS, seed=SEEDS_OR_JUNK, replay=SEEDS_OR_JUNK))
+def test_fuzz_suite_exit_codes(name, args):
+    _assert_contract(["suite", name] + args)
+
+
+@FUZZ
+@given(name=hst.sampled_from(PROTOCOLS),
+       args=flag_lists(trials=TRIALS, seed=SEEDS_OR_JUNK, index=hst.integers(-1, 11).map(str) | SEEDS_OR_JUNK))
+def test_fuzz_protocol_flags_exit_codes(name, args):
+    _assert_contract(["protocol", name] + args)
+
+
+@FUZZ
+@given(name=hst.sampled_from(PROTOCOLS), source=SOURCES, content=state_files())
+def test_fuzz_protocol_inputs_exit_codes(name, source, content):
+    _assert_contract(["protocol", name] + source, content)
 
 
 # ---------------------------------------------------------------------------
