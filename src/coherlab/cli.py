@@ -10,11 +10,11 @@ Exit codes: 0 success, 2 parse error, 3 invariant violation, 4 check failed.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 
-import click
 import numpy as np
 
 from . import channels as ch
@@ -238,7 +238,7 @@ def _as_density(state: DensityMatrix | PureState) -> DensityMatrix:
 
 
 def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
+    if out_path is not None:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
@@ -249,17 +249,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _write(stream, text: str) -> None:
-    """Write and flush.  Not ``click.echo``: click caches its wrapper of each
-    stream in a WeakKeyDictionary whose value, for a StringIO, is the
-    stream itself, so every redirected stdout it wrote to stays alive."""
+    """Write and flush."""
     stream.write(text)
     stream.flush()
 
 
-def _run(fn):
-    """Execute a command body with the error-to-exit-code policy."""
+def _run(command, options: dict) -> None:
+    """Run a command with the error-to-exit-code policy."""
     try:
-        fn()
+        command(**options)
     except ParseError as exc:
         _write(sys.stderr, f"parse error: {exc}\n")
         sys.exit(EXIT_PARSE)
@@ -272,63 +270,41 @@ def _run(fn):
 # commands
 
 
-SEED = click.IntRange(min=0)
-TRIALS = click.IntRange(min=1)
-
-
-@click.group()
-def main():
-    """Coherence measures, classified channels and two-party protocols."""
-
-
 MEASURES = ("cr", "qire", "discord", "mutual-info", "assistance", "entropy")
 
 
-@main.command()
-@click.argument("measure_name", type=click.Choice(MEASURES))
-@click.option("--state", "state_path", type=str, default=None, help="State JSON file.")
-@click.option("--builtin", type=str, default=None, help="bell|merging|domino:k|psi2")
-@click.option("--split", "split_spec", type=str, default=None, help='e.g. "A=0;B=1,2"')
-@click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--budget", type=click.IntRange(min=1), default=16, show_default=True,
-              help="Optimizer restarts for assistance.")
-@click.option("--out", "out_path", type=str, default=None)
 def measure(measure_name, state_path, builtin, split_spec, seed, budget, out_path):
     """Evaluate a scalar measure on a state and print a JSON report."""
-
-    def body():
-        state = _as_density(load_state(state_path, builtin))
-        inputs = {"state": builtin or state_path, "dims": list(state.dims)}
-        method = "closed-form"
-        if measure_name in ("qire", "discord", "mutual-info"):
-            if split_spec is None:
-                raise ParseError(f"{measure_name} needs --split")
-            try:
-                split = ms.Bipartition.parse(split_spec)
-                split.validate(state.n_subsystems)
-            except CoherlabError as exc:
-                raise ParseError(str(exc)) from exc
-            if measure_name != "qire" and not split.a:
-                raise ParseError(f"{measure_name} needs a non-empty A side in --split")
-            inputs["split"] = split_spec
-            if measure_name == "qire":
-                value = ms.qi_relative_entropy(state, split)
-            elif measure_name == "discord":
-                value = ms.basis_dependent_discord(state, split)
-            else:
-                value = ms.mutual_information(state, split)
-        elif measure_name == "cr":
-            value = ms.c_r(state)
-        elif measure_name == "entropy":
-            value = von_neumann_entropy(state)
+    state = _as_density(load_state(state_path, builtin))
+    inputs = {"state": builtin or state_path, "dims": list(state.dims)}
+    method = "closed-form"
+    if measure_name in ("qire", "discord", "mutual-info"):
+        if split_spec is None:
+            raise ParseError(f"{measure_name} needs --split")
+        try:
+            split = ms.Bipartition.parse(split_spec)
+            split.validate(state.n_subsystems)
+        except CoherlabError as exc:
+            raise ParseError(str(exc)) from exc
+        if measure_name != "qire" and not split.a:
+            raise ParseError(f"{measure_name} needs a non-empty A side in --split")
+        inputs["split"] = split_spec
+        if measure_name == "qire":
+            value = ms.qi_relative_entropy(state, split)
+        elif measure_name == "discord":
+            value = ms.basis_dependent_discord(state, split)
         else:
-            (value,), _, (method,) = ms._assistances(state.mat[None], state.spectrum[None], state.dims, budget, [seed])
-            inputs["seed"] = seed
-            inputs["budget"] = budget
-        report = ms.MeasureReport(measure_name, value, inputs, method)
-        _emit(canonical_json(report.to_dict()) + "\n", out_path)
-
-    _run(body)
+            value = ms.mutual_information(state, split)
+    elif measure_name == "cr":
+        value = ms.c_r(state)
+    elif measure_name == "entropy":
+        value = von_neumann_entropy(state)
+    else:
+        (value,), _, (method,) = ms._assistances(state.mat[None], state.spectrum[None], state.dims, budget, [seed])
+        inputs["seed"] = seed
+        inputs["budget"] = budget
+    report = ms.MeasureReport(measure_name, value, inputs, method)
+    _emit(canonical_json(report.to_dict()) + "\n", out_path)
 
 
 PROTOCOLS = ("teleport", "distill-pure", "distill-mc", "steer", "discriminate",
@@ -397,50 +373,28 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
     raise ParseError(f"unknown protocol {name!r}")
 
 
-@main.command()
-@click.argument("name", type=click.Choice(PROTOCOLS))
-@click.option("--state", "state_path", type=str, default=None)
-@click.option("--builtin", type=str, default=None)
-@click.option("--trials", type=TRIALS, default=1, show_default=True)
-@click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--index", type=click.IntRange(1, 9), default=1, show_default=True,
-              help="Domino state index for discriminate.")
-@click.option("--out", "out_path", type=str, default=None)
 def protocol(name, state_path, builtin, trials, seed, index, out_path):
     """Run a named protocol and print its summary metrics as JSON.  A
     protocol that takes a state draws a random one from --seed unless
     --state or --builtin is given; the others reject both flags."""
-
-    def body():
-        payload = _protocol_payload(name, state_path, builtin, trials, seed, index)
-        _emit(canonical_json(payload) + "\n", out_path)
-
-    _run(body)
+    payload = _protocol_payload(name, state_path, builtin, trials, seed, index)
+    _emit(canonical_json(payload) + "\n", out_path)
 
 
-@main.command()
-@click.option("--channel", "channel_path", type=str, required=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True,
-              help="Modulus threshold for the incoherence predicate.")
-@click.option("--out", "out_path", type=str, default=None)
 def classify(channel_path, tol, out_path):
     """Classify a channel file (separable / SI / SQI / incoherent)."""
-
-    def body():
-        if not tol >= 0.0:
-            raise ParseError(f"--tol must be a non-negative number, got {tol}")
-        try:
-            with open(channel_path, "r", encoding="utf-8") as fh:
-                channel = channel_from_json(fh.read())
-        except OSError as exc:
-            raise ParseError(f"cannot read {channel_path}: {exc}") from exc
-        if isinstance(channel, ch.ProductKrausChannel):
-            flags = ch.classify(channel, tol).to_dict()
-        else:
-            flags = {"incoherent": channel.is_incoherent(tol)}
-        _emit(canonical_json(flags) + "\n", out_path)
-
-    _run(body)
+    if not 0.0 <= tol < math.inf:
+        raise ParseError(f"--tol must be a finite non-negative number, got {tol}")
+    try:
+        with open(channel_path, "r", encoding="utf-8") as fh:
+            channel = channel_from_json(fh.read())
+    except OSError as exc:
+        raise ParseError(f"cannot read {channel_path}: {exc}") from exc
+    if isinstance(channel, ch.ProductKrausChannel):
+        flags = ch.classify(channel, tol).to_dict()
+    else:
+        flags = {"incoherent": channel.is_incoherent(tol)}
+    _emit(canonical_json(flags) + "\n", out_path)
 
 
 def reference_rows(seed: int = 0) -> list[dict]:
@@ -469,41 +423,26 @@ def reference_rows(seed: int = 0) -> list[dict]:
             for name, value, expected, tol in table]
 
 
-@main.command()
-@click.option("--format", "fmt", type=click.Choice(["csv", "pretty", "json"]),
-              default="pretty", show_default=True)
-@click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--out", "out_path", type=str, default=None)
 def reproduce(fmt, seed, out_path):
     """Recompute every built-in reference value and report pass/fail.
     Exits nonzero when any check misses its tolerance."""
-
-    def body():
-        rows = reference_rows(seed)
-        if fmt == "csv":
-            lines = ["name,value,expected,tolerance,status"]
-            for r in rows:
-                lines.append(
-                    f"{r['name']},{format(r['value'], '.17g')},{format(r['expected'], '.17g')},"
-                    f"{format(r['tolerance'], '.17g')},{r['status']}"
-                )
-            text = "\n".join(lines) + "\n"
-        elif fmt == "json":
-            text = canonical_json(rows) + "\n"
-        else:
-            width = max(len(r["name"]) for r in rows)
-            lines = []
-            for r in rows:
-                lines.append(
-                    f"{r['name']:<{width}}  value={r['value']: .12g}  "
-                    f"expected={r['expected']: .12g}  tol={r['tolerance']:.0e}  [{r['status'].upper()}]"
-                )
-            text = "\n".join(lines) + "\n"
-        _emit(text, out_path)
-        if any(r["status"] != "pass" for r in rows):
-            sys.exit(EXIT_CHECK)
-
-    _run(body)
+    rows = reference_rows(seed)
+    if fmt == "csv":
+        lines = ["name,value,expected,tolerance,status"] + [
+            f"{r['name']},{format(r['value'], '.17g')},{format(r['expected'], '.17g')},"
+            f"{format(r['tolerance'], '.17g')},{r['status']}" for r in rows]
+        text = "\n".join(lines) + "\n"
+    elif fmt == "json":
+        text = canonical_json(rows) + "\n"
+    else:
+        width = max(len(r["name"]) for r in rows)
+        lines = [
+            f"{r['name']:<{width}}  value={r['value']: .12g}  "
+            f"expected={r['expected']: .12g}  tol={r['tolerance']:.0e}  [{r['status'].upper()}]" for r in rows]
+        text = "\n".join(lines) + "\n"
+    _emit(text, out_path)
+    if any(r["status"] != "pass" for r in rows):
+        sys.exit(EXIT_CHECK)
 
 
 def _suite(name: str) -> checks.Suite:
@@ -540,30 +479,92 @@ def replay_suite(name: str, seed: int) -> dict:
             "pass": bool(suite.passes(value)[0])}
 
 
-@main.command()
-@click.argument("name", type=click.Choice(list(checks.SUITES)))
-@click.option("--trials", type=TRIALS, default=50, show_default=True)
-@click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--replay", type=SEED, default=None,
-              help="Rerun only the trial of this failure seed.")
-@click.option("--out", "out_path", type=str, default=None)
 def suite(name, trials, seed, replay, out_path):
     """Run a seeded property suite; failures list reproduction seeds, and
     --replay SEED reruns the trial of one of them."""
+    if replay is None:
+        summary = run_suite(name, trials, seed)
+        failed = summary["failures"] > 0
+    else:
+        summary = replay_suite(name, replay)
+        failed = not summary["pass"]
+    _emit(canonical_json(summary) + "\n", out_path)
+    if failed:
+        sys.exit(EXIT_CHECK)
 
-    def body():
-        if replay is None:
-            summary = run_suite(name, trials, seed)
-            failed = summary["failures"] > 0
-        else:
-            summary = replay_suite(name, replay)
-            failed = not summary["pass"]
-        _emit(canonical_json(summary) + "\n", out_path)
-        if failed:
-            sys.exit(EXIT_CHECK)
 
-    _run(body)
+# ---------------------------------------------------------------------------
+# command line
 
+
+def _int_range(low: int, high: float = math.inf):
+    """An argparse type: an integer from ``low`` to ``high``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value"
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is not in [{low}, {high}]")
+        return value
+
+    return integer
+
+
+def _parser(add, name: str, description: str, **kwargs) -> argparse.ArgumentParser:
+    """A parser that takes only whole flag names and only ``--help``."""
+    parser = add(name, description=description, allow_abbrev=False, add_help=False, **kwargs)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    top = _parser(argparse.ArgumentParser, "coherlab", main.__doc__)
+    commands = top.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(run):
+        parser = _parser(commands.add_parser, run.__name__, run.__doc__, help=run.__doc__.split(".")[0])
+        parser.set_defaults(run=run)
+        parser.add_argument("--out", dest="out_path", metavar="PATH", help="Write to this file, not stdout.")
+        return parser
+
+    seed = {"type": _int_range(0), "default": 0}
+    sub = command(measure)
+    sub.add_argument("measure_name", choices=MEASURES)
+    sub.add_argument("--state", dest="state_path", metavar="PATH", help="State JSON file.")
+    sub.add_argument("--builtin", help="bell|merging|domino:k|psi2")
+    sub.add_argument("--split", dest="split_spec", metavar="SPEC", help='e.g. "A=0;B=1,2"')
+    sub.add_argument("--seed", **seed)
+    sub.add_argument("--budget", type=_int_range(1), default=16, help="Optimizer restarts for assistance.")
+    sub = command(protocol)
+    sub.add_argument("name", choices=PROTOCOLS)
+    sub.add_argument("--state", dest="state_path", metavar="PATH")
+    sub.add_argument("--builtin")
+    sub.add_argument("--trials", type=_int_range(1), default=1)
+    sub.add_argument("--seed", **seed)
+    sub.add_argument("--index", type=_int_range(1, 9), default=1, help="Domino state index for discriminate.")
+    sub = command(classify)
+    sub.add_argument("--channel", dest="channel_path", metavar="PATH", required=True)
+    sub.add_argument("--tol", type=float, default=1e-9, help="Modulus threshold for the incoherence predicate.")
+    sub = command(reproduce)
+    sub.add_argument("--format", dest="fmt", choices=["csv", "pretty", "json"], default="pretty")
+    sub.add_argument("--seed", **seed)
+    sub = command(suite)
+    sub.add_argument("name", choices=list(checks.SUITES))
+    sub.add_argument("--trials", type=_int_range(1), default=50)
+    sub.add_argument("--seed", **seed)
+    sub.add_argument("--replay", type=_int_range(0), help="Rerun only the trial of this failure seed.")
+    return top
+
+
+def main(args: list[str] | None = None) -> None:
+    """Coherence measures, classified channels and two-party protocols."""
+    options = vars(PARSER.parse_args(args))
+    del options["command"]
+    _run(options.pop("run"), options)
+
+
+PARSER = _build_parser()
+# the former main.main(args, prog_name=..., standalone_mode=...), kept only for perfbench/workloads.py
+main.main = lambda args=None, prog_name=None, standalone_mode=True: main(args)
 
 if __name__ == "__main__":
     main()

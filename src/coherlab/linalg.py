@@ -66,8 +66,10 @@ def _to_square(m) -> np.ndarray:
 def _subsystem_dims(dims) -> tuple[int, ...]:
     """``dims`` as a non-empty tuple of positive ints: the one check of
     subsystem dimensions that every state, channel and script constructor
-    makes."""
-    dims = tuple(map(int, dims))
+    makes.  Each must be a Python or numpy integer, as an index must."""
+    dims = tuple(dims)
+    if set(map(type, dims)) != {int}:  # plain ints skip the per-entry check
+        dims = tuple(_integer(d, "subsystem dimension") for d in dims)
     if not dims or min(dims) < 1:
         raise BadSubsystemError(f"invalid subsystem dimensions {dims}")
     return dims
@@ -319,12 +321,17 @@ class PureState:
         return complex(np.vdot(self.vec, other.vec))
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int when it is a Python or numpy integer; a bool, a
+    float or anything else raises BadSubsystemError, never a truncated
+    value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadSubsystemError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _subsystem_index(i) -> int:
-    """``i`` as an int when it is a Python or numpy integer; a bool, a float
-    or anything else raises BadSubsystemError, never a truncated index."""
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise BadSubsystemError(f"subsystem index {i!r} is not an integer")
-    return int(i)
+    return _integer(i, "subsystem index")
 
 
 def _validate_subsystems(indices, n: int, allow_empty: bool = False) -> tuple[int, ...]:

@@ -52,7 +52,7 @@ def run_cli(args) -> CliResult:
     code, exception = 0, None
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            main(list(args))
+            main(args)
         except SystemExit as exc:
             code = 0 if exc.code is None else exc.code
         except Exception as exc:

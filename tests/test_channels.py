@@ -172,6 +172,21 @@ def test_constructors_reject_non_positive_dims(build, dims):
         build(dims)
 
 
+@pytest.mark.parametrize("dims", [(2.5, 2.9), (True, 2), (2.0,)])
+@pytest.mark.parametrize("build", DIMS_CONSTRUCTORS.values(), ids=DIMS_CONSTRUCTORS.keys())
+def test_constructors_reject_non_integer_dims(build, dims):
+    # a float or a bool is rejected by name, never truncated to an int
+    with pytest.raises(BadSubsystemError, match="subsystem dimension .* is not an integer"):
+        build(dims)
+
+
+def test_numpy_integer_dims_are_accepted_as_ints():
+    rho = DensityMatrix(np.eye(4) / 4, np.array([2, 2]))
+    channel = KrausChannel([np.eye(2)], (np.int32(2),), (np.uint8(2),))
+    assert rho.dims == (2, 2) and channel.in_dims == (2,) == channel.out_dims
+    assert all(type(d) is int for d in rho.dims + channel.in_dims + channel.out_dims)
+
+
 def test_dephasing_channel_equals_dephase_on_every_selection():
     rng = np.random.default_rng(3)
     for _ in range(12):

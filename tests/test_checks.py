@@ -3,13 +3,13 @@ import os
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from coherlab import checks
-from coherlab.cli import main, run_suite
+from coherlab.cli import run_suite
 from coherlab.exceptions import InvalidStateError
 from coherlab.linalg import DensityMatrix, _density_stack
 from coherlab.states import _generators, random_density
+from conftest import run_cli
 
 # every trial of checks, the suites' and the protocols'
 TRIALS = [checks.SUITES[name].trial for name in checks.SUITES] + [checks.ancilla_gap]
@@ -135,29 +135,28 @@ def test_failure_seeds_are_capped_at_16_in_order(monkeypatch):
 
 
 def test_suite_replay_reruns_one_failure_seed(monkeypatch):
-    runner = CliRunner()
     expected, _ = _forced_failures(monkeypatch, 150, 6, (70,))
-    result = runner.invoke(main, ["suite", "teleport", "--trials", "150", "--seed", "6"])
+    result = run_cli(["suite", "teleport", "--trials", "150", "--seed", "6"])
     assert result.exit_code == 4
-    assert json.loads(result.output)["failure_seeds"] == expected
-    result = runner.invoke(main, ["suite", "teleport", "--replay", str(expected[0])])
+    assert json.loads(result.stdout)["failure_seeds"] == expected
+    result = run_cli(["suite", "teleport", "--replay", str(expected[0])])
     assert result.exit_code == 4
-    assert json.loads(result.output) == {"suite": "teleport", "seed": expected[0],
+    assert json.loads(result.stdout) == {"suite": "teleport", "seed": expected[0],
                                          "value": 0.0, "pass": False}
-    result = runner.invoke(main, ["suite", "teleport", "--replay", "7"])
+    result = run_cli(["suite", "teleport", "--replay", "7"])
     assert result.exit_code == 0
-    assert json.loads(result.output) == {"suite": "teleport", "seed": 7, "value": 1.0, "pass": True}
+    assert json.loads(result.stdout) == {"suite": "teleport", "seed": 7, "value": 1.0, "pass": True}
 
 
 def test_suite_replay_gives_the_single_trial_value():
-    result = CliRunner().invoke(main, ["suite", "closed-form", "--replay", "11"])
+    result = run_cli(["suite", "closed-form", "--replay", "11"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["value"] == checks.closed_form_gap([np.random.default_rng(11)])[0]
     assert payload["pass"] is True
-    result = CliRunner().invoke(main, ["suite", "steering", "--replay", "11"])
+    result = run_cli(["suite", "steering", "--replay", "11"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["value"] is True
+    assert json.loads(result.stdout)["value"] is True
 
 
 def _break(mat, check):

@@ -1,4 +1,3 @@
-import contextlib
 import gc
 import io
 import json
@@ -10,7 +9,6 @@ import tempfile
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
 import coherlab
@@ -23,7 +21,6 @@ from coherlab.cli import (
     canonical_json,
     channel_from_json,
     channel_to_json,
-    main,
     reference_rows,
     run_suite,
     state_from_json,
@@ -35,9 +32,7 @@ from coherlab.states import bell_states, random_density, random_pure
 from conftest import run_cli
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture
@@ -87,33 +82,32 @@ def test_parse_error_names_invariant(tmp_path):
     }
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
-    runner = CliRunner()
-    result = runner.invoke(main, ["measure", "cr", "--state", str(path)])
+    result = run_cli(["measure", "cr", "--state", str(path)])
     assert result.exit_code == 3
-    assert "trace" in result.output
+    assert "trace" in result.stderr
 
 
 # ---------------------------------------------------------------------------
 # measure command
 
 
-def test_measure_qire_bell(runner, bell_file):
-    result = runner.invoke(main, ["measure", "qire", "--state", bell_file, "--split", "A=0;B=1"])
+def test_measure_qire_bell(bell_file):
+    result = run_cli(["measure", "qire", "--state", bell_file, "--split", "A=0;B=1"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert abs(payload["value"] - 1.0) < 1e-9
     assert payload["method"] == "closed-form"
 
 
-def test_measure_builtin_merging(runner):
-    result = runner.invoke(
-        main, ["measure", "qire", "--builtin", "merging", "--split", "A=0;B=1,2"]
+def test_measure_builtin_merging():
+    result = run_cli(
+        ["measure", "qire", "--builtin", "merging", "--split", "A=0;B=1,2"]
     )
     assert result.exit_code == 0
-    assert abs(json.loads(result.output)["value"] - 8 / 9) < 1e-9
+    assert abs(json.loads(result.stdout)["value"] - 8 / 9) < 1e-9
 
 
-def test_measure_cr_diagonal_state(runner, tmp_path):
+def test_measure_cr_diagonal_state(tmp_path):
     path = tmp_path / "diag.json"
     payload = {
         "kind": "density",
@@ -121,54 +115,54 @@ def test_measure_cr_diagonal_state(runner, tmp_path):
         "matrix": [[0.25, 0.0], [0.0, 0.0], [0.0, 0.0], [0.75, 0.0]],
     }
     path.write_text(json.dumps(payload))
-    result = runner.invoke(main, ["measure", "cr", "--state", str(path)])
+    result = run_cli(["measure", "cr", "--state", str(path)])
     assert result.exit_code == 0
-    assert json.loads(result.output)["value"] == 0.0
+    assert json.loads(result.stdout)["value"] == 0.0
 
 
-def test_measure_assistance_labels_exact_routes_closed_form(runner, tmp_path):
+def test_measure_assistance_labels_exact_routes_closed_form(tmp_path):
     # a pure state (c_r) and a mixed qubit (S of the dephased state) are exact
-    result = runner.invoke(main, ["measure", "assistance", "--builtin", "psi2", "--budget", "1"])
+    result = run_cli(["measure", "assistance", "--builtin", "psi2", "--budget", "1"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["method"] == "closed-form"
     assert abs(payload["value"] - 1.0) < 1e-9
     path = tmp_path / "qubit.json"
     path.write_text(state_to_json(random_density((2,), 2, 3)))
-    result = runner.invoke(main, ["measure", "assistance", "--state", str(path), "--budget", "1"])
+    result = run_cli(["measure", "assistance", "--state", str(path), "--budget", "1"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["method"] == "closed-form"
+    assert json.loads(result.stdout)["method"] == "closed-form"
 
 
-def test_measure_assistance_labels_qutrit_closed_form_and_d4_ascent_optimized(runner, tmp_path):
+def test_measure_assistance_labels_qutrit_closed_form_and_d4_ascent_optimized(tmp_path):
     # a qutrit's value is S of the dephased state, from the face walk; a
     # mixed state with four nonzero diagonal entries goes to the ascent
     for dims, label in (((3,), "closed-form"), ((4,), "optimized")):
         path = tmp_path / "state.json"
         path.write_text(state_to_json(random_density(dims, dims[0], 0)))
-        result = runner.invoke(main, ["measure", "assistance", "--state", str(path), "--budget", "1"])
+        result = run_cli(["measure", "assistance", "--state", str(path), "--budget", "1"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["method"] == label
+        assert json.loads(result.stdout)["method"] == label
 
 
-def test_measure_assistance_on_large_mixed_state_exits_3(runner):
+def test_measure_assistance_on_large_mixed_state_exits_3():
     # the 81-dimensional (9, 3, 3) merging state is mixed and beyond the search's size limit
-    result = runner.invoke(main, ["measure", "assistance", "--builtin", "merging", "--budget", "1"])
-    assert result.exit_code == 3
-    assert "Traceback" not in result.output
+    result = run_cli(["measure", "assistance", "--builtin", "merging", "--budget", "1"])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr.startswith("invariant violation: ")
 
 
-def test_measure_exit_codes(runner, tmp_path, bell_file):
+def test_measure_exit_codes(tmp_path, bell_file):
     # parse failure: missing file
-    result = runner.invoke(main, ["measure", "cr", "--state", str(tmp_path / "nope.json")])
+    result = run_cli(["measure", "cr", "--state", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
     # parse failure: both or neither input flags
-    result = runner.invoke(main, ["measure", "cr"])
+    result = run_cli(["measure", "cr"])
     assert result.exit_code == 2
-    result = runner.invoke(main, ["measure", "qire", "--state", bell_file])
+    result = run_cli(["measure", "qire", "--state", bell_file])
     assert result.exit_code == 2  # missing split
-    # unknown measure name is a usage error (click exits 2)
-    result = runner.invoke(main, ["measure", "nope", "--builtin", "bell"])
+    # unknown measure name is a usage error
+    result = run_cli(["measure", "nope", "--builtin", "bell"])
     assert result.exit_code == 2
 
 
@@ -182,64 +176,64 @@ def test_builtin_domino_index():
 # protocol command
 
 
-def test_protocol_teleport(runner):
-    result = runner.invoke(main, ["protocol", "teleport", "--trials", "5", "--seed", "0"])
+def test_protocol_teleport():
+    result = run_cli(["protocol", "teleport", "--trials", "5", "--seed", "0"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["min_fidelity"] >= 1 - 1e-9
+    assert json.loads(result.stdout)["min_fidelity"] >= 1 - 1e-9
 
 
-def test_protocol_merge_witness(runner):
-    result = runner.invoke(main, ["protocol", "merge-witness"])
+def test_protocol_merge_witness():
+    result = run_cli(["protocol", "merge-witness"])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["verdict"] is True
     assert abs(payload["qire_r_ab"] - 8 / 9) < 1e-9
     assert abs(payload["qire_rb_a"] - 4 / 9) < 1e-9
 
 
-def test_protocol_discriminate(runner):
-    result = runner.invoke(main, ["protocol", "discriminate", "--index", "4"])
+def test_protocol_discriminate():
+    result = run_cli(["protocol", "discriminate", "--index", "4"])
     assert result.exit_code == 0
-    assert abs(json.loads(result.output)["success_probability"] - 1.0) < 1e-9
+    assert abs(json.loads(result.stdout)["success_probability"] - 1.0) < 1e-9
 
 
-def test_protocol_steer_on_qi_builtin(runner, tmp_path):
+def test_protocol_steer_on_qi_builtin(tmp_path):
     from coherlab.cli import state_to_json as dump
     from coherlab.states import random_qi_state
 
     path = tmp_path / "qi.json"
     path.write_text(dump(random_qi_state((2, 2), 5)))
-    result = runner.invoke(main, ["protocol", "steer", "--state", str(path)])
+    result = run_cli(["protocol", "steer", "--state", str(path)])
     assert result.exit_code == 0
-    assert json.loads(result.output)["witness_found"] is False
+    assert json.loads(result.stdout)["witness_found"] is False
 
 
-def test_protocol_reductions(runner):
-    result = runner.invoke(main, ["protocol", "sqi-to-si", "--trials", "3", "--seed", "1"])
+def test_protocol_reductions():
+    result = run_cli(["protocol", "sqi-to-si", "--trials", "3", "--seed", "1"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["max_bob_marginal_gap"] < 1e-9
-    result = runner.invoke(main, ["protocol", "ancilla-reduce", "--trials", "3", "--seed", "1"])
+    assert json.loads(result.stdout)["max_bob_marginal_gap"] < 1e-9
+    result = run_cli(["protocol", "ancilla-reduce", "--trials", "3", "--seed", "1"])
     assert result.exit_code == 0
-    assert json.loads(result.output)["max_action_gap"] < 1e-9
+    assert json.loads(result.stdout)["max_action_gap"] < 1e-9
 
 
 # ---------------------------------------------------------------------------
 # classify command
 
 
-def test_classify_domino_channel(runner, tmp_path):
+def test_classify_domino_channel(tmp_path):
     path = tmp_path / "domino.json"
     path.write_text(channel_to_json(domino_discrimination_channel()))
-    result = runner.invoke(main, ["classify", "--channel", str(path)])
+    result = run_cli(["classify", "--channel", str(path)])
     assert result.exit_code == 0
-    payload = json.loads(result.output)
+    payload = json.loads(result.stdout)
     assert payload["separable"] and payload["si"] and payload["sqi"]
 
 
-def test_classify_parse_error(runner, tmp_path):
+def test_classify_parse_error(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
-    result = runner.invoke(main, ["classify", "--channel", str(path)])
+    result = run_cli(["classify", "--channel", str(path)])
     assert result.exit_code == 2
 
 
@@ -337,14 +331,13 @@ MALFORMED_INPUTS = {
 
 
 @pytest.mark.parametrize("args, content", MALFORMED_INPUTS.values(), ids=MALFORMED_INPUTS.keys())
-def test_malformed_input_exits_2_without_traceback(runner, tmp_path, args, content):
+def test_malformed_input_exits_2_without_traceback(tmp_path, args, content):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
-    result = runner.invoke(main, [arg.format(path=path) for arg in args])
-    assert result.exit_code == 2, result.exception
-    assert "parse error:" in result.output
-    assert "Traceback" not in result.output
+    result = run_cli([arg.format(path=path) for arg in args])
+    assert (result.exit_code, result.stdout) == (2, ""), result.exception
+    assert result.stderr.startswith("parse error:")
 
 
 NON_FINITE_INPUTS = {
@@ -369,37 +362,38 @@ NON_FINITE_INPUTS = {
 
 
 @pytest.mark.parametrize("args, content", NON_FINITE_INPUTS.values(), ids=NON_FINITE_INPUTS.keys())
-def test_non_finite_input_exits_3(runner, tmp_path, args, content):
+def test_non_finite_input_exits_3(tmp_path, args, content):
     path = tmp_path / "input.json"
     path.write_text(content)
-    result = runner.invoke(main, [arg.format(path=path) for arg in args])
-    assert result.exit_code == 3, result.output
-    assert "invariant violation:" in result.output
-    assert "non-finite" in result.output
+    result = run_cli([arg.format(path=path) for arg in args])
+    assert (result.exit_code, result.stdout) == (3, ""), result.stderr
+    assert result.stderr.startswith("invariant violation:")
+    assert "non-finite" in result.stderr
 
 
-def test_incomplete_kraus_channel_exits_3(runner, tmp_path):
+def test_incomplete_kraus_channel_exits_3(tmp_path):
     path = tmp_path / "half.json"
     path.write_text('{"kind": "kraus", "in_dims": [2], "ops": [[[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]}')
-    result = runner.invoke(main, ["classify", "--channel", str(path)])
-    assert result.exit_code == 3
-    assert result.output == "invariant violation: completeness residual 7.500e-01 exceeds 1e-09\n"
+    result = run_cli(["classify", "--channel", str(path)])
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == "invariant violation: completeness residual 7.500e-01 exceeds 1e-09\n"
 
 
 @pytest.mark.parametrize("args, key", [
     (["measure", "entropy", "--state", "{path}"], "value"),
     (["protocol", "distill-pure", "--builtin", "domino:1"], "bob_dephased_entropy"),
 ])
-def test_zero_entropy_prints_positive_zero(runner, tmp_path, args, key):
+def test_zero_entropy_prints_positive_zero(tmp_path, args, key):
     # a pure state's entropy sum is +0.0; its negation once printed as -0.0
     path = tmp_path / "one.json"
     path.write_text('{"kind": "density", "dims": [1], "matrix": [[1, 0]]}')
-    result = runner.invoke(main, [arg.format(path=path) for arg in args])
+    result = run_cli([arg.format(path=path) for arg in args])
     assert result.exit_code == 0
-    assert f'"{key}": 0.0' in result.output and "-0.0" not in result.output
+    assert f'"{key}": 0.0' in result.stdout and "-0.0" not in result.stdout
 
 
-# Flag values outside their range: click rejects each as a usage error.
+# Flag values outside their range: each is a usage error.  The parser's own
+# wording varies across Python versions, so only the stream is checked.
 QUTRIT = state_to_json(random_density((3,), 3, 0))
 BAD_FLAGS = {
     "reproduce-negative-seed": (["reproduce", "--seed", "-1"], None),
@@ -417,18 +411,23 @@ BAD_FLAGS = {
         ["measure", "assistance", "--state", "{path}", "--seed", "-1"], QUTRIT
     ),
     "assistance-zero-budget": (["measure", "assistance", "--builtin", "psi2", "--budget", "0"], None),
+    # an infinite threshold would call the coherent channel incoherent
+    "classify-inf-tol": (["classify", "--channel", os.path.join(GOLDEN, "sqi_channel_seed7.json"),
+                          "--tol", "inf"], None),
+    "classify-overflowing-tol": (["classify", "--channel", os.path.join(GOLDEN, "sqi_channel_seed7.json"),
+                                  "--tol", "1e400"], None),
 }
 
 
 @pytest.mark.parametrize("args, content", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
-def test_out_of_range_flag_exits_2_without_traceback(runner, tmp_path, args, content):
+def test_out_of_range_flag_exits_2_without_traceback(tmp_path, args, content):
     path = tmp_path / "input.json"
     if content is not None:
         path.write_text(content)
-    result = runner.invoke(main, [arg.format(path=path) for arg in args])
-    assert result.exit_code == 2, result.output
-    assert "Invalid value" in result.output
-    assert "Traceback" not in result.output
+    result = run_cli([arg.format(path=path) for arg in args])
+    assert (result.exit_code, result.stdout) == (2, ""), result.stderr
+    assert result.exception is None and result.stderr
+    assert "Traceback" not in result.stderr
 
 
 # The exit-code contract on generated input: every run ends in 0, 2, 3 or 4
@@ -655,7 +654,7 @@ def test_reference_rows_run_their_repeated_checks_as_stacks(monkeypatch):
         ("pure", (20, 8)), ("density", (1, 4, 4))]
 
 
-def test_corrupted_merge_transfer_fails_reproduce(runner, monkeypatch):
+def test_corrupted_merge_transfer_fails_reproduce(monkeypatch):
     # the merge output is not validated as a state, so a wrong transfer
     # matrix must show in its residual row, and reproduce must exit nonzero
     import coherlab.protocols as protocols
@@ -665,19 +664,16 @@ def test_corrupted_merge_transfer_fails_reproduce(runner, monkeypatch):
     rows = {row["name"]: row for row in reference_rows(seed=0)}
     assert rows["merge_simulation_residual"]["value"] > 1e-9
     assert [name for name, row in rows.items() if row["status"] != "pass"] == ["merge_simulation_residual"]
-    result = runner.invoke(main, ["reproduce", "--format", "json"])
+    result = run_cli(["reproduce", "--format", "json"])
     assert result.exit_code == 4
 
 
-def test_reproduce_csv_format(runner):
-    result = runner.invoke(main, ["reproduce", "--format", "csv"])
+def test_reproduce_csv_format():
+    result = run_cli(["reproduce", "--format", "csv"])
     assert result.exit_code == 0
-    lines = result.output.strip().splitlines()
+    lines = result.stdout.strip().splitlines()
     assert lines[0] == "name,value,expected,tolerance,status"
     assert all(line.endswith("pass") for line in lines[1:])
-
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.mark.parametrize("fmt,seed,name", [
@@ -689,13 +685,13 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
     ("csv", 3, "reproduce_csv_seed3.csv"),
     ("pretty", 0, "reproduce_pretty_seed0.txt"),
 ])
-def test_reproduce_prints_golden_bytes(runner, fmt, seed, name):
+def test_reproduce_prints_golden_bytes(fmt, seed, name):
     # the files hold the output of an earlier, unoptimized reproduce; a
     # faster route must print the same bytes
-    result = runner.invoke(main, ["reproduce", "--format", fmt, "--seed", str(seed)])
+    result = run_cli(["reproduce", "--format", fmt, "--seed", str(seed)])
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
-        assert result.output == fh.read()
+        assert result.stdout == fh.read()
 
 
 @pytest.mark.parametrize("channel,name", [
@@ -761,35 +757,35 @@ def test_product_channel_json_is_golden(channel, name):
     (["measure", "mutual-info", "--builtin", "merging", "--split", "A=0,2;B=1"],
      "measure_mutual_info_merging_a02_b1.txt"),
 ])
-def test_product_channel_commands_print_golden_bytes(runner, monkeypatch, args, name):
+def test_product_channel_commands_print_golden_bytes(monkeypatch, args, name):
     # state files are named relative to the repository root, as the CI step
     # runs them
     monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    result = runner.invoke(main, args)
+    result = run_cli(args)
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
-        assert result.output == fh.read()
+        assert result.stdout == fh.read()
 
 
 @pytest.mark.parametrize("name", ["monotonicity", "steering", "teleport", "closed-form",
                                   "continuity", "reductions", "chain"])
-def test_suite_replay_prints_golden_bytes(runner, name):
-    result = runner.invoke(main, ["suite", name, "--replay", "7"])
+def test_suite_replay_prints_golden_bytes(name):
+    result = run_cli(["suite", name, "--replay", "7"])
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, f"suite_{name}_replay7.txt"), encoding="utf-8") as fh:
-        assert result.output == fh.read()
+        assert result.stdout == fh.read()
 
 
-def test_qutrit_assistance_golden_is_the_dephased_entropy(runner, monkeypatch):
+def test_qutrit_assistance_golden_is_the_dephased_entropy(monkeypatch):
     # the golden names its state file relative to the repository root, as
     # the CI step runs it
     monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     state_file = "tests/golden/qutrit_rank3_seed0.json"
     with open(os.path.join(GOLDEN, "measure_assistance_qutrit_rank3_seed0.txt"), encoding="utf-8") as fh:
         golden = fh.read()
-    result = runner.invoke(main, ["measure", "assistance", "--state", state_file])
+    result = run_cli(["measure", "assistance", "--state", state_file])
     assert result.exit_code == 0
-    assert result.output == golden
+    assert result.stdout == golden
     with open(state_file, encoding="utf-8") as fh:
         rho = state_from_json(fh.read())
     assert np.linalg.matrix_rank(rho.mat) == 3
@@ -799,12 +795,12 @@ def test_qutrit_assistance_golden_is_the_dephased_entropy(runner, monkeypatch):
     assert abs(payload["value"] + float((diag * np.log2(diag)).sum())) <= 1e-15
 
 
-def test_suite_runs_clean(runner):
+def test_suite_runs_clean():
     for name in ("monotonicity", "steering", "closed-form", "continuity",
                  "reductions", "chain"):
-        result = runner.invoke(main, ["suite", name, "--trials", "5", "--seed", "0"])
-        assert result.exit_code == 0, (name, result.output)
-        assert json.loads(result.output)["failures"] == 0
+        result = run_cli(["suite", name, "--trials", "5", "--seed", "0"])
+        assert result.exit_code == 0, (name, result.stderr)
+        assert json.loads(result.stdout)["failures"] == 0
 
 
 def test_run_suite_reports_counts():
@@ -814,9 +810,8 @@ def test_run_suite_reports_counts():
     assert summary["failure_seeds"] == []
 
 
-def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
+def test_suite_failure_lists_seeds_that_fail_again(monkeypatch):
     import coherlab.protocols as pr
-    from coherlab.checks import SUITES
 
     real_reduce = pr._sqi_to_si_stack
     flip = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -827,9 +822,9 @@ def test_suite_failure_lists_seeds_that_fail_again(runner, monkeypatch):
         return reduced_a, flip @ reduced_b
 
     monkeypatch.setattr(pr, "_sqi_to_si_stack", flipped_reduce)
-    result = runner.invoke(main, ["suite", "reductions", "--trials", "20", "--seed", "0"])
+    result = run_cli(["suite", "reductions", "--trials", "20", "--seed", "0"])
     assert result.exit_code == 4
-    summary = json.loads(result.output)
+    summary = json.loads(result.stdout)
     assert summary["failures"] > 16
     assert len(summary["failure_seeds"]) == 16
     for seed in summary["failure_seeds"]:
@@ -841,7 +836,7 @@ def test_run_suite_rejects_unknown_name():
         run_suite("nope", 1, 0)
 
 
-def test_reproduce_exits_4_on_check_failure(runner, monkeypatch):
+def test_reproduce_exits_4_on_check_failure(monkeypatch):
     import coherlab.cli as cli_module
 
     def failing_rows(seed=0):
@@ -849,20 +844,20 @@ def test_reproduce_exits_4_on_check_failure(runner, monkeypatch):
                  "tolerance": 1e-9, "status": "fail"}]
 
     monkeypatch.setattr(cli_module, "reference_rows", failing_rows)
-    result = runner.invoke(main, ["reproduce", "--format", "csv"])
+    result = run_cli(["reproduce", "--format", "csv"])
     assert result.exit_code == 4
 
 
-def test_protocol_state_path_runs_and_input_flag_is_gone(runner, tmp_path):
+def test_protocol_state_path_runs_and_input_flag_is_gone(tmp_path):
     from coherlab.cli import state_to_json as dump
     from coherlab.states import random_pure
 
     path = tmp_path / "input.json"
     path.write_text(dump(random_pure((2, 2), 3)))
-    result = runner.invoke(main, ["protocol", "distill-pure", "--state", str(path)])
+    result = run_cli(["protocol", "distill-pure", "--state", str(path)])
     assert result.exit_code == 0
-    assert json.loads(result.output)["protocol"] == "distill-pure"
-    result = runner.invoke(main, ["protocol", "teleport", "--input", "random"])
+    assert json.loads(result.stdout)["protocol"] == "distill-pure"
+    result = run_cli(["protocol", "teleport", "--input", "random"])
     assert result.exit_code == 2
 
 
@@ -870,30 +865,17 @@ def test_protocol_state_path_runs_and_input_flag_is_gone(runner, tmp_path):
 # output policy
 
 
-def test_out_flag_writes_file_and_stdout_does_not(runner, tmp_path, bell_file, monkeypatch):
+def test_out_flag_writes_file_and_stdout_does_not(tmp_path, bell_file, monkeypatch):
     monkeypatch.chdir(tmp_path)
     before = set(os.listdir(tmp_path))
-    result = runner.invoke(main, ["measure", "cr", "--state", bell_file])
+    result = run_cli(["measure", "cr", "--state", bell_file])
     assert result.exit_code == 0
     assert set(os.listdir(tmp_path)) == before  # no files without --out
     out = tmp_path / "report.json"
-    result = runner.invoke(main, ["measure", "cr", "--state", bell_file, "--out", str(out)])
+    result = run_cli(["measure", "cr", "--state", bell_file, "--out", str(out)])
     assert result.exit_code == 0
     assert out.exists()
     assert json.loads(out.read_text())["name"] == "cr"
-
-
-def _invoke_redirected(args):
-    """Run one command in this process with stdout and stderr redirected to
-    StringIOs, as an embedding caller does; (exit code, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    code = 0
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            main.main(args, prog_name="coherlab", standalone_mode=False)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_redirected_streams_are_not_kept_alive():
@@ -901,8 +883,8 @@ def test_redirected_streams_are_not_kept_alive():
     # outlive its call
     def live_string_ios_after(n):
         for _ in range(n):
-            assert _invoke_redirected(["protocol", "discriminate", "--index", "4"])[0] == 0
-            assert _invoke_redirected(["measure", "cr", "--state", "/nonexistent.json"])[0] == 2
+            assert run_cli(["protocol", "discriminate", "--index", "4"]).exit_code == 0
+            assert run_cli(["measure", "cr", "--state", "/nonexistent.json"]).exit_code == 2
         gc.collect()
         return sum(isinstance(obj, io.StringIO) for obj in gc.get_objects())
 
@@ -914,16 +896,16 @@ def test_redirected_streams_keep_the_exit_code_contract(tmp_path, monkeypatch):
     import coherlab.cli as cli_module
 
     with open(os.path.join(GOLDEN, "reproduce_json_seed0.json"), encoding="utf-8") as fh:
-        assert _invoke_redirected(["reproduce", "--format", "json", "--seed", "0"]) == (0, fh.read(), "")
+        assert run_cli(["reproduce", "--format", "json", "--seed", "0"]) == (0, fh.read(), "", None)
 
-    code, out, err = _invoke_redirected(["measure", "cr", "--state", "/nonexistent.json"])
+    code, out, err, _ = run_cli(["measure", "cr", "--state", "/nonexistent.json"])
     assert (code, out) == (2, "")
     assert err.startswith("parse error: cannot read /nonexistent.json") and err.endswith("\n")
     assert err.count("\n") == 1
 
     path = tmp_path / "nan.json"
     path.write_text(NON_FINITE_INPUTS["measure-nan-density"][1])
-    code, out, err = _invoke_redirected(["measure", "cr", "--state", str(path)])
+    code, out, err, _ = run_cli(["measure", "cr", "--state", str(path)])
     assert (code, out) == (3, "")
     assert err.startswith("invariant violation: ") and err.endswith("\n")
     assert err.count("\n") == 1
@@ -933,7 +915,7 @@ def test_redirected_streams_keep_the_exit_code_contract(tmp_path, monkeypatch):
                  "tolerance": 1e-9, "status": "fail"}]
 
     monkeypatch.setattr(cli_module, "reference_rows", failing_rows)
-    code, out, err = _invoke_redirected(["reproduce", "--format", "csv"])
+    code, out, err, _ = run_cli(["reproduce", "--format", "csv"])
     assert (code, err) == (4, "")
     assert out == "name,value,expected,tolerance,status\nforced,0,1,1.0000000000000001e-09,fail\n"
 
@@ -948,37 +930,39 @@ OUT_COMMANDS = {
 
 
 @pytest.mark.parametrize("args", OUT_COMMANDS.values(), ids=OUT_COMMANDS.keys())
-def test_out_into_a_missing_directory_exits_2_without_traceback(runner, tmp_path, args):
+def test_out_into_a_missing_directory_exits_2_without_traceback(tmp_path, args):
     channel = tmp_path / "channel.json"
     channel.write_text(channel_to_json(domino_discrimination_channel()))
-    out = tmp_path / "missing" / "x.json"
-    result = runner.invoke(main, [arg.format(channel=channel) for arg in args] + ["--out", str(out)])
-    assert result.exit_code == 2, result.exception
-    assert f"parse error: cannot write {out}" in result.output
-    assert "Traceback" not in result.output
-    assert not out.parent.exists()
+    missing = tmp_path / "missing" / "x.json"
+    for out in (str(missing), ""):  # an empty path is no path, not stdout
+        result = run_cli([arg.format(channel=channel) for arg in args] + ["--out", out])
+        assert (result.exit_code, result.stdout) == (2, ""), result.exception
+        assert result.stderr.startswith(f"parse error: cannot write {out}: ")
+    assert not missing.parent.exists()
 
 
 NO_SCIPY_PROBE = """
 import sys
-from click.testing import CliRunner
-import coherlab
+import numpy.random  # with the runtime modules of its compiled generators
+before = {m.split(".")[0] for m in sys.modules}
 from coherlab.cli import main
 for args in (["reproduce", "--format", "json", "--seed", "0"], ["suite", "teleport", "--trials", "2"],
              ["measure", "assistance", "--builtin", "psi2"]):
-    assert CliRunner().invoke(main, args).exit_code == 0, args
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    main(args)
+loaded = {m.split(".")[0] for m in sys.modules} - before - set(sys.stdlib_module_names)
+print(sorted(loaded - {"coherlab"}), file=sys.stderr)
 """
 
 
 def test_no_cli_path_imports_scipy():
-    """coherlab runs on numpy alone: importing it and running the CLI loads
-    no scipy module."""
+    """The CLI runs on numpy alone: importing it and running its commands
+    loads no module outside the standard library but numpy, so neither
+    scipy nor a command-line package."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(coherlab.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", NO_SCIPY_PROBE], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stderr.strip() == "[]"
 
 
 NUMPY_RANDOM_PROBE = """
