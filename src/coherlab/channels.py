@@ -21,15 +21,15 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import (
+    BadDimensionError,
     DimensionMismatchError,
     IncoherenceViolationError,
     IncompleteChannelError,
     NotIncoherentError,
     SingularNormalizerError,
 )
-from .linalg import (DensityMatrix, _basis_rows, _indexed, _subsystem_dims, _unchecked, _validate_subsystems,
-                     apply_local)
-from .states import _generators
+from .linalg import (DensityMatrix, _basis_rows, _indexed, _integer, _subsystem_dims, _unchecked,
+                     _validate_subsystems, apply_local)
 
 __all__ = [
     "COMPLETENESS_TOL",
@@ -654,22 +654,22 @@ def _incoherent_draw(rng: np.random.Generator, d: int, n: int) -> tuple[np.ndarr
 
 def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]:
     """One random incoherent channel per seed, drawn from the stream of
-    ``default_rng(seed)`` (the stack's generators are built by one batched
-    seeding, ``states._generators``): each Kraus operator picks an injective
-    column-target map (a permutation) with complex-Gaussian amplitudes,
-    then the family is completed.  Injective targets make M = sum_l R_l' R_l
-    diagonal, holding each column's squared norm over the family, so
-    completion K_l = R_l M^{-1/2} rescales each column by the inverse root
-    of that norm and preserves incoherence.  Per seed, ``_incoherent_draw``
-    makes the generator calls and its family is stored in preallocated
-    (m, n, d) stacks of targets and amplitudes.  A family with a column of
-    norm below 1e-12 is drawn again from its own generator, up to 16
-    attempts.  The families are then completed and checked incoherent as
-    one stack, checked by ``_channel_stacks`` and wrapped by
-    ``linalg._unchecked``."""
+    ``default_rng(seed)`` (a seed may be a ``Generator``, read as it is, in
+    seed order when it appears more than once): each Kraus operator picks
+    an injective column-target map (a permutation) with complex-Gaussian
+    amplitudes, then the family is completed.  Injective targets make
+    M = sum_l R_l' R_l diagonal, holding each column's squared norm over
+    the family, so completion K_l = R_l M^{-1/2} rescales each column by
+    the inverse root of that norm and preserves incoherence.  Per seed,
+    ``_incoherent_draw`` makes the generator calls and its family is stored
+    in preallocated (m, n, d) stacks of targets and amplitudes.  A family
+    with a column of norm below 1e-12 is drawn again from its own
+    generator, up to 16 attempts.  The families are then completed and
+    checked incoherent as one stack, checked by ``_channel_stacks`` and
+    wrapped by ``linalg._unchecked``."""
     dims = _subsystem_dims(dims)
-    d, n = math.prod(dims), max(1, n_kraus)
-    rngs = _generators(seeds)
+    d, n = math.prod(dims), max(1, _integer(n_kraus, "Kraus operator count", BadDimensionError))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     m = len(rngs)
     perms, re, im = np.empty((m, n, d), dtype=np.intp), np.empty((m, n, d)), np.empty((m, n, d))
     for k, rng in enumerate(rngs):
@@ -694,19 +694,18 @@ def _random_incoherent_channels(dims, n_kraus: int, seeds) -> list[KrausChannel]
 
 def _random_instruments(dims, n_kraus: int, seeds) -> list[KrausChannel]:
     """One random general instrument per seed: Ginibre operators drawn
-    from the stream of ``default_rng(seed)`` (the stack's generators are
-    built by one batched seeding, ``states._generators``).  Per seed, one
-    ``standard_normal`` fills its (n, 2, d, d) slab of a preallocated
-    stack, the real then imaginary part of each operator in turn; the
-    operators are then assembled and normalized by the inverse square root
-    of their Gram sum, completed as one stack, checked by
+    from the stream of ``default_rng(seed)`` (a seed may be a
+    ``Generator``, read as it is, in seed order when it appears more than
+    once).  Per seed, one ``standard_normal`` fills its (n, 2, d, d) slab
+    of a preallocated stack, the real then imaginary part of each operator
+    in turn; the operators are then assembled and normalized by the inverse
+    square root of their Gram sum, completed as one stack, checked by
     ``_channel_stacks`` and wrapped by ``linalg._unchecked``."""
     dims = _subsystem_dims(dims)
-    d, n = math.prod(dims), max(1, n_kraus)
-    rngs = _generators(seeds)
-    parts = np.empty((len(rngs), n, 2, d, d))
-    for rng, slab in zip(rngs, parts):
-        rng.standard_normal(out=slab)
+    d, n = math.prod(dims), max(1, _integer(n_kraus, "Kraus operator count", BadDimensionError))
+    parts = np.empty((len(seeds), n, 2, d, d))
+    for seed, slab in zip(seeds, parts):
+        np.random.default_rng(seed).standard_normal(out=slab)
     raws = parts[:, :, 0] + 1j * parts[:, :, 1]
     w, v = np.linalg.eigh(_grams(raws).sum(axis=1))
     inv_sqrt = (v / np.sqrt(np.maximum(w, 1e-14))[:, None]) @ v.conj().swapaxes(-1, -2)
@@ -727,54 +726,41 @@ def random_instrument(dims, n_kraus: int, seed) -> KrausChannel:
     return _random_instruments(dims, n_kraus, [seed])[0]
 
 
-def _draw_order(rounds: int, n: int) -> list[str]:
-    """The party of each instrument of a random script of ``rounds`` rounds
-    and n outcomes per instrument, in the order the script's generator
-    draws their seeds: A's, then per A outcome B's followed by that
-    outcome's continuation."""
-    order = ["A"]
-    for _ in range(n):
-        order.append("B")
-        if rounds > 1:
-            order += _draw_order(rounds - 1, n)
-    return order
-
-
 def _random_scripts(a_dims, b_dims, rounds: int, seeds, incoherent_a: bool,
                     n_outcomes: int) -> list[LocalProtocol]:
     """One random script per seed, a one-way classically-controlled
     exchange: party A measures, then per outcome party B applies its own
     instrument, and every B outcome continues to the same next round.
 
-    Each script's generator, the stream of ``default_rng(seed)``, draws one
-    seed per instrument in ``_draw_order``; each instrument is drawn from
-    its own seed.  The scripts' generators, and then all their instruments'
-    generators (A's and B's together, handed to the two drawers as built
-    generators), are built by one batched seeding each
-    (``states._generators``).  A is incoherent (LICC) or general (LQICC),
-    B always incoherent.
+    Each script's generator, the stream of ``default_rng(seed)``, draws
+    all of its A instruments, in the order ``_script_tree`` places them,
+    then all of its B instruments; each drawer reads the script's
+    generator once per instrument.  A is incoherent (LICC) or general
+    (LQICC), B always incoherent.
     All the scripts' A instruments are completed and checked as one stack,
     and all their B instruments as another, each on its party's dims and
     an incoherent party's incoherence included; so the scripts are
     wrapped by ``linalg._unchecked``, with no per-script check."""
     a_dims, b_dims = _subsystem_dims(a_dims), _subsystem_dims(b_dims)
-    rounds, n = max(1, rounds), max(1, n_outcomes)
-    order = np.array(_draw_order(rounds, n))
-    node_seeds = np.array([rng.integers(2**63, size=len(order)) for rng in _generators(seeds)])
-    # every instrument's generator, script by script in _draw_order
-    node_rngs = np.array(_generators(node_seeds.ravel()), dtype=object).reshape(node_seeds.shape)
+    rounds = max(1, _integer(rounds, "round count", BadDimensionError))
+    n = max(1, _integer(n_outcomes, "outcome count", BadDimensionError))
+    # round k + 1 of a script holds n**k A instruments, each followed by n
+    # B instruments
+    n_a = sum(n**k for k in range(rounds))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     random_a = _random_incoherent_channels if incoherent_a else _random_instruments
-    a_instruments = iter(random_a(a_dims, n, node_rngs[:, order == "A"].ravel()))
-    b_instruments = iter(_random_incoherent_channels(b_dims, n, node_rngs[:, order == "B"].ravel()))
+    a_instruments = iter(random_a(a_dims, n, [rng for rng in rngs for _ in range(n_a)]))
+    b_instruments = iter(_random_incoherent_channels(b_dims, n, [rng for rng in rngs for _ in range(n * n_a)]))
     parties = frozenset({"A", "B"} if incoherent_a else {"B"})
-    roots = [_script_tree(rounds, n, a_instruments, b_instruments) for _ in seeds]
+    roots = [_script_tree(rounds, n, a_instruments, b_instruments) for _ in rngs]
     return [_unchecked(LocalProtocol, a_dims=a_dims, b_dims=b_dims, root=root, incoherent_parties=parties,
                        _rounds=_round_order(root)) for root in roots]
 
 
 def _script_tree(rounds: int, n: int, a_instruments, b_instruments) -> ProtocolRound:
     """The rounds of one random script, consuming the instruments from
-    the two iterators in ``_draw_order``."""
+    the two iterators: A's, then per A outcome B's followed by that
+    outcome's continuation."""
     a_instrument = next(a_instruments)
     branches = []
     for _ in range(n):

@@ -1,12 +1,14 @@
 """The paper's randomized checks, each written once, as stacks.
 
 A trial takes a sequence of ``np.random.Generator`` and returns one value
-per generator, the number its check bounds.  It draws the inputs of each
-trial from that trial's generator, in the order a single trial draws them,
-so a trial on ``[rng] * n`` draws exactly what n trials on ``[rng]`` draw,
-and the n = 1 call is one trial.  The drawn states and every state a trial
-computes are then validated, measured and applied as stacks, in batched
-calls: each state still passes all four checks of a ``DensityMatrix``
+per generator, the number its check bounds.  Every trial draws all of its
+inputs (its scalars, states, scripts and instruments) straight from its
+own generator, in the order a single trial draws them, and draws no seed
+to build another generator; so a trial on n distinct generators gives
+what n single trials ``trial([rng_k])`` give, and leaves each generator
+where they leave it.  The drawn states and every state a trial computes
+are then validated, measured and applied as stacks, in batched calls: each
+state still passes all four checks of a ``DensityMatrix``
 (``linalg._density_stack``), and each vector, drawn or a pure input kept
 as a vector (teleportation's psi x phi+, which crosses its channel as a
 vector and never becomes a density), the unit-norm check of a
@@ -14,17 +16,15 @@ vector and never becomes a density), the unit-norm check of a
 density would; the values equal those of n single trials.  The random
 states, scripts and instruments of a stack are drawn as stacks too
 (``states._random_density_mats``, ``channels._random_scripts``,
-``channels._random_incoherent_channels``): each from its own seed, as a
-single trial names it, on generators built by one batched seeding
-(``states._generators``) per trial stack, one for all the kinds of input
-a trial draws.  Per seed only the generator calls run, each filling that
-seed's slab of a preallocated stack; the inputs are then assembled,
+``channels._random_incoherent_channels``), each drawer handed the trials'
+generators: per trial only the generator calls run, each filling that
+trial's slab of a preallocated stack; the inputs are then assembled,
 normalized, completed and checked once per stack, in batched calls.
 A helper that takes states takes the stack of their matrices and
 validates every state it reads.  ``coherlab suite``, ``coherlab
 protocol``, ``coherlab reproduce`` and the acceptance tests all call these
 functions; the CLI runs any number of trials in consecutive stacks of at
-most ``MAX_STACK`` (``stack_sizes``), so memory stays bounded.  ``SUITES``
+most ``MAX_STACK`` (``trial_stacks``), so memory stays bounded.  ``SUITES``
 maps each property-suite name to its trial and the test each value must pass.
 """
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -64,14 +64,29 @@ def stack_sizes(trials: int) -> list[int]:
     return [min(MAX_STACK, trials - start) for start in range(0, trials, MAX_STACK)]
 
 
+def trial_stacks(trials: int, seed) -> Iterator[tuple[list[int], list[np.random.Generator]]]:
+    """The seeds and generators of ``trials`` trials, in consecutive
+    stacks (``stack_sizes``): trial t runs on ``default_rng(s_t)``, s_t the
+    t-th draw of ``default_rng(seed)``, so ``[default_rng(s_t)]`` reruns it
+    alone."""
+    rng = np.random.default_rng(seed)
+    for n in stack_sizes(trials):
+        seeds = rng.integers(2**63, size=n).tolist()
+        yield seeds, [np.random.default_rng(s) for s in seeds]
+
+
 def teleport_fidelity(rngs: Generators) -> np.ndarray:
     """Worst branch fidelity of incoherent teleportation of a Haar-random
     qubit (ideally 1), per generator.  The qubits are drawn as an (n, 2)
-    stack of vectors, each as ``random_pure`` draws it, and teleported as
-    vectors through one stacked expansion (``protocols._teleport_branches``),
-    which validates only the n inputs psi x phi+, as one
-    ``linalg._pure_stack``, and solves no eigenproblem."""
-    vecs = st._random_pure_vecs((2,), [rng.integers(2**63) for rng in rngs])
+    stack of vectors, each as ``random_pure`` draws it from its generator,
+    and teleported as vectors through one stacked expansion
+    (``protocols._teleport_branches``), which validates only the n inputs
+    psi x phi+, as one ``linalg._pure_stack``, and solves no eigenproblem.
+    Each generator is read once, for its qubit alone, so on ``[rng] * n``
+    it draws n qubits in turn from one stream, as n single trials on
+    ``rng`` do: the teleport row of ``coherlab reproduce`` draws its 20
+    qubits so, building no generator per qubit."""
+    vecs = st._random_pure_vecs((2,), rngs)
     _, _, inputs, _, fidelities = pr._teleport_branches(vecs)
     worst = np.full(len(vecs), np.inf)
     np.minimum.at(worst, inputs, fidelities)
@@ -94,11 +109,9 @@ def qi_increase(mats: np.ndarray, protocols: Sequence[ch.LocalProtocol]) -> np.n
 def monotonicity_trial(rngs: Generators) -> np.ndarray:
     """``qi_increase`` under a random one-round SQI channel, on a two-qubit
     state of random rank."""
-    draws = [(int(rng.integers(1, 5)), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    # the states' and the scripts' generators built as one stack
-    state_rngs = st._generators([seed for _, seed, _ in draws] + [seed for _, _, seed in draws])
-    mats = st._random_density_mats(QUBITS, [rank for rank, _, _ in draws], state_rngs[:len(draws)])
-    protocols = ch._random_scripts((2,), (2,), 1, state_rngs[len(draws):], incoherent_a=False, n_outcomes=2)
+    ranks = [int(rng.integers(1, 5)) for rng in rngs]
+    mats = st._random_density_mats(QUBITS, ranks, rngs)
+    protocols = ch._random_scripts((2,), (2,), 1, rngs, incoherent_a=False, n_outcomes=2)
     return qi_increase(mats, protocols)
 
 
@@ -117,18 +130,15 @@ def steering_verdict_ok(rngs: Generators) -> np.ndarray:
     with even odds a full-rank state, which needs a witness when it is far
     from QI, or a QI state, which must have none.  A full-rank state near
     QI is not searched."""
-    draws = [(rng.random() < 0.5, rng.integers(2**63)) for rng in rngs]
-    full = np.array([is_full for is_full, _ in draws], dtype=bool)
-    # both kinds of state drawn from generators built as one stack
-    state_rngs = st._generators([seed for _, seed in draws])
-    mats = np.empty((len(draws), 4, 4), dtype=complex)
-    mats[full] = st._random_density_mats(QUBITS, 4, list(compress(state_rngs, full)))
-    mats[~full] = st._random_qi_mats(QUBITS, list(compress(state_rngs, ~full)))
+    full = np.array([rng.random() < 0.5 for rng in rngs], dtype=bool)
+    mats = np.empty((len(rngs), 4, 4), dtype=complex)
+    mats[full] = st._random_density_mats(QUBITS, 4, list(compress(rngs, full)))
+    mats[~full] = st._random_qi_mats(QUBITS, list(compress(rngs, ~full)))
     # the full-rank states are validated by far_from_qi, the QI states here
     searched = ~full
     searched[full] = far_from_qi(mats[full])
     _density_stack(mats[~full], QUBITS)
-    found = np.zeros(len(draws), dtype=bool)
+    found = np.zeros(len(rngs), dtype=bool)
     found[searched] = [w is not None for w in pr._steering_witnesses(mats[searched], QUBITS)]
     return np.where(full, found | ~searched, ~found)
 
@@ -138,13 +148,11 @@ def closed_form_gap(rngs: Generators) -> np.ndarray:
     full-rank state of random dims (2 or 3 per party).  The trials are
     stacked by the dims they draw; each stack's states and their
     dephasings are validated as one stack each."""
-    draws = [((int(rng.integers(2, 4)), int(rng.integers(2, 4))), rng.integers(2**63)) for rng in rngs]
-    # the states of every dims are drawn from generators built as one stack
-    state_rngs = st._generators([seed for _, seed in draws])
+    draws = [(int(rng.integers(2, 4)), int(rng.integers(2, 4))) for rng in rngs]
     gaps = np.empty(len(draws))
-    for dims in sorted({d for d, _ in draws}):
-        group = [i for i, (d, _) in enumerate(draws) if d == dims]
-        mats = st._random_density_mats(dims, math.prod(dims), [state_rngs[i] for i in group])
+    for dims in sorted(set(draws)):
+        group = [i for i, d in enumerate(draws) if d == dims]
+        mats = st._random_density_mats(dims, math.prod(dims), [rngs[i] for i in group])
         spectra = _density_stack(mats, dims)
         dephased = ms._dephase_stack(mats, dims, (1,))
         _density_stack(dephased, dims)
@@ -166,9 +174,9 @@ def continuity_excess(rho_mats: np.ndarray, sigma_mats: np.ndarray) -> np.ndarra
 
 
 def continuity_trial(rngs: Generators) -> np.ndarray:
-    """``continuity_excess`` on two full-rank two-qubit states."""
-    seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    mats = st._random_density_mats(QUBITS, 4, [rho for rho, _ in seeds] + [sigma for _, sigma in seeds])
+    """``continuity_excess`` on two full-rank two-qubit states, rho then
+    sigma from each generator."""
+    mats = st._random_density_mats(QUBITS, 4, [*rngs, *rngs])
     return continuity_excess(*np.split(mats, 2))
 
 
@@ -191,14 +199,11 @@ def sqi_to_si_gap(rngs: Generators) -> np.ndarray:
     """Trace-norm gap between the marginals of the surviving party under a
     random one-round SQI channel and under its SI reduction.  The scripts
     are compiled, checked and reduced as one stack each."""
-    seeds = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    # the scripts' and the states' generators built as one stack
-    script_rngs = st._generators([seed for seed, _ in seeds] + [seed for _, seed in seeds])
-    scripts = ch._random_scripts((2,), (2,), 1, script_rngs[:len(seeds)], incoherent_a=False, n_outcomes=2)
+    scripts = ch._random_scripts((2,), (2,), 1, rngs, incoherent_a=False, n_outcomes=2)
     a_ops, b_ops, _ = ch._products(scripts)
     channels = ch._channel_stacks([a_ops, b_ops], [(2, 2), (2, 2)])
     reduced = pr._sqi_to_si_stack(*channels)
-    mats = st._random_density_mats(QUBITS, 4, script_rngs[len(seeds):])
+    mats = st._random_density_mats(QUBITS, 4, rngs)
     _density_stack(mats, QUBITS)
     outs = np.concatenate([_apply(*channels, mats, QUBITS), _apply(*reduced, mats, QUBITS)])
     bobs = _marginals(outs, QUBITS, {1})
@@ -212,18 +217,14 @@ def ancilla_gap(rngs: Generators) -> np.ndarray:
     one stack each, the channels are checked and reduced as one stack, and
     the input states and their extensions by the ancillas are validated
     as one stack each."""
-    seeds = [(rng.integers(2**63), rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    # the A, B and state generators built as one stack
-    n = len(seeds)
-    draw_rngs = st._generators([seed for column in zip(*seeds) for seed in column])
-    a_instrs = ch._random_incoherent_channels((2, 2), 2, draw_rngs[:n])
-    b_instrs = ch._random_incoherent_channels((2, 2), 2, draw_rngs[n:2 * n])
+    a_instrs = ch._random_incoherent_channels((2, 2), 2, rngs)
+    b_instrs = ch._random_incoherent_channels((2, 2), 2, rngs)
     a_ops, b_ops = (np.stack([instr.ops for instr in instrs]) for instrs in (a_instrs, b_instrs))
     # one pair per (A outcome, B outcome), in that order
     extended = ch._channel_stacks([np.repeat(a_ops, b_ops.shape[1], axis=1),
                                    np.tile(b_ops, (1, a_ops.shape[1], 1, 1))], [(4, 4), (4, 4)])
     reduced = pr._ancilla_stack(*extended, (2, 2), (2, 2), (2, 2))
-    rhos = st._random_density_mats(QUBITS, 4, draw_rngs[2 * n:])
+    rhos = st._random_density_mats(QUBITS, 4, rngs)
     _density_stack(rhos, QUBITS)
     bigs = pr._extend_stack(rhos, QUBITS, (2, 2))
     _density_stack(bigs, (2, 2, 2, 2))
@@ -245,11 +246,11 @@ def chain_trial(rngs: Generators) -> np.ndarray:
     """How far the coherence of assistance (budget 2) of a rank-2 qubit
     state leaves the bracket [c_r(rho), S(dephase(rho))] (<= 0 inside it):
     the states are validated, and the values and bracket ends computed, as
-    stacks; each state's solver seed is drawn from its own generator."""
-    draws = [(rng.integers(2**63), rng.integers(2**63)) for rng in rngs]
-    mats = st._random_density_mats((2,), 2, [seed for seed, _ in draws])
+    stacks.  Each generator is also its state's solver seed, which the
+    closed form that every qubit takes never reads."""
+    mats = st._random_density_mats((2,), 2, rngs)
     spectra = _density_stack(mats, (2,))
-    values = ms._assistances(mats, spectra, (2,), 2, [int(seed) for _, seed in draws])[0]
+    values = ms._assistances(mats, spectra, (2,), 2, rngs)[0]
     return _bracket_excesses(mats, spectra, (2,), values)
 
 

@@ -316,10 +316,9 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
     state_given = state_path is not None or builtin is not None
     if name in STATELESS_PROTOCOLS and state_given:
         raise ParseError(f"{name} takes no state; drop --state/--builtin")
-    rng = np.random.default_rng(seed)
     if name == "teleport":
         # a fidelity can round above 1; the report never exceeds 1
-        worst = min([1.0] + [checks.teleport_fidelity([rng] * n).min() for n in checks.stack_sizes(trials)])
+        worst = min([1.0] + [checks.teleport_fidelity(rngs).min() for _, rngs in checks.trial_stacks(trials, seed)])
         return {"protocol": name, "trials": trials, "min_fidelity": float(worst)}
     if name == "distill-pure":
         if state_given:
@@ -365,10 +364,10 @@ def _protocol_payload(name, state_path, builtin, trials, seed, index) -> dict:
             "merge_residual": result.merge_residual,
         }
     if name == "sqi-to-si":
-        gap = max(checks.sqi_to_si_gap([rng] * n).max() for n in checks.stack_sizes(trials))
+        gap = max(checks.sqi_to_si_gap(rngs).max() for _, rngs in checks.trial_stacks(trials, seed))
         return {"protocol": name, "trials": trials, "max_bob_marginal_gap": float(gap)}
     if name == "ancilla-reduce":
-        gap = max(checks.ancilla_gap([rng] * n).max() for n in checks.stack_sizes(trials))
+        gap = max(checks.ancilla_gap(rngs).max() for _, rngs in checks.trial_stacks(trials, seed))
         return {"protocol": name, "trials": trials, "max_action_gap": float(gap)}
     raise ParseError(f"unknown protocol {name!r}")
 
@@ -456,14 +455,11 @@ def run_suite(name: str, trials: int, seed: int) -> dict:
     trial runs on its own generator, the stream of ``default_rng(s)``, s
     drawn from ``default_rng(seed)``, so a listed failure seed reruns that
     trial alone (``replay_suite``).  The trials run in consecutive stacks
-    of at most ``checks.MAX_STACK``; a stack's generators are built by one
-    batched seeding (``states._generators``)."""
+    of at most ``checks.MAX_STACK`` (``checks.trial_stacks``)."""
     passes = _suite(name)
-    rng = np.random.default_rng(seed)
     failures, failure_seeds = 0, []
-    for n in checks.stack_sizes(trials):
-        seeds = rng.integers(2**63, size=n).tolist()
-        failed = [s for s, ok in zip(seeds, passes(st._generators(seeds))) if not ok]
+    for seeds, rngs in checks.trial_stacks(trials, seed):
+        failed = [s for s, ok in zip(seeds, passes(rngs)) if not ok]
         failures += len(failed)
         failure_seeds = (failure_seeds + failed)[:16]
     return {"suite": name, "trials": trials, "failures": failures,

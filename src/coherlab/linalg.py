@@ -17,6 +17,7 @@ import numpy as np
 
 from .exceptions import (
     BadSubsystemError,
+    CoherlabError,
     DimensionMismatchError,
     InvalidStateError,
     NoConvergenceError,
@@ -321,12 +322,11 @@ class PureState:
         return complex(np.vdot(self.vec, other.vec))
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what: str, error: type[CoherlabError] = BadSubsystemError) -> int:
     """``value`` as an int when it is a Python or numpy integer; a bool, a
-    float or anything else raises BadSubsystemError, never a truncated
-    value."""
+    float or anything else raises ``error``, never a truncated value."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BadSubsystemError(f"{what} {value!r} is not an integer")
+        raise error(f"{what} {value!r} is not an integer")
     return int(value)
 
 

@@ -6,14 +6,14 @@ The incoherent reference basis is always the computational basis.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import BadDimensionError, BadRankError, InvalidCoefficientsError, InvalidStateError
-from .linalg import DensityMatrix, PureState, _basis_rows, _density_matrices, _density_stack, _subsystem_dims
+from .linalg import (DensityMatrix, PureState, _basis_rows, _density_matrices, _density_stack, _integer,
+                     _subsystem_dims)
 
 __all__ = [
     "SIGMA_X",
@@ -170,116 +170,6 @@ def fourier_mc_basis(d: int) -> list[PureState]:
     ]
 
 
-# SeedSequence's hash (numpy.random.bit_generator; O'Neill, "PCG",
-# HMC-CS-2014-0905, seed_seq_fe), which numpy keeps stable (NEP 19), for
-# a seed of at most two 32-bit words in the default pool of four words.
-# Each hashmix step k xors its value with _HASH_A[k] and multiplies it by
-# _HASH_A[k + 1]; output word i of generate_state uses _HASH_B[i] and
-# _HASH_B[i + 1] in the same way.
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    return np.array(consts, dtype=np.uint32)
-
-
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hashmix(words: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
-    words = (words ^ xors) * mults
-    return words ^ (words >> np.uint32(16))
-
-
-# Pool words 2 and 3 of such a seed hash its zero padding: fixed words.
-_POOL_PAD = _hashmix(np.zeros((2, 1), np.uint32), _HASH_A[2:4, None], _HASH_A[3:5, None])
-
-
-def _mix_constants() -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Per source word of the pool, the hashmix constants it is mixed into
-    every other word with, as (4, 1) columns; the source's own row is a
-    placeholder, as ``_seed_states`` restores that word after the step."""
-    steps, k = [], 4
-    for src in range(4):
-        xors, mults = np.zeros((4, 1), np.uint32), np.ones((4, 1), np.uint32)
-        for dst in range(4):
-            if dst != src:
-                xors[dst], mults[dst] = _HASH_A[k], _HASH_A[k + 1]
-                k += 1
-        steps.append((src, xors, mults))
-    return steps
-
-
-_MIX_STEPS = _mix_constants()
-
-
-def _seed_states(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(s).generate_state(4, np.uint64)`` for each of a
-    uint64 array of seeds, as an (n, 4) array: the hash run once on the
-    whole stack, one pool word per row."""
-    pool = np.empty((4, len(seeds)), np.uint32)
-    pool[0] = seeds  # the low word, then the high word
-    pool[1] = seeds >> np.uint64(32)
-    pool[:2] = _hashmix(pool[:2], _HASH_A[0:2, None], _HASH_A[1:3, None])
-    pool[2:] = _POOL_PAD
-    for src, xors, mults in _MIX_STEPS:
-        keep = pool[src].copy()
-        mixed = pool * _MIX_L - _hashmix(keep, xors, mults) * _MIX_R
-        pool = mixed ^ (mixed >> np.uint32(16))
-        pool[src] = keep
-    words = _hashmix(np.concatenate((pool, pool)), _HASH_B[:8, None], _HASH_B[1:, None])
-    # uint32 word pairs, little-endian, as uint64 values
-    return np.ascontiguousarray(words.T).view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _given_state():
-    """The ``ISeedSequence`` that hands PCG64 a state computed beforehand.
-    It is built on first use, so importing coherlab imports no
-    ``numpy.random``."""
-    from numpy.random.bit_generator import ISeedSequence
-
-    class GivenState(ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("a given state holds PCG64's four uint64 words only")
-            return self.words
-
-    return GivenState
-
-
-# Smallest stack of seeds whose generators are built through the batched
-# hash; it costs about as much as five ``default_rng`` calls.
-_HASH_MIN = 5
-
-
-def _generators(seeds) -> list[np.random.Generator]:
-    """The generators ``np.random.default_rng(s)`` for a sequence of seeds,
-    bit for bit: the SeedSequence hash of every integer seed in [0, 2**64)
-    is run once for the whole stack (``_seed_states``).  Any other seed (a
-    negative or larger integer, a float, a ``Generator``) goes to
-    ``default_rng`` itself, so its errors and passthrough are unchanged,
-    and so do stacks of fewer than ``_HASH_MIN`` integer seeds.  A hashed
-    generator's ``bit_generator.seed_seq`` holds only its state, so it
-    cannot ``spawn``."""
-    seeds = list(seeds)
-    if len(seeds) < _HASH_MIN:
-        return [np.random.default_rng(s) for s in seeds]
-    hashed = [isinstance(s, (int, np.integer)) and 0 <= s < 2**64 for s in seeds]
-    if sum(hashed) < _HASH_MIN:
-        return [np.random.default_rng(s) for s in seeds]
-    states = iter(_seed_states(np.array([int(s) for s, h in zip(seeds, hashed) if h], dtype=np.uint64)))
-    given = _given_state()
-    generator, pcg64 = np.random.Generator, np.random.PCG64
-    return [generator(pcg64(given(next(states)))) if h else np.random.default_rng(s)
-            for s, h in zip(seeds, hashed)]
-
-
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """A (rows, cols) complex Gaussian matrix: the real parts, then the
     imaginary parts, from one draw."""
@@ -290,16 +180,17 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def _random_pure_vecs(dims: tuple[int, ...], seeds) -> np.ndarray:
     """One Haar-random unit vector on ``dims`` per seed, as an (n, d)
     stack, not validated: callers that draw many validate them as one
-    stack.  The seeds' generators are built by one batched seeding
-    (``_generators``).  Per seed, one ``standard_normal`` fills its
+    stack.  Each is drawn from the stream of ``default_rng(seed)``; a seed
+    may be a ``Generator``, which is read as it is, in seed order when it
+    appears more than once.  Per seed, one ``standard_normal`` fills its
     (2, d) slab of a preallocated stack, the real parts then the imaginary
     parts; the vectors are then assembled once for the stack, and each is
     divided by its own ``np.linalg.norm``, whose rounding a batched norm
     does not always reproduce."""
     d = math.prod(dims)
     parts = np.empty((len(seeds), 2, d))
-    for rng, slab in zip(_generators(seeds), parts):
-        rng.standard_normal(out=slab)
+    for seed, slab in zip(seeds, parts):
+        np.random.default_rng(seed).standard_normal(out=slab)
     vecs = parts[:, 0] + 1j * parts[:, 1]
     for v in vecs:
         v /= np.linalg.norm(v)
@@ -314,7 +205,7 @@ def random_pure(dims, seed) -> PureState:
 
 
 def _check_rank(rank, d: int) -> None:
-    if not 1 <= rank <= d:
+    if not 1 <= _integer(rank, "rank", BadRankError) <= d:
         raise BadRankError(f"rank {rank} invalid for total dimension {d}")
 
 
@@ -322,12 +213,13 @@ def _random_density_mats(dims: tuple[int, ...], ranks, seeds) -> np.ndarray:
     """One random mixed state G G' / Tr(G G') on ``dims`` per seed, G a
     Gaussian d x rank matrix, with one rank for all or one per seed, as an
     (n, d, d) stack, not validated: callers that draw many validate them
-    as one stack.  The seeds' generators are built by one batched seeding
-    (``_generators``; a seed may be a generator built already, which is
-    used as it is, and may appear more than once).  Per seed, in seed
-    order, one ``standard_normal`` fills its (2, d, rank) slab, the real
-    then the imaginary parts of G, in a preallocated stack per rank; then,
-    per rank, G G' is formed, traced and divided once for the stack."""
+    as one stack.  Each is drawn from the stream of ``default_rng(seed)``
+    (a seed may be a ``Generator``, which is read as it is, and may appear
+    more than once).  Per seed, in seed order, one ``standard_normal``
+    fills its (2, d, rank) slab, the real then the imaginary parts of G, in
+    a preallocated stack per rank; then, per rank, G G' is formed, traced
+    and divided once for the stack.  A rank must be a Python or numpy
+    integer."""
     d = math.prod(dims)
     if isinstance(ranks, (int, np.integer)):
         ranks = [ranks] * len(seeds)
@@ -337,8 +229,8 @@ def _random_density_mats(dims: tuple[int, ...], ranks, seeds) -> np.ndarray:
         _check_rank(rank, d)
     parts = {rank: np.empty((ranks.count(rank), 2, d, rank)) for rank in dict.fromkeys(ranks)}
     slabs = {rank: iter(stack) for rank, stack in parts.items()}
-    for rng, rank in zip(_generators(seeds), ranks):
-        rng.standard_normal(out=next(slabs[rank]))
+    for seed, rank in zip(seeds, ranks):
+        np.random.default_rng(seed).standard_normal(out=next(slabs[rank]))
     if len(parts) == 1:
         return _normalized_grams(parts[ranks[0]])
     mats = np.empty((len(seeds), d, d), dtype=complex)
@@ -364,17 +256,18 @@ def random_density(dims, rank, seed) -> DensityMatrix:
 
 def _random_qi_mats(dims: tuple[int, int], seeds) -> np.ndarray:
     """One random quantum-incoherent state (as ``random_qi_state``
-    describes it) per seed, as an (n, d, d) stack, not validated, drawn
-    from generators built by one batched seeding (``_generators``).  Per
-    seed, one ``dirichlet`` gives its weights and one ``standard_normal``
-    fills its (d_B, 2, d_A, d_A) slab, per B label the real then the
-    imaginary part of that block's Ginibre matrix; the blocks are then
-    formed, normalized and placed once for the whole stack."""
+    describes it) per seed, as an (n, d, d) stack, not validated, each
+    drawn from the stream of ``default_rng(seed)``.  Per seed, one
+    ``dirichlet`` gives its weights and one ``standard_normal`` fills its
+    (d_B, 2, d_A, d_A) slab, per B label the real then the imaginary part
+    of that block's Ginibre matrix; the blocks are then formed, normalized
+    and placed once for the whole stack."""
     da, db = (int(d) for d in dims)
     n = len(seeds)
     probs, parts = np.empty((n, db)), np.empty((n, db, 2, da, da))
     alphas = np.ones(db)
-    for rng, p, slab in zip(_generators(seeds), probs, parts):
+    for seed, p, slab in zip(seeds, probs, parts):
+        rng = np.random.default_rng(seed)
         p[:] = rng.dirichlet(alphas)
         rng.standard_normal(out=slab)
     g = parts[:, :, 0] + 1j * parts[:, :, 1]

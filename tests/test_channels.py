@@ -21,6 +21,8 @@ from coherlab.channels import (
     random_sqi_channel,
 )
 from coherlab.exceptions import (
+    BadDimensionError,
+    BadRankError,
     BadSubsystemError,
     DimensionMismatchError,
     IncoherenceViolationError,
@@ -178,6 +180,31 @@ def test_constructors_reject_non_integer_dims(build, dims):
     # a float or a bool is rejected by name, never truncated to an int
     with pytest.raises(BadSubsystemError, match="subsystem dimension .* is not an integer"):
         build(dims)
+
+
+COUNT_DRAWS = {
+    "rank": (lambda k: random_density((2, 2), k, 0), BadRankError),
+    "n_kraus-incoherent": (lambda k: random_incoherent_channel((2,), k, 0), BadDimensionError),
+    "n_kraus-instrument": (lambda k: random_instrument((2,), k, 0), BadDimensionError),
+    "rounds": (lambda k: random_sqi_channel((2,), (2,), k, 0), BadDimensionError),
+    "n_outcomes": (lambda k: random_licc_protocol((2,), (2,), 1, 0, k), BadDimensionError),
+}
+
+
+@pytest.mark.parametrize("count", [2.5, 2.0, 1.0, True, "2"], ids=repr)
+@pytest.mark.parametrize("name", COUNT_DRAWS)
+def test_seeded_draws_reject_non_integer_counts(name, count):
+    # a float, a bool or a string is rejected by name, never truncated or
+    # run as the int it rounds to; a numpy integer draws what the int does
+    draw, error = COUNT_DRAWS[name]
+    with pytest.raises(error, match="is not an integer"):
+        draw(count)
+    expected, drawn = draw(2), draw(np.int32(2))
+    if isinstance(expected, LocalProtocol):
+        expected, drawn = expected.to_product().a_ops, drawn.to_product().a_ops
+    else:
+        expected, drawn = (getattr(x, "ops", getattr(x, "mat", None)) for x in (expected, drawn))
+    assert drawn.tobytes() == expected.tobytes()
 
 
 def test_numpy_integer_dims_are_accepted_as_ints():
@@ -803,18 +830,28 @@ def _reference_instrument_ops(d, n, seed):
     return KrausChannel(raws @ inv_sqrt, (d,), (d,)).ops
 
 
-def _reference_script_rounds(rng, rounds, n, incoherent_a, d_a, d_b):
-    """(party, operators) of each instrument of a random script, built node
-    by node on the script's generator: A's seed and instrument, then per A
-    outcome B's seed and instrument followed by that outcome's
-    continuation."""
-    draw_a = _reference_incoherent_ops if incoherent_a else _reference_instrument_ops
-    found = [("A", draw_a(d_a, n, rng.integers(2**63)))]
+def _script_parties(rounds, n):
+    """The party of each instrument of a random script, in the order
+    ``_script_rounds`` lists them: A, then per A outcome B followed by that
+    outcome's continuation."""
+    parties = ["A"]
     for _ in range(n):
-        found.append(("B", _reference_incoherent_ops(d_b, n, rng.integers(2**63))))
+        parties.append("B")
         if rounds > 1:
-            found += _reference_script_rounds(rng, rounds - 1, n, incoherent_a, d_a, d_b)
-    return found
+            parties += _script_parties(rounds - 1, n)
+    return parties
+
+
+def _reference_script_rounds(rng, rounds, n, incoherent_a, d_a, d_b):
+    """(party, operators) of each instrument of a random script, in the
+    order ``_script_rounds`` lists them: the script's generator draws its A
+    instruments in that order, one at a time, then its B instruments."""
+    parties = _script_parties(rounds, n)
+    draw_a = _reference_incoherent_ops if incoherent_a else _reference_instrument_ops
+    a_ops = [draw_a(d_a, n, rng) for party in parties if party == "A"]
+    b_ops = [_reference_incoherent_ops(d_b, n, rng) for party in parties if party == "B"]
+    drawn = {"A": iter(a_ops), "B": iter(b_ops)}
+    return [(party, next(drawn[party])) for party in parties]
 
 
 def _script_rounds(node):
@@ -850,7 +887,7 @@ def test_stacked_script_draws_name_the_reference_channels(a_dims, b_dims, rounds
             assert [party for party, _ in found] == [party for party, _ in reference]
             assert all(ops.tobytes() == ref.tobytes() for (_, ops), (_, ref) in zip(found, reference))
         assert script.incoherent_parties == single.incoherent_parties
-    # each script's generator is left where the node-by-node build leaves it
+    # each script's generator is left where the one-at-a-time draws leave it
     for rngs in (single_rngs, stacked_rngs):
         assert [rng.bit_generator.state for rng in rngs] == [
             rng.bit_generator.state for rng in reference_rngs]

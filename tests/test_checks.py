@@ -8,7 +8,7 @@ from coherlab import checks
 from coherlab.cli import run_suite
 from coherlab.exceptions import InvalidStateError
 from coherlab.linalg import DensityMatrix, _density_stack
-from coherlab.states import _generators, random_density
+from coherlab.states import random_density
 from conftest import run_cli
 
 # every trial of checks, the suites' and the protocols'
@@ -17,21 +17,24 @@ TRIALS = [checks.SUITES[name].trial for name in checks.SUITES] + [checks.ancilla
 
 @pytest.mark.parametrize("trial", TRIALS, ids=lambda trial: trial.__name__)
 def test_stacked_trial_equals_single_draws(trial):
-    # n trials on one generator, as one stack and one at a time: the same
-    # values bit for bit, and the generator left in the same state
+    # n trials on n distinct generators, as one stack and one at a time:
+    # the same values bit for bit, and every generator left in the same state
     for seed in range(10):
-        stacked_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        stacked = trial([stacked_rng] * 20)
-        single = np.concatenate([trial([single_rng]) for _ in range(20)])
+        seeds = np.random.default_rng(seed).integers(2**63, size=20).tolist()
+        stacked_rngs = [np.random.default_rng(s) for s in seeds]
+        single_rngs = [np.random.default_rng(s) for s in seeds]
+        stacked = trial(stacked_rngs)
+        single = np.concatenate([trial([rng]) for rng in single_rngs])
         assert stacked.shape == (20,)
         assert stacked.tobytes() == single.tobytes()
-        assert stacked_rng.integers(2**63) == single_rng.integers(2**63)
+        assert [rng.bit_generator.state for rng in stacked_rngs] == [
+            rng.bit_generator.state for rng in single_rngs]
 
 
 def test_suite_stacks_at_seed_zero_give_the_golden_values():
     # each suite's 20-trial stack of run_suite --seed 0, as float.hex; the
-    # file was captured when every trial generator came from its own
-    # default_rng call
+    # file was captured when every trial first drew all its inputs straight
+    # from its own generator
     with open(os.path.join(os.path.dirname(__file__), "golden", "suite_values_seed0.json"),
               encoding="utf-8") as fh:
         golden = json.load(fh)
@@ -39,7 +42,7 @@ def test_suite_stacks_at_seed_zero_give_the_golden_values():
     assert seeds == golden["trial_seeds"]
     assert sorted(golden["values"]) == sorted(checks.SUITES)
     for name, suite in checks.SUITES.items():
-        values = np.asarray(suite.trial(_generators(seeds)), dtype=float).tolist()
+        values = np.asarray(suite.trial([np.random.default_rng(s) for s in seeds]), dtype=float).tolist()
         assert [value.hex() for value in values] == golden["values"][name], name
 
 
@@ -79,8 +82,8 @@ def test_chain_stack_equals_single_assistance_trials():
     single = []
     for seed in range(40):
         rng = np.random.default_rng(seed)
-        rho = random_density((2,), 2, rng.integers(2**63))
-        value, _ = ms.coherence_of_assistance(rho, budget=2, seed=int(rng.integers(2**63)))
+        rho = random_density((2,), 2, rng)
+        value, _ = ms.coherence_of_assistance(rho, budget=2, seed=rng)
         upper = von_neumann_entropy(ms.dephase(rho, (0,)))
         single.append(max(value - upper, ms.c_r(rho) - value))
     assert stacked.tobytes() == np.array(single).tobytes()

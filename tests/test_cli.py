@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as hst
 
 import coherlab
+from coherlab import checks
 from coherlab.checks import SUITES
 from coherlab.cli import (
     MEASURES,
@@ -756,6 +757,9 @@ def test_product_channel_json_is_golden(channel, name):
      "measure_discord_merging_a02_b1.txt"),
     (["measure", "mutual-info", "--builtin", "merging", "--split", "A=0,2;B=1"],
      "measure_mutual_info_merging_a02_b1.txt"),
+    # 150 trials run as three stacks (64, 64, 22)
+    (["protocol", "sqi-to-si", "--trials", "150", "--seed", "3"],
+     "protocol_sqi_to_si_trials150_seed3.txt"),
 ])
 def test_product_channel_commands_print_golden_bytes(monkeypatch, args, name):
     # state files are named relative to the repository root, as the CI step
@@ -765,6 +769,24 @@ def test_product_channel_commands_print_golden_bytes(monkeypatch, args, name):
     assert result.exit_code == 0
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         assert result.stdout == fh.read()
+
+
+@pytest.mark.parametrize("name,trial,key,initial", [
+    ("sqi-to-si", checks.sqi_to_si_gap, "max_bob_marginal_gap", []),
+    ("ancilla-reduce", checks.ancilla_gap, "max_action_gap", []),
+    # a fidelity can round above 1; the report never exceeds 1
+    ("teleport", checks.teleport_fidelity, "min_fidelity", [1.0]),
+])
+def test_protocol_trials_fold_single_trials_across_stacks(name, trial, key, initial):
+    # 150 trials run as stacks of 64, 64 and 22; trial t runs on
+    # default_rng(s_t), s_t the t-th draw of default_rng(3), and gives what
+    # it gives alone
+    result = run_cli(["protocol", name, "--trials", "150", "--seed", "3"])
+    assert result.exit_code == 0
+    seeds = np.random.default_rng(3).integers(2**63, size=150).tolist()
+    values = initial + [trial([np.random.default_rng(s)])[0].item() for s in seeds]
+    fold = min if name == "teleport" else max
+    assert json.loads(result.stdout)[key] == fold(values)
 
 
 @pytest.mark.parametrize("name", ["monotonicity", "steering", "teleport", "closed-form",

@@ -228,27 +228,33 @@ def test_stacked_teleport_trial_equals_single_draws():
 
 
 def test_stacked_teleport_draw_equals_the_random_pure_route():
-    # the (n, 2) stack against one random_pure-style draw per input
-    # (default_rng(seed), a Ginibre column, divided by its own norm), and the
-    # fidelities against teleporting those vectors, bit for bit
+    # the (n, 2) stack against one random_pure-style draw per input (a
+    # Ginibre column from the input's own generator, divided by its own
+    # norm), and the fidelities against teleporting those vectors, bit for
+    # bit; on one generator repeated, the inputs are its consecutive draws
     import coherlab.checks as checks
 
-    def drawn(seed):
-        rng = np.random.default_rng(seed)
+    def drawn(rng):
         v = (rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))).reshape(-1)
         return v / np.linalg.norm(v)
 
+    def worst_of(vecs):
+        _, _, inputs, _, fidelities = _teleport_branches(vecs)
+        worst = np.full(len(vecs), np.inf)
+        np.minimum.at(worst, inputs, fidelities)
+        return worst
+
     for n in (1, 20, 64):
         for seed in range(50):
-            rng = np.random.default_rng(seed)
-            seeds = [rng.integers(2**63) for _ in range(n)]
-            reference = np.stack([drawn(s) for s in seeds])
+            seeds = np.random.default_rng(seed).integers(2**63, size=n).tolist()
+            reference = np.stack([drawn(np.random.default_rng(s)) for s in seeds])
             assert np.stack([random_pure((2,), s).vec for s in seeds]).tobytes() == reference.tobytes()
-            _, _, inputs, _, fidelities = _teleport_branches(reference)
-            worst = np.full(n, np.inf)
-            np.minimum.at(worst, inputs, fidelities)
+            stacked = checks.teleport_fidelity([np.random.default_rng(s) for s in seeds])
+            assert stacked.tobytes() == worst_of(reference).tobytes()
+            rng = np.random.default_rng(seed)
+            repeated = np.stack([drawn(rng) for _ in range(n)])
             stacked = checks.teleport_fidelity([np.random.default_rng(seed)] * n)
-            assert stacked.tobytes() == worst.tobytes()
+            assert stacked.tobytes() == worst_of(repeated).tobytes()
 
 
 # ---------------------------------------------------------------------------
